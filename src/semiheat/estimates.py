@@ -12,7 +12,7 @@ tol = c1 * dt + c2 * h^2 with c1 = c2 = 10 * (max |u|)^p over the window
 reaction magnitude).
 
 Balls B_rho(x0) are coordinate intervals around the pole (zonal), the origin
-(radial), or x = 0 with wraparound (circle/torus): the only geodesic balls
+(radial), or x = 0 with wraparound (circle): the only geodesic balls
 the symmetric reductions can represent.
 """
 
@@ -27,7 +27,6 @@ from .evolve import Trajectory
 from .geometry import (
     CLOSED_KINDS,
     DiscreteManifold,
-    PERIODIC_KINDS,
     build_manifold,
     curvature_bound,
     gradient_norm,
@@ -155,7 +154,7 @@ def scheme_tolerance(traj: Trajectory, p: float, dt: float | None = None) -> flo
 def _ball_limit(m: DiscreteManifold) -> float:
     if m.kind == "sphere_zonal":
         return math.pi * m.radius_or_length
-    if m.kind in PERIODIC_KINDS:
+    if m.kind == "circle":
         return 0.5 * m.radius_or_length
     return m.radius_or_length
 
@@ -167,7 +166,7 @@ def ball_mask(m: DiscreteManifold, radius: float) -> np.ndarray:
         raise ValueError("ball exceeds the manifold diameter")
     if m.kind == "sphere_zonal":
         dist = m.nodes * m.radius_or_length
-    elif m.kind in PERIODIC_KINDS:
+    elif m.kind == "circle":
         dist = np.minimum(m.nodes, m.radius_or_length - m.nodes)
     else:
         dist = m.nodes

@@ -281,8 +281,8 @@ def ancient_approximation(
 
 def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict | None = None):
     """Write the trajectory as CSV (t, node_index, u) with a JSON sidecar
-    carrying the step log, blow-up info, and any caller metadata (the
-    experiment runner passes its config hash through here)."""
+    carrying the manifold, the step log, blow-up info, and the caller's
+    ``meta`` dict (JSON-serializable metadata, stored as given)."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node_index", "u"])

@@ -33,6 +33,11 @@ is recorded and never disturbs the others.  The report is written even when
 checks fail: failures are the interesting output.  Everything in the report
 except the "timing" block is a pure function of the config, and the config
 hash is the sha256 of the canonicalized (key-sorted, compact) JSON text.
+
+``_CHECKERS`` is the one place checker ids live: each entry names the
+config fields its checker reads, which of them are required, and how it is
+called.  Validation, dispatch and plot-data emission all read that table, so
+adding a checker means adding one entry there.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ import json
 import math
 import os
 import time
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimates import (
+    _GRADIENT_VARIANTS,
     EstimateParams,
     check_decay,
     check_gradient_estimate,
@@ -58,21 +65,12 @@ from .estimates import (
     exponent_regime,
 )
 from .evolve import EvolveControls, SolverAbort, evolve
-from .geometry import KINDS, build_manifold, laplacian_spectrum
+from .geometry import _canonical_kind, _check_dimension, build_manifold, laplacian_spectrum
 from .reaction_ode import trivial_ancient
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
 _RECIPES = ("constant", "trivial_plus_mode", "talenti", "random_uniform", "custom")
-
-_CHECKER_REQUIRED = {
-    "positivity": (),
-    "gradient": ("variant", "D"),
-    "decay": ("T_blow",),
-    "universal": ("T0", "T"),
-    "lower_bound": ("delta", "L", "A", "r0", "C_delta_cap"),
-    "triviality": (),
-}
 
 
 class ConfigError(ValueError):
@@ -142,9 +140,114 @@ def _require(d: dict, key: str, path: str):
 
 
 def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # value != value only for NaN, which JSON readers accept as a literal
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ConfigError(path, "number out of range") from None
+
+
+def _positive_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected true or false, got {value!r}")
+    return value
+
+
+def _variant(value, path: str) -> str:
+    if value not in _GRADIENT_VARIANTS:
+        raise ConfigError(path, f"expected one of {list(_GRADIENT_VARIANTS)}, got {value!r}")
+    return value
+
+
+def _numbers(*names) -> dict:
+    return dict.fromkeys(names, _number)
+
+
+# scenario controls: field -> type check (EvolveControls checks the values)
+_CONTROLS = {
+    "dt_max": _number,
+    "blow_threshold": _number,
+    "reaction_on": _boolean,
+    "snapshot_every": _positive_int,
+}
+
+
+def _c_cap(cfg: dict) -> float:
+    return float(cfg.get("c_cap", math.inf))
+
+
+# One entry per checker id: the config fields the checker reads (name -> type
+# check), the ones it requires, and run(cfg, traj, p).  Each run names its
+# check_* function through this module's globals, so a wrapper installed on
+# the module attribute sees every call.
+_Checker = namedtuple("_Checker", "fields required run")
+_CHECKERS = {
+    "positivity": _Checker({}, (), lambda cfg, traj, p: check_positivity_min_ode(traj, p)),
+    "gradient": _Checker(
+        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0", "u_floor", "c_cap", "grad_tol")},
+        ("variant", "D"),
+        lambda cfg, traj, p: check_gradient_estimate(
+            traj,
+            EstimateParams(**{key: cfg.get(key) for key in ("D", "K", "R", "T", "T0", "u_floor")}),
+            cfg["variant"],
+            p,
+            c_cap=_c_cap(cfg),
+            grad_tol=float(cfg.get("grad_tol", 1e-6)),
+        ),
+    ),
+    "decay": _Checker(
+        _numbers("T_blow", "c_cap"),
+        ("T_blow",),
+        lambda cfg, traj, p: check_decay(traj, float(cfg["T_blow"]), p, c_cap=_c_cap(cfg)),
+    ),
+    "universal": _Checker(
+        _numbers("T0", "T", "c_cap"),
+        ("T0", "T"),
+        lambda cfg, traj, p: check_universal(
+            traj, float(cfg["T0"]), float(cfg["T"]), p, c_cap=_c_cap(cfg)
+        ),
+    ),
+    "lower_bound": _Checker(
+        _numbers("delta", "L", "A", "r0", "C_delta_cap", "K", "T"),
+        ("delta", "L", "A", "r0", "C_delta_cap"),
+        lambda cfg, traj, p: check_lower_bound_lemma(
+            traj,
+            EstimateParams(
+                K=cfg.get("K"), T=cfg.get("T"), **{key: float(cfg[key]) for key in ("delta", "L", "A", "r0")}
+            ),
+            float(cfg["C_delta_cap"]),
+            p,
+        ),
+    ),
+    "triviality": _Checker(
+        _numbers("rate_tol", "osc_floor"),
+        (),
+        lambda cfg, traj, p: check_triviality(
+            traj,
+            traj.manifold,
+            p,
+            rate_tol=float(cfg.get("rate_tol", 0.2)),
+            osc_floor=float(cfg.get("osc_floor", 1e-10)),
+        ),
+    ),
+}
+
+
+def _check_fields(d: dict, spec: dict, path: str, what: str):
+    unknown = set(d) - set(spec)
+    if unknown:
+        raise ConfigError(path, f"unknown {what} fields {sorted(unknown)}")
+    for key, check in spec.items():
+        if key in d:
+            check(d[key], f"{path}.{key}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -156,11 +259,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(man, dict):
         raise ConfigError("manifold", "must be an object")
     kind = _require(man, "kind", "manifold")
-    if kind not in KINDS:
-        raise ConfigError("manifold.kind", f"unknown manifold kind {kind!r}")
-    n = _require(man, "n", "manifold")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("manifold.n", "must be a positive integer")
+    try:
+        canonical = _canonical_kind(kind)
+    except ValueError as exc:
+        raise ConfigError("manifold.kind", str(exc)) from None
+    n = _positive_int(_require(man, "n", "manifold"), "manifold.n")
+    try:
+        _check_dimension(canonical, n)
+    except ValueError as exc:
+        raise ConfigError("manifold.n", str(exc)) from None
     size = _number(_require(man, "size", "manifold"), "manifold.size")
     if size <= 0:
         raise ConfigError("manifold.size", "must be positive")
@@ -206,7 +313,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if not isinstance(mode, int) or mode < 0:
                 raise ConfigError(f"{path}.initial.mode", "must be a nonnegative integer")
         elif recipe == "talenti":
-            if kind != "euclidean_radial" or n < 3:
+            if canonical != "euclidean_radial" or n < 3:
                 raise ConfigError(
                     f"{path}.initial.type",
                     "talenti profile needs the euclidean_radial kind with n >= 3",
@@ -217,7 +324,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if hi <= lo:
                 raise ConfigError(f"{path}.initial.high", "must exceed low")
         elif recipe == "custom":
-            _require(initial, "path", f"{path}.initial")
+            if not isinstance(_require(initial, "path", f"{path}.initial"), str):
+                raise ConfigError(f"{path}.initial.path", "must be a string")
         window = _require(sc, "window", path)
         if not isinstance(window, dict):
             raise ConfigError(f"{path}.window", "must be an object")
@@ -228,9 +336,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         controls = sc.get("controls", {})
         if not isinstance(controls, dict):
             raise ConfigError(f"{path}.controls", "must be an object")
-        unknown = set(controls) - {"dt_max", "blow_threshold", "reaction_on", "snapshot_every"}
-        if unknown:
-            raise ConfigError(f"{path}.controls", f"unknown control fields {sorted(unknown)}")
+        _check_fields(controls, _CONTROLS, f"{path}.controls", "control")
 
     checkers = raw.get("checkers", [])
     if not isinstance(checkers, list):
@@ -240,11 +346,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(ck, dict):
             raise ConfigError(path, "must be an object")
         cid = _require(ck, "id", path)
-        if cid not in _CHECKER_REQUIRED:
+        if not isinstance(cid, str) or cid not in _CHECKERS:
             raise ConfigError(f"{path}.id", f"unknown checker id {cid!r}")
-        for key in _CHECKER_REQUIRED[cid]:
+        spec = _CHECKERS[cid]
+        for key in spec.required:
             if key not in ck:
                 raise ConfigError(f"{path}.{key}", f"missing required field for checker {cid!r}")
+        fields = {key: value for key, value in ck.items() if key != "id"}
+        _check_fields(fields, spec.fields, path, f"checker {cid!r}")
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -298,50 +407,6 @@ def _initial_data(m, recipe: dict, p: float, seed: int, entry_index: int) -> np.
     return values
 
 
-def _run_checker(cfg: dict, traj, p: float) -> dict:
-    cid = cfg["id"]
-    c_cap = float(cfg.get("c_cap", math.inf))
-    if cid == "positivity":
-        rep = check_positivity_min_ode(traj, p)
-    elif cid == "gradient":
-        params = EstimateParams(
-            D=cfg.get("D"),
-            K=cfg.get("K"),
-            R=cfg.get("R"),
-            T=cfg.get("T"),
-            T0=cfg.get("T0"),
-            u_floor=cfg.get("u_floor"),
-        )
-        rep = check_gradient_estimate(
-            traj, params, cfg["variant"], p, c_cap=c_cap, grad_tol=float(cfg.get("grad_tol", 1e-6))
-        )
-    elif cid == "decay":
-        rep = check_decay(traj, float(cfg["T_blow"]), p, c_cap=c_cap)
-    elif cid == "universal":
-        rep = check_universal(traj, float(cfg["T0"]), float(cfg["T"]), p, c_cap=c_cap)
-    elif cid == "lower_bound":
-        params = EstimateParams(
-            K=cfg.get("K"),
-            T=cfg.get("T"),
-            delta=float(cfg["delta"]),
-            L=float(cfg["L"]),
-            A=float(cfg["A"]),
-            r0=float(cfg["r0"]),
-        )
-        rep = check_lower_bound_lemma(traj, params, float(cfg["C_delta_cap"]), p)
-    elif cid == "triviality":
-        rep = check_triviality(
-            traj,
-            traj.manifold,
-            p,
-            rate_tol=float(cfg.get("rate_tol", 0.2)),
-            osc_floor=float(cfg.get("osc_floor", 1e-10)),
-        )
-    else:
-        raise ValueError(f"unknown checker id {cid!r}")
-    return rep
-
-
 def _run_entry(config: ExperimentConfig, scenario: dict, p: float, entry_index: int, out_dir: str):
     name = f"{scenario['name']}__p{p:g}"
     entry = {"name": name, "scenario": scenario["name"], "p": p, "status": "ok", "checks": {}}
@@ -373,7 +438,7 @@ def _run_entry(config: ExperimentConfig, scenario: dict, p: float, entry_index: 
     for cfg in config.checkers:
         cid = cfg["id"]
         try:
-            rep = _run_checker(cfg, traj, p)
+            rep = _CHECKERS[cid].run(cfg, traj, p)
         except (ValueError, FloatingPointError) as exc:
             entry["checks"][cid] = {"status": "error", "error": str(exc)}
             continue
@@ -450,7 +515,7 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[st
     structural rhs, ratio per snapshot row.  Emitting twice is
     byte-identical."""
     present = {cid for entry in report.entries for cid in entry.get("checks", {})}
-    if which not in _CHECKER_REQUIRED:
+    if which not in _CHECKERS:
         raise ValueError(f"unknown checker id {which!r}")
     if report.entries and present and which not in present:
         raise ValueError(f"checker {which!r} not present in the report")

@@ -1,18 +1,25 @@
 """Discrete model manifolds and their Laplace and gradient operators.
 
-Everything runs on one-dimensional reductions of four model geometries:
+Everything runs on one-dimensional reductions of three model geometries:
 
 * ``sphere_zonal``      rotationally symmetric functions on the round n-sphere,
                         coordinate theta in [0, pi], Laplacian
                         (u_tt + (n-1) cot(theta) u_t) / radius^2
-* ``circle``            the flat circle of a given circumference, periodic
-* ``flat_torus_1d``     same operator as the circle; kept as a separate kind so
-                        configs can name the torus picture explicitly
+* ``circle``            the flat circle of a given circumference, periodic;
+                        ``flat_torus_1d`` is accepted as another spelling and
+                        builds the same manifold (its ``kind`` is ``circle``)
 * ``euclidean_radial``  radial functions on flat R^n truncated at R_max,
                         Laplacian u_rr + (n-1) u_r / r, homogeneous Neumann
                         at the outer boundary
 
-The closed kinds (sphere, circle, torus) use a conservative flux form with
+Each Laplacian is stored once, in LAPACK diagonal-ordered band form
+``(l, u, ab)`` with ``ab[u + i - j, j] == L[i, j]``.  The circle's two
+periodic corner entries sit in the band slots that a plain tridiagonal
+matrix leaves unused: L[N-1, 0] in ``ab[0, 0]`` and L[0, N-1] in
+``ab[2, N-1]``.  The matvec, the dense matrix and the implicit solve are all
+derived from that one array.
+
+The closed kinds (sphere, circle) use a conservative flux form with
 exact per-cell volume integrals, which makes the operator self-adjoint in the
 volume-weighted inner product and gives an exact discrete divergence theorem
 (both hold to roundoff, by telescoping).  The flux row at a pole reduces to
@@ -34,29 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-KINDS = ("sphere_zonal", "circle", "flat_torus_1d", "euclidean_radial")
-CLOSED_KINDS = ("sphere_zonal", "circle", "flat_torus_1d")
-PERIODIC_KINDS = ("circle", "flat_torus_1d")
+KINDS = ("sphere_zonal", "circle", "euclidean_radial")
+CLOSED_KINDS = ("sphere_zonal", "circle")
+
+# config spellings of a kind other than its own name
+_KIND_ALIASES = {"flat_torus_1d": "circle"}
 
 # dense spectra only; guards against accidentally materializing a huge matrix
 _SPECTRUM_MAX_NODES = 4096
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Nodal values of a scalar function, aligned with one manifold."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("ScalarField values must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("ScalarField values must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +58,7 @@ class DiscreteManifold:
 
     Immutable after construction; operators live in the private cache and are
     shared freely across workers.  ``radius_or_length`` is the geodesic radius
-    for the sphere, the circumference for circle/torus, and the outer radius
+    for the sphere, the circumference for the circle, and the outer radius
     for the radial kind.  ``ricci_lower`` is the constant lambda with
     Ric >= lambda * g ((n-1)/radius^2 on the round sphere, 0 for the flat
     kinds).
@@ -104,19 +97,6 @@ def _gauss_cell_integrals(edges: np.ndarray, power: int) -> np.ndarray:
     return half * np.sum(gw[None, :] * np.sin(theta) ** power, axis=1)
 
 
-def _assemble_triplets(rows, cols, vals, N):
-    coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(N, N))
-    return coo.tocsr()
-
-
-def _csr_to_banded(csr, l, u):
-    N = csr.shape[0]
-    ab = np.zeros((l + u + 1, N))
-    coo = csr.tocoo()
-    ab[u + coo.row - coo.col, coo.col] = coo.data
-    return ab
-
-
 def _derivative_weights(offsets, order, h):
     # interpolation-exact finite difference weights on the given stencil
     offs = np.asarray(offsets, dtype=float)
@@ -135,68 +115,53 @@ def _build_zonal_ops(n, radius, N):
     s_face = np.sin(faces) ** (n - 1)
 
     coef = 1.0 / (radius**2 * cell * h)
-    rows, cols, vals = [], [], []
-    for i in range(N):
-        left = s_face[i - 1] if i > 0 else 0.0
-        right = s_face[i] if i < N - 1 else 0.0
-        if i > 0:
-            rows.append(i), cols.append(i - 1), vals.append(left * coef[i])
-        rows.append(i), cols.append(i), vals.append(-(left + right) * coef[i])
-        if i < N - 1:
-            rows.append(i), cols.append(i + 1), vals.append(right * coef[i])
-    csr = _assemble_triplets(rows, cols, vals, N)
+    left = np.concatenate(([0.0], s_face))  # face fluxes; none through the poles
+    right = np.concatenate((s_face, [0.0]))
+    ab = np.zeros((3, N))
+    ab[0, 1:] = s_face * coef[:-1]
+    ab[1] = -(left + right) * coef
+    ab[2, :-1] = s_face * coef[1:]
     weights = radius**n * cell
-    ops = {"csr": csr, "banded": (1, 1, _csr_to_banded(csr, 1, 1))}
-    return theta, weights, ops
+    return theta, weights, {"band": (1, 1, ab)}
 
 
 def _build_periodic_ops(length, N):
     x = np.arange(N) * (length / N)
     h = length / N
-    rows, cols, vals = [], [], []
     inv_h2 = 1.0 / h**2
-    for i in range(N):
-        rows += [i, i, i]
-        cols += [(i - 1) % N, i, (i + 1) % N]
-        vals += [inv_h2, -2.0 * inv_h2, inv_h2]
-    csr = _assemble_triplets(rows, cols, vals, N)
-    dl = np.full(N - 1, inv_h2)
-    d = np.full(N, -2.0 * inv_h2)
-    du = np.full(N - 1, inv_h2)
-    ops = {
-        "csr": csr,
-        "cyclic": (dl, d, du, inv_h2, inv_h2),  # corners A[0,N-1], A[N-1,0]
-    }
+    # full rows: ab[0, 0] and ab[2, N-1] hold the corners L[N-1, 0], L[0, N-1]
+    ab = np.repeat([[inv_h2], [-2.0 * inv_h2], [inv_h2]], N, axis=1)
     weights = np.full(N, h)
-    return x, weights, ops
+    return x, weights, {"band": (1, 1, ab)}
 
 
 def _build_radial_ops(n, r_max, N):
     r = np.linspace(0.0, r_max, N)
     h = r[1] - r[0]
-    rows, cols, vals = [], [], []
+    l, u = 4, 2
+    ab = np.zeros((l + u + 1, N))
 
-    def add(i, j, v):
-        rows.append(i), cols.append(j), vals.append(v)
+    def put(i, j, v):
+        ab[u + i - j, j] = v
 
     c2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
     c1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    for i in range(2, N - 2):
-        w = c2 + (n - 1) / r[i] * c1
-        for k in range(5):
-            add(i, i - 2 + k, w[k])
+    interior = np.arange(2, N - 2)
+    w = c2 + ((n - 1) / r[interior])[:, None] * c1
+    for k in range(5):
+        put(interior, interior - 2 + k, w[:, k])
 
     # pole row: n * u_rr with the fourth-order even stencil across r = 0
-    add(0, 0, n * (-30.0) / (12.0 * h * h))
-    add(0, 1, n * 32.0 / (12.0 * h * h))
-    add(0, 2, n * (-2.0) / (12.0 * h * h))
+    put(0, 0, n * (-30.0) / (12.0 * h * h))
+    put(0, 1, n * 32.0 / (12.0 * h * h))
+    put(0, 2, n * (-2.0) / (12.0 * h * h))
 
     # one in from the pole: even ghost u(-h) = u(h)
     a1 = (n - 1) / r[1]
-    add(1, 0, 16.0 / (12.0 * h * h) + a1 * (-8.0) / (12.0 * h))
-    add(1, 1, -31.0 / (12.0 * h * h) + a1 * 1.0 / (12.0 * h))
-    add(1, 2, 16.0 / (12.0 * h * h) + a1 * 8.0 / (12.0 * h))
-    add(1, 3, -1.0 / (12.0 * h * h) + a1 * (-1.0) / (12.0 * h))
+    put(1, 0, 16.0 / (12.0 * h * h) + a1 * (-8.0) / (12.0 * h))
+    put(1, 1, -31.0 / (12.0 * h * h) + a1 * 1.0 / (12.0 * h))
+    put(1, 2, 16.0 / (12.0 * h * h) + a1 * 8.0 / (12.0 * h))
+    put(1, 3, -1.0 / (12.0 * h * h) + a1 * (-1.0) / (12.0 * h))
 
     # one in from the outer boundary: skewed stencil, no ghost involved
     i = N - 2
@@ -205,49 +170,58 @@ def _build_radial_ops(n, r_max, N):
     w1 = _derivative_weights(offs, 1, h)
     w = w2 + (n - 1) / r[i] * w1
     for k in range(6):
-        add(i, i - 4 + k, w[k])
+        put(i, i - 4 + k, w[k])
 
     # boundary node: reflection row realizing the homogeneous Neumann condition
-    add(N - 1, N - 2, 2.0 / (h * h))
-    add(N - 1, N - 1, -2.0 / (h * h))
+    put(N - 1, N - 2, 2.0 / (h * h))
+    put(N - 1, N - 1, -2.0 / (h * h))
 
-    csr = _assemble_triplets(rows, cols, vals, N)
     edges = np.concatenate(([0.0], 0.5 * (r[:-1] + r[1:]), [r_max]))
     weights = (edges[1:] ** n - edges[:-1] ** n) / n
-    ops = {"csr": csr, "banded": (4, 2, _csr_to_banded(csr, 4, 2))}
-    return r, weights, ops
+    return r, weights, {"band": (l, u, ab)}
+
+
+def _canonical_kind(kind) -> str:
+    """The kind a name or alias stands for; ValueError if it names none."""
+    canonical = _KIND_ALIASES.get(kind, kind) if isinstance(kind, str) else None
+    if canonical not in KINDS:
+        raise ValueError(f"unknown manifold kind {kind!r}")
+    return canonical
+
+
+def _check_dimension(kind: str, n: int):
+    """n >= 2 for sphere_zonal and euclidean_radial, n = 1 for the circle."""
+    if kind == "circle":
+        if n != 1:
+            raise ValueError(f"{kind} requires dimension n = 1")
+    elif n < 2:
+        raise ValueError(f"{kind} requires dimension n >= 2")
 
 
 def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) -> DiscreteManifold:
-    """Construct one of the four model manifolds on a uniform grid.
+    """Construct one of the three model manifolds on a uniform grid.
 
     Parameters
     ----------
-    kind : one of KINDS
+    kind : one of KINDS, or ``flat_torus_1d`` for the circle
     n : integer dimension; must be >= 2 for sphere_zonal / euclidean_radial
-        and exactly 1 for circle / flat_torus_1d
-    radius_or_length : geodesic radius (sphere), circumference (circle,
-        torus), or outer radius (radial)
+        and exactly 1 for the circle
+    radius_or_length : geodesic radius (sphere), circumference (circle), or
+        outer radius (radial)
     node_count : uniform grid size, at least 16
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown manifold kind {kind!r}")
+    kind = _canonical_kind(kind)
     if node_count < 16:
         raise ValueError("node_count must be at least 16")
     if radius_or_length <= 0:
         raise ValueError("radius_or_length must be positive")
     n = int(n)
-    if kind in ("sphere_zonal", "euclidean_radial"):
-        if n < 2:
-            raise ValueError(f"{kind} requires dimension n >= 2")
-    else:
-        if n != 1:
-            raise ValueError(f"{kind} requires dimension n = 1")
+    _check_dimension(kind, n)
 
     if kind == "sphere_zonal":
         nodes, weights, ops = _build_zonal_ops(n, radius_or_length, node_count)
         ricci = (n - 1) / radius_or_length**2
-    elif kind in PERIODIC_KINDS:
+    elif kind == "circle":
         nodes, weights, ops = _build_periodic_ops(radius_or_length, node_count)
         ricci = 0.0
     else:
@@ -269,30 +243,44 @@ def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) 
 
 
 def _aligned_values(m: DiscreteManifold, u) -> np.ndarray:
-    vals = u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
+    vals = np.asarray(u, dtype=float)
     if vals.ndim != 1 or vals.size != m.node_count:
         raise ValueError("field is not aligned with the manifold")
     return vals
 
 
-def laplace_beltrami(m: DiscreteManifold, u):
-    """Apply the discrete Laplacian.  Accepts a ScalarField or a plain array
-    and returns the matching type."""
-    vals = _aligned_values(m, u)
-    out = m._ops["csr"] @ vals
-    if isinstance(u, ScalarField):
-        return ScalarField(out)
+def _apply_band(m: DiscreteManifold, x: np.ndarray) -> np.ndarray:
+    # L @ x along the last axis of x, each row summed in ascending column
+    # order (the circle's corner L[N-1, 0] first in its row, L[0, N-1] last)
+    l, u, ab = m._ops["band"]
+    N = ab.shape[1]
+    out = np.zeros(x.shape)
+    periodic = m.kind == "circle"
+    if periodic:
+        out[..., -1] += ab[0, 0] * x[..., 0]
+    for k in range(-l, u + 1):  # diagonal j - i = k
+        if k < 0:
+            out[..., -k:] += ab[u - k, :k] * x[..., :k]
+        else:
+            out[..., : N - k] += ab[u - k, k:] * x[..., k:]
+    if periodic:
+        out[..., 0] += ab[2, -1] * x[..., -1]
     return out
 
 
-def gradient_norm(m: DiscreteManifold, u):
-    """Pointwise |grad u|: |u_theta|/radius (zonal), |u_x| (periodic),
+def laplace_beltrami(m: DiscreteManifold, u) -> np.ndarray:
+    """Apply the discrete Laplacian to nodal values."""
+    return _apply_band(m, _aligned_values(m, u))
+
+
+def gradient_norm(m: DiscreteManifold, u) -> np.ndarray:
+    """Pointwise |grad u|: |u_theta|/radius (zonal), |u_x| (circle),
     |u_r| (radial).  Centered differences, one-sided at non-periodic ends."""
     vals = _aligned_values(m, u)
     h = m.spacing
     N = vals.size
     g = np.empty(N)
-    if m.kind in PERIODIC_KINDS:
+    if m.kind == "circle":
         g = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
     else:
         g[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
@@ -302,10 +290,7 @@ def gradient_norm(m: DiscreteManifold, u):
         g[-1] = ((vals[-3] - vals[-1]) - 4.0 * (vals[-2] - vals[-1])) / (2.0 * h)
     if m.kind == "sphere_zonal":
         g = g / m.radius_or_length
-    out = np.abs(g)
-    if isinstance(u, ScalarField):
-        return ScalarField(out)
-    return out
+    return np.abs(g)
 
 
 def laplacian_spectrum(m: DiscreteManifold):
@@ -322,7 +307,7 @@ def laplacian_spectrum(m: DiscreteManifold):
         N = m.node_count
         if N > _SPECTRUM_MAX_NODES:
             raise ValueError("grid too large for a dense spectrum")
-        L = m._ops["csr"].toarray()
+        L = _apply_band(m, np.eye(N)).T  # row j of the product is L e_j
         w_half = np.sqrt(m.volume_weights)
         S = (w_half[:, None] * L) / w_half[None, :]
         S = 0.5 * (S + S.T)
@@ -336,23 +321,18 @@ def laplacian_spectrum(m: DiscreteManifold):
     return m._ops["spectrum"]
 
 
-def _solve_cyclic(dl, d, du, c_ul, c_lr, b):
-    # tridiagonal plus the two periodic corner entries, via a rank-one update
-    n = d.size
-    gamma = -d[0]
-    dd = d.copy()
-    dd[0] -= gamma
-    dd[-1] -= c_ul * c_lr / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = du
-    ab[1] = dd
-    ab[2, :-1] = dl
-    rhs = np.zeros((n, 2))
+def _solve_cyclic(ab, b):
+    # tridiagonal plus the two periodic corner entries, via a rank-one
+    # update; the tridiagonal solver never reads the corner slots of ab
+    c_lr, c_ul = ab[0, 0], ab[2, -1]  # A[N-1, 0], A[0, N-1]
+    gamma = -ab[1, 0]
+    ab[1, 0] -= gamma
+    ab[1, -1] -= c_ul * c_lr / gamma
+    rhs = np.zeros((b.size, 2))
     rhs[:, 0] = b
     rhs[0, 1] = gamma
     rhs[-1, 1] = c_lr
-    sol = scipy.linalg.solve_banded((1, 1), ab, rhs)
-    y, z = sol[:, 0], sol[:, 1]
+    y, z = scipy.linalg.solve_banded((1, 1), ab, rhs).T
     vy = y[0] + c_ul * y[-1] / gamma
     vz = z[0] + c_ul * z[-1] / gamma
     return y - z * (vy / (1.0 + vz))
@@ -364,10 +344,9 @@ def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float)
     One banded (or cyclic-banded) solve; row sums of the matrix are exactly 1,
     so constants pass through unchanged.
     """
-    if m.kind in PERIODIC_KINDS:
-        dl, d, du, cul, clr = m._ops["cyclic"]
-        return _solve_cyclic(-dt * dl, 1.0 - dt * d, -dt * du, -dt * cul, -dt * clr, values)
-    l, u, ab = m._ops["banded"]
+    l, u, ab = m._ops["band"]
     ab_step = -dt * ab
     ab_step[u, :] += 1.0
+    if m.kind == "circle":
+        return _solve_cyclic(ab_step, values)
     return scipy.linalg.solve_banded((l, u), ab_step, values)

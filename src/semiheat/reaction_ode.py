@@ -36,16 +36,6 @@ def validate_exponent(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
-class ReactionParams:
-    """Record for the reaction exponent."""
-
-    p: float
-
-    def __post_init__(self):
-        validate_exponent(self.p)
-
-
 @dataclass
 class ScalarTrajectory:
     """Time series of a scalar quantity, e.g. min_x u along a PDE run.

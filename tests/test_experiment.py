@@ -1,8 +1,13 @@
+import contextlib
 import copy
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semiheat import (
     ConfigError,
@@ -15,6 +20,7 @@ from semiheat import (
     validate_config,
 )
 from semiheat.cli import main as cli_main
+from semiheat.experiment import _CHECKERS, _CONTROLS
 
 
 def base_raw():
@@ -54,6 +60,23 @@ def test_validate_config_accepts_base():
         (lambda r: r.update(checkers=[{"id": "sorcery"}]), "checkers[0].id"),
         (lambda r: r.update(checkers=[{"id": "decay"}]), "checkers[0].T_blow"),
         (lambda r: r.update(seed="zero"), "seed"),
+        (lambda r: r["manifold"].update(kind="circle", n=2), "manifold.n"),
+        (lambda r: r["manifold"].update(n=2), "manifold.n"),
+        (lambda r: r["manifold"].update(kind="sphere_zonal", n=1), "manifold.n"),
+        (lambda r: r["scenarios"][0].update(controls={"dt_max": "x"}), "scenarios[0].controls.dt_max"),
+        (lambda r: r["scenarios"][0].update(controls={"blow_threshold": None}), "scenarios[0].controls.blow_threshold"),
+        (lambda r: r["scenarios"][0].update(controls={"blow_threshold": float("nan")}), "scenarios[0].controls.blow_threshold"),
+        (lambda r: r["scenarios"][0].update(controls={"dt_max": 10**400}), "scenarios[0].controls.dt_max"),
+        (lambda r: r["scenarios"][0].update(controls={"reaction_on": "no"}), "scenarios[0].controls.reaction_on"),
+        (lambda r: r["scenarios"][0].update(controls={"reaction_on": 0}), "scenarios[0].controls.reaction_on"),
+        (lambda r: r["scenarios"][0].update(controls={"snapshot_every": 0}), "scenarios[0].controls.snapshot_every"),
+        (lambda r: r["scenarios"][0].update(controls={"snapshot_every": 2.0}), "scenarios[0].controls.snapshot_every"),
+        (lambda r: r.update(checkers=[{"id": "gradient", "variant": "global", "D": "big"}]), "checkers[0].D"),
+        (lambda r: r.update(checkers=[{"id": "gradient", "variant": "sideways", "D": 1.0}]), "checkers[0].variant"),
+        (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "c_cap": [2.0]}]), "checkers[0].c_cap"),
+        (lambda r: r.update(checkers=[{"id": "triviality", "rate_tol": True}]), "checkers[0].rate_tol"),
+        (lambda r: r.update(checkers=[{"id": "positivity", "c_cap": 2.0}]), "checkers[0]"),
+        (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "D": 1.0}]), "checkers[0]"),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
@@ -294,3 +317,64 @@ def test_cli_plotdata_round_trip(tmp_path):
     plots = [f for f in os.listdir(tmp_path) if f.startswith("plot_positivity_")]
     assert len(plots) == 1
     assert cli_main(["plotdata", report_path, "sorcery", "--out-dir", str(tmp_path)]) == 2
+
+
+# ------------------------------------------------------- config properties
+
+_NUMBERS = st.one_of(st.integers(-3, 3), st.floats(-5.0, 5.0).filter(lambda x: abs(x) >= 0.01))
+_ANY = st.one_of(_NUMBERS, st.text(max_size=3), st.booleans(), st.none(), st.lists(_NUMBERS, max_size=2))
+# values of the right type (numbers unless listed), some of them out of range
+_TYPED = {
+    "variant": st.sampled_from(["local", "global", "ancient", "sideways"]),
+    "reaction_on": st.booleans(),
+    "snapshot_every": st.integers(-1, 4),
+    "blow_threshold": st.sampled_from([1e5, 1e6, 1e8]),
+}
+
+
+def _field_value(draw, key):
+    if draw(st.integers(0, 5)) == 0:  # about one field in six gets a value of any type
+        return draw(_ANY)
+    return draw(_TYPED.get(key, _NUMBERS))
+
+
+@st.composite
+def small_configs(draw):
+    """A 16-node sphere run over 0.2 time units whose controls and checker
+    fields carry random values, mostly but not always of the right type."""
+    raw = base_raw()
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 16}
+    scenario = raw["scenarios"][0]
+    scenario["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
+    keys = draw(st.lists(st.sampled_from([*_CONTROLS, "dt"]), max_size=3, unique=True))
+    scenario["controls"] = {key: _field_value(draw, key) for key in keys}
+    raw["checkers"] = []
+    for cid in draw(st.lists(st.sampled_from(sorted(_CHECKERS)), max_size=3, unique=True)):
+        spec = _CHECKERS[cid]
+        optional = [key for key in spec.fields if key not in spec.required] + ["bogus"]
+        keys = [*spec.required, *draw(st.lists(st.sampled_from(optional), max_size=2, unique=True))]
+        raw["checkers"].append({"id": cid, **{key: _field_value(draw, key) for key in keys}})
+    return raw
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(raw=small_configs())
+def test_checked_configs_run_to_a_report(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = cli_main(["check", path])
+            assert code in (0, 2)
+            if code == 0:
+                out_dir = os.path.join(tmp, "out")
+                assert cli_main(["run", path, "--out-dir", out_dir]) in (0, 1)
+                assert any(name.startswith("report_") for name in os.listdir(out_dir))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from semiheat import (
-    ReactionParams,
     blowup_time_from_min,
     integrate_scalar_ode,
     ode_lower_envelope,
@@ -27,8 +26,6 @@ def test_validate_exponent():
         validate_exponent(1.0)
     with pytest.raises(ValueError):
         validate_exponent(1.0 + 1e-10)
-    with pytest.raises(ValueError):
-        ReactionParams(p=0.5)
 
 
 def test_trivial_ancient_values():
