@@ -20,7 +20,6 @@ from semiheat import emit_plot_data, run_experiment, validate_config
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="sweep_out")
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args()
 
     config = validate_config(
@@ -47,7 +46,7 @@ def main():
         }
     )
 
-    report = run_experiment(config, out_dir=args.out_dir, jobs=args.jobs)
+    report = run_experiment(config, out_dir=args.out_dir)
     print(f"config hash {report.config_hash[:12]}, {len(report.entries)} entries")
     for entry in report.entries:
         verdicts = ", ".join(

@@ -1,6 +1,6 @@
 """Command line front end.
 
-    semiheat run CONFIG [--out-dir DIR] [--jobs N] [--verbose]
+    semiheat run CONFIG [--out-dir DIR] [--verbose]
     semiheat check CONFIG
     semiheat plotdata REPORT CHECKER [--out-dir DIR]
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a sweep config")
     run_p.add_argument("config", help="path to a JSON config")
     run_p.add_argument("--out-dir", default=None, help="output directory override")
-    run_p.add_argument("--jobs", type=int, default=1, help="scenario worker count")
+    run_p.add_argument("--jobs", type=int, default=1, help="ignored: entries run one after another")
     run_p.add_argument("--verbose", action="store_true", help="print per-entry progress")
 
     check_p = sub.add_parser("check", help="validate a config without running it")
@@ -50,9 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    report = run_experiment(
-        config, out_dir=args.out_dir, jobs=args.jobs, verbose=args.verbose
-    )
+    report = run_experiment(config, out_dir=args.out_dir, verbose=args.verbose)
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
     check_failures = sum(
         1

@@ -142,8 +142,11 @@ def _finalize(**kw) -> EstimateReport:
     return EstimateReport(c_fit=c_fit, c_cap=c_cap, passed=bool(c_fit <= c_cap), **kw)
 
 
-def scheme_tolerance(traj: Trajectory, p: float, dt: float | None = None) -> float:
-    """tol = 10 (max|u|)^p (dt + h^2), with dt the largest step unless given."""
+def scheme_tolerance(
+    traj: Trajectory, p: float, dt: float | np.ndarray | None = None
+) -> float | np.ndarray:
+    """tol = 10 (max|u|)^p (dt + h^2), with dt the largest step unless given;
+    an array of steps gives one tolerance per step."""
     mag = float(np.max(np.abs(traj.snapshots)))
     if dt is None:
         dt = float(np.max(traj.step_dt)) if traj.step_dt.size else 0.0
@@ -202,9 +205,7 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
     v = traj.snapshot_min
     t = traj.times
     dts = np.diff(t)
-    mag = float(np.max(np.abs(traj.snapshots)))
-    h = traj.manifold.spacing
-    tol = TOL_COEFF * mag**p * (dts + h * h)
+    tol = scheme_tolerance(traj, p, dts)
 
     rate = np.diff(v) / dts
     required = np.abs(v[:-1]) ** p
@@ -629,14 +630,6 @@ def talenti_residual(n: int, grid_count: int, R_max: float) -> float:
     u = (c / (c + r * r)) ** ((n - 2) / 2.0)
     residual = laplace_beltrami(m, u) + u ** ((n + 2) / (n - 2))
     return float(np.max(np.abs(residual[1:-1])))
-
-
-EXPONENT_REGIMES = (
-    "below_threshold",
-    "open_gap",
-    "sobolev_critical_or_above",
-    "low_dimension_all_subcritical",
-)
 
 
 def exponent_regime(n: int, p: float) -> str:

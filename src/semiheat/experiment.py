@@ -28,11 +28,13 @@ t_start, eps, mode), "talenti" (radial static profile, n >= 3),
 (path to a one-value-per-line file matching the resolution).
 
 The sweep runs every scenario at every p (cardinality = len(scenarios) *
-len(p_values)).  Scenarios run in a bounded worker pool; a failing scenario
-is recorded and never disturbs the others.  The report is written even when
-checks fail: failures are the interesting output.  Everything in the report
-except the "timing" block is a pure function of the config, and the config
-hash is the sha256 of the canonicalized (key-sorted, compact) JSON text.
+len(p_values)).  Entries run one after another in that order, on one
+manifold built once per sweep; a failing scenario is recorded and never
+disturbs the others.  The report is written even when checks fail: failures
+are the interesting output.  Everything in the report except the "timing"
+block is a pure function of the config, and the config hash is the sha256 of
+the canonicalized (key-sorted, compact) JSON text.  A key the schema above
+does not name, at any level, is a config error.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, and how it is
@@ -48,7 +50,6 @@ import math
 import os
 import time
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,9 @@ from .reaction_ode import trivial_ancient
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
-_RECIPES = ("constant", "trivial_plus_mode", "talenti", "random_uniform", "custom")
+# largest manifold.resolution a config may ask for (the largest grid used by
+# the tests, demos and benchmark is 2000 nodes)
+MAX_RESOLUTION = 2**16
 
 
 class ConfigError(ValueError):
@@ -155,6 +158,12 @@ def _positive_int(value, path: str) -> int:
     return value
 
 
+def _nonneg_int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(path, f"expected a nonnegative integer, got {value!r}")
+    return value
+
+
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(path, f"expected true or false, got {value!r}")
@@ -167,8 +176,24 @@ def _variant(value, path: str) -> str:
     return value
 
 
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
 def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
+
+
+# initial-data recipes: field -> type check; every field is required
+_RECIPES = {
+    "constant": _numbers("value"),
+    "trivial_plus_mode": {**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int},
+    "talenti": {},
+    "random_uniform": _numbers("low", "high"),
+    "custom": {"path": _string},
+}
 
 
 # scenario controls: field -> type check (EvolveControls checks the values)
@@ -241,12 +266,17 @@ _CHECKERS = {
 }
 
 
-def _check_fields(d: dict, spec: dict, path: str, what: str):
+def _check_fields(d: dict, spec: dict, path: str, what: str, required=()):
+    """Refuse missing ``required`` fields and fields ``spec`` does not name,
+    then run each present field's type check (None: checked by the caller)."""
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}", f"missing required field for {what}")
     unknown = set(d) - set(spec)
     if unknown:
         raise ConfigError(path, f"unknown {what} fields {sorted(unknown)}")
     for key, check in spec.items():
-        if key in d:
+        if key in d and check is not None:
             check(d[key], f"{path}.{key}")
 
 
@@ -254,10 +284,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed config dict; errors name the offending field."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    root_fields = ("manifold", "p_values", "scenarios", "checkers", "out_dir", "seed")
+    _check_fields(raw, dict.fromkeys(root_fields), "<root>", "config")
 
     man = _require(raw, "manifold", "<root>")
     if not isinstance(man, dict):
         raise ConfigError("manifold", "must be an object")
+    _check_fields(man, dict.fromkeys(("kind", "n", "size", "resolution")), "manifold", "manifold")
     kind = _require(man, "kind", "manifold")
     try:
         canonical = _canonical_kind(kind)
@@ -269,11 +302,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("manifold.n", str(exc)) from None
     size = _number(_require(man, "size", "manifold"), "manifold.size")
-    if size <= 0:
-        raise ConfigError("manifold.size", "must be positive")
-    resolution = _require(man, "resolution", "manifold")
-    if not isinstance(resolution, int) or resolution < 16:
-        raise ConfigError("manifold.resolution", "must be an integer >= 16")
+    if not 0 < size < math.inf:  # an infinite size builds a grid of NaN nodes
+        raise ConfigError("manifold.size", "must be positive and finite")
+    resolution = _positive_int(_require(man, "resolution", "manifold"), "manifold.resolution")
+    if not 16 <= resolution <= MAX_RESOLUTION:
+        raise ConfigError("manifold.resolution", f"must be in [16, {MAX_RESOLUTION}]")
 
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, list):
@@ -290,6 +323,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         path = f"scenarios[{i}]"
         if not isinstance(sc, dict):
             raise ConfigError(path, "must be an object")
+        _check_fields(sc, dict.fromkeys(("name", "initial", "window", "controls")), path, "scenario")
         name = _require(sc, "name", path)
         if not isinstance(name, str) or not name or not all(
             ch.isalnum() or ch in "_-" for ch in name
@@ -302,36 +336,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(initial, dict):
             raise ConfigError(f"{path}.initial", "must be an object")
         recipe = _require(initial, "type", f"{path}.initial")
-        if recipe not in _RECIPES:
+        if not isinstance(recipe, str) or recipe not in _RECIPES:
             raise ConfigError(f"{path}.initial.type", f"unknown recipe {recipe!r}")
-        if recipe == "constant":
-            _number(_require(initial, "value", f"{path}.initial"), f"{path}.initial.value")
-        elif recipe == "trivial_plus_mode":
-            for key in ("T_blow", "t_start", "eps"):
-                _number(_require(initial, key, f"{path}.initial"), f"{path}.initial.{key}")
-            mode = _require(initial, "mode", f"{path}.initial")
-            if not isinstance(mode, int) or mode < 0:
-                raise ConfigError(f"{path}.initial.mode", "must be a nonnegative integer")
-        elif recipe == "talenti":
-            if canonical != "euclidean_radial" or n < 3:
-                raise ConfigError(
-                    f"{path}.initial.type",
-                    "talenti profile needs the euclidean_radial kind with n >= 3",
-                )
-        elif recipe == "random_uniform":
-            lo = _number(_require(initial, "low", f"{path}.initial"), f"{path}.initial.low")
-            hi = _number(_require(initial, "high", f"{path}.initial"), f"{path}.initial.high")
-            if hi <= lo:
-                raise ConfigError(f"{path}.initial.high", "must exceed low")
-        elif recipe == "custom":
-            if not isinstance(_require(initial, "path", f"{path}.initial"), str):
-                raise ConfigError(f"{path}.initial.path", "must be a string")
+        fields = {key: value for key, value in initial.items() if key != "type"}
+        spec = _RECIPES[recipe]
+        _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
+        if recipe == "talenti" and (canonical != "euclidean_radial" or n < 3):
+            raise ConfigError(
+                f"{path}.initial.type",
+                "talenti profile needs the euclidean_radial kind with n >= 3",
+            )
+        if recipe == "random_uniform" and initial["high"] <= initial["low"]:
+            raise ConfigError(f"{path}.initial.high", "must exceed low")
         window = _require(sc, "window", path)
         if not isinstance(window, dict):
             raise ConfigError(f"{path}.window", "must be an object")
-        t0 = _number(_require(window, "t0", f"{path}.window"), f"{path}.window.t0")
-        t1 = _number(_require(window, "t1", f"{path}.window"), f"{path}.window.t1")
-        if t1 <= t0:
+        _check_fields(window, _numbers("t0", "t1"), f"{path}.window", "window", required=("t0", "t1"))
+        if window["t1"] <= window["t0"]:
             raise ConfigError(f"{path}.window.t1", "must exceed t0")
         controls = sc.get("controls", {})
         if not isinstance(controls, dict):
@@ -349,18 +370,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(cid, str) or cid not in _CHECKERS:
             raise ConfigError(f"{path}.id", f"unknown checker id {cid!r}")
         spec = _CHECKERS[cid]
-        for key in spec.required:
-            if key not in ck:
-                raise ConfigError(f"{path}.{key}", f"missing required field for checker {cid!r}")
         fields = {key: value for key, value in ck.items() if key != "id"}
-        _check_fields(fields, spec.fields, path, f"checker {cid!r}")
+        _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir", "must be a string")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer")
+    seed = _nonneg_int(raw.get("seed", 0), "seed")
 
     return ExperimentConfig(
         manifold={"kind": kind, "n": n, "size": size, "resolution": resolution},
@@ -407,13 +423,11 @@ def _initial_data(m, recipe: dict, p: float, seed: int, entry_index: int) -> np.
     return values
 
 
-def _run_entry(config: ExperimentConfig, scenario: dict, p: float, entry_index: int, out_dir: str):
+def _run_entry(m, config: ExperimentConfig, scenario: dict, p: float, entry_index: int, out_dir: str):
     name = f"{scenario['name']}__p{p:g}"
     entry = {"name": name, "scenario": scenario["name"], "p": p, "status": "ok", "checks": {}}
     started = time.perf_counter()
     try:
-        man = config.manifold
-        m = build_manifold(man["kind"], man["n"], man["size"], man["resolution"])
         u0 = _initial_data(m, scenario["initial"], p, config.seed, entry_index)
         controls = EvolveControls(**scenario.get("controls", {}))
         window = scenario["window"]
@@ -465,30 +479,25 @@ def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> st
 
 
 def run_experiment(
-    config: ExperimentConfig, out_dir: str | None = None, jobs: int = 1, verbose: bool = False
+    config: ExperimentConfig, out_dir: str | None = None, verbose: bool = False, *, jobs=None
 ) -> RunReport:
-    """Execute the sweep and write report JSON plus per-checker CSVs."""
+    """Execute the sweep and write report JSON plus per-checker CSVs.
+
+    ``jobs`` is accepted and ignored, so callers that pass it keep working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config_hash(config.raw)
 
     started = time.perf_counter()
-    tasks = [
-        (scenario, p) for scenario in config.scenarios for p in config.p_values
-    ]
-    entries = [None] * len(tasks)
-    if tasks:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            futures = {
-                pool.submit(_run_entry, config, scenario, p, i, target): i
-                for i, (scenario, p) in enumerate(tasks)
-            }
-            for fut in futures:
-                i = futures[fut]
-                entries[i] = fut.result()
-                if verbose:
-                    e = entries[i]
-                    print(f"  [{e['status']}] {e['name']}", flush=True)
+    man = config.manifold
+    m = build_manifold(man["kind"], man["n"], man["size"], man["resolution"])
+    tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
+    entries = []
+    for i, (scenario, p) in enumerate(tasks):
+        e = _run_entry(m, config, scenario, p, i, target)
+        entries.append(e)
+        if verbose:
+            print(f"  [{e['status']}] {e['name']}", flush=True)
 
     n = config.manifold["n"]
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

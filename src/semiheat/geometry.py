@@ -56,12 +56,12 @@ _SPECTRUM_MAX_NODES = 4096
 class DiscreteManifold:
     """One model geometry plus its assembled discrete operators.
 
-    Immutable after construction; operators live in the private cache and are
-    shared freely across workers.  ``radius_or_length`` is the geodesic radius
-    for the sphere, the circumference for the circle, and the outer radius
-    for the radial kind.  ``ricci_lower`` is the constant lambda with
-    Ric >= lambda * g ((n-1)/radius^2 on the round sphere, 0 for the flat
-    kinds).
+    Immutable after construction; operators live in the private cache, so
+    every run on one manifold reuses them.  ``radius_or_length`` is the
+    geodesic radius for the sphere, the circumference for the circle, and the
+    outer radius for the radial kind.  ``ricci_lower`` is the constant lambda
+    with Ric >= lambda * g ((n-1)/radius^2 on the round sphere, 0 for the
+    flat kinds).
     """
 
     kind: str

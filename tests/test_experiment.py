@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from semiheat import (
     ConfigError,
     RunReport,
+    build_manifold,
     config_hash,
     emit_plot_data,
     load_config,
@@ -19,6 +20,7 @@ from semiheat import (
     run_experiment,
     validate_config,
 )
+import semiheat.experiment as experiment
 from semiheat.cli import main as cli_main
 from semiheat.experiment import _CHECKERS, _CONTROLS
 
@@ -77,6 +79,59 @@ def test_validate_config_accepts_base():
         (lambda r: r.update(checkers=[{"id": "triviality", "rate_tol": True}]), "checkers[0].rate_tol"),
         (lambda r: r.update(checkers=[{"id": "positivity", "c_cap": 2.0}]), "checkers[0]"),
         (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "D": 1.0}]), "checkers[0]"),
+        # explicit ids keep the generated ids of the rows above unchanged
+        pytest.param(lambda r: r.update(p_value=[2.0]), "<root>", id="unknown-root-key"),
+        pytest.param(lambda r: r["manifold"].update(resolutoin=64), "manifold", id="unknown-manifold-key"),
+        pytest.param(
+            lambda r: r["manifold"].update(resolution=experiment.MAX_RESOLUTION + 1),
+            "manifold.resolution",
+            id="resolution-cap",
+        ),
+        pytest.param(
+            lambda r: r["manifold"].update(resolution=64.0), "manifold.resolution", id="resolution-float"
+        ),
+        pytest.param(lambda r: r["manifold"].update(size=float("inf")), "manifold.size", id="size-infinite"),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(contrls={"dt_max": 0.1}), "scenarios[0]", id="unknown-scenario-key"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["window"].update(t2=1.0), "scenarios[0].window", id="unknown-window-key"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["window"].update(t0="0"), "scenarios[0].window.t0", id="window-t0-string"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["initial"].update(eps=0.1), "scenarios[0].initial", id="unknown-initial-key"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["initial"].pop("value"),
+            "scenarios[0].initial.value",
+            id="initial-missing-field",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["initial"].update(type=["constant"]),
+            "scenarios[0].initial.type",
+            id="initial-type-list",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(
+                initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -1.0, "eps": 0.1, "mode": True}
+            ),
+            "scenarios[0].initial.mode",
+            id="mode-bool",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={"type": "random_uniform", "low": 0.5, "high": 0.1}),
+            "scenarios[0].initial.high",
+            id="random-high-below-low",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={"type": "custom", "path": 3}),
+            "scenarios[0].initial.path",
+            id="custom-path-number",
+        ),
+        pytest.param(lambda r: r.update(seed=True), "seed", id="seed-bool"),
+        pytest.param(lambda r: r.update(seed=-1), "seed", id="seed-negative"),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
@@ -217,10 +272,33 @@ def test_run_experiment_deterministic_modulo_timing(tmp_path):
     raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
     cfg = validate_config(raw)
     a = run_experiment(cfg, out_dir=str(tmp_path / "a")).to_json_dict()
-    b = run_experiment(cfg, out_dir=str(tmp_path / "b"), jobs=2).to_json_dict()
+    b = run_experiment(cfg, out_dir=str(tmp_path / "b")).to_json_dict()
     a.pop("timing")
     b.pop("timing")
     assert a == b
+
+
+def test_run_experiment_builds_one_manifold(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build(*args):
+        built.append(args)
+        return build_manifold(*args)
+
+    monkeypatch.setattr(experiment, "build_manifold", counting_build)
+    raw = base_raw()
+    raw["p_values"] = [1.5, 2.0, 3.0]
+    raw["scenarios"].append(
+        {
+            "name": "random",
+            "initial": {"type": "random_uniform", "low": 0.1, "high": 0.5},
+            "window": {"t0": 0.0, "t1": 0.1},
+        }
+    )
+    report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
+    assert len(report.entries) == 6
+    assert [e["status"] for e in report.entries] == ["ok"] * 6
+    assert built == [("flat_torus_1d", 1, 6.3, 64)]
 
 
 def test_random_recipe_seed_sensitivity(tmp_path):
@@ -297,6 +375,22 @@ def test_cli_run_failure_exit_code(tmp_path):
     assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path)]) == 1
 
 
+def test_cli_jobs_flag_is_ignored(tmp_path):
+    raw = base_raw()
+    raw["p_values"] = [1.5, 2.0]
+    raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
+    cfg_path = write_cfg(tmp_path, raw)
+    reports = []
+    for out, extra in (("plain", []), ("jobs", ["--jobs", "2"])):
+        out_dir = tmp_path / out
+        assert cli_main(["run", cfg_path, "--out-dir", str(out_dir), *extra]) in (0, 1)
+        (path,) = [f for f in os.listdir(out_dir) if f.startswith("report_")]
+        report = json.loads((out_dir / path).read_text())
+        report.pop("timing")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     raw = base_raw()
     raw["manifold"]["kind"] = "klein_bottle"
@@ -304,6 +398,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli_main(["check", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "manifold.kind" in err
+    raw = base_raw()
+    raw["p_value"] = raw.pop("p_values")
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli_main(["check", cfg_path]) == 2
+    assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "<root>: unknown config fields ['p_value']" in err
+    assert not (tmp_path / "out").exists()
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
 
