@@ -6,6 +6,12 @@ ratio over the admitted window), a cap, and pass <=> C_fit <= C_cap.  The
 classical constants are never assumed; the fitted value and its stability
 under refinement are the contract.
 
+Pointwise inequalities are evaluated once over the whole (snapshot x node)
+block of the admitted window, not snapshot by snapshot; per-snapshot worst
+points come from an argmax along the node axis.  Brackets that depend on
+time alone stay scalar expressions per snapshot time, because array and
+scalar powers may round differently in the last bit.
+
 Discrete differential inequalities are tested against the scheme tolerance
 tol = c1 * dt + c2 * h^2 with c1 = c2 = 10 * (max |u|)^p over the window
 (first-order time error plus second-order space error, scaled by the
@@ -279,7 +285,6 @@ def check_gradient_estimate(
     n = m.n
     u_floor = params.u_floor if params.u_floor is not None else U_FLOOR_FACTOR * D
 
-    t = traj.times
     full_time, sub_time, full_nodes, sub_nodes = _gradient_windows(traj, params, variant)
     window_max = float(np.max(traj.snapshots[full_time][:, full_nodes]))
     if window_max > D * (1.0 + 1e-12):
@@ -293,58 +298,54 @@ def check_gradient_estimate(
     elif variant == "global":
         S = 1.0 / math.sqrt(params.T) + S
 
-    sub_idx = np.flatnonzero(sub_time)
-    times_out, lhs_out, rhs_out, ratio_out = [], [], [], []
-    best = (-math.inf, None, None)  # (ratio, snapshot index, node index)
-    for k in sub_idx:
-        u = traj.snapshots[k]
-        grad = gradient_norm(m, u)
-        if degenerate:
-            gsel = grad[sub_nodes]
-            j = int(np.argmax(gsel))
-            times_out.append(t[k])
-            lhs_out.append(float(gsel[j]))
-            rhs_out.append(grad_tol)
-            ratio_out.append(float(gsel[j]) / grad_tol)
-            if gsel[j] > best[0]:
-                best = (float(gsel[j]), k, int(np.flatnonzero(sub_nodes)[j]))
-            continue
-        u_reg = np.maximum(u, u_floor)
-        numer = grad / u
-        denom = S * (1.0 + np.log(D / u_reg))
-        point_ratio = numer[sub_nodes] / denom[sub_nodes]
-        j = int(np.argmax(point_ratio))
-        times_out.append(t[k])
-        lhs_out.append(float(numer[sub_nodes][j]))
-        rhs_out.append(float(denom[sub_nodes][j]))
-        ratio_out.append(float(point_ratio[j]))
-        if point_ratio[j] > best[0]:
-            best = (float(point_ratio[j]), k, int(np.flatnonzero(sub_nodes)[j]))
+    # (snapshot x node) blocks over the sub-window, built in place
+    u = traj.snapshots[sub_time]
+    lhs = gradient_norm(m, u)
+    if degenerate:
+        point_ratio = lhs[:, sub_nodes]
+    else:
+        lhs /= u
+        rhs = np.maximum(u, u_floor)
+        np.divide(D, rhs, out=rhs)
+        np.log(rhs, out=rhs)
+        rhs += 1.0
+        rhs *= S
+        point_ratio = lhs[:, sub_nodes] / rhs[:, sub_nodes]
+    rows = np.arange(u.shape[0])
+    j = np.argmax(point_ratio, axis=1)
+    nodes = np.arange(m.node_count)[sub_nodes][j]
+    lhs_out = lhs[rows, nodes]
+    if degenerate:
+        rhs_out = np.full(rows.size, grad_tol)
+        ratio_out = lhs_out / grad_tol
+        score = lhs_out
+    else:
+        rhs_out = rhs[rows, nodes]
+        ratio_out = point_ratio[rows, j]
+        score = ratio_out
+    k_best = int(np.argmax(score))
 
-    c_fit = max(ratio_out) if not degenerate else max(lhs_out)
-    cap = grad_tol if degenerate else c_cap
-
-    k_best = best[1]
-    u_best = np.maximum(traj.snapshots[k_best], u_floor)
+    u_best = np.maximum(u[k_best], u_floor)
     f_field = np.log(u_best / D)
     grad_f = gradient_norm(m, f_field)
     w_field = grad_f**2 / (1.0 - f_field) ** 2
 
+    times_out = traj.times[sub_time]
     return _finalize(
         inequality_id="gradient_log_bound",
-        times=np.asarray(times_out),
-        lhs=np.asarray(lhs_out),
-        rhs=np.asarray(rhs_out),
-        ratio=np.asarray(ratio_out),
-        c_fit=c_fit,
-        c_cap=cap,
+        times=times_out,
+        lhs=lhs_out,
+        rhs=rhs_out,
+        ratio=ratio_out,
+        c_fit=score[k_best],
+        c_cap=grad_tol if degenerate else c_cap,
         diagnostics={
             "variant": variant,
             "degenerate": degenerate,
             "structural_factor": S,
             "curvature_term": base,
-            "max_time": float(t[k_best]),
-            "max_node": best[2],
+            "max_time": float(times_out[k_best]),
+            "max_node": int(nodes[k_best]),
             "window_max_u": window_max,
         },
         extras={"f": f_field, "w": w_field},
@@ -352,30 +353,25 @@ def check_gradient_estimate(
 
 
 def _gradient_windows(traj: Trajectory, params: EstimateParams, variant: str):
-    m = traj.manifold
+    """(full_time, sub_time, full_nodes, sub_nodes): time windows as slices
+    (the snapshot times increase), node sets as slices or ball masks."""
     t = traj.times
-    if variant == "local":
-        if params.R is None or params.T is None:
-            raise ValueError("local variant requires R and T")
-        T0 = params.T0 if params.T0 is not None else float(t[-1])
-        full_time = (t >= T0 - params.T - 1e-12) & (t <= T0 + 1e-12)
-        sub_time = (t >= T0 - params.T / 4.0 - 1e-12) & (t <= T0 + 1e-12)
-        full_nodes = ball_mask(m, params.R)
-        sub_nodes = ball_mask(m, params.R / 2.0)
-    elif variant == "global":
-        if params.T is None:
+    full_nodes = sub_nodes = slice(None)
+    if variant == "ancient":
+        full_time = sub_time = slice(0, t.size)
+    else:
+        if variant == "local":
+            if params.R is None or params.T is None:
+                raise ValueError("local variant requires R and T")
+            full_nodes = ball_mask(traj.manifold, params.R)
+            sub_nodes = ball_mask(traj.manifold, params.R / 2.0)
+        elif params.T is None:
             raise ValueError("global variant requires T")
         T0 = params.T0 if params.T0 is not None else float(t[-1])
-        full_time = (t >= T0 - params.T - 1e-12) & (t <= T0 + 1e-12)
-        sub_time = (t >= T0 - params.T / 4.0 - 1e-12) & (t <= T0 + 1e-12)
-        full_nodes = np.ones(m.node_count, dtype=bool)
-        sub_nodes = full_nodes
-    else:  # ancient
-        full_time = np.ones(t.size, dtype=bool)
-        sub_time = full_time
-        full_nodes = np.ones(m.node_count, dtype=bool)
-        sub_nodes = full_nodes
-    if not np.any(full_time) or not np.any(sub_time):
+        stop = int(np.searchsorted(t, T0 + 1e-12, side="right"))
+        full_time = slice(int(np.searchsorted(t, T0 - params.T - 1e-12)), stop)
+        sub_time = slice(int(np.searchsorted(t, T0 - params.T / 4.0 - 1e-12)), stop)
+    if full_time.start >= full_time.stop or sub_time.start >= sub_time.stop:
         raise ValueError("window selects no snapshots")
     return full_time, sub_time, full_nodes, sub_nodes
 
@@ -428,23 +424,20 @@ def check_universal(
     t = traj.times
     if np.any(t <= T0) or np.any(t >= T):
         raise ValueError("all snapshots must lie strictly inside (T0, T)")
-    m = traj.manifold
-    lhs, rhs, ratio = [], [], []
-    for k, tk in enumerate(t):
-        u = traj.snapshots[k]
-        grad = gradient_norm(m, u)
-        num = u + grad ** (2.0 / (p + 1.0))
-        j = int(np.argmax(num))
-        bracket = abs(tk - T0) ** (-1.0 / (p - 1.0)) + abs(T - tk) ** (-1.0 / (p - 1.0))
-        lhs.append(float(num[j]))
-        rhs.append(bracket)
-        ratio.append(float(num[j]) / bracket)
-    ratio = np.asarray(ratio)
+    num = gradient_norm(traj.manifold, traj.snapshots)
+    num **= 2.0 / (p + 1.0)
+    num += traj.snapshots
+    lhs = num[np.arange(t.size), np.argmax(num, axis=1)]
+    # the time-only bracket stays a scalar expression per snapshot time
+    rhs = np.array(
+        [abs(tk - T0) ** (-1.0 / (p - 1.0)) + abs(T - tk) ** (-1.0 / (p - 1.0)) for tk in t]
+    )
+    ratio = lhs / rhs
     return _finalize(
         inequality_id="universal_spacetime_bound",
         times=t,
-        lhs=np.asarray(lhs),
-        rhs=np.asarray(rhs),
+        lhs=lhs,
+        rhs=rhs,
         ratio=ratio,
         c_fit=float(np.max(ratio)),
         c_cap=c_cap,
@@ -500,7 +493,7 @@ def check_lower_bound_lemma(
     tol = scheme_tolerance(traj, p)
     cap_branch = -C_delta_cap / (params.A * params.r0) ** (2.0 / (p - 1.0))
     t0 = float(t[0])
-    u_min = np.array([float(np.min(traj.snapshots[k][inner])) for k in range(t.size)])
+    u_min = np.min(traj.snapshots, axis=1, where=inner, initial=np.inf)
     envelope = np.array([ode_lower_envelope(p, params.delta, params.L, tk - t0) for tk in t])
     bound = np.minimum(envelope, cap_branch) - tol
     margin = u_min - bound
@@ -560,7 +553,7 @@ def check_triviality(
 
     t = traj.times
     mx = traj.snapshot_max
-    osc = traj.snapshot_max - traj.snapshot_min
+    osc = mx - traj.snapshot_min
 
     times_out, lhs_out, rhs_out, ratio_out = [], [], [], []
     skipped_above = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -303,9 +303,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 "max_u": traj.step_max.tolist(),
                 "min_u": traj.step_min.tolist(),
             },
-            "blowup": None
-            if traj.blowup is None
-            else {"detected_time": traj.blowup.detected_time, "method": traj.blowup.method},
+            "blowup": None if traj.blowup is None else asdict(traj.blowup),
             "negative_data": traj.negative_data,
             "meta": meta or {},
         }

@@ -28,8 +28,8 @@ t_start, eps, mode), "talenti" (radial static profile, n >= 3),
 (path to a one-value-per-line file matching the resolution).
 
 The sweep runs every scenario at every p (cardinality = len(scenarios) *
-len(p_values)).  Entries run one after another in that order, on one
-manifold built once per sweep; a failing scenario is recorded and never
+len(p_values)).  Entries run one after another in that order, on the one
+manifold that validation built; a failing scenario is recorded and never
 disturbs the others.  The report is written even when checks fail: failures
 are the interesting output.  Everything in the report except the "timing"
 block is a pure function of the config, and the config hash is the sha256 of
@@ -50,7 +50,7 @@ import math
 import os
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,13 @@ from .estimates import (
     exponent_regime,
 )
 from .evolve import EvolveControls, SolverAbort, evolve
-from .geometry import _canonical_kind, _check_dimension, build_manifold, laplacian_spectrum
+from .geometry import (
+    DiscreteManifold,
+    _canonical_kind,
+    _check_dimension,
+    build_manifold,
+    laplacian_spectrum,
+)
 from .reaction_ode import trivial_ancient
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
@@ -93,6 +99,7 @@ class ExperimentConfig:
     out_dir: str | None
     seed: int
     raw: dict
+    built_manifold: DiscreteManifold  # built once, by validate_config
 
 
 @dataclass
@@ -281,7 +288,11 @@ def _check_fields(d: dict, spec: dict, path: str, what: str, required=()):
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed config dict; errors name the offending field."""
+    """Validate a parsed config dict; errors name the offending field.
+
+    Builds the sweep's manifold (a build failure is a ``manifold`` error)
+    and each scenario's EvolveControls (a refused value is a ``controls``
+    error)."""
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     root_fields = ("manifold", "p_values", "scenarios", "checkers", "out_dir", "seed")
@@ -307,6 +318,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     resolution = _positive_int(_require(man, "resolution", "manifold"), "manifold.resolution")
     if not 16 <= resolution <= MAX_RESOLUTION:
         raise ConfigError("manifold.resolution", f"must be in [16, {MAX_RESOLUTION}]")
+    try:  # the sweep's one build
+        built = build_manifold(kind, n, size, resolution)
+    except ValueError as exc:
+        raise ConfigError("manifold", str(exc)) from None
 
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, list):
@@ -358,6 +373,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(controls, dict):
             raise ConfigError(f"{path}.controls", "must be an object")
         _check_fields(controls, _CONTROLS, f"{path}.controls", "control")
+        try:
+            EvolveControls(**controls)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.controls", str(exc)) from None
 
     checkers = raw.get("checkers", [])
     if not isinstance(checkers, list):
@@ -386,6 +405,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         out_dir=out_dir,
         seed=seed,
         raw=raw,
+        built_manifold=built,
     )
 
 
@@ -445,9 +465,7 @@ def _run_entry(m, config: ExperimentConfig, scenario: dict, p: float, entry_inde
         "final_time": float(traj.times[-1]),
         "max_abs_value": float(np.max(np.abs(traj.snapshots))),
         "negative_data": bool(traj.negative_data),
-        "blowup": None
-        if traj.blowup is None
-        else {"detected_time": traj.blowup.detected_time, "method": traj.blowup.method},
+        "blowup": None if traj.blowup is None else asdict(traj.blowup),
     }
     for cfg in config.checkers:
         cid = cfg["id"]
@@ -489,8 +507,7 @@ def run_experiment(
     digest = config_hash(config.raw)
 
     started = time.perf_counter()
-    man = config.manifold
-    m = build_manifold(man["kind"], man["n"], man["size"], man["resolution"])
+    m = config.built_manifold
     tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
     entries = []
     for i, (scenario, p) in enumerate(tasks):

@@ -218,17 +218,31 @@ def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) 
     n = int(n)
     _check_dimension(kind, n)
 
-    if kind == "sphere_zonal":
-        nodes, weights, ops = _build_zonal_ops(n, radius_or_length, node_count)
-        ricci = (n - 1) / radius_or_length**2
-    elif kind == "circle":
-        nodes, weights, ops = _build_periodic_ops(radius_or_length, node_count)
-        ricci = 0.0
-    else:
-        nodes, weights, ops = _build_radial_ops(n, radius_or_length, node_count)
-        ricci = 0.0
+    # sizes near the float range overflow or divide by zero; the checks
+    # below refuse what still comes out non-finite or degenerate
+    try:
+        with np.errstate(all="ignore"):
+            if kind == "sphere_zonal":
+                nodes, weights, ops = _build_zonal_ops(n, radius_or_length, node_count)
+                ricci = (n - 1) / radius_or_length**2
+            elif kind == "circle":
+                nodes, weights, ops = _build_periodic_ops(radius_or_length, node_count)
+                ricci = 0.0
+            else:
+                nodes, weights, ops = _build_radial_ops(n, radius_or_length, node_count)
+                ricci = 0.0
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            f"{kind} of size {radius_or_length:g} on {node_count} nodes is out of the float range"
+        ) from None
+    if not np.all(weights > 0):
+        raise ValueError("volume weights must be positive")
+    if not (math.isfinite(ricci) and np.all(np.isfinite(weights)) and np.all(np.isfinite(ops["band"][2]))):
+        raise ValueError(
+            f"{kind} of size {radius_or_length:g} on {node_count} nodes has non-finite weights or operator"
+        )
 
-    m = DiscreteManifold(
+    return DiscreteManifold(
         kind=kind,
         n=n,
         radius_or_length=float(radius_or_length),
@@ -237,9 +251,6 @@ def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) 
         ricci_lower=float(ricci),
         _ops=ops,
     )
-    if not np.all(weights > 0):
-        raise AssertionError("volume weights must be positive")
-    return m
 
 
 def _aligned_values(m: DiscreteManifold, u) -> np.ndarray:
@@ -274,23 +285,26 @@ def laplace_beltrami(m: DiscreteManifold, u) -> np.ndarray:
 
 
 def gradient_norm(m: DiscreteManifold, u) -> np.ndarray:
-    """Pointwise |grad u|: |u_theta|/radius (zonal), |u_x| (circle),
-    |u_r| (radial).  Centered differences, one-sided at non-periodic ends."""
-    vals = _aligned_values(m, u)
-    h = m.spacing
-    N = vals.size
-    g = np.empty(N)
+    """Pointwise |grad u| of one field, or of every row of a block of fields
+    along the last axis: |u_theta|/radius (zonal), |u_x| (circle), |u_r|
+    (radial).  Centered differences, one-sided at non-periodic ends."""
+    vals = np.asarray(u, dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != m.node_count:
+        raise ValueError("field is not aligned with the manifold")
+    g = np.empty(vals.shape)
+    np.subtract(vals[..., 2:], vals[..., :-2], out=g[..., 1:-1])
     if m.kind == "circle":
-        g = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+        g[..., 0] = vals[..., 1] - vals[..., -1]
+        g[..., -1] = vals[..., 0] - vals[..., -2]
     else:
-        g[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
         # difference-of-differences form of the one-sided stencils: cancels
         # the constant mode exactly instead of to roundoff
-        g[0] = (4.0 * (vals[1] - vals[0]) - (vals[2] - vals[0])) / (2.0 * h)
-        g[-1] = ((vals[-3] - vals[-1]) - 4.0 * (vals[-2] - vals[-1])) / (2.0 * h)
+        g[..., 0] = 4.0 * (vals[..., 1] - vals[..., 0]) - (vals[..., 2] - vals[..., 0])
+        g[..., -1] = (vals[..., -3] - vals[..., -1]) - 4.0 * (vals[..., -2] - vals[..., -1])
+    g /= 2.0 * m.spacing
     if m.kind == "sphere_zonal":
-        g = g / m.radius_or_length
-    return np.abs(g)
+        g /= m.radius_or_length
+    return np.abs(g, out=g)
 
 
 def laplacian_spectrum(m: DiscreteManifold):

@@ -17,6 +17,7 @@ from semiheat import (
     check_universal,
     evolve,
     exponent_regime,
+    gradient_norm,
     laplacian_spectrum,
     lemma_admissibility_min,
     scheme_tolerance,
@@ -189,6 +190,83 @@ def test_gradient_real_run_reports_fields(sphere):
     assert 0 <= report.diagnostics["max_node"] < sphere.node_count
 
 
+def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
+    """Snapshot-by-snapshot evaluation of the gradient check: boolean
+    windows, one gradient_norm call per stored time and a running maximum.
+    Returns (times, lhs, rhs, ratio, c_fit, max_time, max_node, f, w)."""
+    m, t = traj.manifold, traj.times
+    D = params.D
+    K = params.K if params.K is not None else m.ricci_lower / (m.n - 1) if m.n >= 2 else 0.0
+    u_floor = params.u_floor if params.u_floor is not None else 1e-12 * D
+    nodes = np.ones(m.node_count, dtype=bool)
+    sub_time = np.ones(t.size, dtype=bool)
+    if variant != "ancient":
+        T0 = params.T0 if params.T0 is not None else float(t[-1])
+        sub_time = (t >= T0 - params.T / 4.0 - 1e-12) & (t <= T0 + 1e-12)
+    if variant == "local":
+        nodes = ball_mask(m, params.R / 2.0)
+    base = p * D ** (p - 1.0) - (m.n - 1) * K
+    degenerate = variant == "ancient" and base <= 0.0
+    S = 0.0 if base <= 0.0 else math.sqrt(base)
+    if variant == "local":
+        S = 1.0 / params.R + 1.0 / math.sqrt(params.T) + S
+    elif variant == "global":
+        S = 1.0 / math.sqrt(params.T) + S
+    times, lhs, rhs, ratio = [], [], [], []
+    best = (-math.inf, None, None)
+    for k in np.flatnonzero(sub_time):
+        u = traj.snapshots[k]
+        grad = gradient_norm(m, u)
+        if degenerate:
+            numer, denom, point = grad, np.full(u.size, grad_tol), grad
+        else:
+            numer = grad / u
+            denom = S * (1.0 + np.log(D / np.maximum(u, u_floor)))
+            point = numer[nodes] / denom[nodes]
+            numer, denom = numer[nodes], denom[nodes]
+        j = int(np.argmax(point))
+        times.append(t[k])
+        lhs.append(float(numer[j]))
+        rhs.append(float(denom[j]))
+        ratio.append(float(numer[j]) / grad_tol if degenerate else float(point[j]))
+        if point[j] > best[0]:
+            best = (float(point[j]), k, int(np.flatnonzero(nodes)[j]))
+    f = np.log(np.maximum(traj.snapshots[best[1]], u_floor) / D)
+    w = gradient_norm(m, f) ** 2 / (1.0 - f) ** 2
+    c_fit = max(lhs) if degenerate else max(ratio)
+    return (np.asarray(times), np.asarray(lhs), np.asarray(rhs), np.asarray(ratio),
+            c_fit, float(t[best[1]]), best[2], f, w)
+
+
+def test_gradient_block_matches_snapshot_loop(sphere, torus):
+    # p D^(p-1) < (n-1) K = 1 on the low sphere run: the degenerate branch
+    # with nonzero gradients; every ball on the circle wraps around x = 0
+    runs = []
+    for m, lift in ((sphere, 0.3), (sphere, 2.0), (torus, 0.5)):
+        u0 = lift * (1.0 + 0.2 * np.cos(2.0 * np.pi * m.nodes / m.nodes[-1]) ** 2)
+        runs.append(evolve(m, u0, 0.0, 0.4, 2.0))
+    low, high, circle = runs
+    cases = [
+        (low, "ancient"), (high, "ancient"), (high, "global"), (high, "local"),
+        (circle, "global"), (circle, "ancient"), (circle, "local"),
+    ]
+    for traj, variant in cases:
+        D = float(np.max(traj.snapshots)) * 1.0000001
+        R = 5.0 if traj.manifold is torus else 1.0
+        params = EstimateParams(D=D, R=R, T=0.3, T0=0.35)
+        report = check_gradient_estimate(traj, params, variant, 2.0, grad_tol=1e-3)
+        times, lhs, rhs, ratio, c_fit, max_time, max_node, f, w = _gradient_reference(
+            traj, params, variant, 2.0, grad_tol=1e-3
+        )
+        assert report.diagnostics["degenerate"] == (traj is low), variant
+        for got, want in ((report.times, times), (report.lhs, lhs), (report.rhs, rhs), (report.ratio, ratio)):
+            assert np.array_equal(got, want), (variant, traj.manifold.kind)
+        assert report.c_fit == c_fit
+        assert report.diagnostics["max_time"] == max_time
+        assert report.diagnostics["max_node"] == max_node
+        assert np.array_equal(report.extras["f"], f) and np.array_equal(report.extras["w"], w)
+
+
 # ---------------------------------------------------------------- decay
 
 
@@ -249,6 +327,24 @@ def test_universal_window_and_gate_errors(sphere):
     traj = constant_trajectory(sphere, times, np.ones(2))
     with pytest.raises(ExponentRegimeError):
         check_universal(traj, -2.0, 0.0, 8.0)
+
+
+def test_universal_block_matches_snapshot_loop(sphere, torus):
+    for m in (sphere, torus):
+        u0 = 0.5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * m.nodes / m.nodes[-1]))
+        traj = evolve(m, u0, 0.0, 0.5, 3.0)
+        report = check_universal(traj, -0.25, 1.5, 3.0)
+        lhs, rhs = [], []
+        for tk, u in zip(traj.times, traj.snapshots):
+            num = u + gradient_norm(m, u) ** 0.5
+            lhs.append(float(num[int(np.argmax(num))]))
+            rhs.append(abs(tk + 0.25) ** -0.5 + abs(1.5 - tk) ** -0.5)
+        ratio = np.asarray(lhs) / np.asarray(rhs)
+        assert np.array_equal(report.lhs, np.asarray(lhs))
+        assert np.array_equal(report.rhs, np.asarray(rhs))
+        assert np.array_equal(report.ratio, ratio)
+        assert report.c_fit == float(np.max(ratio))
+        assert report.diagnostics["max_time"] == float(traj.times[int(np.argmax(ratio))])
 
 
 # ---------------------------------------------------------------- lower bound

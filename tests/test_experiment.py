@@ -132,6 +132,29 @@ def test_validate_config_accepts_base():
         ),
         pytest.param(lambda r: r.update(seed=True), "seed", id="seed-bool"),
         pytest.param(lambda r: r.update(seed=-1), "seed", id="seed-negative"),
+        pytest.param(
+            lambda r: r.update(manifold={"kind": "sphere_zonal", "n": 200, "size": 1.0, "resolution": 64}),
+            "manifold",
+            id="sphere-weights-underflow",
+        ),
+        pytest.param(
+            lambda r: r.update(manifold={"kind": "euclidean_radial", "n": 300, "size": 1.0, "resolution": 64}),
+            "manifold",
+            id="radial-weights-underflow",
+        ),
+        pytest.param(lambda r: r["manifold"].update(size=1e308), "manifold", id="size-overflow"),
+        pytest.param(lambda r: r["manifold"].update(size=1e-308), "manifold", id="size-underflow"),
+        pytest.param(
+            lambda r: r["manifold"].update(kind="sphere_zonal", n=2, size=1e-308), "manifold", id="sphere-size-underflow"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(controls={"dt_max": -1}), "scenarios[0].controls", id="dt-max-negative"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(controls={"blow_threshold": 10}),
+            "scenarios[0].controls",
+            id="blow-threshold-low",
+        ),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
@@ -406,6 +429,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "<root>: unknown config fields ['p_value']" in err
     assert not (tmp_path / "out").exists()
+    for kind, n, size in (("sphere_zonal", 200, 1.0), ("circle", 1, 1e308)):
+        raw = base_raw()
+        raw["manifold"].update(kind=kind, n=n, size=size)
+        cfg_path = write_cfg(tmp_path, raw)
+        assert cli_main(["check", cfg_path]) == 2
+        assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: manifold: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    raw = base_raw()
+    raw["scenarios"][0]["controls"] = {"dt_max": -1}
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+    assert "scenarios[0].controls: dt_max must be positive" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
 

@@ -48,6 +48,22 @@ def test_build_manifold_rejects_bad_combinations():
         build_manifold("sphere_zonal", 2, 1.0, 8)
 
 
+@pytest.mark.parametrize(
+    "kind, n, size, count",
+    [
+        ("sphere_zonal", 200, 1.0, 256),  # volume weights underflow
+        ("euclidean_radial", 300, 1.0, 256),
+        ("circle", 1, 1e308, 64),  # overflow
+        ("circle", 1, 1e-308, 64),  # division by zero
+        ("sphere_zonal", 2, 1e-308, 64),
+        ("circle", 1, 6e-153, 64),  # infinite operator entries
+    ],
+)
+def test_build_manifold_refuses_unbuildable_sizes(kind, n, size, count):
+    with pytest.raises(ValueError):
+        build_manifold(kind, n, size, count)
+
+
 def test_flat_torus_is_a_spelling_of_the_circle():
     torus = build_manifold("flat_torus_1d", 1, 6.3, 64)
     circle = build_manifold("circle", 1, 6.3, 64)
@@ -114,6 +130,20 @@ def test_gradient_norm_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(4):
         assert np.min(gradient_norm(m, rng.normal(size=m.node_count))) >= 0.0
+
+
+def test_gradient_norm_block_matches_rows():
+    rng = np.random.default_rng(5)
+    for kind, n in [("sphere_zonal", 2), ("circle", 1), ("euclidean_radial", 3)]:
+        m = build_manifold(kind, n, 3.0, 64)
+        block = np.vstack([rng.normal(size=(4, m.node_count)), np.full(m.node_count, 2.5)])
+        g = gradient_norm(m, block)
+        assert g.shape == block.shape
+        for row, values in zip(g, block):
+            assert np.array_equal(row, gradient_norm(m, values)), kind
+        if kind == "circle":  # both ends difference across the wraparound
+            wrapped = np.abs((np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)) / (2.0 * m.spacing))
+            assert np.array_equal(g, wrapped)
 
 
 def test_self_adjointness_in_weighted_inner_product():
@@ -194,3 +224,7 @@ def test_misaligned_field_rejected():
         laplace_beltrami(m, np.ones(63))
     with pytest.raises(ValueError):
         gradient_norm(m, np.ones(65))
+    with pytest.raises(ValueError):
+        gradient_norm(m, np.ones((3, 65)))
+    with pytest.raises(ValueError):
+        gradient_norm(m, np.ones((2, 3, 64)))
