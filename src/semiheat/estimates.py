@@ -245,7 +245,8 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
 # ---------------------------------------------------------------------------
 # gradient estimate
 
-_GRADIENT_VARIANTS = ("local", "global", "ancient")
+# gradient variants and the window fields each requires
+_GRADIENT_VARIANTS = {"local": ("R", "T"), "global": ("T",), "ancient": ()}
 
 
 def check_gradient_estimate(
@@ -273,7 +274,7 @@ def check_gradient_estimate(
     regularization) and "w" = |grad f|^2 / (1 - f)^2.
     """
     p = validate_exponent(p)
-    if variant not in _GRADIENT_VARIANTS:
+    if not isinstance(variant, str) or variant not in _GRADIENT_VARIANTS:
         raise ValueError(f"unknown gradient variant {variant!r}")
     m = traj.manifold
     if np.any(traj.snapshots <= 0):
@@ -355,18 +356,17 @@ def check_gradient_estimate(
 def _gradient_windows(traj: Trajectory, params: EstimateParams, variant: str):
     """(full_time, sub_time, full_nodes, sub_nodes): time windows as slices
     (the snapshot times increase), node sets as slices or ball masks."""
+    required = _GRADIENT_VARIANTS[variant]
+    if any(getattr(params, key) is None for key in required):
+        raise ValueError(f"{variant} variant requires {' and '.join(required)}")
     t = traj.times
     full_nodes = sub_nodes = slice(None)
     if variant == "ancient":
         full_time = sub_time = slice(0, t.size)
     else:
         if variant == "local":
-            if params.R is None or params.T is None:
-                raise ValueError("local variant requires R and T")
             full_nodes = ball_mask(traj.manifold, params.R)
             sub_nodes = ball_mask(traj.manifold, params.R / 2.0)
-        elif params.T is None:
-            raise ValueError("global variant requires T")
         T0 = params.T0 if params.T0 is not None else float(t[-1])
         stop = int(np.searchsorted(t, T0 + 1e-12, side="right"))
         full_time = slice(int(np.searchsorted(t, T0 - params.T - 1e-12)), stop)

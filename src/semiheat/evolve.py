@@ -36,7 +36,9 @@ from .reaction_ode import C_DT, _TINY, reaction_flow, trivial_ancient, validate_
 
 
 class SolverAbort(RuntimeError):
-    """Non-finite values appeared during stepping; the run is invalid."""
+    """The run cannot go on: non-finite values appeared during stepping, or
+    the step fell below the resolution of t (t + dt == t), which near
+    blow-up happens before the threshold for p >= 3 or so."""
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,15 @@ def evolve(
     Terminates early with blow-up info once max u exceeds the threshold.
     For spatially constant u0 the result matches integrate_scalar_ode to
     roundoff.  Raises SolverAbort if non-finite values ever appear (they are
-    never clamped).
+    never clamped) or once a step no longer advances t.
     """
     p = validate_exponent(p)
     controls = controls or EvolveControls()
     if not t0 < t1:
         raise ValueError("need t0 < t1")
+    span = max(abs(t0), abs(t1))
+    if span + controls.dt_max == span:
+        raise SolverAbort(f"dt_max = {controls.dt_max:g} is below the resolution of t on [{t0!r}, {t1!r}]")
     u = _aligned_values(m, u0).copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("initial data must be finite")
@@ -182,6 +187,8 @@ def evolve(
         mag = float(np.max(np.abs(u)))
         cap = C_DT * mag ** (1.0 - p) if (mag > _TINY and controls.reaction_on) else np.inf
         dt = min(controls.dt_max, cap, t1 - t)
+        if t + dt == t:
+            raise SolverAbort(f"step dt = {dt:g} no longer advances t = {t!r} (max |u| = {mag:g})")
         if controls.reaction_on:
             u = reaction_flow(u, p, 0.5 * dt)
         u = implicit_diffusion_solve(m, u, dt)

@@ -23,9 +23,19 @@ A config is a JSON object:
     }
 
 Initial-data recipes: "constant" (value), "trivial_plus_mode" (T_blow,
-t_start, eps, mode), "talenti" (radial static profile, n >= 3),
-"random_uniform" (low, high; drawn from the config seed), "custom"
+t_start, eps, mode; a closed kind of at most 4096 nodes, mode below the
+resolution, t_start before T_blow), "talenti" (radial static profile,
+n >= 3), "random_uniform" (low, high; drawn from the config seed), "custom"
 (path to a one-value-per-line file matching the resolution).
+
+``validate_config`` parses the config once and returns what the sweep runs:
+the built manifold, each scenario as a record (recipe build, parsed values,
+window, EvolveControls) and each checker as its id plus the keyword
+arguments of its check_* function (EstimateParams included), so values a
+checker or the controls refuse, and recipe preconditions that need no
+trajectory, are config errors.  The runner only executes these records and
+reads no raw config dict; ``ExperimentConfig.raw`` is a copy of the JSON,
+kept for the config hash.
 
 The sweep runs every scenario at every p (cardinality = len(scenarios) *
 len(p_values)).  Entries run one after another in that order, on the one
@@ -37,13 +47,15 @@ the canonicalized (key-sorted, compact) JSON text.  A key the schema above
 does not name, at any level, is a config error.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
-config fields its checker reads, which of them are required, and how it is
-called.  Validation, dispatch and plot-data emission all read that table, so
-adding a checker means adding one entry there.
+config fields its checker reads, which of them are required, how they bind
+to its check_* function, and which function that is.  Validation, dispatch
+and plot-data emission all read that table, so adding a checker means adding
+one entry there; ``_RECIPES`` does the same for initial-data recipes.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -67,6 +79,8 @@ from .estimates import (
 )
 from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
+    _SPECTRUM_MAX_NODES,
+    CLOSED_KINDS,
     DiscreteManifold,
     _canonical_kind,
     _check_dimension,
@@ -94,8 +108,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     manifold: dict
     p_values: tuple
-    scenarios: tuple
-    checkers: tuple
+    scenarios: tuple  # _Scenario records
+    checkers: tuple  # (checker id, keyword arguments of its check_* function)
     out_dir: str | None
     seed: int
     raw: dict
@@ -178,7 +192,7 @@ def _boolean(value, path: str) -> bool:
 
 
 def _variant(value, path: str) -> str:
-    if value not in _GRADIENT_VARIANTS:
+    if not isinstance(value, str) or value not in _GRADIENT_VARIANTS:
         raise ConfigError(path, f"expected one of {list(_GRADIENT_VARIANTS)}, got {value!r}")
     return value
 
@@ -193,13 +207,38 @@ def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
 
 
-# initial-data recipes: field -> type check; every field is required
+def _mode_data(v, m, p, seed, entry_index):
+    bg = trivial_ancient(p, v["T_blow"], v["t_start"])
+    _, modes = laplacian_spectrum(m)
+    return bg * (1.0 + v["eps"] * modes[:, v["mode"]])
+
+
+def _talenti(v, m, p, seed, entry_index):
+    c = float(m.n * (m.n - 2))
+    return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
+
+
+def _custom(v, m, p, seed, entry_index):
+    values = np.loadtxt(v["path"], dtype=float).ravel()
+    if values.size != m.node_count:
+        raise ValueError(
+            f"custom initial data has {values.size} values, manifold has {m.node_count} nodes"
+        )
+    return values
+
+
+# initial-data recipes: the fields (name -> type check; every field is
+# required) and build(values, m, p, seed, entry_index) -> u0
+_Recipe = namedtuple("_Recipe", "fields build")
 _RECIPES = {
-    "constant": _numbers("value"),
-    "trivial_plus_mode": {**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int},
-    "talenti": {},
-    "random_uniform": _numbers("low", "high"),
-    "custom": {"path": _string},
+    "constant": _Recipe(_numbers("value"), lambda v, m, *_: np.full(m.node_count, v["value"])),
+    "trivial_plus_mode": _Recipe({**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int}, _mode_data),
+    "talenti": _Recipe({}, _talenti),
+    "random_uniform": _Recipe(
+        _numbers("low", "high"),
+        lambda v, m, p, seed, i: np.random.default_rng([seed, i]).uniform(v["low"], v["high"], m.node_count),
+    ),
+    "custom": _Recipe({"path": _string}, _custom),
 }
 
 
@@ -212,79 +251,61 @@ _CONTROLS = {
 }
 
 
-def _c_cap(cfg: dict) -> float:
-    return float(cfg.get("c_cap", math.inf))
+def _with_params(*names):
+    # bind step: the ``names`` fields present become one EstimateParams
+    def bind(values, m):
+        params = {key: values.pop(key) for key in names if key in values}
+        return {"params": EstimateParams(**params), **values}
+
+    return bind
 
 
 # One entry per checker id: the config fields the checker reads (name -> type
-# check), the ones it requires, and run(cfg, traj, p).  Each run names its
-# check_* function through this module's globals, so a wrapper installed on
-# the module attribute sees every call.
-_Checker = namedtuple("_Checker", "fields required run")
+# check), the ones it requires, bind(values, m) -> its keyword arguments (only
+# the fields present, so defaults live in the check_* signatures; None: the
+# values as given), and the name of its check_* function, looked up in this
+# module's globals per call so a wrapper on the module attribute sees it.
+_Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
-    "positivity": _Checker({}, (), lambda cfg, traj, p: check_positivity_min_ode(traj, p)),
+    "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
         {"variant": _variant, **_numbers("D", "K", "R", "T", "T0", "u_floor", "c_cap", "grad_tol")},
         ("variant", "D"),
-        lambda cfg, traj, p: check_gradient_estimate(
-            traj,
-            EstimateParams(**{key: cfg.get(key) for key in ("D", "K", "R", "T", "T0", "u_floor")}),
-            cfg["variant"],
-            p,
-            c_cap=_c_cap(cfg),
-            grad_tol=float(cfg.get("grad_tol", 1e-6)),
-        ),
+        _with_params("D", "K", "R", "T", "T0", "u_floor"),
+        "check_gradient_estimate",
     ),
-    "decay": _Checker(
-        _numbers("T_blow", "c_cap"),
-        ("T_blow",),
-        lambda cfg, traj, p: check_decay(traj, float(cfg["T_blow"]), p, c_cap=_c_cap(cfg)),
-    ),
-    "universal": _Checker(
-        _numbers("T0", "T", "c_cap"),
-        ("T0", "T"),
-        lambda cfg, traj, p: check_universal(
-            traj, float(cfg["T0"]), float(cfg["T"]), p, c_cap=_c_cap(cfg)
-        ),
-    ),
+    "decay": _Checker(_numbers("T_blow", "c_cap"), ("T_blow",), None, "check_decay"),
+    "universal": _Checker(_numbers("T0", "T", "c_cap"), ("T0", "T"), None, "check_universal"),
     "lower_bound": _Checker(
         _numbers("delta", "L", "A", "r0", "C_delta_cap", "K", "T"),
         ("delta", "L", "A", "r0", "C_delta_cap"),
-        lambda cfg, traj, p: check_lower_bound_lemma(
-            traj,
-            EstimateParams(
-                K=cfg.get("K"), T=cfg.get("T"), **{key: float(cfg[key]) for key in ("delta", "L", "A", "r0")}
-            ),
-            float(cfg["C_delta_cap"]),
-            p,
-        ),
+        _with_params("delta", "L", "A", "r0", "K", "T"),
+        "check_lower_bound_lemma",
     ),
     "triviality": _Checker(
-        _numbers("rate_tol", "osc_floor"),
-        (),
-        lambda cfg, traj, p: check_triviality(
-            traj,
-            traj.manifold,
-            p,
-            rate_tol=float(cfg.get("rate_tol", 0.2)),
-            osc_floor=float(cfg.get("osc_floor", 1e-10)),
-        ),
+        _numbers("rate_tol", "osc_floor"), (), lambda values, m: {"m": m, **values}, "check_triviality"
     ),
 }
 
+# a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
+_Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
 
-def _check_fields(d: dict, spec: dict, path: str, what: str, required=()):
+
+def _check_fields(d: dict, spec: dict, path: str, what: str, required=()) -> dict:
     """Refuse missing ``required`` fields and fields ``spec`` does not name,
-    then run each present field's type check (None: checked by the caller)."""
+    then run each present field's type check (None: checked by the caller).
+    Returns the present fields' parsed values."""
     for key in required:
         if key not in d:
             raise ConfigError(f"{path}.{key}", f"missing required field for {what}")
     unknown = set(d) - set(spec)
     if unknown:
         raise ConfigError(path, f"unknown {what} fields {sorted(unknown)}")
-    for key, check in spec.items():
-        if key in d and check is not None:
-            check(d[key], f"{path}.{key}")
+    return {
+        key: d[key] if check is None else check(d[key], f"{path}.{key}")
+        for key, check in spec.items()
+        if key in d
+    }
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -326,13 +347,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, list):
         raise ConfigError("p_values", "must be a list")
+    p_values = tuple(_number(p, f"p_values[{i}]") for i, p in enumerate(p_values))
     for i, p in enumerate(p_values):
-        if _number(p, f"p_values[{i}]") <= 1.0:
+        if p <= 1.0:
             raise ConfigError(f"p_values[{i}]", "exponent must exceed 1")
 
     scenarios = raw.get("scenarios", [])
     if not isinstance(scenarios, list):
         raise ConfigError("scenarios", "must be a list")
+    parsed_scenarios = []
     seen_names = set()
     for i, sc in enumerate(scenarios):
         path = f"scenarios[{i}]"
@@ -354,33 +377,47 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if not isinstance(recipe, str) or recipe not in _RECIPES:
             raise ConfigError(f"{path}.initial.type", f"unknown recipe {recipe!r}")
         fields = {key: value for key, value in initial.items() if key != "type"}
-        spec = _RECIPES[recipe]
-        _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
+        spec = _RECIPES[recipe].fields
+        values = _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
         if recipe == "talenti" and (canonical != "euclidean_radial" or n < 3):
             raise ConfigError(
                 f"{path}.initial.type",
                 "talenti profile needs the euclidean_radial kind with n >= 3",
             )
-        if recipe == "random_uniform" and initial["high"] <= initial["low"]:
+        if recipe == "random_uniform" and values["high"] <= values["low"]:
             raise ConfigError(f"{path}.initial.high", "must exceed low")
+        if recipe == "random_uniform" and not values["high"] - values["low"] < math.inf:
+            raise ConfigError(f"{path}.initial.high", "high - low must be finite")
+        if recipe == "trivial_plus_mode":  # sizes only: the spectrum is computed per entry
+            if canonical not in CLOSED_KINDS:
+                raise ConfigError(f"{path}.initial.type", f"eigenmodes need a kind in {list(CLOSED_KINDS)}")
+            if resolution > _SPECTRUM_MAX_NODES:
+                raise ConfigError("manifold.resolution", f"eigenmodes need <= {_SPECTRUM_MAX_NODES} nodes")
+            if values["mode"] >= resolution:
+                raise ConfigError(f"{path}.initial.mode", f"mode index out of range for {resolution} nodes")
+            if values["t_start"] >= values["T_blow"]:
+                raise ConfigError(f"{path}.initial.t_start", "must precede T_blow")
         window = _require(sc, "window", path)
         if not isinstance(window, dict):
             raise ConfigError(f"{path}.window", "must be an object")
-        _check_fields(window, _numbers("t0", "t1"), f"{path}.window", "window", required=("t0", "t1"))
-        if window["t1"] <= window["t0"]:
+        window = _check_fields(window, _numbers("t0", "t1"), f"{path}.window", "window", ("t0", "t1"))
+        t0, t1 = window["t0"], window["t1"]
+        if t1 <= t0:
             raise ConfigError(f"{path}.window.t1", "must exceed t0")
         controls = sc.get("controls", {})
         if not isinstance(controls, dict):
             raise ConfigError(f"{path}.controls", "must be an object")
-        _check_fields(controls, _CONTROLS, f"{path}.controls", "control")
+        controls = _check_fields(controls, _CONTROLS, f"{path}.controls", "control")
         try:
-            EvolveControls(**controls)
+            controls = EvolveControls(**controls)
         except ValueError as exc:
             raise ConfigError(f"{path}.controls", str(exc)) from None
+        parsed_scenarios.append(_Scenario(name, _RECIPES[recipe].build, values, t0, t1, controls))
 
     checkers = raw.get("checkers", [])
     if not isinstance(checkers, list):
         raise ConfigError("checkers", "must be a list")
+    bound_checkers = []
     for i, ck in enumerate(checkers):
         path = f"checkers[{i}]"
         if not isinstance(ck, dict):
@@ -390,7 +427,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{path}.id", f"unknown checker id {cid!r}")
         spec = _CHECKERS[cid]
         fields = {key: value for key, value in ck.items() if key != "id"}
-        _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
+        values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
+        if cid == "gradient":  # each variant requires its own window fields
+            variant = values["variant"]
+            _check_fields(values, spec.fields, path, f"the {variant} variant", _GRADIENT_VARIANTS[variant])
+        try:
+            bound_checkers.append((cid, spec.bind(values, built) if spec.bind else values))
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
 
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -399,12 +443,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         manifold={"kind": kind, "n": n, "size": size, "resolution": resolution},
-        p_values=tuple(float(p) for p in p_values),
-        scenarios=tuple(scenarios),
-        checkers=tuple(checkers),
+        p_values=p_values,
+        scenarios=tuple(parsed_scenarios),
+        checkers=tuple(bound_checkers),
         out_dir=out_dir,
         seed=seed,
-        raw=raw,
+        raw=copy.deepcopy(raw),  # the caller may change its dict afterwards
         built_manifold=built,
     )
 
@@ -418,40 +462,13 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _initial_data(m, recipe: dict, p: float, seed: int, entry_index: int) -> np.ndarray:
-    kind = recipe["type"]
-    if kind == "constant":
-        return np.full(m.node_count, float(recipe["value"]))
-    if kind == "trivial_plus_mode":
-        bg = trivial_ancient(p, float(recipe["T_blow"]), float(recipe["t_start"]))
-        _, modes = laplacian_spectrum(m)
-        mode = int(recipe["mode"])
-        if not 0 <= mode < modes.shape[1]:
-            raise ValueError(f"mode index {mode} out of range for {modes.shape[1]} nodes")
-        return bg * (1.0 + float(recipe["eps"]) * modes[:, mode])
-    if kind == "talenti":
-        c = float(m.n * (m.n - 2))
-        return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
-    if kind == "random_uniform":
-        rng = np.random.default_rng([seed, entry_index])
-        return rng.uniform(float(recipe["low"]), float(recipe["high"]), m.node_count)
-    values = np.loadtxt(recipe["path"], dtype=float).ravel()
-    if values.size != m.node_count:
-        raise ValueError(
-            f"custom initial data has {values.size} values, manifold has {m.node_count} nodes"
-        )
-    return values
-
-
-def _run_entry(m, config: ExperimentConfig, scenario: dict, p: float, entry_index: int, out_dir: str):
-    name = f"{scenario['name']}__p{p:g}"
-    entry = {"name": name, "scenario": scenario["name"], "p": p, "status": "ok", "checks": {}}
+def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry_index: int, out_dir: str):
+    name = f"{scenario.name}__p{p:g}"
+    entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
     started = time.perf_counter()
     try:
-        u0 = _initial_data(m, scenario["initial"], p, config.seed, entry_index)
-        controls = EvolveControls(**scenario.get("controls", {}))
-        window = scenario["window"]
-        traj = evolve(m, u0, float(window["t0"]), float(window["t1"]), p, controls)
+        u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
+        traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
     except (SolverAbort, ValueError, FloatingPointError, OSError) as exc:
         entry["status"] = "error"
         entry["error"] = str(exc)
@@ -467,10 +484,9 @@ def _run_entry(m, config: ExperimentConfig, scenario: dict, p: float, entry_inde
         "negative_data": bool(traj.negative_data),
         "blowup": None if traj.blowup is None else asdict(traj.blowup),
     }
-    for cfg in config.checkers:
-        cid = cfg["id"]
+    for cid, kwargs in config.checkers:
         try:
-            rep = _CHECKERS[cid].run(cfg, traj, p)
+            rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
         except (ValueError, FloatingPointError) as exc:
             entry["checks"][cid] = {"status": "error", "error": str(exc)}
             continue

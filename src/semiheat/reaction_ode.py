@@ -140,15 +140,20 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
 
     Steps with the exact flow under dt = min(dt_max, C_DT |v|^(1-p)), so the
     result matches the closed form to roundoff on non-blow-up spans.  Forward
-    runs stop early once |v| exceeds BLOW_THRESHOLD and record the (then
-    essentially exact) blow-up time.  Backward spans are integrated backward
-    but stored with times ascending; a backward singularity stops the run
-    without recording a blow-up time.
+    runs stop early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap
+    on dt falls below the resolution of t, and record the (then essentially
+    exact) blow-up time.  Backward spans are integrated backward but stored
+    with times ascending; a backward singularity stops the run without
+    recording a blow-up time.  A dt_max too small to advance t is a
+    ValueError.
     """
     p = validate_exponent(p)
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValueError("t_span must be a finite nondegenerate interval")
+    span = max(abs(t0), abs(t1))
+    if span + dt_max == span:
+        raise ValueError(f"dt_max = {dt_max:g} is below the resolution of t on {t_span}")
     forward = t1 > t0
     sign = 1.0 if forward else -1.0
 
@@ -156,10 +161,14 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
     values = [float(v0)]
     t, v = t0, float(v0)
     blowup_time = None
+    singular = False
     while (t1 - t) * sign > 1e-14 * max(1.0, abs(t1)):
         mag = abs(v)
         cap = C_DT * mag ** (1.0 - p) if mag > _TINY else math.inf
         dt = min(dt_max, cap, (t1 - t) * sign)
+        if t + sign * dt == t:  # the blow-up cap is below the resolution of t
+            singular = True
+            break
         try:
             v = reaction_flow(v, p, sign * dt)
         except FloatingPointError:
@@ -168,10 +177,11 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
         times.append(t)
         values.append(v)
         if abs(v) > BLOW_THRESHOLD:
-            if forward and v > 0:
-                # remaining life of the exact solution from here
-                blowup_time = t + v ** (1.0 - p) / (p - 1.0)
+            singular = True
             break
+    if singular and forward and v > 0:
+        # remaining life of the exact solution from here (at least one ulp)
+        blowup_time = max(t + v ** (1.0 - p) / (p - 1.0), math.nextafter(t, math.inf))
 
     times = np.asarray(times)
     values = np.asarray(values)

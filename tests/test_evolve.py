@@ -224,5 +224,24 @@ def test_export_trajectory(tmp_path):
     assert sidecar["meta"]["tag"] == "demo"
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+@pytest.mark.parametrize("kind, n, size", [("sphere_zonal", 2, 1.0), ("euclidean_radial", 3, 1.0), ("circle", 1, 6.3)])
+def test_blowup_below_time_resolution_aborts(kind, n, size, p):
+    # the step cap C_DT |u|^(1-p) falls below ulp(t) before |u| reaches the
+    # threshold; the run stops there instead of repeating t
+    m = build_manifold(kind, n, size, 32)
+    with pytest.raises(SolverAbort, match="no longer advances t"):
+        evolve(m, np.full(32, 2.0), 0.0, 1e3, p)
+
+
+def test_dt_max_below_time_resolution_raises_at_once():
+    m = circle(16)
+    for t0, t1 in ((0.0, 1.0), (-12.0, -1.0)):
+        with pytest.raises(SolverAbort, match="below the resolution of t"):
+            evolve(m, np.ones(16), t0, t1, 2.0, EvolveControls(dt_max=1e-320))
+    with pytest.raises(ValueError, match="below the resolution of t"):
+        integrate_scalar_ode(2.0, 1.0, (0.0, 1.0), dt_max=1e-320)
+
+
 def test_solver_abort_is_runtime_error():
     assert issubclass(SolverAbort, RuntimeError)

@@ -3,6 +3,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -154,6 +156,63 @@ def test_validate_config_accepts_base():
             lambda r: r["scenarios"][0].update(controls={"blow_threshold": 10}),
             "scenarios[0].controls",
             id="blow-threshold-low",
+        ),
+        pytest.param(
+            lambda r: (r["manifold"].update(kind="euclidean_radial", n=3), r["scenarios"][0].update(initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1})),
+            "scenarios[0].initial.type",
+            id="mode-on-radial",
+        ),
+        pytest.param(
+            lambda r: (r["manifold"].update(resolution=4097), r["scenarios"][0].update(initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1})),
+            "manifold.resolution",
+            id="mode-beyond-dense-spectrum",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={**{"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1}, "mode": 64}),
+            "scenarios[0].initial.mode",
+            id="mode-index-out-of-range",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={**{"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1}, "t_start": 0.0}),
+            "scenarios[0].initial.t_start",
+            id="mode-start-at-blowup",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={"type": "random_uniform", "low": -1e308, "high": 1e308}),
+            "scenarios[0].initial.high",
+            id="random-range-overflow",
+        ),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": "local", "D": 1.0, "T": 1.0}]),
+            "checkers[0].R",
+            id="gradient-local-without-R",
+        ),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": "local", "D": 1.0, "R": 1.0}]),
+            "checkers[0].T",
+            id="gradient-local-without-T",
+        ),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": "global", "D": 1.0}]),
+            "checkers[0].T",
+            id="gradient-global-without-T",
+        ),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": ["local"], "D": 1.0}]),
+            "checkers[0].variant",
+            id="gradient-variant-list",
+        ),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": "ancient", "D": -1}]),
+            "checkers[0]",
+            id="gradient-D-negative",
+        ),
+        pytest.param(
+            lambda r: r.update(
+                checkers=[{"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0}]
+            ),
+            "checkers[0]",
+            id="lower-bound-delta-above-1",
         ),
     ],
 )
@@ -324,6 +383,31 @@ def test_run_experiment_builds_one_manifold(tmp_path, monkeypatch):
     assert built == [("flat_torus_1d", 1, 6.3, 64)]
 
 
+def test_run_ignores_changes_to_the_raw_config_after_validation(tmp_path):
+    raw = base_raw()
+    raw["p_values"] = [2.0, 3.0]
+    raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
+    raw["scenarios"][0]["controls"] = {"dt_max": 0.02}
+    raw["checkers"] = [
+        {"id": "decay", "T_blow": 5.0, "c_cap": 20.0},
+        {"id": "gradient", "variant": "global", "D": 10.0, "T": 0.1},
+    ]
+    expected = run_experiment(validate_config(copy.deepcopy(raw)), out_dir=str(tmp_path / "a")).to_json_dict()
+    cfg = validate_config(raw)
+    scenario = raw["scenarios"][0]
+    scenario["name"] = "renamed"
+    scenario["initial"].update(low=5.0, high=9.0)
+    scenario["window"]["t1"] = 0.1
+    scenario["controls"]["dt_max"] = 0.001
+    raw["checkers"][0]["T_blow"] = 0.05
+    raw["checkers"][1].update(variant="local", D=-1.0)
+    raw["checkers"].append({"id": "positivity"})
+    got = run_experiment(cfg, out_dir=str(tmp_path / "b")).to_json_dict()
+    expected.pop("timing")
+    got.pop("timing")
+    assert got == expected
+
+
 def test_random_recipe_seed_sensitivity(tmp_path):
     raw = base_raw()
     raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
@@ -441,6 +525,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     raw["scenarios"][0]["controls"] = {"dt_max": -1}
     assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
     assert "scenarios[0].controls: dt_max must be positive" in capsys.readouterr().err
+    for checker, message in (
+        ({"id": "gradient", "variant": "ancient", "D": -1}, "checkers[0]: D must be positive"),
+        ({"id": "gradient", "variant": "global", "D": 1.0}, "checkers[0].T: missing required field"),
+        (
+            {"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0},
+            "checkers[0]: delta must lie strictly between 0 and 1",
+        ),
+    ):
+        raw = base_raw()
+        raw["checkers"] = [checker]
+        assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+        assert message in capsys.readouterr().err
+    raw = base_raw()
+    raw["scenarios"][0]["initial"] = {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -1.0, "eps": 0.1, "mode": 64}
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+    assert "scenarios[0].initial.mode: mode index out of range for 64 nodes" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
 
@@ -454,6 +554,19 @@ def test_cli_plotdata_round_trip(tmp_path):
     plots = [f for f in os.listdir(tmp_path) if f.startswith("plot_positivity_")]
     assert len(plots) == 1
     assert cli_main(["plotdata", report_path, "sorcery", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_sweep_report_demo_runs(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    demo = os.path.join(root, "demos", "sweep_report.py")
+    proc = subprocess.run(
+        [sys.executable, demo, "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all passed: True" in proc.stdout
+    assert any(name.startswith("report_") for name in os.listdir(tmp_path))
+    assert any(name.startswith("plot_positivity_") for name in os.listdir(tmp_path))
 
 
 # ------------------------------------------------------- config properties

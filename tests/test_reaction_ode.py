@@ -11,6 +11,7 @@ from semiheat import (
     trivial_ancient,
     validate_exponent,
 )
+from semiheat.reaction_ode import BLOW_THRESHOLD
 
 
 def closed_form(p, v0, t):
@@ -118,6 +119,16 @@ def test_integrate_records_blowup_time():
     assert traj.blowup_time is not None
     assert traj.blowup_time == pytest.approx(1.0, abs=1e-6)
     assert traj.blowup_time > traj.times[-1]
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 60.0])
+def test_integrate_records_blowup_below_time_resolution(p):
+    # the step cap falls below ulp(t) before |v| reaches the threshold; at
+    # p = 60 the remaining life is below ulp(t) as well
+    traj = integrate_scalar_ode(p, 1.0, (0.0, 10.0))
+    assert traj.blowup_time == pytest.approx(blowup_time_from_min(p, 1.0), abs=1e-3)
+    assert traj.blowup_time > traj.times[-1]
+    assert traj.values[-1] < BLOW_THRESHOLD
 
 
 def test_integrate_reproduces_trivial_ancient():
