@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 KINDS = ("sphere_zonal", "circle", "euclidean_radial")
 CLOSED_KINDS = ("sphere_zonal", "circle")
@@ -335,32 +336,84 @@ def laplacian_spectrum(m: DiscreteManifold):
     return m._ops["spectrum"]
 
 
-def _solve_cyclic(ab, b):
-    # tridiagonal plus the two periodic corner entries, via a rank-one
-    # update; the tridiagonal solver never reads the corner slots of ab
-    c_lr, c_ul = ab[0, 0], ab[2, -1]  # A[N-1, 0], A[0, N-1]
-    gamma = -ab[1, 0]
-    ab[1, 0] -= gamma
-    ab[1, -1] -= c_ul * c_lr / gamma
-    rhs = np.zeros((b.size, 2))
-    rhs[:, 0] = b
-    rhs[0, 1] = gamma
-    rhs[-1, 1] = c_lr
-    y, z = scipy.linalg.solve_banded((1, 1), ab, rhs).T
-    vy = y[0] + c_ul * y[-1] / gamma
-    vz = z[0] + c_ul * z[-1] / gamma
-    return y - z * (vy / (1.0 + vz))
+def _lapack_check(info: int, routine: str):
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _step_solver(m: DiscreteManifold, dt: float):
+    """The solve of (I - dt * Laplacian) x = b, factored once per dt.
+
+    The manifold keeps the last step's factor and replaces it when dt
+    changes; one entry, not one per dt, because a blow-up run takes a new dt
+    on every step.  The tridiagonal kinds go through dgttrf/dgttrs and the
+    radial band through dgbtrf/dgbtrs: the routines solve_banded's gtsv and
+    gbsv are made of, so the bits are those of a plain banded solve.
+    """
+    cached = m._ops.get("step")
+    if cached is not None and cached[0] == dt:
+        return cached[1]
+    l, u, ab = m._ops["band"]
+    ab_step = -dt * ab
+    ab_step[u, :] += 1.0
+    periodic = m.kind == "circle"
+    if periodic:
+        # tridiagonal plus the two corner entries, as a rank-one update of
+        # the tridiagonal part, which never reads the corner slots of ab
+        c_lr, c_ul = ab_step[0, 0], ab_step[2, -1]  # A[N-1, 0], A[0, N-1]
+        gamma = -ab_step[1, 0]
+        ab_step[1, 0] -= gamma
+        ab_step[1, -1] -= c_ul * c_lr / gamma
+    if not np.all(np.isfinite(ab_step)):
+        raise ValueError(f"I - dt * Laplacian is not finite at dt = {dt!r}")
+
+    if l == u == 1:
+        dl, d, du, du2, ipiv, info = dgttrf(ab_step[2, :-1], ab_step[1], ab_step[0, 1:])
+        _lapack_check(info, "dgttrf")
+
+        def band_solve(b):
+            x, info = dgttrs(dl, d, du, du2, ipiv, b)
+            _lapack_check(info, "dgttrs")
+            return x
+
+    else:
+        lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
+        lu[l:] = ab_step
+        lu, ipiv, info = dgbtrf(lu, l, u, overwrite_ab=1)
+        _lapack_check(info, "dgbtrf")
+
+        def band_solve(b):
+            x, info = dgbtrs(lu, l, u, b, ipiv)
+            _lapack_check(info, "dgbtrs")
+            return x
+
+    solve = band_solve
+    if periodic:
+        e = np.zeros(ab_step.shape[1])
+        e[0], e[-1] = gamma, c_lr
+        z = band_solve(e)
+        vz = z[0] + c_ul * z[-1] / gamma
+
+        def solve(b):
+            y = band_solve(b)
+            vy = y[0] + c_ul * y[-1] / gamma
+            return y - z * (vy / (1.0 + vz))
+
+    m._ops["step"] = (dt, solve)
+    return solve
 
 
 def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float) -> np.ndarray:
     """Solve (I - dt * Laplacian) u_new = values.
 
-    One banded (or cyclic-banded) solve; row sums of the matrix are exactly 1,
-    so constants pass through unchanged.
+    One banded (or cyclic-banded) solve with a factor reused while dt stays
+    the same; row sums of the matrix are exactly 1, so constants pass
+    through unchanged.  A non-finite right-hand side or matrix is a
+    ValueError, a singular matrix a LinAlgError.
     """
-    l, u, ab = m._ops["band"]
-    ab_step = -dt * ab
-    ab_step[u, :] += 1.0
-    if m.kind == "circle":
-        return _solve_cyclic(ab_step, values)
-    return scipy.linalg.solve_banded((l, u), ab_step, values)
+    b = _aligned_values(m, values)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    return _step_solver(m, dt)(b)

@@ -105,6 +105,18 @@ def ode_lower_envelope(p: float, delta: float, L: float, t) -> float | np.ndarra
     return out
 
 
+def _dt_cap(p: float, mag: float) -> float:
+    """The blow-up cap on the step at max |v| = mag.
+
+    The factor is C_DT, or 0.5/(p-1) where that is smaller (p > 51): a step
+    of factor * mag^(1-p) uses the fraction factor * (p-1) of the remaining
+    life mag^(1-p)/(p-1), which must stay below 1 for every p.
+    """
+    if mag > _TINY:
+        return min(C_DT, 0.5 / (p - 1.0)) * mag ** (1.0 - p)
+    return math.inf
+
+
 def reaction_flow(values, p: float, dt: float):
     """Advance v' = |v|^p exactly by dt, elementwise.
 
@@ -112,33 +124,41 @@ def reaction_flow(values, p: float, dt: float):
     with the opposite sign in the bracket.  Entries below 1e-100 in magnitude
     are left unchanged (their change is O(|v|^p dt), far below roundoff of
     anything else).  Raises if dt crosses an entry's blow-up time; callers cap
-    dt at C_DT * max|v|^(1-p), which keeps the bracket positive.
+    dt by _dt_cap, which keeps the bracket positive.
     """
-    v = np.asarray(values, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v).copy()
+    v = np.atleast_1d(np.asarray(values, dtype=float))
     a = (p - 1.0) * dt
-    pos = v > _TINY
-    neg = v < -_TINY
-    if np.any(pos):
-        bracket = v[pos] ** (1.0 - p) - a
-        if np.any(bracket <= 0):
-            raise FloatingPointError("reaction step crossed a blow-up time")
-        v[pos] = bracket ** (-1.0 / (p - 1.0))
-    if np.any(neg):
-        bracket = (-v[neg]) ** (1.0 - p) + a
-        if np.any(bracket <= 0):
-            raise FloatingPointError("reaction step crossed a blow-down time")
-        v[neg] = -(bracket ** (-1.0 / (p - 1.0)))
-    if scalar:
-        return float(v[0])
-    return v
+    if v.size and v.min() > _TINY:
+        # all positive: the whole array at once, no masks and no copy (NaN
+        # and sign-mixed fields take the masked path)
+        out = _positive_flow(v, p, a)
+    else:
+        out = v.copy()
+        pos = v > _TINY
+        neg = v < -_TINY
+        if np.any(pos):
+            out[pos] = _positive_flow(v[pos], p, a)
+        if np.any(neg):
+            bracket = (-v[neg]) ** (1.0 - p) + a
+            if np.any(bracket <= 0):
+                raise FloatingPointError("reaction step crossed a blow-down time")
+            out[neg] = -(bracket ** (-1.0 / (p - 1.0)))
+    if np.ndim(values) == 0:
+        return float(out[0])
+    return out
+
+
+def _positive_flow(v, p, a):
+    bracket = v ** (1.0 - p) - a
+    if np.any(bracket <= 0):
+        raise FloatingPointError("reaction step crossed a blow-up time")
+    return bracket ** (-1.0 / (p - 1.0))
 
 
 def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> ScalarTrajectory:
     """Adaptive integration of v' = |v|^p over t_span = (t0, t1).
 
-    Steps with the exact flow under dt = min(dt_max, C_DT |v|^(1-p)), so the
+    Steps with the exact flow under dt = min(dt_max, _dt_cap(p, |v|)), so the
     result matches the closed form to roundoff on non-blow-up spans.  Forward
     runs stop early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap
     on dt falls below the resolution of t, and record the (then essentially
@@ -164,7 +184,7 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
     singular = False
     while (t1 - t) * sign > 1e-14 * max(1.0, abs(t1)):
         mag = abs(v)
-        cap = C_DT * mag ** (1.0 - p) if mag > _TINY else math.inf
+        cap = _dt_cap(p, mag)
         dt = min(dt_max, cap, (t1 - t) * sign)
         if t + sign * dt == t:  # the blow-up cap is below the resolution of t
             singular = True

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -222,6 +223,46 @@ def test_export_trajectory(tmp_path):
     sidecar = json.loads(side_path.read_text())
     assert sidecar["manifold"]["kind"] == "circle"
     assert sidecar["meta"]["tag"] == "demo"
+
+
+def test_export_trajectory_writes_the_csv_writer_bytes(tmp_path):
+    # extreme values, signed zero and times whose repr is long
+    m = circle(16)
+    snaps = np.linspace(-3.0, 3.0, 3 * 16).reshape(3, 16) / 7.0
+    snaps[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
+    traj = trajectory_from_samples(m, [-12.0, 0.1 + 0.2, 1e-300 + 1.0], snaps)
+    export_trajectory(traj, tmp_path / "run.csv")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "node_index", "u"])
+        for t, snap in zip(traj.times, traj.snapshots):
+            for idx, val in enumerate(snap):
+                writer.writerow([repr(float(t)), idx, repr(float(val))])
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_radial_step_lets_a_nonnegative_tent_dip():
+    # the fourth-order radial I - dt * L is not an M-matrix: a tent that is
+    # not smooth at the grid scale goes slightly negative on 200 nodes, and
+    # stays nonnegative on 400 (a discretization artefact, not a finding)
+    controls = EvolveControls(dt_max=1e-3)
+    dips = []
+    for count in (200, 400):
+        m = build_manifold("euclidean_radial", 3, 20.0, count)
+        traj = evolve(m, np.maximum(0.0, 1.0 - m.nodes / 2.0), 0.0, 0.5, 3.0, controls)
+        dips.append(float(traj.step_min.min()))
+    assert -1.2e-5 < dips[0] < -1.0e-5
+    assert dips[1] >= 0.0
+
+
+@pytest.mark.parametrize("p", [101.0, 150.0])
+def test_high_p_blowup_aborts_at_time_resolution(p):
+    # a capped step of C_DT |u|^(1-p) would cross the blow-up time of the
+    # reaction from p = 101 on; the step factor 0.5/(p-1) stops the run at
+    # the resolution of t instead
+    m = circle(32)
+    with pytest.raises(SolverAbort, match="no longer advances t"):
+        evolve(m, 1.0 + 0.1 * np.cos(m.nodes), 0.0, 10.0, p)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])

@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiheat
 from semiheat import (
@@ -228,3 +231,77 @@ def test_misaligned_field_rejected():
         gradient_norm(m, np.ones((3, 65)))
     with pytest.raises(ValueError):
         gradient_norm(m, np.ones((2, 3, 64)))
+
+
+# ------------------------------------------------ the factored step solve
+
+
+def reference_solve(m, values, dt):
+    """The plain solve the factored step must reproduce bit for bit: a fresh
+    solve_banded per call, the circle through the Sherman-Morrison form with
+    both right-hand sides in one tridiagonal solve."""
+    l, u, ab = m._ops["band"]
+    ab = -dt * ab
+    ab[u, :] += 1.0
+    if m.kind != "circle":
+        return scipy.linalg.solve_banded((l, u), ab, values)
+    c_lr, c_ul = ab[0, 0], ab[2, -1]
+    gamma = -ab[1, 0]
+    ab[1, 0] -= gamma
+    ab[1, -1] -= c_ul * c_lr / gamma
+    rhs = np.zeros((values.size, 2))
+    rhs[:, 0] = values
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = c_lr
+    y, z = scipy.linalg.solve_banded((1, 1), ab, rhs).T
+    vy = y[0] + c_ul * y[-1] / gamma
+    vz = z[0] + c_ul * z[-1] / gamma
+    return y - z * (vy / (1.0 + vz))
+
+
+_KIND_SPECS = {"sphere_zonal": (3, 2.0), "circle": (1, 5.0), "euclidean_radial": (3, 20.0)}
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_KIND_SPECS)),
+    count=st.integers(16, 400),
+    log_dts=st.tuples(st.floats(-8.0, 1.0), st.floats(-8.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_solve_matches_plain_banded_solve(kind, count, log_dts, seed):
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, count)
+    rng = np.random.default_rng(seed)
+    dt_a, dt_b = (10.0**x for x in log_dts)
+    # A, B, A: a factor kept for the wrong dt would show on the third solve
+    for dt in (dt_a, dt_a, dt_b, dt_a):
+        u = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-2, 2)
+        assert np.array_equal(implicit_diffusion_solve(m, u, dt), reference_solve(m, u, dt))
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_SPECS))
+def test_step_solve_refuses_non_finite_input(kind):
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, 64)
+    for bad in (np.nan, np.inf, -np.inf):
+        u = np.ones(64)
+        u[7] = bad
+        with pytest.raises(ValueError):
+            implicit_diffusion_solve(m, u, 1e-3)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        implicit_diffusion_solve(m, np.ones(64), 1e308)  # -dt * L overflows
+    with pytest.raises(ValueError):
+        implicit_diffusion_solve(m, np.ones(64), np.nan)
+    # a refused dt leaves the manifold solving as before
+    u = np.cos(m.nodes)
+    assert np.array_equal(implicit_diffusion_solve(m, u, 1e-3), reference_solve(m, u, 1e-3))
+
+
+def test_step_solve_keeps_one_factor():
+    m = build_manifold("euclidean_radial", 3, 20.0, 200)
+    u = np.exp(-m.nodes)
+    for dt in np.geomspace(1e-6, 1e-1, 100):
+        implicit_diffusion_solve(m, u, float(dt))
+    assert [key for key in m._ops if key != "band"] == ["step"]
+    assert m._ops["step"][0] == 1e-1

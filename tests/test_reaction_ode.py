@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiheat import (
     blowup_time_from_min,
@@ -97,6 +99,67 @@ def test_reaction_flow_signals_blowup_inside_step():
         reaction_flow(np.array([10.0]), 2.0, 1.0)  # blow-up time 0.1 < dt
 
 
+def masked_reaction_flow(values, p, dt):
+    """Reference flow: each sign branch on its own masked entries."""
+    v = np.atleast_1d(np.asarray(values, dtype=float)).copy()
+    a = (p - 1.0) * dt
+    pos = v > 1e-100
+    neg = v < -1e-100
+    if np.any(pos):
+        bracket = v[pos] ** (1.0 - p) - a
+        if np.any(bracket <= 0):
+            raise FloatingPointError("reaction step crossed a blow-up time")
+        v[pos] = bracket ** (-1.0 / (p - 1.0))
+    if np.any(neg):
+        bracket = (-v[neg]) ** (1.0 - p) + a
+        if np.any(bracket <= 0):
+            raise FloatingPointError("reaction step crossed a blow-down time")
+        v[neg] = -(bracket ** (-1.0 / (p - 1.0)))
+    return v
+
+
+def _flow_or_error(flow, values, p, dt):
+    try:
+        return flow(values, p, dt)
+    except FloatingPointError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    count=st.integers(1, 300),
+    p=st.floats(1.05, 12.0),
+    log_dt=st.floats(-8.0, 0.0),
+    shape=st.sampled_from(["positive", "mixed", "negative", "tiny", "nan"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reaction_flow_matches_masked_reference(count, p, log_dt, shape, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.01, 3.0, count) * 10.0 ** rng.uniform(-2, 2)
+    if shape == "mixed":
+        v *= rng.choice([-1.0, 1.0], count)
+    elif shape == "negative":
+        v = -v
+    elif shape == "tiny":
+        v[rng.integers(count)] = 1e-101
+    elif shape == "nan":
+        v[rng.integers(count)] = np.nan
+    before = v.copy()
+    got = _flow_or_error(reaction_flow, v, p, 10.0**log_dt)
+    want = _flow_or_error(masked_reaction_flow, v, p, 10.0**log_dt)
+    assert np.array_equal(v, before, equal_nan=True)  # the input is never written
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_reaction_flow_keeps_scalars_scalar():
+    assert reaction_flow(0.5, 2.0, 0.1) == masked_reaction_flow(0.5, 2.0, 0.1)[0]
+    assert isinstance(reaction_flow(0.5, 2.0, 0.1), float)
+    assert reaction_flow(np.empty(0), 2.0, 0.1).size == 0
+
+
 def test_integrate_forward_positive():
     traj = integrate_scalar_ode(2.0, 1.0, (0.0, 0.9))
     assert traj.values[-1] == pytest.approx(10.0, abs=1e-6)
@@ -121,10 +184,11 @@ def test_integrate_records_blowup_time():
     assert traj.blowup_time > traj.times[-1]
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 60.0])
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.0, 60.0, 101.0, 150.0, 1000.0])
 def test_integrate_records_blowup_below_time_resolution(p):
     # the step cap falls below ulp(t) before |v| reaches the threshold; at
-    # p = 60 the remaining life is below ulp(t) as well
+    # p = 60 the remaining life is below ulp(t) as well.  From p = 101 on a
+    # step of C_DT |v|^(1-p) would use up the whole remaining life
     traj = integrate_scalar_ode(p, 1.0, (0.0, 10.0))
     assert traj.blowup_time == pytest.approx(blowup_time_from_min(p, 1.0), abs=1e-3)
     assert traj.blowup_time > traj.times[-1]
