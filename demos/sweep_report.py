@@ -2,11 +2,14 @@
 
 Builds a config dict in code (the same schema the CLI reads from JSON),
 sweeps two scenarios over three exponents, and prints the per-entry checker
-verdicts.  The JSON report and tidy per-checker CSVs land in --out-dir; the
-same files are produced by
+verdicts.  Everything lands in --out-dir: the JSON report, which keeps each
+check's fitted constant and verdict plus the name and row count of its entry
+CSV; the entry CSVs, which hold the per-snapshot rows; and the tidy positivity
+CSV that ``emit_plot_data`` assembles from those entry CSVs.  The same files
+are produced by
 
     semiheat run config.json --out-dir out/
-    semiheat plotdata out/report_<hash>.json positivity
+    semiheat plotdata out/report_<hash>.json positivity --out-dir out/
 
     python3 demos/sweep_report.py --out-dir /tmp/sweep
 """

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .experiment import (
     ConfigError,
     RunReport,
-    config_hash,
     emit_plot_data,
     load_config,
     run_experiment,
@@ -74,13 +74,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config)
-    print(f"config ok, hash {config_hash(config.raw)}")
+    print(f"config ok, hash {config.config_hash}")
     return 0
 
 
 def _cmd_plotdata(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = RunReport.from_json_dict(json.load(fh))
+    report.directory = os.path.dirname(args.report) or "."  # its entry CSVs sit beside it
     paths = emit_plot_data(report, args.checker, out_dir=args.out_dir)
     for path in paths:
         print(path)

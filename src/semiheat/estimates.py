@@ -108,6 +108,9 @@ class EstimateReport:
             raise ValueError("pass flag must equal c_fit <= c_cap")
 
     def to_json_dict(self) -> dict:
+        """The check's scalars, JSON-ready; the per-snapshot arrays are
+        written through ``csv_rows``."""
+
         def clean(x):
             if isinstance(x, np.ndarray):
                 return x.tolist()
@@ -125,15 +128,10 @@ class EstimateReport:
 
         return {
             "inequality_id": self.inequality_id,
-            "times": self.times.tolist(),
-            "lhs": self.lhs.tolist(),
-            "rhs": self.rhs.tolist(),
-            "ratio": self.ratio.tolist(),
             "c_fit": clean(float(self.c_fit)),
             "c_cap": clean(float(self.c_cap)),
             "passed": bool(self.passed),
             "diagnostics": clean(self.diagnostics),
-            "extras": clean(self.extras),
         }
 
     def csv_rows(self):

@@ -26,7 +26,8 @@ Initial-data recipes: "constant" (value), "trivial_plus_mode" (T_blow,
 t_start, eps, mode; a closed kind of at most 4096 nodes, mode below the
 resolution, t_start before T_blow), "talenti" (radial static profile,
 n >= 3), "random_uniform" (low, high; drawn from the config seed), "custom"
-(path to a one-value-per-line file matching the resolution).
+(path to a file of whitespace-separated values, one per node; validation
+reads it, and the run uses the values read then).
 
 ``validate_config`` parses the config once and returns what the sweep runs:
 the built manifold, each scenario as a record (recipe build, parsed values,
@@ -42,9 +43,17 @@ len(p_values)).  Entries run one after another in that order, on the one
 manifold that validation built; a failing scenario is recorded and never
 disturbs the others.  The report is written even when checks fail: failures
 are the interesting output.  Everything in the report except the "timing"
-block is a pure function of the config, and the config hash is the sha256 of
-the canonicalized (key-sorted, compact) JSON text.  A key the schema above
-does not name, at any level, is a config error.
+block is a pure function of the config.  The config hash is the sha256 of
+the canonicalized (key-sorted, compact) JSON text followed by the sha256 of
+each custom file's bytes, so a config without one hashes its text alone.  A
+key the schema above does not name, at any level, is a config error.
+
+Each check writes its per-snapshot rows (t, lhs, structural rhs, ratio) once,
+to the entry CSV ``<entry>_<checker>.csv`` beside the report.  The report
+keeps only the check's scalars (inequality_id, c_fit, c_cap, passed,
+diagnostics, status) plus ``csv``, that file's name, and ``rows``, its number
+of data rows.  ``emit_plot_data`` copies those rows behind each entry's
+scenario and p, from the directory the report was written to or read from.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -57,6 +66,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -91,6 +101,9 @@ from .reaction_ode import trivial_ancient
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
+# first line of every entry CSV; the rows follow, one per snapshot
+_ENTRY_CSV_HEADER = "t,lhs,structural_rhs,ratio\n"
+
 # largest manifold.resolution a config may ask for (the largest grid used by
 # the tests, demos and benchmark is 2000 nodes)
 MAX_RESOLUTION = 2**16
@@ -106,7 +119,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    manifold: dict
     p_values: tuple
     scenarios: tuple  # _Scenario records
     checkers: tuple  # (checker id, keyword arguments of its check_* function)
@@ -114,6 +126,7 @@ class ExperimentConfig:
     seed: int
     raw: dict
     built_manifold: DiscreteManifold  # built once, by validate_config
+    config_hash: str  # of raw and the bytes of every custom file
 
 
 @dataclass
@@ -122,6 +135,8 @@ class RunReport:
     entries: list
     regimes: dict
     timing: dict = field(default_factory=dict)
+    # where the report and its entry CSVs live; not serialized
+    directory: str = "."
 
     @property
     def all_passed(self) -> bool:
@@ -152,9 +167,14 @@ class RunReport:
         )
 
 
-def config_hash(raw: dict) -> str:
+def config_hash(raw: dict, contents=()) -> str:
+    """sha256 of the canonical JSON text, then of each file's sha256 in
+    ``contents`` (none: the hash of the text alone)."""
     text = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    h = hashlib.sha256(text.encode("utf-8"))
+    for data in contents:
+        h.update(hashlib.sha256(data).digest())
+    return h.hexdigest()
 
 
 def _require(d: dict, key: str, path: str):
@@ -218,13 +238,15 @@ def _talenti(v, m, p, seed, entry_index):
     return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
 
 
-def _custom(v, m, p, seed, entry_index):
-    values = np.loadtxt(v["path"], dtype=float).ravel()
-    if values.size != m.node_count:
-        raise ValueError(
-            f"custom initial data has {values.size} values, manifold has {m.node_count} nodes"
-        )
-    return values
+def _read_custom(path: str, node_count: int):
+    """The file's bytes (hashed with the config) and its read-only values."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = np.loadtxt(io.BytesIO(data), dtype=float).ravel()
+    if values.size != node_count:
+        raise ValueError(f"custom initial data has {values.size} values, manifold has {node_count} nodes")
+    values.setflags(write=False)
+    return data, values
 
 
 # initial-data recipes: the fields (name -> type check; every field is
@@ -238,7 +260,8 @@ _RECIPES = {
         _numbers("low", "high"),
         lambda v, m, p, seed, i: np.random.default_rng([seed, i]).uniform(v["low"], v["high"], m.node_count),
     ),
-    "custom": _Recipe({"path": _string}, _custom),
+    # validation reads the file into values["data"]
+    "custom": _Recipe({"path": _string}, lambda v, *_: v["data"]),
 }
 
 
@@ -356,6 +379,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(scenarios, list):
         raise ConfigError("scenarios", "must be a list")
     parsed_scenarios = []
+    custom_contents = []
     seen_names = set()
     for i, sc in enumerate(scenarios):
         path = f"scenarios[{i}]"
@@ -397,6 +421,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"{path}.initial.mode", f"mode index out of range for {resolution} nodes")
             if values["t_start"] >= values["T_blow"]:
                 raise ConfigError(f"{path}.initial.t_start", "must precede T_blow")
+        if recipe == "custom":
+            try:
+                data, values["data"] = _read_custom(values["path"], built.node_count)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{path}.initial.path", str(exc)) from None
+            custom_contents.append(data)
         window = _require(sc, "window", path)
         if not isinstance(window, dict):
             raise ConfigError(f"{path}.window", "must be an object")
@@ -441,15 +471,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("out_dir", "must be a string")
     seed = _nonneg_int(raw.get("seed", 0), "seed")
 
+    raw = copy.deepcopy(raw)  # the caller may change its dict afterwards
     return ExperimentConfig(
-        manifold={"kind": kind, "n": n, "size": size, "resolution": resolution},
         p_values=p_values,
         scenarios=tuple(parsed_scenarios),
         checkers=tuple(bound_checkers),
         out_dir=out_dir,
         seed=seed,
-        raw=copy.deepcopy(raw),  # the caller may change its dict afterwards
+        raw=raw,
         built_manifold=built,
+        config_hash=config_hash(raw, custom_contents),
     )
 
 
@@ -469,7 +500,7 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
     try:
         u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
         traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
-    except (SolverAbort, ValueError, FloatingPointError, OSError) as exc:
+    except (SolverAbort, ValueError, FloatingPointError) as exc:
         entry["status"] = "error"
         entry["error"] = str(exc)
         entry["wall_seconds"] = time.perf_counter() - started
@@ -490,15 +521,13 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
         except (ValueError, FloatingPointError) as exc:
             entry["checks"][cid] = {"status": "error", "error": str(exc)}
             continue
-        d = rep.to_json_dict()
-        d.pop("extras", None)
-        d["status"] = "checked"
-        entry["checks"][cid] = d
-        csv_path = os.path.join(out_dir, f"{name}_{cid}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("t,lhs,structural_rhs,ratio\n")
-            for row in rep.csv_rows():
-                fh.write(",".join(row) + "\n")
+        # the per-snapshot rows go to the entry CSV only
+        lines = [",".join(row) + "\n" for row in rep.csv_rows()]
+        csv_name = f"{name}_{cid}.csv"
+        with open(os.path.join(out_dir, csv_name), "w", encoding="utf-8") as fh:
+            fh.write(_ENTRY_CSV_HEADER)
+            fh.writelines(lines)
+        entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": csv_name, "rows": len(lines)}
     entry["wall_seconds"] = time.perf_counter() - started
     return entry
 
@@ -520,7 +549,7 @@ def run_experiment(
     ``jobs`` is accepted and ignored, so callers that pass it keep working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
-    digest = config_hash(config.raw)
+    digest = config.config_hash
 
     started = time.perf_counter()
     m = config.built_manifold
@@ -532,7 +561,7 @@ def run_experiment(
         if verbose:
             print(f"  [{e['status']}] {e['name']}", flush=True)
 
-    n = config.manifold["n"]
+    n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}
     wall = time.perf_counter() - started
     report = RunReport(
@@ -543,6 +572,7 @@ def run_experiment(
             "wall_seconds": wall,
             "per_entry": {e["name"]: e.pop("wall_seconds", None) for e in entries},
         },
+        directory=target,
     )
     report_path = os.path.join(target, f"report_{digest[:12]}.json")
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -554,24 +584,32 @@ def run_experiment(
 
 def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[str]:
     """Write one tidy CSV for checker ``which``: scenario, p, t, lhs,
-    structural rhs, ratio per snapshot row.  Emitting twice is
+    structural rhs, ratio per snapshot row.  The rows are the entry CSVs in
+    ``report.directory``, copied line by line behind the scenario and p, so
+    no value is parsed or formatted again.  Emitting twice is
     byte-identical."""
     present = {cid for entry in report.entries for cid in entry.get("checks", {})}
     if which not in _CHECKERS:
         raise ValueError(f"unknown checker id {which!r}")
     if report.entries and present and which not in present:
         raise ValueError(f"checker {which!r} not present in the report")
+    chunks = []  # every entry CSV is read before the output is opened
+    for entry in report.entries:
+        rep = entry.get("checks", {}).get(which)
+        if rep is None or rep.get("status") != "checked":
+            continue
+        if "csv" not in rep:
+            raise ValueError(f"{entry['name']}: the {which} check names no entry CSV")
+        csv_path = os.path.join(report.directory, rep["csv"])
+        with open(csv_path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+        if lines[:1] != [_ENTRY_CSV_HEADER] or len(lines) - 1 != rep["rows"]:
+            raise ValueError(f"{csv_path}: expected the header and {rep['rows']} rows")
+        prefix = f"{entry['scenario']},{repr(float(entry['p']))},"
+        chunks.extend(prefix + line for line in lines[1:])
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"plot_{which}_{report.config_hash[:12]}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("scenario,p,t,lhs,structural_rhs,ratio\n")
-        for entry in report.entries:
-            rep = entry.get("checks", {}).get(which)
-            if rep is None or rep.get("status") != "checked":
-                continue
-            for t, a, b, r in zip(rep["times"], rep["lhs"], rep["rhs"], rep["ratio"]):
-                fh.write(
-                    f"{entry['scenario']},{repr(float(entry['p']))},"
-                    f"{repr(float(t))},{repr(float(a))},{repr(float(b))},{repr(float(r))}\n"
-                )
+        fh.writelines(chunks)
     return [path]

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from semiheat import (
     ConfigError,
+    EstimateReport,
     RunReport,
     build_manifold,
     config_hash,
@@ -45,7 +47,8 @@ def base_raw():
 
 def test_validate_config_accepts_base():
     cfg = validate_config(base_raw())
-    assert cfg.manifold["kind"] == "flat_torus_1d"
+    assert cfg.raw["manifold"]["kind"] == "flat_torus_1d"
+    assert cfg.built_manifold.kind == "circle"
     assert cfg.p_values == (2.0,)
     assert cfg.seed == 0
 
@@ -254,11 +257,52 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base_raw()))
     cfg = load_config(str(path))
-    assert cfg.manifold["resolution"] == 64
+    assert cfg.built_manifold.node_count == 64
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+def custom_raw(path):
+    raw = base_raw()
+    raw["scenarios"][0]["initial"] = {"type": "custom", "path": str(path)}
+    return raw
+
+
+def test_custom_recipe_hashes_its_content(tmp_path):
+    # a config without a custom file hashes its JSON text alone, as it always has
+    assert validate_config(base_raw()).config_hash == config_hash(base_raw())
+    assert config_hash(base_raw()) == "0e8f765cfd5c14242c82f71b44632bc9ff6907589ee0991cc6d5fec97d73ac57"
+    path = tmp_path / "u0.txt"
+    path.write_text("\n".join(["0.5"] * 64) + "\n")
+    first = validate_config(custom_raw(path))
+    assert first.config_hash != config_hash(custom_raw(path))
+    assert validate_config(custom_raw(path)).config_hash == first.config_hash
+    path.write_text("\n".join(["0.25"] * 64) + "\n")
+    second = validate_config(custom_raw(path))
+    assert second.config_hash != first.config_hash
+    # the run uses the values that were hashed, whatever the file holds now
+    path.write_text("\n".join(["9.0"] * 64) + "\n")
+    report = run_experiment(first, out_dir=str(tmp_path / "out"))
+    assert report.config_hash == first.config_hash
+    assert report.entries[0]["status"] == "ok"
+    assert report.entries[0]["trajectory"]["max_abs_value"] < 1.0
+    assert os.path.basename(report.timing["report_path"]) == f"report_{first.config_hash[:12]}.json"
+
+
+def test_custom_recipe_refuses_missing_and_mis_sized_files(tmp_path, capsys):
+    short = tmp_path / "short.txt"
+    short.write_text("0.5\n" * 63)
+    for path, message in ((tmp_path / "missing.txt", "No such file"), (short, "63 values, manifold has 64 nodes")):
+        with pytest.raises(ConfigError, match=message) as err:
+            validate_config(custom_raw(path))
+        assert err.value.field_path == "scenarios[0].initial.path"
+        cfg_path = write_cfg(tmp_path, custom_raw(path))
+        assert cli_main(["check", cfg_path]) == 2
+        assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: scenarios[0].initial.path: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
@@ -308,21 +352,21 @@ def test_run_experiment_empty_sweep(tmp_path):
 
 def test_run_experiment_isolates_scenario_errors(tmp_path):
     raw = base_raw()
+    raw["p_values"] = [3.0]
+    # constant 0.5 at p = 3 blows up at t = 2, where the step stops advancing t
     raw["scenarios"].append(
         {
             "name": "broken",
-            "initial": {"type": "custom", "path": str(tmp_path / "missing.txt")},
-            "window": {"t0": 0.0, "t1": 0.1},
+            "initial": {"type": "constant", "value": 0.5},
+            "window": {"t0": 0.0, "t1": 5.0},
         }
     )
-    cfg = validate_config(raw)
-    with pytest.raises(OSError):
-        # loaders surface missing files; the runner must still isolate them
-        open(tmp_path / "missing.txt")
+    cfg = validate_config(raw)  # passes validation: the failure comes at run time
     report = run_experiment(cfg, out_dir=str(tmp_path))
     by_name = {e["name"]: e for e in report.entries}
-    assert by_name["warm__p2"]["status"] == "ok"
-    assert by_name["broken__p2"]["status"] == "error"
+    assert by_name["warm__p3"]["status"] == "ok"
+    assert by_name["broken__p3"]["status"] == "error"
+    assert "no longer advances t" in by_name["broken__p3"]["error"]
     assert not report.all_passed
     assert os.path.exists(report.timing["report_path"])
 
@@ -427,7 +471,8 @@ def test_emit_plot_data(tmp_path):
     assert len(paths) == 1
     lines = open(paths[0]).read().splitlines()
     assert lines[0] == "scenario,p,t,lhs,structural_rhs,ratio"
-    expected_rows = len(report.entries[0]["checks"]["positivity"]["times"])
+    expected_rows = report.entries[0]["checks"]["positivity"]["rows"]
+    assert expected_rows > 0
     assert len(lines) == 1 + expected_rows
     first_bytes = open(paths[0], "rb").read()
     emit_plot_data(report, "positivity", out_dir=str(tmp_path))
@@ -445,6 +490,135 @@ def test_emit_plot_data_header_only_for_empty_report(tmp_path):
     paths = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
     lines = open(paths[0]).read().splitlines()
     assert lines == ["scenario,p,t,lhs,structural_rhs,ratio"]
+
+
+def reference_plot_bytes(report, which, reports):
+    """The plot CSV as it was formatted from the per-snapshot arrays of each
+    checked entry; ``reports`` holds the EstimateReports of checker
+    ``which`` in run order."""
+    reports = iter(reports)
+    out = io.StringIO()
+    out.write("scenario,p,t,lhs,structural_rhs,ratio\n")
+    for entry in report.entries:
+        rep = entry.get("checks", {}).get(which)
+        if rep is None or rep.get("status") != "checked":
+            continue
+        rep = next(reports)
+        for t, a, b, r in zip(rep.times.tolist(), rep.lhs.tolist(), rep.rhs.tolist(), rep.ratio.tolist()):
+            out.write(
+                f"{entry['scenario']},{repr(float(entry['p']))},"
+                f"{repr(float(t))},{repr(float(a))},{repr(float(b))},{repr(float(r))}\n"
+            )
+    return out.getvalue().encode("utf-8")
+
+
+def capture_reports(monkeypatch):
+    """Wrap every check_* function the runner calls; returns checker id ->
+    the EstimateReports it returned, in run order."""
+    captured = {cid: [] for cid in _CHECKERS}
+    for cid, spec in _CHECKERS.items():
+        original = getattr(experiment, spec.function)
+
+        def wrapped(*args, _original=original, _cid=cid, **kwargs):
+            rep = _original(*args, **kwargs)
+            captured[_cid].append(rep)
+            return rep
+
+        monkeypatch.setattr(experiment, spec.function, wrapped)
+    return captured
+
+
+def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
+    captured = capture_reports(monkeypatch)
+    raw = {
+        "manifold": {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 32},
+        "p_values": [1.5, 3.0],
+        "scenarios": [
+            {
+                "name": "ancient",
+                "initial": {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1},
+                "window": {"t0": -12.0, "t1": -1.0},
+            },
+            {"name": "warm", "initial": {"type": "constant", "value": 0.5}, "window": {"t0": 0.0, "t1": 5.0}},
+            {
+                "name": "random",
+                "initial": {"type": "random_uniform", "low": 0.1, "high": 0.6},
+                "window": {"t0": 0.0, "t1": 0.5},
+            },
+        ],
+        "checkers": [
+            {"id": "positivity"},
+            {"id": "gradient", "variant": "global", "D": 1e9, "T": 0.5},
+            {"id": "decay", "T_blow": 5.0},
+            {"id": "universal", "T0": -13.0, "T": 6.0},
+            {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0, "T": 0.01},
+            {"id": "triviality"},
+        ],
+    }
+    out = tmp_path / "out"
+    report = run_experiment(validate_config(raw), out_dir=str(out))
+    on_disk = json.loads(open(report.timing["report_path"]).read())
+    assert on_disk["entries"] == report.entries
+    for entry in on_disk["entries"]:
+        for cid, rep in entry["checks"].items():
+            assert rep["status"] == "checked"
+            assert not {"times", "lhs", "rhs", "ratio", "extras"} & set(rep)
+            assert rep["csv"] == f"{entry['name']}_{cid}.csv"
+            lines = (out / rep["csv"]).read_bytes().decode("utf-8").splitlines()
+            assert lines[0] == "t,lhs,structural_rhs,ratio"
+            assert rep["rows"] == len(lines) - 1
+    for cid in _CHECKERS:
+        assert sum(rep.times.size for rep in captured[cid]) > 0, cid
+        (path,) = emit_plot_data(report, cid, out_dir=str(tmp_path / "plots"))
+        assert open(path, "rb").read() == reference_plot_bytes(report, cid, captured[cid]), cid
+        # a report read back from disk finds its entry CSVs through its directory
+        loaded = RunReport.from_json_dict(on_disk)
+        loaded.directory = str(out)
+        (again,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / "again"))
+        assert open(again, "rb").read() == open(path, "rb").read()
+
+
+def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch):
+    made = EstimateReport(
+        "positivity_min_ode",
+        times=np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e308]),
+        lhs=np.array([0.0, -1e-300, np.inf, -np.inf, 2.5]),
+        rhs=np.array([1.0, np.nan, 0.0, -0.0, 1e-17]),
+        ratio=np.array([np.inf, np.nan, -0.0, 0.0, -np.inf]),
+        c_fit=0.5,
+        c_cap=1.0,
+        passed=True,
+    )
+    monkeypatch.setattr(experiment, "check_positivity_min_ode", lambda traj, p: made)
+    raw = base_raw()
+    raw["p_values"] = [2.0, 1.5]
+    report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
+    assert [e["checks"]["positivity"]["rows"] for e in report.entries] == [5, 5]
+    (path,) = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    got = open(path, "rb").read()
+    assert got == reference_plot_bytes(report, "positivity", [made, made])
+    assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
+
+
+def test_cli_plotdata_missing_entry_csv(tmp_path):
+    cfg_path = write_cfg(tmp_path, base_raw())
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out-dir", str(out)]) == 0
+    (report_name,) = [f for f in os.listdir(out) if f.startswith("report_")]
+    os.remove(out / "warm__p2_positivity.csv")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiheat.cli", "plotdata", str(out / report_name), "positivity", "--out-dir", str(tmp_path / "plots")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "warm__p2_positivity.csv" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "plots").exists()
 
 
 def test_report_json_round_trip(tmp_path):
