@@ -3,8 +3,8 @@
 Builds a config dict in code (the same schema the CLI reads from JSON),
 sweeps two scenarios over three exponents, and prints the per-entry checker
 verdicts.  Everything lands in --out-dir: the JSON report, which keeps each
-check's fitted constant and verdict plus the name and row count of its entry
-CSV; the entry CSVs, which hold the per-snapshot rows; and the tidy positivity
+check's fitted constant and verdict plus the name, row count and sha256 of its
+entry CSV; the entry CSVs, which hold the per-snapshot rows; and the tidy positivity
 CSV that ``emit_plot_data`` assembles from those entry CSVs.  The same files
 are produced by
 

@@ -51,9 +51,12 @@ key the schema above does not name, at any level, is a config error.
 Each check writes its per-snapshot rows (t, lhs, structural rhs, ratio) once,
 to the entry CSV ``<entry>_<checker>.csv`` beside the report.  The report
 keeps only the check's scalars (inequality_id, c_fit, c_cap, passed,
-diagnostics, status) plus ``csv``, that file's name, and ``rows``, its number
-of data rows.  ``emit_plot_data`` copies those rows behind each entry's
-scenario and p, from the directory the report was written to or read from.
+diagnostics, status) plus ``csv``, that file's name, ``rows``, its number of
+data rows, and ``sha256``, the digest of its bytes.  ``emit_plot_data`` copies
+those rows behind each entry's scenario and p, from the directory the report
+was written to or read from, and refuses an entry CSV whose digest differs:
+entry CSV names carry no config hash, so a later run into the same directory
+may have written over it.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -521,13 +524,21 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
         except (ValueError, FloatingPointError) as exc:
             entry["checks"][cid] = {"status": "error", "error": str(exc)}
             continue
-        # the per-snapshot rows go to the entry CSV only
+        # the per-snapshot rows go to the entry CSV only; its sha256 ties it
+        # to this report, since a later run into the same directory may
+        # overwrite a CSV of the same name
         lines = [",".join(row) + "\n" for row in rep.csv_rows()]
+        data = (_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8")
         csv_name = f"{name}_{cid}.csv"
-        with open(os.path.join(out_dir, csv_name), "w", encoding="utf-8") as fh:
-            fh.write(_ENTRY_CSV_HEADER)
-            fh.writelines(lines)
-        entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": csv_name, "rows": len(lines)}
+        with open(os.path.join(out_dir, csv_name), "wb") as fh:
+            fh.write(data)
+        entry["checks"][cid] = {
+            **rep.to_json_dict(),
+            "status": "checked",
+            "csv": csv_name,
+            "rows": len(lines),
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
     entry["wall_seconds"] = time.perf_counter() - started
     return entry
 
@@ -586,8 +597,10 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[st
     """Write one tidy CSV for checker ``which``: scenario, p, t, lhs,
     structural rhs, ratio per snapshot row.  The rows are the entry CSVs in
     ``report.directory``, copied line by line behind the scenario and p, so
-    no value is parsed or formatted again.  Emitting twice is
-    byte-identical."""
+    no value is parsed or formatted again.  An entry CSV whose sha256 is not
+    the one the report recorded (another run into the same directory wrote
+    over it), or a ``csv`` that is not a bare file name, is a ValueError.
+    Emitting twice is byte-identical."""
     present = {cid for entry in report.entries for cid in entry.get("checks", {})}
     if which not in _CHECKERS:
         raise ValueError(f"unknown checker id {which!r}")
@@ -598,11 +611,15 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[st
         rep = entry.get("checks", {}).get(which)
         if rep is None or rep.get("status") != "checked":
             continue
-        if "csv" not in rep:
-            raise ValueError(f"{entry['name']}: the {which} check names no entry CSV")
-        csv_path = os.path.join(report.directory, rep["csv"])
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        name = rep.get("csv")
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ValueError(f"{entry['name']}: the {which} check names no entry CSV file beside the report")
+        csv_path = os.path.join(report.directory, name)
+        with open(csv_path, "rb") as fh:
+            data = fh.read()
+        if hashlib.sha256(data).hexdigest() != rep.get("sha256"):
+            raise ValueError(f"{csv_path}: not the entry CSV this report wrote (its sha256 differs)")
+        lines = data.decode("utf-8").splitlines(keepends=True)
         if lines[:1] != [_ENTRY_CSV_HEADER] or len(lines) - 1 != rep["rows"]:
             raise ValueError(f"{csv_path}: expected the header and {rep['rows']} rows")
         prefix = f"{entry['scenario']},{repr(float(entry['p']))},"

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -567,6 +568,7 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
             lines = (out / rep["csv"]).read_bytes().decode("utf-8").splitlines()
             assert lines[0] == "t,lhs,structural_rhs,ratio"
             assert rep["rows"] == len(lines) - 1
+            assert rep["sha256"] == hashlib.sha256((out / rep["csv"]).read_bytes()).hexdigest()
     for cid in _CHECKERS:
         assert sum(rep.times.size for rep in captured[cid]) > 0, cid
         (path,) = emit_plot_data(report, cid, out_dir=str(tmp_path / "plots"))
@@ -619,6 +621,33 @@ def test_cli_plotdata_missing_entry_csv(tmp_path):
     assert proc.stderr.startswith("error: ") and "warm__p2_positivity.csv" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "plots").exists()
+
+
+def test_plotdata_refuses_an_entry_csv_a_later_run_overwrote(tmp_path):
+    first_raw = base_raw()
+    first_raw["checkers"] = [{"id": "decay", "T_blow": 1.0}]
+    second_raw = copy.deepcopy(first_raw)
+    second_raw["checkers"][0]["T_blow"] = 1.5  # same trajectory, other rhs and ratio
+    out = tmp_path / "out"
+    first = run_experiment(validate_config(first_raw), out_dir=str(out))
+    csv_first = (out / "warm__p2_decay.csv").read_bytes()
+    second = run_experiment(validate_config(second_raw), out_dir=str(out))
+    assert first.config_hash != second.config_hash
+    assert (out / "warm__p2_decay.csv").read_bytes() != csv_first
+    assert first.entries[0]["checks"]["decay"]["rows"] == second.entries[0]["checks"]["decay"]["rows"]
+    with pytest.raises(ValueError, match="sha256"):
+        emit_plot_data(first, "decay", out_dir=str(tmp_path / "plots"))
+    assert not (tmp_path / "plots").exists()
+    assert cli_main(["plotdata", first.timing["report_path"], "decay", "--out-dir", str(tmp_path / "plots")]) == 2
+    assert not (tmp_path / "plots").exists()
+    emit_plot_data(second, "decay", out_dir=str(tmp_path / "plots"))
+    # the csv field names a file beside the report and nothing else
+    (out / "elsewhere").mkdir()
+    (out / "elsewhere" / "warm__p2_decay.csv").write_bytes((out / "warm__p2_decay.csv").read_bytes())
+    for name in ["elsewhere/warm__p2_decay.csv", str(out / "warm__p2_decay.csv"), "..", ""]:
+        second.entries[0]["checks"]["decay"]["csv"] = name
+        with pytest.raises(ValueError, match="names no entry CSV file beside the report"):
+            emit_plot_data(second, "decay", out_dir=str(tmp_path / "plots"))
 
 
 def test_report_json_round_trip(tmp_path):
