@@ -39,7 +39,7 @@ from .geometry import (
     laplace_beltrami,
     laplacian_spectrum,
 )
-from .reaction_ode import ode_lower_envelope, validate_exponent
+from .reaction_ode import _pow_or_inf, ode_lower_envelope, validate_exponent
 
 NONNEG_FLOOR = -1e-10  # nonnegative data may dip at most this far below zero
 U_FLOOR_FACTOR = 1e-12  # default u_floor = factor * D inside log(D/u)
@@ -426,10 +426,10 @@ def check_universal(
     num **= 2.0 / (p + 1.0)
     num += traj.snapshots
     lhs = num[np.arange(t.size), np.argmax(num, axis=1)]
-    # the time-only bracket stays a scalar expression per snapshot time
-    rhs = np.array(
-        [abs(tk - T0) ** (-1.0 / (p - 1.0)) + abs(T - tk) ** (-1.0 / (p - 1.0)) for tk in t]
-    )
+    # the time-only bracket stays a scalar expression per snapshot time, in
+    # Python floats: libm pow, which numpy's array power may differ from
+    power = -1.0 / (p - 1.0)
+    rhs = np.array([_pow_or_inf(abs(tk - T0), power) + _pow_or_inf(abs(T - tk), power) for tk in t.tolist()])
     ratio = lhs / rhs
     return _finalize(
         inequality_id="universal_spacetime_bound",
@@ -492,7 +492,7 @@ def check_lower_bound_lemma(
     cap_branch = -C_delta_cap / (params.A * params.r0) ** (2.0 / (p - 1.0))
     t0 = float(t[0])
     u_min = np.min(traj.snapshots, axis=1, where=inner, initial=np.inf)
-    envelope = np.array([ode_lower_envelope(p, params.delta, params.L, tk - t0) for tk in t])
+    envelope = ode_lower_envelope(p, params.delta, params.L, t - t0)
     bound = np.minimum(envelope, cap_branch) - tol
     margin = u_min - bound
     worst = int(np.argmin(margin))

@@ -366,7 +366,7 @@ def _step_solver(m: DiscreteManifold, dt: float):
         gamma = -ab_step[1, 0]
         ab_step[1, 0] -= gamma
         ab_step[1, -1] -= c_ul * c_lr / gamma
-    if not np.all(np.isfinite(ab_step)):
+    if not np.isfinite(ab_step).all():
         raise ValueError(f"I - dt * Laplacian is not finite at dt = {dt!r}")
 
     if l == u == 1:
@@ -414,6 +414,6 @@ def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float)
     ValueError, a singular matrix a LinAlgError.
     """
     b = _aligned_values(m, values)
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
     return _step_solver(m, dt)(b)

@@ -88,7 +88,12 @@ def ode_lower_envelope(p: float, delta: float, L: float, t) -> float | np.ndarra
     -((1-delta)(p-1) t + L^(1-p))^(1/(1-p)), for t >= 0.
 
     Increasing in t, decreasing in delta (the slack factor 1-delta shrinks
-    the bracket); never crosses zero.
+    the bracket); never crosses zero.  The inputs are checked once; an
+    array t is then evaluated element by element in Python floats, so every
+    power is the libm pow of a scalar call (numpy's array power may differ
+    from it in the last bit).  Where that pow overflows, or the bracket is
+    zero (L^(1-p) underflowed, at t = 0), the value is -inf, as numpy's
+    power would give.
     """
     p = validate_exponent(p)
     if not 0.0 < delta < 1.0:
@@ -96,13 +101,24 @@ def ode_lower_envelope(p: float, delta: float, L: float, t) -> float | np.ndarra
     if L <= 0:
         raise ValueError("L must be positive")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if (t_arr < 0).any():
         raise ValueError("envelope is defined for t >= 0")
-    bracket = (1.0 - delta) * (p - 1.0) * t_arr + L ** (1.0 - p)
-    out = -(bracket ** (-1.0 / (p - 1.0)))
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(out)
-    return out
+    slope = (1.0 - delta) * (p - 1.0)
+    start = L ** (1.0 - p)
+    power = -1.0 / (p - 1.0)
+    out = [_pow_or_inf(slope * tk + start, power) for tk in t_arr.ravel().tolist()]
+    if t_arr.ndim == 0:
+        return -float(out[0])
+    return -np.array(out).reshape(t_arr.shape)
+
+
+def _pow_or_inf(x: float, y: float) -> float:
+    """x ** y for x >= 0 in Python floats, with numpy's answer (inf) where
+    the result overflows or x = 0 meets y < 0."""
+    try:
+        return x**y
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _dt_cap(p: float, mag: float) -> float:
@@ -110,11 +126,18 @@ def _dt_cap(p: float, mag: float) -> float:
 
     The factor is C_DT, or 0.5/(p-1) where that is smaller (p > 51): a step
     of factor * mag^(1-p) uses the fraction factor * (p-1) of the remaining
-    life mag^(1-p)/(p-1), which must stay below 1 for every p.
+    life mag^(1-p)/(p-1), which must stay below 1 for every p.  A cap that
+    overflows is no cap (inf): reaction_flow leaves such a field unchanged.
     """
     if mag > _TINY:
-        return min(C_DT, 0.5 / (p - 1.0)) * mag ** (1.0 - p)
+        return min(C_DT, 0.5 / (p - 1.0)) * _pow_or_inf(mag, 1.0 - p)
     return math.inf
+
+
+# below exp(_LOG_POW_SAFE / (1 - p)) in magnitude, |v|^(1-p) may overflow:
+# e^709 is short of DBL_MAX = e^709.78 by far more than pow's error.  The
+# bound passes _TINY only for p > 4.08.
+_LOG_POW_SAFE = 709.0
 
 
 def reaction_flow(values, p: float, dt: float):
@@ -123,36 +146,52 @@ def reaction_flow(values, p: float, dt: float):
     Positive entries: (v^(1-p) - (p-1) dt)^(-1/(p-1)); negative entries mirror
     with the opposite sign in the bracket.  Entries below 1e-100 in magnitude
     are left unchanged (their change is O(|v|^p dt), far below roundoff of
-    anything else).  Raises if dt crosses an entry's blow-up time; callers cap
-    dt by _dt_cap, which keeps the bracket positive.
+    anything else), and so are entries whose |v|^(1-p) overflows: the exact
+    flow moves them by less than their last bit, where the overflowed
+    bracket would flush them to zero.  Raises if dt crosses an entry's
+    blow-up time; callers cap dt by _dt_cap, which keeps the bracket
+    positive.  The input is never written and never returned.
     """
-    v = np.atleast_1d(np.asarray(values, dtype=float))
-    a = (p - 1.0) * dt
-    if v.size and v.min() > _TINY:
-        # all positive: the whole array at once, no masks and no copy (NaN
-        # and sign-mixed fields take the masked path)
-        out = _positive_flow(v, p, a)
-    else:
-        out = v.copy()
-        pos = v > _TINY
-        neg = v < -_TINY
-        if np.any(pos):
-            out[pos] = _positive_flow(v[pos], p, a)
-        if np.any(neg):
-            bracket = (-v[neg]) ** (1.0 - p) + a
-            if np.any(bracket <= 0):
-                raise FloatingPointError("reaction step crossed a blow-down time")
-            out[neg] = -(bracket ** (-1.0 / (p - 1.0)))
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
+        return _flow(values, p, (p - 1.0) * dt)
+    out = _flow(np.atleast_1d(np.asarray(values, dtype=float)), p, (p - 1.0) * dt)
     if np.ndim(values) == 0:
         return float(out[0])
     return out
 
 
-def _positive_flow(v, p, a):
-    bracket = v ** (1.0 - p) - a
-    if np.any(bracket <= 0):
-        raise FloatingPointError("reaction step crossed a blow-up time")
-    return bracket ** (-1.0 / (p - 1.0))
+def _flow(v, p, a):
+    floor = math.exp(_LOG_POW_SAFE / (1.0 - p))
+    if v.size and v.min() > max(_TINY, floor):
+        # all positive and no overflow: the whole array at once, no masks
+        # (NaN, sign-mixed and tiny fields take the masked path)
+        return _positive_flow(v, p, a)
+    out = v.copy()
+    for side, crossed in ((1.0, "blow-up"), (-1.0, "blow-down")):
+        mask = v > _TINY if side > 0 else v < -_TINY
+        if mask.any():
+            w = v[mask] if side > 0 else -v[mask]
+            flowed = _positive_flow(w, p, side * a, crossed, may_overflow=floor > _TINY)
+            out[mask] = flowed if side > 0 else -flowed
+    return out
+
+
+def _positive_flow(v, p, a, crossed="blow-up", may_overflow=False):
+    # (v^(1-p) - a)^(-1/(p-1)) for v > 0, in one new array; ** keeps
+    # numpy's scalar-power fast paths, which np.power(..., out=) would not
+    if may_overflow:
+        with np.errstate(over="ignore"):
+            bracket = v ** (1.0 - p)
+        flat = np.isinf(bracket)
+    else:
+        bracket = v ** (1.0 - p)
+    bracket -= a
+    if (bracket <= 0).any():
+        raise FloatingPointError(f"reaction step crossed a {crossed} time")
+    bracket **= -1.0 / (p - 1.0)
+    if may_overflow:
+        bracket[flat] = v[flat]
+    return bracket
 
 
 def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> ScalarTrajectory:

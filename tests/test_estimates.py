@@ -20,6 +20,7 @@ from semiheat import (
     gradient_norm,
     laplacian_spectrum,
     lemma_admissibility_min,
+    ode_lower_envelope,
     scheme_tolerance,
     talenti_residual,
     trajectory_from_samples,
@@ -347,6 +348,18 @@ def test_universal_block_matches_snapshot_loop(sphere, torus):
         assert report.diagnostics["max_time"] == float(traj.times[int(np.argmax(ratio))])
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 2.7])
+def test_universal_rhs_is_the_scalar_loop(sphere, p):
+    # bit for bit against numpy-scalar pow per snapshot time, on enough
+    # times that numpy's array power would differ in the last bit somewhere
+    times = np.sort(np.random.default_rng(1).uniform(-1.9, -0.1, 1500))
+    traj = constant_trajectory(sphere, times, np.full(times.size, 0.5))
+    report = check_universal(traj, -2.0, 0.0, p)
+    want = [abs(tk - -2.0) ** (-1.0 / (p - 1.0)) + abs(0.0 - tk) ** (-1.0 / (p - 1.0)) for tk in traj.times]
+    assert isinstance(traj.times[0], np.float64)
+    assert np.array_equal(report.rhs, np.asarray(want))
+
+
 # ---------------------------------------------------------------- lower bound
 
 
@@ -465,3 +478,26 @@ def test_report_determinism(sphere):
     a = check_decay(traj, 0.0, 2.0).to_json_dict()
     b = check_decay(traj, 0.0, 2.0).to_json_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 2.7])
+def test_lower_bound_rhs_is_the_scalar_loop(torus, p):
+    times = np.sort(np.random.default_rng(2).uniform(0.0, 3.0, 1500))
+    times[0] = 0.0
+    traj = constant_trajectory(torus, times, np.full(times.size, -0.5))
+    params = EstimateParams(delta=0.5, L=1.0, A=8.0, r0=1.0, T=3.0, K=0.0)
+    cap = 1e-3
+    report = check_lower_bound_lemma(traj, params, cap, p)
+    tol = scheme_tolerance(traj, p)
+    cap_branch = -cap / (params.A * params.r0) ** (2.0 / (p - 1.0))
+    t0 = float(traj.times[0])
+    # one scalar call per snapshot time, as the checker made them before
+    envelope = [ode_lower_envelope(p, params.delta, params.L, tk - t0) for tk in traj.times]
+    assert np.array_equal(report.rhs, np.minimum(envelope, cap_branch) - tol)
+    # and the same numbers from numpy-scalar arithmetic per time
+    numpy_scalar = [
+        -(((1.0 - params.delta) * (p - 1.0) * (tk - t0) + params.L ** (1.0 - p)) ** (-1.0 / (p - 1.0)))
+        for tk in traj.times
+    ]
+    assert np.array_equal(envelope, numpy_scalar)
+    assert np.all(np.asarray(envelope) < cap_branch)  # the envelope branch is the one compared

@@ -1,8 +1,12 @@
 import csv
+import importlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiheat import (
     EvolveControls,
@@ -16,6 +20,12 @@ from semiheat import (
     trajectory_from_samples,
     trivial_ancient,
 )
+from semiheat.evolve import BlowupInfo, Trajectory
+from semiheat.geometry import _aligned_values, implicit_diffusion_solve
+from semiheat.reaction_ode import _dt_cap, reaction_flow
+
+# the package re-exports the function ``evolve`` under the submodule's name
+evolve_module = importlib.import_module("semiheat.evolve")
 
 
 def circle(count=64, length=2 * np.pi):
@@ -286,3 +296,175 @@ def test_dt_max_below_time_resolution_raises_at_once():
 
 def test_solver_abort_is_runtime_error():
     assert issubclass(SolverAbort, RuntimeError)
+
+
+def reference_evolve(m, u0, t0, t1, p, controls):
+    """The step loop as it was before the bookkeeping was trimmed: max |u|
+    from np.abs, finiteness from np.isfinite over u, a copy per snapshot."""
+    u = _aligned_values(m, u0).copy()
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial data must be finite")
+    times, snaps = [float(t0)], [u.copy()]
+    step_times, step_dt, step_max, step_min = [], [], [], []
+    blowup = None
+    negative_data = bool(u.min() < 0)
+    t, step_index = float(t0), 0
+    tiny_horizon = 1e-14 * max(1.0, abs(t1))
+    while t1 - t > tiny_horizon:
+        mag = float(np.max(np.abs(u)))
+        cap = _dt_cap(p, mag) if controls.reaction_on else np.inf
+        dt = min(controls.dt_max, cap, t1 - t)
+        if t + dt == t:
+            raise SolverAbort(f"step dt = {dt:g} no longer advances t = {t!r} (max |u| = {mag:g})")
+        if controls.reaction_on:
+            u = reaction_flow(u, p, 0.5 * dt)
+        u = implicit_diffusion_solve(m, u, dt)
+        if controls.reaction_on:
+            u = reaction_flow(u, p, 0.5 * dt)
+        t += dt
+        step_index += 1
+        if not np.all(np.isfinite(u)):
+            raise SolverAbort(f"non-finite values at t = {t}")
+        umax, umin = float(u.max()), float(u.min())
+        step_times.append(t)
+        step_dt.append(dt)
+        step_max.append(umax)
+        step_min.append(umin)
+        crossed = umax > controls.blow_threshold
+        if step_index % controls.snapshot_every == 0 or t1 - t <= tiny_horizon or crossed:
+            times.append(t)
+            snaps.append(u.copy())
+        if crossed:
+            blowup = BlowupInfo(detected_time=t, method="threshold")
+            break
+    return Trajectory(
+        manifold=m,
+        times=np.asarray(times),
+        snapshots=np.asarray(snaps),
+        step_times=np.asarray(step_times),
+        step_dt=np.asarray(step_dt),
+        step_max=np.asarray(step_max),
+        step_min=np.asarray(step_min),
+        blowup=blowup,
+        negative_data=negative_data,
+    )
+
+
+def _run_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (SolverAbort, FloatingPointError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_MANIFOLDS = {
+    "sphere_zonal": build_manifold("sphere_zonal", 2, 1.0, 24),
+    "euclidean_radial": build_manifold("euclidean_radial", 3, 4.0, 24),
+    "circle": build_manifold("circle", 1, 6.3, 24),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_MANIFOLDS)),
+    shape=st.sampled_from(["positive", "mixed", "negative", "zero"]),
+    amplitude=st.floats(0.1, 4.0),
+    p=st.sampled_from([1.5, 2.0, 2.7, 3.0, 5.0]),
+    t1=st.floats(0.05, 1.5),
+    reaction_on=st.booleans(),
+    snapshot_every=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_the_reference_loop(kind, shape, amplitude, p, t1, reaction_on, snapshot_every, seed):
+    m = _MANIFOLDS[kind]
+    rng = np.random.default_rng(seed)
+    u0 = amplitude * rng.uniform(0.2, 1.0, m.node_count)
+    if shape == "mixed":
+        u0 *= rng.choice([-1.0, 1.0], m.node_count)
+    elif shape == "negative":
+        u0 = -u0
+    elif shape == "zero":
+        u0 = np.zeros(m.node_count)
+    controls = EvolveControls(dt_max=0.02, reaction_on=reaction_on, snapshot_every=snapshot_every)
+    before = u0.copy()
+    got = _run_or_error(evolve, m, u0, 0.0, t1, p, controls)
+    want = _run_or_error(reference_evolve, m, u0, 0.0, t1, p, controls)
+    assert np.array_equal(u0, before)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("times", "snapshots", "step_times", "step_dt", "step_max", "step_min"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.blowup == want.blowup
+    assert got.negative_data is want.negative_data
+
+
+def test_reference_property_reaches_blowup_and_abort():
+    # the property above covers runs that end at the threshold and runs that
+    # stop at the resolution of t, not only runs that reach t1
+    m = _MANIFOLDS["sphere_zonal"]
+    u0 = 4.0 * np.linspace(0.2, 1.0, m.node_count)
+    controls = EvolveControls(dt_max=0.02)
+    for p, t1 in ((2.0, 1.5), (3.0, 1.5)):
+        got = _run_or_error(evolve, m, u0, 0.0, t1, p, controls)
+        want = _run_or_error(reference_evolve, m, u0, 0.0, t1, p, controls)
+        if p == 2.0:
+            assert got.blowup is not None and got.blowup == want.blowup
+            assert np.array_equal(got.snapshots, want.snapshots)
+        else:
+            assert got.startswith("SolverAbort: step dt") and got == want
+
+
+@pytest.mark.parametrize(
+    "bad, reaction_on",
+    # with the reaction off the solve's output is the step's result; NaN also
+    # passes through the reaction flow unchanged
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True)],
+)
+def test_non_finite_solve_output_aborts(monkeypatch, bad, reaction_on):
+    m = circle(16)
+    solve = evolve_module.implicit_diffusion_solve
+    calls = []
+
+    def poisoned(mm, values, dt):
+        calls.append(dt)
+        out = solve(mm, values, dt)
+        if len(calls) == 3:
+            out[5] = bad
+        return out
+
+    monkeypatch.setattr(evolve_module, "implicit_diffusion_solve", poisoned)
+    controls = EvolveControls(dt_max=0.01, reaction_on=reaction_on)
+    # max u stays below 1, so the blow-up cap never binds and every dt is 0.01
+    at = re.escape(f"non-finite values at t = {0.01 + 0.01 + 0.01}")
+    with pytest.raises(SolverAbort, match=f"^{at}$"):
+        evolve(m, 0.5 + 0.05 * np.cos(m.nodes), 0.0, 1.0, 2.0, controls)
+    assert len(calls) == 3
+
+
+def test_evolve_calls_the_step_functions_through_its_module_globals(monkeypatch):
+    # the benchmark tracer counts per-step calls by replacing these names
+    counts = {"reaction_flow": 0, "implicit_diffusion_solve": 0}
+    for name in counts:
+        original = getattr(evolve_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(evolve_module, name, counted)
+    m = circle(16)
+    traj = evolve(m, 0.5 + 0.05 * np.cos(m.nodes), 0.0, 0.5, 2.0, EvolveControls(dt_max=0.01))
+    assert traj.step_times.size == 50
+    assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 50}
+    traj = evolve(m, np.cos(m.nodes), 0.0, 0.5, 2.0, EvolveControls(dt_max=0.01, reaction_on=False))
+    assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 100}
+
+
+def test_snapshots_share_no_memory():
+    m = circle(16)
+    u0 = 0.5 + 0.05 * np.cos(m.nodes)
+    traj = evolve(m, u0, 0.0, 0.1, 2.0, EvolveControls(dt_max=0.01))
+    assert not np.shares_memory(traj.snapshots, u0)
+    assert np.array_equal(traj.snapshots[0], u0)
+    assert traj.snapshots.shape == (11, 16)

@@ -685,6 +685,26 @@ def test_cli_run_failure_exit_code(tmp_path):
     assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path)]) == 1
 
 
+def test_cli_runs_tiny_data_at_large_p(tmp_path, capsys):
+    # 1e-50^(1-10) overflows a Python float: the step cap and the reaction
+    # flow must treat it as no cap and no motion, not raise or flush to zero
+    raw = base_raw()
+    raw["manifold"] = {"kind": "circle", "n": 1, "size": 6.3, "resolution": 32}
+    raw["p_values"] = [10.0]
+    raw["scenarios"][0]["initial"] = {"type": "constant", "value": 1e-50}
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli_main(["check", cfg_path]) == 0
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out-dir", str(out)]) in (0, 1)
+    (report_name,) = [f for f in os.listdir(out) if f.startswith("report_")]
+    (entry,) = json.loads((out / report_name).read_text())["entries"]
+    assert entry["status"] == "ok"
+    assert entry["trajectory"]["final_time"] == pytest.approx(0.2, abs=1e-12)
+    # only the diffusion solve's roundoff moves the constant
+    assert entry["trajectory"]["max_abs_value"] == pytest.approx(1e-50, rel=1e-14)
+    assert entry["checks"]["positivity"]["status"] == "checked"
+
+
 def test_cli_jobs_flag_is_ignored(tmp_path):
     raw = base_raw()
     raw["p_values"] = [1.5, 2.0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from semiheat import (
     trivial_ancient,
     validate_exponent,
 )
-from semiheat.reaction_ode import BLOW_THRESHOLD
+from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap
 
 
 def closed_form(p, v0, t):
@@ -82,6 +83,64 @@ def test_ode_lower_envelope_monotonicity():
         env = ode_lower_envelope(2.0, delta, 1.0, ts[1:])
         exact = -1.0 / (1.0 + ts[1:])
         assert np.all(env <= exact)
+
+
+def old_envelope(p, delta, L, t):
+    """The envelope as one scalar call computed it before: numpy-scalar
+    arithmetic on a 0-d t."""
+    bracket = (1.0 - delta) * (p - 1.0) * np.asarray(t, dtype=float) + L ** (1.0 - p)
+    return float(-(bracket ** (-1.0 / (p - 1.0))))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    p=st.floats(1.05, 12.0),
+    delta=st.floats(0.01, 0.99),
+    L=st.floats(0.01, 100.0),
+    count=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ode_lower_envelope_array_is_its_scalar_calls(p, delta, L, count, seed):
+    t = np.sort(np.random.default_rng(seed).uniform(0.0, 10.0, count))
+    got = ode_lower_envelope(p, delta, L, t)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    # bit for bit, with libm pow per element (numpy's array power can differ
+    # in the last bit)
+    assert np.array_equal(got, [ode_lower_envelope(p, delta, L, tk) for tk in t])
+    assert np.array_equal(got, [old_envelope(p, delta, L, tk) for tk in t])
+    assert np.array_equal(ode_lower_envelope(p, delta, L, t.reshape(1, -1)), got.reshape(1, -1))
+
+
+def test_ode_lower_envelope_scalar_types():
+    for t in (0.5, np.float64(0.5), np.array(0.5), 1):
+        got = ode_lower_envelope(2.7, 0.3, 1.5, t)
+        assert type(got) is float
+        assert got == old_envelope(2.7, 0.3, 1.5, t)
+
+
+def test_ode_lower_envelope_refusals():
+    for t in (1.0, np.array([0.0, 1.0])):
+        for delta in (0.0, 1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="delta must lie strictly between 0 and 1"):
+                ode_lower_envelope(2.0, delta, 1.0, t)
+        for L in (0.0, -1.0):
+            with pytest.raises(ValueError, match="L must be positive"):
+                ode_lower_envelope(2.0, 0.5, L, t)
+        with pytest.raises(ValueError, match="exponent p must exceed 1"):
+            ode_lower_envelope(1.0, 0.5, 1.0, t)
+    for t in (-1e-300, np.array([0.0, 1.0, -2.0])):
+        with pytest.raises(ValueError, match="envelope is defined for t >= 0"):
+            ode_lower_envelope(2.0, 0.5, 1.0, t)
+
+
+def test_ode_lower_envelope_overflow_is_minus_inf():
+    # L^(1-p) underflows to zero at L = 1e200, p = 3: at t = 0 the bracket
+    # is zero and the value -inf, as numpy's power gives
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ode_lower_envelope(3.0, 0.5, 1e200, np.array([0.0, 1.0]))
+    assert got[0] == -math.inf
+    assert got[1] == old_envelope(3.0, 0.5, 1e200, 1.0)
 
 
 def test_reaction_flow_matches_closed_form():
@@ -217,3 +276,92 @@ def test_scalar_trajectory_invariants():
     assert np.all(np.diff(traj.times) > 0)
     assert np.all(np.isfinite(traj.values))
     assert math.isfinite(traj.values[-1])
+
+
+def test_tiny_data_at_large_p_stays_put():
+    # 1e-50^(1-10) = 1e450 overflows; the exact flow moves 1e-50 by a
+    # relative 1e-450, so the entries stay exactly where they are
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(reaction_flow(np.full(4, 1e-50), 10.0, 1e-3), np.full(4, 1e-50))
+        assert reaction_flow(1e-50, 10.0, 1e-3) == 1e-50
+        assert reaction_flow(-1e-50, 10.0, -1e-3) == -1e-50
+        mixed = np.array([1e-50, -1e-50, 0.5, -0.5, 0.0, 1e-101])
+        got = reaction_flow(mixed, 10.0, 1e-3)
+        assert np.array_equal(got[[0, 1, 4, 5]], mixed[[0, 1, 4, 5]])
+        assert np.array_equal(got[[2, 3]], masked_reaction_flow(mixed[[2, 3]], 10.0, 1e-3))
+        assert _dt_cap(10.0, 1e-50) == math.inf
+        for v0, span in ((1e-50, (0.0, 1.0)), (-1e-50, (0.0, 1.0)), (1e-50, (0.0, -1.0))):
+            traj = integrate_scalar_ode(10.0, v0, span)
+            assert np.all(traj.values == v0)
+            assert traj.times[0] == min(span) and traj.times[-1] == max(span)
+            assert traj.blowup_time is None
+
+
+def overflow_rule_reference(values, p, dt):
+    """The masked reference, except that entries whose |v|^(1-p) overflows
+    keep their value."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        want = masked_reaction_flow(v, p, dt)
+        flat = np.isinf(np.abs(v) ** (1.0 - p)) & (np.abs(v) > 1e-100)
+    want[flat] = v[flat]
+    return want
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(
+    count=st.integers(1, 200),
+    p=st.floats(4.5, 200.0),
+    log_dt=st.floats(-8.0, 0.0),
+    signed=st.booleans(),
+    ordinary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reaction_flow_overflow_rule(count, p, log_dt, signed, ordinary, seed):
+    # magnitudes e^(-k/(p-1)): |v|^(1-p) = e^k overflows for k > 709.78;
+    # k is kept clear of that edge, and from the 709 bound where the
+    # whole-array path hands over to the masked one
+    rng = np.random.default_rng(seed)
+    k = np.where(rng.random(count) < 0.5, rng.uniform(600.0, 708.9, count), rng.uniform(710.0, 800.0, count))
+    v = np.exp(-k / (p - 1.0))
+    if ordinary:
+        v = np.where(rng.random(count) < 0.5, v, rng.uniform(0.5, 1.0, count))
+    if signed:
+        v *= rng.choice([-1.0, 1.0], count)
+    before = v.copy()
+    dt = 10.0**log_dt * 1e-3 / p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _flow_or_error(reaction_flow, v, p, dt)
+    want = _flow_or_error(overflow_rule_reference, v, p, dt)
+    assert np.array_equal(v, before)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.linspace(0.5, 2.0, 16),  # all positive: the whole-array path
+        np.linspace(-2.0, 2.0, 16),  # sign-mixed: the masked path
+        np.array([1e-50, 2e-50, 0.5]),  # an overflowing entry
+        np.array([1e-101, 0.5]),
+        np.array([np.nan, 0.5]),
+        np.full(3, 1e-101),
+        np.empty(0),
+        np.linspace(0.5, 2.0, 16).reshape(4, 4),
+        np.linspace(0.5, 2.0, 16)[::2],
+        np.linspace(0.5, 2.0, 16).astype(np.float32),
+    ],
+)
+def test_reaction_flow_never_writes_or_returns_its_input(values):
+    before = values.copy()
+    for p in (2.0, 10.0):
+        out = reaction_flow(values, p, 1e-5)
+        assert out is not values
+        assert not np.shares_memory(out, values)
+        assert out.shape == values.shape and out.dtype == np.float64
+        assert np.array_equal(values, before, equal_nan=True)
