@@ -126,71 +126,71 @@ def _dt_cap(p: float, mag: float) -> float:
 
     The factor is C_DT, or 0.5/(p-1) where that is smaller (p > 51): a step
     of factor * mag^(1-p) uses the fraction factor * (p-1) of the remaining
-    life mag^(1-p)/(p-1), which must stay below 1 for every p.  A cap that
-    overflows is no cap (inf): reaction_flow leaves such a field unchanged.
+    life mag^(1-p)/(p-1), which must stay below 1 for every p.  A field at
+    or below _flat_floor(p), which reaction_flow leaves unchanged, has no
+    cap (inf).
     """
-    if mag > _TINY:
-        return min(C_DT, 0.5 / (p - 1.0)) * _pow_or_inf(mag, 1.0 - p)
+    if mag > _flat_floor(p):
+        return min(C_DT, 0.5 / (p - 1.0)) * mag ** (1.0 - p)
     return math.inf
 
 
-# below exp(_LOG_POW_SAFE / (1 - p)) in magnitude, |v|^(1-p) may overflow:
-# e^709 is short of DBL_MAX = e^709.78 by far more than pow's error.  The
-# bound passes _TINY only for p > 4.08.
+# |v|^(1-p) stays below e^709 above exp(_LOG_POW_SAFE / (1 - p)), short of
+# DBL_MAX = e^709.78 by far more than pow's error
 _LOG_POW_SAFE = 709.0
+
+
+def _flat_floor(p: float) -> float:
+    """The magnitude at or below which the flow leaves an entry unchanged:
+    1e-100, or exp(709/(1-p)) where that is larger (p > 4.08).  Below the
+    latter the exact flow moves v by a relative amount under
+    (p-1) dt e^-709, and |v|^(1-p) might overflow."""
+    return max(_TINY, math.exp(_LOG_POW_SAFE / (1.0 - p)))
 
 
 def reaction_flow(values, p: float, dt: float):
     """Advance v' = |v|^p exactly by dt, elementwise.
 
     Positive entries: (v^(1-p) - (p-1) dt)^(-1/(p-1)); negative entries mirror
-    with the opposite sign in the bracket.  Entries below 1e-100 in magnitude
-    are left unchanged (their change is O(|v|^p dt), far below roundoff of
-    anything else), and so are entries whose |v|^(1-p) overflows: the exact
-    flow moves them by less than their last bit, where the overflowed
-    bracket would flush them to zero.  Raises if dt crosses an entry's
-    blow-up time; callers cap dt by _dt_cap, which keeps the bracket
-    positive.  The input is never written and never returned.
+    with the opposite sign in the bracket.  Entries at or below
+    max(1e-100, exp(709/(1-p))) in magnitude are left unchanged: their change
+    is O(|v|^p dt), below their last bit, and for p > 4.08 the bound also
+    keeps |v|^(1-p) from overflowing, which would flush them to zero.
+    Raises if dt crosses an entry's blow-up time; callers cap dt by _dt_cap,
+    which keeps the bracket positive.  The input is never written and never
+    returned.
     """
-    if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
-        return _flow(values, p, (p - 1.0) * dt)
-    out = _flow(np.atleast_1d(np.asarray(values, dtype=float)), p, (p - 1.0) * dt)
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    a = (p - 1.0) * dt
+    tiny = _flat_floor(p)
+    if v.size and v.min() > tiny:
+        # all positive: the whole array at once, no masks and no copy (NaN
+        # and sign-mixed fields take the masked path)
+        out = _positive_flow(v, p, a)
+    else:
+        out = v.copy()
+        pos = v > tiny
+        neg = v < -tiny
+        if pos.any():
+            out[pos] = _positive_flow(v[pos], p, a)
+        if neg.any():
+            bracket = (-v[neg]) ** (1.0 - p) + a
+            if (bracket <= 0).any():
+                raise FloatingPointError("reaction step crossed a blow-down time")
+            out[neg] = -(bracket ** (-1.0 / (p - 1.0)))
     if np.ndim(values) == 0:
         return float(out[0])
     return out
 
 
-def _flow(v, p, a):
-    floor = math.exp(_LOG_POW_SAFE / (1.0 - p))
-    if v.size and v.min() > max(_TINY, floor):
-        # all positive and no overflow: the whole array at once, no masks
-        # (NaN, sign-mixed and tiny fields take the masked path)
-        return _positive_flow(v, p, a)
-    out = v.copy()
-    for side, crossed in ((1.0, "blow-up"), (-1.0, "blow-down")):
-        mask = v > _TINY if side > 0 else v < -_TINY
-        if mask.any():
-            w = v[mask] if side > 0 else -v[mask]
-            flowed = _positive_flow(w, p, side * a, crossed, may_overflow=floor > _TINY)
-            out[mask] = flowed if side > 0 else -flowed
-    return out
-
-
-def _positive_flow(v, p, a, crossed="blow-up", may_overflow=False):
-    # (v^(1-p) - a)^(-1/(p-1)) for v > 0, in one new array; ** keeps
-    # numpy's scalar-power fast paths, which np.power(..., out=) would not
-    if may_overflow:
-        with np.errstate(over="ignore"):
-            bracket = v ** (1.0 - p)
-        flat = np.isinf(bracket)
-    else:
-        bracket = v ** (1.0 - p)
+def _positive_flow(v, p, a):
+    # (v^(1-p) - a)^(-1/(p-1)) in one new array; ** keeps numpy's
+    # scalar-power fast paths, which np.power(..., out=) would not
+    bracket = v ** (1.0 - p)
     bracket -= a
     if (bracket <= 0).any():
-        raise FloatingPointError(f"reaction step crossed a {crossed} time")
+        raise FloatingPointError("reaction step crossed a blow-up time")
     bracket **= -1.0 / (p - 1.0)
-    if may_overflow:
-        bracket[flat] = v[flat]
     return bracket
 
 

@@ -461,10 +461,16 @@ def test_evolve_calls_the_step_functions_through_its_module_globals(monkeypatch)
     assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 100}
 
 
-def test_snapshots_share_no_memory():
-    m = circle(16)
-    u0 = 0.5 + 0.05 * np.cos(m.nodes)
-    traj = evolve(m, u0, 0.0, 0.1, 2.0, EvolveControls(dt_max=0.01))
-    assert not np.shares_memory(traj.snapshots, u0)
-    assert np.array_equal(traj.snapshots[0], u0)
-    assert traj.snapshots.shape == (11, 16)
+@pytest.mark.parametrize(
+    "kind, dim, size",
+    [("circle", 1, 2 * np.pi), ("sphere_zonal", 2, 1.0), ("euclidean_radial", 2, 10.0)],
+)
+def test_step_functions_return_fresh_arrays(kind, dim, size):
+    # evolve stores snapshots without copying: no step may hand back, or
+    # later write into, an array it was given
+    m = build_manifold(kind, dim, size, 32)
+    u = 0.5 + 0.05 * np.cos(np.linspace(0.0, 3.0, 32))
+    before = u.copy()
+    for out in (implicit_diffusion_solve(m, u, 1e-3), reaction_flow(u, 2.0, 1e-3)):
+        assert not np.shares_memory(out, u)
+    assert np.array_equal(u, before)

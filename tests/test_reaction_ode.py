@@ -320,8 +320,8 @@ def overflow_rule_reference(values, p, dt):
 )
 def test_reaction_flow_overflow_rule(count, p, log_dt, signed, ordinary, seed):
     # magnitudes e^(-k/(p-1)): |v|^(1-p) = e^k overflows for k > 709.78;
-    # k is kept clear of that edge, and from the 709 bound where the
-    # whole-array path hands over to the masked one
+    # reaction_flow leaves k >= 709 unchanged (the flow moves those entries
+    # by less than their last bit), so k is kept clear of that narrow band
     rng = np.random.default_rng(seed)
     k = np.where(rng.random(count) < 0.5, rng.uniform(600.0, 708.9, count), rng.uniform(710.0, 800.0, count))
     v = np.exp(-k / (p - 1.0))
