@@ -17,9 +17,8 @@ All derivatives are closed-form polynomial evaluations, never differences.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -50,8 +49,7 @@ class SmoothCutoff:
     """Sampled cutoff profile with closed-form derivative values.
 
     phi lives in [0,1], equals 1 on grid points <= 3/4, equals 0 from 1 on,
-    and is nonincreasing.  ``certified`` accumulates fitted constants keyed
-    by inequality name; it is the one mutable field.
+    and is nonincreasing.
     """
 
     grid: np.ndarray
@@ -60,7 +58,6 @@ class SmoothCutoff:
     d2phi: np.ndarray
     k: int
     q: int
-    certified: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(self.phi < -1e-12) or np.any(self.phi > 1.0 + 1e-12):
@@ -141,13 +138,6 @@ class CertificationResult:
     diverged: bool
     level_maxima: list
 
-    def to_json_dict(self):
-        return {
-            "constant": self.constant,
-            "diverged": self.diverged,
-            "level_maxima": list(self.level_maxima),
-        }
-
 
 # a certified constant may grow at most this factor per grid doubling
 _STABILITY_RATIO = 1.05
@@ -181,76 +171,7 @@ def verify_phi_inequality(c: SmoothCutoff, p: float, refinement_levels: int = 3)
     def ratio(phi, dphi, d2phi):
         return np.abs(2.0 * dphi**2 / phi - d2phi) / phi ** (1.0 / p)
 
-    result = _certify_ratio(c.k, c.q, ratio, c.grid.size, refinement_levels)
-    c.certified[f"reaction_power_ratio_p={p:g}"] = result.constant if not result.diverged else math.inf
-    return result
-
-
-@dataclass
-class SpaceTimeCutoff:
-    """Separable cutoff psi(r, t) = phi_space(r / R) * phi_time((T0 - t) / T).
-
-    Equals 1 for r <= 3R/4 and t within the last three quarters of the
-    window, vanishes for r >= R or t <= T0 - T.  ``certified`` maps each
-    requested derivative-ratio inequality to its CertificationResult; the
-    stored constants are for the normalized profiles, so the physical bounds
-    carry 1/R, 1/R^2, and 1/T factors respectively.
-    """
-
-    space: SmoothCutoff
-    time: SmoothCutoff
-    R: float
-    T: float
-    certified: dict = field(default_factory=dict)
-
-    def value(self, r, t, T0: float = 0.0):
-        ps, _, _ = self.space.at(np.asarray(r, dtype=float) / self.R)
-        pt, _, _ = self.time.at((T0 - np.asarray(t, dtype=float)) / self.T)
-        return ps * pt
-
-    def certification_json(self) -> str:
-        payload = {key: res.to_json_dict() for key, res in sorted(self.certified.items())}
-        return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def build_liyau_psi(
-    R: float,
-    T: float,
-    a_list,
-    k: int = 3,
-    q: int = 4,
-    grid_count: int = 1024,
-    refinement_levels: int = 3,
-) -> SpaceTimeCutoff:
-    """Build and certify the space-time cutoff used to localize gradient
-    bounds on a parabolic cylinder of radius R and depth T.
-
-    For each a in a_list (all in (0,1)) the profile ratios |phi'| / phi^a and
-    |phi''| / phi^a are certified by refinement stability, and the time
-    profile's |phi'| / phi^(1/2) bound is certified once.
-    """
-    if R <= 0 or T <= 0:
-        raise ValueError("R and T must be positive")
-    for a in a_list:
-        if not 0.0 < a < 1.0:
-            raise ValueError("every exponent a must lie strictly between 0 and 1")
-    space = build_phi(p=2.0, k=k, q=q, grid_count=grid_count)
-    time = build_phi(p=2.0, k=k, q=q, grid_count=grid_count)
-    stc = SpaceTimeCutoff(space=space, time=time, R=float(R), T=float(T))
-
-    for a in a_list:
-        first = _certify_ratio(
-            k, q, lambda phi, dphi, d2phi, a=a: np.abs(dphi) / phi**a, grid_count, refinement_levels
-        )
-        second = _certify_ratio(
-            k, q, lambda phi, dphi, d2phi, a=a: np.abs(d2phi) / phi**a, grid_count, refinement_levels
-        )
-        stc.certified[f"space_first_derivative_a={a:g}"] = first
-        stc.certified[f"space_second_derivative_a={a:g}"] = second
-    stc.certified["time_first_derivative_a=0.5"] = _certify_ratio(
-        k, q, lambda phi, dphi, d2phi: np.abs(dphi) / phi**0.5, grid_count, refinement_levels
-    )
-    return stc
+    return _certify_ratio(c.k, c.q, ratio, c.grid.size, refinement_levels)
 
 
 def export_cutoff_csv(c: SmoothCutoff, path):

@@ -15,7 +15,9 @@ scalar powers may round differently in the last bit.
 Discrete differential inequalities are tested against the scheme tolerance
 tol = c1 * dt + c2 * h^2 with c1 = c2 = 10 * (max |u|)^p over the window
 (first-order time error plus second-order space error, scaled by the
-reaction magnitude).
+reaction magnitude).  The positivity check floors it, per snapshot pair, at
+the roundoff of a difference quotient, ROUNDOFF_ULPS * eps * max|v| over the
+longest pair's dt.
 
 Balls B_rho(x0) are coordinate intervals around the pole (zonal), the origin
 (radial), or x = 0 with wraparound (circle): the only geodesic balls
@@ -25,6 +27,7 @@ the symmetric reductions can represent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +47,7 @@ from .reaction_ode import _pow_or_inf, ode_lower_envelope, validate_exponent
 NONNEG_FLOOR = -1e-10  # nonnegative data may dip at most this far below zero
 U_FLOOR_FACTOR = 1e-12  # default u_floor = factor * D inside log(D/u)
 TOL_COEFF = 10.0
+ROUNDOFF_ULPS = 8.0  # one solve moves a constant by up to about 1.6 eps |v| (32 nodes)
 
 
 class ExponentRegimeError(ValueError):
@@ -200,8 +204,10 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
     nonnegative data must stay above NONNEG_FLOOR.
 
     The per-pair violation is measured against the scheme tolerance with that
-    pair's own dt; C_fit is the worst violation-to-tolerance ratio (folding
-    in the negativity excess for nonnegative data), so C_cap = 1.
+    pair's own dt, or against the roundoff of a difference quotient over the
+    longest pair where that is larger (tiny data at large p, whose tolerance
+    underflows); C_fit is the worst violation-to-tolerance ratio (folding in
+    the negativity excess for nonnegative data), so C_cap = 1.
     """
     p = validate_exponent(p)
     if traj.times.size < 3:
@@ -209,7 +215,13 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
     v = traj.snapshot_min
     t = traj.times
     dts = np.diff(t)
-    tol = scheme_tolerance(traj, p, dts)
+    # a solve moves v by a few ulps; divided by the longest pair's dt that
+    # floors a tolerance that underflows (tiny data at large p).  Divided by
+    # each pair's own dt it would also bind at the short final step to the
+    # horizon (2e-13 on the benchmark's ancient runs) and move their c_fit
+    size = np.abs(v)
+    roundoff = np.maximum(size[:-1], size[1:]) * (ROUNDOFF_ULPS * sys.float_info.epsilon / float(dts.max()))
+    tol = np.maximum(scheme_tolerance(traj, p, dts), roundoff)
 
     rate = np.diff(v) / dts
     required = np.abs(v[:-1]) ** p
@@ -519,6 +531,11 @@ def check_lower_bound_lemma(
 # triviality mechanism
 
 
+def _check_osc_floor(osc_floor: float):
+    if osc_floor < 0:
+        raise ValueError("osc_floor must be nonnegative")
+
+
 def check_triviality(
     traj: Trajectory,
     m: DiscreteManifold,
@@ -537,9 +554,11 @@ def check_triviality(
     interval maximum (the most conservative linearization on the interval).
     C_cap = 1 + rate_tol; intervals whose oscillation starts at or below
     osc_floor pass outright.  Verdict "trivial-limit" iff every evaluated
-    interval passed.
+    interval passed.  A negative osc_floor is a ValueError: it would let
+    flat data divide 0 by 0.
     """
     p = validate_exponent(p)
+    _check_osc_floor(osc_floor)
     if m.kind not in CLOSED_KINDS:
         raise ValueError("triviality check requires a compact manifold")
     if m.ricci_lower <= 0:

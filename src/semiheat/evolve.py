@@ -6,8 +6,9 @@ the diffusion is one implicit Euler solve (a single banded or cyclic-banded
 system), then the reaction finishes the step with the second exact half
 flow.  Consequences used throughout the tests:
 
-* spatially constant data reduces exactly to the scalar ODE (the diffusion
-  solve preserves constants exactly, the reaction flow is exact);
+* spatially constant data follows the scalar ODE to roundoff (the
+  diffusion solve keeps a constant to a few ulps per solve, the reaction
+  flow is exact);
 * nonnegative data stays nonnegative on the closed kinds (the implicit
   matrix is an M-matrix there), but not on the radial kind: its
   fourth-order I - dt * L is not an M-matrix, and data that is not smooth

@@ -35,8 +35,7 @@ window, EvolveControls) and each checker as its id plus the keyword
 arguments of its check_* function (EstimateParams included), so values a
 checker or the controls refuse, and recipe preconditions that need no
 trajectory, are config errors.  The runner only executes these records and
-reads no raw config dict; ``ExperimentConfig.raw`` is a copy of the JSON,
-kept for the config hash.
+reads no raw config dict; validation also computes the config hash.
 
 The sweep runs every scenario at every p (cardinality = len(scenarios) *
 len(p_values)).  Entries run one after another in that order, on the one
@@ -67,7 +66,6 @@ one entry there; ``_RECIPES`` does the same for initial-data recipes.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import io
 import json
@@ -82,6 +80,7 @@ import numpy as np
 from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
+    _check_osc_floor,
     check_decay,
     check_gradient_estimate,
     check_lower_bound_lemma,
@@ -127,9 +126,8 @@ class ExperimentConfig:
     checkers: tuple  # (checker id, keyword arguments of its check_* function)
     out_dir: str | None
     seed: int
-    raw: dict
     built_manifold: DiscreteManifold  # built once, by validate_config
-    config_hash: str  # of raw and the bytes of every custom file
+    config_hash: str  # of the config JSON and the bytes of every custom file
 
 
 @dataclass
@@ -178,12 +176,6 @@ def config_hash(raw: dict, contents=()) -> str:
     for data in contents:
         h.update(hashlib.sha256(data).digest())
     return h.hexdigest()
-
-
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}", "missing required field")
-    return d[key]
 
 
 def _number(value, path: str) -> float:
@@ -286,6 +278,11 @@ def _with_params(*names):
     return bind
 
 
+def _triviality_args(values, m):
+    _check_osc_floor(values.get("osc_floor", 0.0))
+    return {"m": m, **values}
+
+
 # One entry per checker id: the config fields the checker reads (name -> type
 # check), the ones it requires, bind(values, m) -> its keyword arguments (only
 # the fields present, so defaults live in the check_* signatures; None: the
@@ -308,19 +305,36 @@ _CHECKERS = {
         _with_params("delta", "L", "A", "r0", "K", "T"),
         "check_lower_bound_lemma",
     ),
-    "triviality": _Checker(
-        _numbers("rate_tol", "osc_floor"), (), lambda values, m: {"m": m, **values}, "check_triviality"
-    ),
+    "triviality": _Checker(_numbers("rate_tol", "osc_floor"), (), _triviality_args, "check_triviality"),
 }
 
 # a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
 _Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
 
 
-def _check_fields(d: dict, spec: dict, path: str, what: str, required=()) -> dict:
-    """Refuse missing ``required`` fields and fields ``spec`` does not name,
-    then run each present field's type check (None: checked by the caller).
-    Returns the present fields' parsed values."""
+def _tagged(tag: str, table: dict, what: str) -> dict:
+    # first-pass spec of an object whose ``tag`` field names a ``table`` entry
+    # (a recipe, a checker): that name, plus any entry's fields, which the
+    # named entry's own spec then checks
+    def check(value, path: str) -> str:
+        if not isinstance(value, str) or value not in table:
+            raise ConfigError(path, f"unknown {what} {value!r}")
+        return value
+
+    return {tag: check, **dict.fromkeys(key for entry in table.values() for key in entry.fields)}
+
+
+_RECIPE_SPEC = _tagged("type", _RECIPES, "recipe")
+_CHECKER_SPEC = _tagged("id", _CHECKERS, "checker id")
+
+
+def _check_fields(d, spec: dict, path: str, what: str, required=()) -> dict:
+    """Refuse a ``d`` that is not an object, missing ``required`` fields and
+    fields ``spec`` does not name, then run each present field's type check
+    (None: checked by the caller).  Returns the present fields' parsed
+    values."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, "must be an object")
     for key in required:
         if key not in d:
             raise ConfigError(f"{path}.{key}", f"missing required field for {what}")
@@ -340,29 +354,25 @@ def validate_config(raw: dict) -> ExperimentConfig:
     Builds the sweep's manifold (a build failure is a ``manifold`` error)
     and each scenario's EvolveControls (a refused value is a ``controls``
     error)."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
     root_fields = ("manifold", "p_values", "scenarios", "checkers", "out_dir", "seed")
-    _check_fields(raw, dict.fromkeys(root_fields), "<root>", "config")
+    _check_fields(raw, dict.fromkeys(root_fields), "<root>", "config", ("manifold",))
 
-    man = _require(raw, "manifold", "<root>")
-    if not isinstance(man, dict):
-        raise ConfigError("manifold", "must be an object")
-    _check_fields(man, dict.fromkeys(("kind", "n", "size", "resolution")), "manifold", "manifold")
-    kind = _require(man, "kind", "manifold")
+    man_fields = ("kind", "n", "size", "resolution")
+    man = _check_fields(raw["manifold"], dict.fromkeys(man_fields), "manifold", "manifold", man_fields)
+    kind = man["kind"]
     try:
         canonical = _canonical_kind(kind)
     except ValueError as exc:
         raise ConfigError("manifold.kind", str(exc)) from None
-    n = _positive_int(_require(man, "n", "manifold"), "manifold.n")
+    n = _positive_int(man["n"], "manifold.n")
     try:
         _check_dimension(canonical, n)
     except ValueError as exc:
         raise ConfigError("manifold.n", str(exc)) from None
-    size = _number(_require(man, "size", "manifold"), "manifold.size")
+    size = _number(man["size"], "manifold.size")
     if not 0 < size < math.inf:  # an infinite size builds a grid of NaN nodes
         raise ConfigError("manifold.size", "must be positive and finite")
-    resolution = _positive_int(_require(man, "resolution", "manifold"), "manifold.resolution")
+    resolution = _positive_int(man["resolution"], "manifold.resolution")
     if not 16 <= resolution <= MAX_RESOLUTION:
         raise ConfigError("manifold.resolution", f"must be in [16, {MAX_RESOLUTION}]")
     try:  # the sweep's one build
@@ -386,10 +396,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     seen_names = set()
     for i, sc in enumerate(scenarios):
         path = f"scenarios[{i}]"
-        if not isinstance(sc, dict):
-            raise ConfigError(path, "must be an object")
-        _check_fields(sc, dict.fromkeys(("name", "initial", "window", "controls")), path, "scenario")
-        name = _require(sc, "name", path)
+        required = ("name", "initial", "window")
+        _check_fields(sc, dict.fromkeys((*required, "controls")), path, "scenario", required)
+        name = sc["name"]
         if not isinstance(name, str) or not name or not all(
             ch.isalnum() or ch in "_-" for ch in name
         ):
@@ -397,13 +406,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if name in seen_names:
             raise ConfigError(f"{path}.name", f"duplicate scenario name {name!r}")
         seen_names.add(name)
-        initial = _require(sc, "initial", path)
-        if not isinstance(initial, dict):
-            raise ConfigError(f"{path}.initial", "must be an object")
-        recipe = _require(initial, "type", f"{path}.initial")
-        if not isinstance(recipe, str) or recipe not in _RECIPES:
-            raise ConfigError(f"{path}.initial.type", f"unknown recipe {recipe!r}")
-        fields = {key: value for key, value in initial.items() if key != "type"}
+        fields = _check_fields(sc["initial"], _RECIPE_SPEC, f"{path}.initial", "initial data", ("type",))
+        recipe = fields.pop("type")
         spec = _RECIPES[recipe].fields
         values = _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
         if recipe == "talenti" and (canonical != "euclidean_radial" or n < 3):
@@ -430,17 +434,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{path}.initial.path", str(exc)) from None
             custom_contents.append(data)
-        window = _require(sc, "window", path)
-        if not isinstance(window, dict):
-            raise ConfigError(f"{path}.window", "must be an object")
-        window = _check_fields(window, _numbers("t0", "t1"), f"{path}.window", "window", ("t0", "t1"))
+        window = _check_fields(sc["window"], _numbers("t0", "t1"), f"{path}.window", "window", ("t0", "t1"))
         t0, t1 = window["t0"], window["t1"]
         if t1 <= t0:
             raise ConfigError(f"{path}.window.t1", "must exceed t0")
-        controls = sc.get("controls", {})
-        if not isinstance(controls, dict):
-            raise ConfigError(f"{path}.controls", "must be an object")
-        controls = _check_fields(controls, _CONTROLS, f"{path}.controls", "control")
+        controls = _check_fields(sc.get("controls", {}), _CONTROLS, f"{path}.controls", "control")
         try:
             controls = EvolveControls(**controls)
         except ValueError as exc:
@@ -453,13 +451,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     bound_checkers = []
     for i, ck in enumerate(checkers):
         path = f"checkers[{i}]"
-        if not isinstance(ck, dict):
-            raise ConfigError(path, "must be an object")
-        cid = _require(ck, "id", path)
-        if not isinstance(cid, str) or cid not in _CHECKERS:
-            raise ConfigError(f"{path}.id", f"unknown checker id {cid!r}")
+        fields = _check_fields(ck, _CHECKER_SPEC, path, "checker", ("id",))
+        cid = fields.pop("id")
         spec = _CHECKERS[cid]
-        fields = {key: value for key, value in ck.items() if key != "id"}
         values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
         if cid == "gradient":  # each variant requires its own window fields
             variant = values["variant"]
@@ -474,14 +468,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("out_dir", "must be a string")
     seed = _nonneg_int(raw.get("seed", 0), "seed")
 
-    raw = copy.deepcopy(raw)  # the caller may change its dict afterwards
     return ExperimentConfig(
         p_values=p_values,
         scenarios=tuple(parsed_scenarios),
         checkers=tuple(bound_checkers),
         out_dir=out_dir,
         seed=seed,
-        raw=raw,
         built_manifold=built,
         config_hash=config_hash(raw, custom_contents),
     )

@@ -30,8 +30,8 @@ The radial kind uses fourth-order stencils (centered five-point interior,
 even extension across r = 0, one skewed row next to the outer boundary, and a
 reflection row enforcing the Neumann condition at R_max).  The extra accuracy
 is needed so that static-profile residuals on fine radial grids sit well
-below the verification tolerances; the operator preserves constants exactly
-and its spectrum stays in the closed left half plane.
+below the verification tolerances; the operator maps constants to zero up
+to roundoff and its spectrum stays in the closed left half plane.
 """
 
 from __future__ import annotations
@@ -409,8 +409,10 @@ def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float)
     """Solve (I - dt * Laplacian) u_new = values.
 
     One banded (or cyclic-banded) solve with a factor reused while dt stays
-    the same; row sums of the matrix are exactly 1, so constants pass
-    through unchanged.  A non-finite right-hand side or matrix is a
+    the same; row sums of the matrix are 1, so constants pass through to a
+    few ulps per solve (at dt = 0.01 on 32 nodes, 1.0 comes out as
+    0.9999999999999998 on the circle and 0.9999999999999997 on the sphere).
+    A non-finite right-hand side or matrix is a
     ValueError, a singular matrix a LinAlgError.
     """
     b = _aligned_values(m, values)

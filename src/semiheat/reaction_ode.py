@@ -156,6 +156,9 @@ def reaction_flow(values, p: float, dt: float):
     max(1e-100, exp(709/(1-p))) in magnitude are left unchanged: their change
     is O(|v|^p dt), below their last bit, and for p > 4.08 the bound also
     keeps |v|^(1-p) from overflowing, which would flush them to zero.
+    Non-finite entries of a field that is not all positive are left
+    unchanged too, so a caller's finiteness check still sees them (an
+    all-positive field with +inf raises as a crossed blow-up time).
     Raises if dt crosses an entry's blow-up time; callers cap dt by _dt_cap,
     which keeps the bracket positive.  The input is never written and never
     returned.
@@ -169,8 +172,8 @@ def reaction_flow(values, p: float, dt: float):
         out = _positive_flow(v, p, a)
     else:
         out = v.copy()
-        pos = v > tiny
-        neg = v < -tiny
+        pos = (v > tiny) & (v < math.inf)
+        neg = (v < -tiny) & (v > -math.inf)
         if pos.any():
             out[pos] = _positive_flow(v[pos], p, a)
         if neg.any():

@@ -5,7 +5,6 @@ import pytest
 
 from semiheat import (
     SmoothCutoff,
-    build_liyau_psi,
     build_phi,
     default_power,
     export_cutoff_csv,
@@ -79,7 +78,6 @@ def test_certification_bounded_cases():
         assert not result.diverged, (p, k, q, result.level_maxima)
         assert math.isfinite(result.constant) and result.constant > 0
         assert len(result.level_maxima) == 3
-        assert c.certified[f"reaction_power_ratio_p={p:g}"] == result.constant
 
 
 def test_certification_deficient_case_diverges():
@@ -88,7 +86,6 @@ def test_certification_deficient_case_diverges():
     result = verify_phi_inequality(c, 2.0)
     assert result.diverged
     assert result.level_maxima[-1] > 2.0 * result.level_maxima[0]
-    assert c.certified["reaction_power_ratio_p=2"] == math.inf
 
 
 def test_certifiability_is_monotone_in_q():
@@ -109,38 +106,6 @@ def test_certified_inequality_holds_off_grid():
     lhs = np.abs(2.0 * dphi[mask] ** 2 / phi[mask] - d2phi[mask])
     rhs = result.constant * phi[mask] ** 0.5
     assert np.all(lhs <= 1.05 * rhs + 1e-12)
-
-
-def test_liyau_psi_geometry():
-    stc = build_liyau_psi(2.0, 1.0, [0.5, 0.75])
-    assert stc.value(1.0, -0.5) == 1.0
-    assert stc.value(2.5, -0.5) == 0.0
-    assert stc.value(1.0, -1.5) == 0.0
-    inner = stc.value(1.6, -0.9)
-    assert 0.0 < inner < 1.0
-
-
-def test_liyau_psi_certification_keys():
-    stc = build_liyau_psi(1.0, 1.0, [0.5])
-    keys = set(stc.certified)
-    assert keys == {
-        "space_first_derivative_a=0.5",
-        "space_second_derivative_a=0.5",
-        "time_first_derivative_a=0.5",
-    }
-    for res in stc.certified.values():
-        assert not res.diverged
-    payload = stc.certification_json()
-    assert "space_first_derivative_a=0.5" in payload
-
-
-def test_liyau_psi_validation():
-    with pytest.raises(ValueError):
-        build_liyau_psi(0.0, 1.0, [0.5])
-    with pytest.raises(ValueError):
-        build_liyau_psi(1.0, 1.0, [1.5])
-    with pytest.raises(ValueError):
-        build_liyau_psi(1.0, 1.0, [0.0])
 
 
 def test_export_cutoff_csv(tmp_path):

@@ -129,6 +129,24 @@ def test_positivity_on_clipped_data_run(sphere):
     assert report.diagnostics["min_over_window"] >= -1e-10
 
 
+def test_positivity_roundoff_floor_binds_only_where_the_tolerance_underflows(sphere):
+    # 10 (1e-50)^10 (dt + h^2) underflows to 0, while each solve moves the
+    # constant by a few ulps: that drift must read as roundoff, not violation
+    circ = build_manifold("circle", 1, 6.3, 32)
+    traj = evolve(circ, np.full(32, 1e-50), 0.0, 0.2, 10.0)
+    assert np.min(traj.snapshot_min) < 1e-50
+    report = check_positivity_min_ode(traj, 10.0)
+    assert report.passed and np.all(report.rhs > 0.0)
+    # ordinary data keeps the scheme tolerance bit for bit, also over a final
+    # step to the horizon so short that a few ulps of v over it exceed it
+    u0 = 0.1 * np.clip(np.cos(sphere.nodes), 0.0, None) ** 2 + 0.1
+    traj = evolve(sphere, u0, 0.0, 0.2 + 2e-13, 2.0)
+    dts = np.diff(traj.times)
+    assert dts[-1] < 1e-12
+    report = check_positivity_min_ode(traj, 2.0)
+    assert np.array_equal(report.rhs, scheme_tolerance(traj, 2.0, dts))
+
+
 def test_positivity_needs_three_snapshots(torus):
     times = np.array([0.0, 0.1])
     traj = constant_trajectory(torus, times, np.ones(2))
@@ -422,6 +440,18 @@ def test_triviality_requires_positive_curvature(sphere):
     traj = constant_trajectory(circ, times, np.ones(50))
     with pytest.raises(ValueError):
         check_triviality(traj, circ, 2.0)
+
+
+def test_triviality_refuses_a_negative_osc_floor(sphere):
+    # flat data has oscillation 0: a negative floor would divide 0 by 0,
+    # and the NaN ratios would read as c_fit 0 and a pass
+    times = np.linspace(0.0, 2.0, 50)
+    traj = constant_trajectory(sphere, times, np.zeros(50))
+    with pytest.raises(ValueError, match="osc_floor must be nonnegative"):
+        check_triviality(traj, sphere, 2.0, osc_floor=-1.0)
+    report = check_triviality(traj, sphere, 2.0, osc_floor=0.0)
+    assert report.passed and report.c_fit == 0.0
+    assert np.array_equal(report.ratio, np.zeros(2))
 
 
 def test_triviality_perturbed_run_decays(sphere):

@@ -417,9 +417,7 @@ def test_reference_property_reaches_blowup_and_abort():
 
 @pytest.mark.parametrize(
     "bad, reaction_on",
-    # with the reaction off the solve's output is the step's result; NaN also
-    # passes through the reaction flow unchanged
-    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True)],
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True), (-np.inf, True)],
 )
 def test_non_finite_solve_output_aborts(monkeypatch, bad, reaction_on):
     m = circle(16)

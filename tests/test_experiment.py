@@ -48,7 +48,11 @@ def base_raw():
 
 def test_validate_config_accepts_base():
     cfg = validate_config(base_raw())
-    assert cfg.raw["manifold"]["kind"] == "flat_torus_1d"
+    # the hash is of the config as written, alias and all
+    assert cfg.config_hash == config_hash(base_raw())
+    renamed = base_raw()
+    renamed["manifold"]["kind"] = "circle"
+    assert cfg.config_hash != config_hash(renamed)
     assert cfg.built_manifold.kind == "circle"
     assert cfg.p_values == (2.0,)
     assert cfg.seed == 0
@@ -218,11 +222,60 @@ def test_validate_config_accepts_base():
             "checkers[0]",
             id="lower-bound-delta-above-1",
         ),
+        # a negative floor would let flat data divide 0 by 0
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "triviality", "osc_floor": -1}]),
+            "checkers[0]",
+            id="triviality-osc-floor-negative",
+        ),
+        # an object that is not one, at every level (None: the root itself)
+        pytest.param(None, "<root>", id="root-not-an-object"),
+        pytest.param(lambda r: r.update(manifold=["circle"]), "manifold", id="manifold-not-an-object"),
+        pytest.param(lambda r: r.update(scenarios=["warm"]), "scenarios[0]", id="scenario-not-an-object"),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial="constant"),
+            "scenarios[0].initial",
+            id="initial-not-an-object",
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(window=[0.0, 0.2]), "scenarios[0].window", id="window-not-an-object"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(controls=None), "scenarios[0].controls", id="controls-not-an-object"
+        ),
+        pytest.param(lambda r: r.update(checkers=["positivity"]), "checkers[0]", id="checker-not-an-object"),
+        # every required field, missing
+        pytest.param(lambda r: r.pop("manifold"), "<root>.manifold", id="missing-manifold"),
+        *(
+            pytest.param(lambda r, k=key: r["manifold"].pop(k), f"manifold.{key}", id=f"missing-manifold-{key}")
+            for key in ("kind", "n", "size", "resolution")
+        ),
+        *(
+            pytest.param(
+                lambda r, k=key: r["scenarios"][0].pop(k), f"scenarios[0].{key}", id=f"missing-scenario-{key}"
+            )
+            for key in ("name", "initial", "window")
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0]["initial"].pop("type"), "scenarios[0].initial.type", id="missing-initial-type"
+        ),
+        *(
+            pytest.param(
+                lambda r, k=key: r["scenarios"][0]["window"].pop(k),
+                f"scenarios[0].window.{key}",
+                id=f"missing-window-{key}",
+            )
+            for key in ("t0", "t1")
+        ),
+        pytest.param(lambda r: r.update(checkers=[{"T_blow": 1.0}]), "checkers[0].id", id="missing-checker-id"),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
     raw = base_raw()
-    mutate(raw)
+    if mutate is None:
+        raw = [raw]
+    else:
+        mutate(raw)
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.field_path == path
@@ -695,14 +748,17 @@ def test_cli_runs_tiny_data_at_large_p(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, raw)
     assert cli_main(["check", cfg_path]) == 0
     out = tmp_path / "out"
-    assert cli_main(["run", cfg_path, "--out-dir", str(out)]) in (0, 1)
+    assert cli_main(["run", cfg_path, "--out-dir", str(out)]) == 0
     (report_name,) = [f for f in os.listdir(out) if f.startswith("report_")]
     (entry,) = json.loads((out / report_name).read_text())["entries"]
     assert entry["status"] == "ok"
     assert entry["trajectory"]["final_time"] == pytest.approx(0.2, abs=1e-12)
     # only the diffusion solve's roundoff moves the constant
     assert entry["trajectory"]["max_abs_value"] == pytest.approx(1e-50, rel=1e-14)
+    # the tolerance 10 (1e-50)^10 (dt + h^2) underflows; the roundoff floor
+    # of the difference quotient must absorb that drift
     assert entry["checks"]["positivity"]["status"] == "checked"
+    assert entry["checks"]["positivity"]["passed"]
 
 
 def test_cli_jobs_flag_is_ignored(tmp_path):
@@ -751,6 +807,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     for checker, message in (
         ({"id": "gradient", "variant": "ancient", "D": -1}, "checkers[0]: D must be positive"),
         ({"id": "gradient", "variant": "global", "D": 1.0}, "checkers[0].T: missing required field"),
+        ({"id": "triviality", "osc_floor": -1}, "checkers[0]: osc_floor must be nonnegative"),
         (
             {"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0},
             "checkers[0]: delta must lie strictly between 0 and 1",

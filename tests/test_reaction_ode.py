@@ -153,6 +153,14 @@ def test_reaction_flow_matches_closed_form():
                 assert out == pytest.approx(closed_form(p, v0, 0.01), rel=1e-12)
 
 
+def test_reaction_flow_leaves_non_finite_entries_of_a_mixed_field():
+    # -inf used to come out as the finite -((p-1) dt)^(-1/(p-1)) = -100
+    out = reaction_flow(np.array([-np.inf, 1.0, np.inf, -1.0, np.nan]), 2.0, 0.01)
+    assert out[0] == -np.inf and out[2] == np.inf and np.isnan(out[4])
+    assert out[1] == pytest.approx(closed_form(2.0, 1.0, 0.01), rel=1e-15)
+    assert out[3] == pytest.approx(closed_form(2.0, -1.0, 0.01), rel=1e-15)
+
+
 def test_reaction_flow_signals_blowup_inside_step():
     with pytest.raises(FloatingPointError):
         reaction_flow(np.array([10.0]), 2.0, 1.0)  # blow-up time 0.1 < dt
