@@ -145,7 +145,11 @@ class EstimateReport:
 
 def _finalize(**kw) -> EstimateReport:
     # keep the c_fit >= 0 and pass <=> (c_fit <= c_cap) invariants in one place
-    c_fit = max(0.0, float(kw.pop("c_fit")))
+    c_fit = float(kw.pop("c_fit"))
+    if math.isnan(c_fit):
+        # max(0.0, nan) is 0.0, which would read as a pass
+        raise ValueError("fitted constant is NaN")
+    c_fit = max(0.0, c_fit)
     c_cap = float(kw.pop("c_cap"))
     return EstimateReport(c_fit=c_fit, c_cap=c_cap, passed=bool(c_fit <= c_cap), **kw)
 

@@ -156,21 +156,25 @@ def reaction_flow(values, p: float, dt: float):
     max(1e-100, exp(709/(1-p))) in magnitude are left unchanged: their change
     is O(|v|^p dt), below their last bit, and for p > 4.08 the bound also
     keeps |v|^(1-p) from overflowing, which would flush them to zero.
-    Non-finite entries of a field that is not all positive are left
-    unchanged too, so a caller's finiteness check still sees them (an
-    all-positive field with +inf raises as a crossed blow-up time).
-    Raises if dt crosses an entry's blow-up time; callers cap dt by _dt_cap,
-    which keeps the bracket positive.  The input is never written and never
-    returned.
+    Non-finite entries are left unchanged too, so a caller's finiteness
+    check still sees them.  Raises if dt crosses an entry's blow-up time;
+    callers cap dt by _dt_cap, which keeps the bracket positive.  The input
+    is never written and never returned.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     a = (p - 1.0) * dt
     tiny = _flat_floor(p)
+    out = None
     if v.size and v.min() > tiny:
         # all positive: the whole array at once, no masks and no copy (NaN
         # and sign-mixed fields take the masked path)
-        out = _positive_flow(v, p, a)
-    else:
+        try:
+            out = _positive_flow(v, p, a)
+        except FloatingPointError:
+            # +inf makes its bracket -a; the masked path leaves it unchanged
+            if np.isfinite(v).all():
+                raise
+    if out is None:
         out = v.copy()
         pos = (v > tiny) & (v < math.inf)
         neg = (v < -tiny) & (v > -math.inf)

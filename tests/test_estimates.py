@@ -26,6 +26,7 @@ from semiheat import (
     trajectory_from_samples,
     trivial_ancient,
 )
+from semiheat.estimates import _finalize
 
 
 def constant_trajectory(m, times, values):
@@ -71,6 +72,15 @@ def test_report_invariants_enforced():
     assert d["c_fit"] == 0.5
     rows = list(r.csv_rows())
     assert rows and len(rows[0]) == 4
+
+
+def test_finalize_refuses_a_nan_constant():
+    # max(0.0, nan) is 0.0: a NaN fit would read as a pass
+    arr = np.array([math.nan])
+    fields = dict(inequality_id="x", times=arr, lhs=arr, rhs=arr, ratio=arr, c_cap=1.0)
+    with pytest.raises(ValueError, match="^fitted constant is NaN$"):
+        _finalize(c_fit=math.nan, **fields)
+    assert _finalize(c_fit=-0.5, **fields).c_fit == 0.0
 
 
 def test_scheme_tolerance_formula(torus):

@@ -1,6 +1,8 @@
 import csv
+import errno
 import importlib
 import json
+import os
 import re
 
 import numpy as np
@@ -235,20 +237,132 @@ def test_export_trajectory(tmp_path):
     assert sidecar["meta"]["tag"] == "demo"
 
 
-def test_export_trajectory_writes_the_csv_writer_bytes(tmp_path):
-    # extreme values, signed zero and times whose repr is long
-    m = circle(16)
-    snaps = np.linspace(-3.0, 3.0, 3 * 16).reshape(3, 16) / 7.0
-    snaps[0, :4] = [-0.0, 5e-324, 1e308, -1e308]
-    traj = trajectory_from_samples(m, [-12.0, 0.1 + 0.2, 1e-300 + 1.0], snaps)
-    export_trajectory(traj, tmp_path / "run.csv")
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+# with 16 nodes, the snapshot count from which a second CPU gets a block
+FORK_AT = 2 * evolve_module.EXPORT_VALUES_PER_WORKER // 16
+
+
+def export_sample(count):
+    # the first count snapshots of one sample; extreme values, signed zero
+    # and times whose repr is long sit in the first snapshot and in the
+    # first one of a second block
+    rng = np.random.default_rng(0)
+    times = -12.0 + np.cumsum(0.1 + 0.2 + rng.random(FORK_AT + 1))
+    snaps = rng.standard_normal((FORK_AT + 1, 16)) / 7.0
+    for k in (0, FORK_AT // 2):
+        snaps[k, :4] = [-0.0, 5e-324, 1e308, -1e308]
+    return trajectory_from_samples(circle(16), times[:count], snaps[:count])
+
+
+@pytest.fixture(scope="module")
+def csv_writer_lines(tmp_path_factory):
+    """The lines csv.writer writes for export_sample(FORK_AT + 1)."""
+    traj = export_sample(FORK_AT + 1)
+    path = tmp_path_factory.mktemp("reference") / "ref.csv"
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "node_index", "u"])
-        for t, snap in zip(traj.times, traj.snapshots):
+        for t, snap in zip(traj.times.tolist(), traj.snapshots.tolist()):
             for idx, val in enumerate(snap):
-                writer.writerow([repr(float(t)), idx, repr(float(val))])
-    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+                writer.writerow([repr(t), idx, repr(val)])
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def test_export_trajectory_writes_the_csv_writer_bytes(tmp_path, monkeypatch, csv_writer_lines):
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # one snapshot, a few, just below and at the fork threshold, and an odd
+    # count above it, whose two blocks are uneven
+    for count in (1, 3, FORK_AT - 1, FORK_AT, FORK_AT + 1):
+        traj = export_sample(count)
+        expected = b"".join(csv_writer_lines[: 1 + 16 * count])
+        sidecar = {
+            "manifold": {"kind": "circle", "n": 1, "radius_or_length": 2 * np.pi, "node_count": 16},
+            "step_log": {
+                "t": traj.step_times.tolist(),
+                "dt": traj.step_dt.tolist(),
+                "max_u": traj.step_max.tolist(),
+                "min_u": traj.step_min.tolist(),
+            },
+            "blowup": None,
+            "negative_data": traj.negative_data,
+            "meta": {"count": count},
+        }
+        for cpus, expected_forks in ((1, 0), (2, int(count >= FORK_AT)), (4, int(count >= FORK_AT))):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            forks.clear()
+            export_trajectory(traj, tmp_path / "run.csv", tmp_path / "run.json", {"count": count})
+            assert len(forks) == expected_forks
+            assert (tmp_path / "run.csv").read_bytes() == expected
+            assert (tmp_path / "run.json").read_text() == json.dumps(sidecar, indent=1, sort_keys=True)
+            assert sorted(os.listdir(tmp_path)) == ["run.csv", "run.json"]
+    # without fork, one process writes everything
+    monkeypatch.delattr(os, "fork")
+    export_trajectory(traj, tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_bytes() == expected
+
+
+def test_export_trajectory_splits_into_one_block_per_cpu(monkeypatch):
+    per_worker = evolve_module.EXPORT_VALUES_PER_WORKER
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert evolve_module._export_block_bounds(2934, 256) == [0, 733, 1467, 2200, 2934]
+    # 3 * per_worker - 1 values make two blocks, not three
+    values = 3 * per_worker - 1
+    assert evolve_module._export_block_bounds(values, 1) == [0, values // 2, values]
+    assert evolve_module._export_block_bounds(1, 10**6) == [0, 1]
+    assert evolve_module._export_block_bounds(0, 256) == [0, 0]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert evolve_module._export_block_bounds(2934, 256) == [0, 2934]
+
+
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_export_trajectory_cleans_up_when_a_block_fails(tmp_path, monkeypatch, capfd, failing):
+    # the forked child inherits the patched formatter; a failing child
+    # raises OSError in the parent and writes its traceback to stderr, a
+    # failing parent stops the child, and either way every child is reaped
+    # (the autouse fixture checks) and no part file is left
+    parent = os.getpid()
+    write = evolve_module._write_csv_rows
+
+    def fails_in_one_process(*args):
+        if (os.getpid() == parent) == (failing == "parent"):
+            raise RuntimeError(f"{failing} formatter failed")
+        write(*args)
+
+    monkeypatch.setattr(evolve_module, "_write_csv_rows", fails_in_one_process)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    error = (OSError, "exited with code 1 ") if failing == "child" else (RuntimeError, "^parent formatter failed$")
+    with pytest.raises(error[0], match=error[1]):
+        export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "run.json")
+    assert os.listdir(tmp_path) == ["run.csv"]
+    assert ("RuntimeError: child formatter failed" in capfd.readouterr().err) == (failing == "child")
+
+
+def test_export_trajectory_formats_the_blocks_it_cannot_fork(tmp_path, monkeypatch, csv_writer_lines):
+    # four blocks; the second fork fails as under a process limit, so one
+    # child formats block 1 and the caller formats blocks 0, 2 and 3
+    forks = []
+    fork = os.fork
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(evolve_module, "EXPORT_VALUES_PER_WORKER", 16)
+    assert len(evolve_module._export_block_bounds(FORK_AT + 1, 16)) == 5
+    export_trajectory(export_sample(FORK_AT + 1), tmp_path / "run.csv")
+    assert len(forks) == 2
+    assert (tmp_path / "run.csv").read_bytes() == b"".join(csv_writer_lines)
+    assert os.listdir(tmp_path) == ["run.csv"]
 
 
 def test_radial_step_lets_a_nonnegative_tent_dip():
@@ -417,7 +531,7 @@ def test_reference_property_reaches_blowup_and_abort():
 
 @pytest.mark.parametrize(
     "bad, reaction_on",
-    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True), (-np.inf, True)],
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True), (np.inf, True), (-np.inf, True)],
 )
 def test_non_finite_solve_output_aborts(monkeypatch, bad, reaction_on):
     m = circle(16)

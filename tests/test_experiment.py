@@ -25,6 +25,7 @@ from semiheat import (
     run_experiment,
     validate_config,
 )
+import semiheat.estimates as estimates
 import semiheat.experiment as experiment
 from semiheat.cli import main as cli_main
 from semiheat.experiment import _CHECKERS, _CONTROLS
@@ -434,6 +435,24 @@ def test_run_experiment_isolates_checker_errors(tmp_path):
     assert entry["status"] == "ok"
     assert entry["checks"]["positivity"]["status"] == "checked"
     assert entry["checks"]["decay"]["status"] == "error"
+    assert not report.all_passed
+
+
+def test_run_experiment_records_a_nan_constant_as_an_error(tmp_path, monkeypatch):
+    name = _CHECKERS["positivity"].function
+    check = getattr(experiment, name)
+
+    def nan_ratios(traj, **kwargs):
+        rep = check(traj, **kwargs)
+        ratio = np.full_like(rep.ratio, np.nan)
+        return estimates._finalize(
+            inequality_id=rep.inequality_id, times=rep.times, lhs=rep.lhs, rhs=rep.rhs, ratio=ratio,
+            c_fit=float(np.max(ratio)), c_cap=rep.c_cap,
+        )
+
+    monkeypatch.setattr(experiment, name, nan_ratios)
+    report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path))
+    assert report.entries[0]["checks"]["positivity"] == {"status": "error", "error": "fitted constant is NaN"}
     assert not report.all_passed
 
 

@@ -161,6 +161,16 @@ def test_reaction_flow_leaves_non_finite_entries_of_a_mixed_field():
     assert out[3] == pytest.approx(closed_form(2.0, -1.0, 0.01), rel=1e-15)
 
 
+def test_reaction_flow_leaves_inf_in_a_positive_field():
+    # +inf is left for the caller's finiteness check, not reported as a
+    # crossed blow-up time; a real crossing beside it still raises
+    out = reaction_flow(np.array([1.0, np.inf]), 2.0, 0.01)
+    assert out[1] == np.inf
+    assert out[0] == pytest.approx(closed_form(2.0, 1.0, 0.01), rel=1e-15)
+    with pytest.raises(FloatingPointError, match="blow-up time"):
+        reaction_flow(np.array([10.0, np.inf]), 2.0, 1.0)
+
+
 def test_reaction_flow_signals_blowup_inside_step():
     with pytest.raises(FloatingPointError):
         reaction_flow(np.array([10.0]), 2.0, 1.0)  # blow-up time 0.1 < dt
