@@ -315,27 +315,32 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     carrying the manifold, the step log, blow-up info, and the caller's
     ``meta`` dict (JSON-serializable metadata, stored as given).
 
-    The CSV holds the bytes ``csv.writer`` would write.  Its body is split
-    into contiguous snapshot blocks, one per CPU this process may run on
-    while each extra block keeps at least EXPORT_VALUES_PER_WORKER values:
-    the caller formats the first block straight into ``csv_path``, a forked
-    child formats each later one into a temporary part file beside it, and
-    the parts are appended in order, so the bytes do not depend on the CPU
-    count.  With one block (one CPU, a small trajectory, or no ``os.fork``)
-    nothing is forked; where ``os.fork`` fails, the caller formats the
-    remaining blocks itself.  Every child is reaped and every part file
-    removed before this returns or raises; a child that fails raises OSError
-    here and writes its traceback to stderr.
+    The CSV holds the bytes ``csv.writer`` would write.  It is written
+    under a temporary name in a private directory beside ``csv_path`` and
+    renamed onto ``csv_path`` only once complete, so an export that raises
+    leaves an earlier file at ``csv_path`` as it was, and no CSV where there
+    was none.  The final file has the permissions ``open(csv_path, "w")``
+    gives a new file.  Its body is split into contiguous snapshot blocks,
+    one per CPU this process may run on while each extra block keeps at
+    least EXPORT_VALUES_PER_WORKER values: the caller formats the first
+    block into the CSV, a forked child formats each later one into a part
+    file, and the parts are appended in order, so the bytes do not depend on
+    the CPU count.  With one block (one CPU, a small trajectory, or no
+    ``os.fork``) nothing is forked; where ``os.fork`` fails, the caller
+    formats the remaining blocks itself.  Every child is reaped and the
+    private directory removed before this returns or raises; a child that
+    fails raises OSError here and writes its traceback to stderr.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
     bounds = _export_block_bounds(times.size, traj.manifold.node_count)
-    directory = os.path.dirname(os.path.abspath(csv_path))
+    workdir = tempfile.mkdtemp(prefix=f".{os.path.basename(csv_path)}.", dir=os.path.dirname(os.path.abspath(csv_path)))
+    partial = os.path.join(workdir, "export.csv")
     parts = []  # [part path, child pid or None once reaped], in block order
     rest = times.size  # the caller formats the snapshots from here on itself
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fd, path = tempfile.mkstemp(prefix=f".{os.path.basename(csv_path)}.", suffix=".part", dir=directory)
+            fd, path = tempfile.mkstemp(suffix=".part", dir=workdir)
             parts.append([path, None])
             try:
                 pid = os.fork()
@@ -343,14 +348,14 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 # no process to spare (EAGAIN, ENOMEM): the caller formats
                 # this block and the later ones itself
                 os.close(fd)
-                os.remove(parts.pop()[0])
+                parts.pop()
                 rest = lo
                 break
             if pid == 0:
                 _export_block_and_exit(fd, node_fields, times[lo:hi], traj.snapshots[lo:hi])
             parts[-1][1] = pid
             os.close(fd)  # the parent's copy
-        with open(csv_path, "w", newline="") as fh:
+        with open(partial, "w", newline="") as fh:
             fh.write("t,node_index,u\r\n")
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
             fh.flush()
@@ -363,13 +368,14 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 with open(part[0], "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
             _write_csv_rows(fh, node_fields, times[rest:], traj.snapshots[rest:])
+        os.replace(partial, csv_path)
     finally:
-        for path, pid in parts:
+        for _, pid in parts:
             if pid:
                 # only on an error: the block is no longer wanted
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            os.remove(path)
+        shutil.rmtree(workdir)
     if sidecar_path is not None:
         sidecar = {
             "manifold": {

@@ -36,12 +36,13 @@ to roundoff and its spectrum stays in the closed left half plane.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 KINDS = ("sphere_zonal", "circle", "euclidean_radial")
 CLOSED_KINDS = ("sphere_zonal", "circle")
@@ -51,6 +52,35 @@ _KIND_ALIASES = {"flat_torus_1d": "circle"}
 
 # dense spectra only; guards against accidentally materializing a huge matrix
 _SPECTRUM_MAX_NODES = 4096
+
+
+def _lapack_module():
+    """scipy's compiled LAPACK wrappers, without importing ``scipy.linalg``.
+
+    ``import scipy.linalg`` costs 0.25-0.3 s, nearly all of it modules that
+    no LAPACK call needs, so the extension module behind
+    ``scipy.linalg.lapack`` is loaded straight from its file; finding the
+    file does not import scipy.  It is loaded under its own name, which
+    Python records for such a module, so a later ``import scipy.linalg``
+    reuses this module object.  Where scipy keeps no such file, the public
+    ``scipy.linalg.lapack``, which carries the same routines, is used.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                return module
+    import scipy.linalg.lapack
+
+    return scipy.linalg.lapack
+
+
+# dgttrf/dgttrs, dgbtrf/dgbtrs and dsyevr_lwork/dsyevr, chosen once
+_lapack = _lapack_module()
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +344,9 @@ def laplacian_spectrum(m: DiscreteManifold):
     Returns (lam, modes): lam ascending with lam[0] ~ 0, modes[:, j]
     normalized to sup-norm 1 with a deterministic sign.  The operator is
     self-adjoint in the volume-weighted inner product, so the symmetrized
-    dense problem is solved once and cached on the manifold.
+    dense problem is solved once and cached on the manifold, by LAPACK's
+    dsyevr called as ``scipy.linalg.eigh``'s default ``evr`` driver calls
+    it: the eigenpairs are those of ``eigh`` bit for bit.
     """
     if m.kind not in CLOSED_KINDS:
         raise ValueError("spectrum is only available for the closed kinds")
@@ -326,7 +358,12 @@ def laplacian_spectrum(m: DiscreteManifold):
         w_half = np.sqrt(m.volume_weights)
         S = (w_half[:, None] * L) / w_half[None, :]
         S = 0.5 * (S + S.T)
-        vals, vecs = scipy.linalg.eigh(S)
+        if not np.isfinite(S).all():
+            raise ValueError("the symmetrized Laplacian is not finite")
+        lwork, liwork, info = _lapack.dsyevr_lwork(N, lower=1)
+        _lapack_check(info, "dsyevr_lwork")
+        vals, vecs, _, _, info = _lapack.dsyevr(S, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork))
+        _lapack_check(info, "dsyevr", "dsyevr: internal error")
         lam = -vals[::-1]
         y = vecs[:, ::-1] / w_half[:, None]
         for j in range(N):
@@ -336,9 +373,9 @@ def laplacian_spectrum(m: DiscreteManifold):
     return m._ops["spectrum"]
 
 
-def _lapack_check(info: int, routine: str):
+def _lapack_check(info: int, routine: str, failure: str = "singular matrix"):
     if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError(failure)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
@@ -349,8 +386,9 @@ def _step_solver(m: DiscreteManifold, dt: float):
     The manifold keeps the last step's factor and replaces it when dt
     changes; one entry, not one per dt, because a blow-up run takes a new dt
     on every step.  The tridiagonal kinds go through dgttrf/dgttrs and the
-    radial band through dgbtrf/dgbtrs: the routines solve_banded's gtsv and
-    gbsv are made of, so the bits are those of a plain banded solve.
+    radial band through dgbtrf/dgbtrs, taken from the module
+    ``_lapack_module`` loads: the routines solve_banded's gtsv and gbsv are
+    made of, so the bits are those of a plain banded solve.
     """
     cached = m._ops.get("step")
     if cached is not None and cached[0] == dt:
@@ -370,7 +408,8 @@ def _step_solver(m: DiscreteManifold, dt: float):
         raise ValueError(f"I - dt * Laplacian is not finite at dt = {dt!r}")
 
     if l == u == 1:
-        dl, d, du, du2, ipiv, info = dgttrf(ab_step[2, :-1], ab_step[1], ab_step[0, 1:])
+        dgttrs = _lapack.dgttrs
+        dl, d, du, du2, ipiv, info = _lapack.dgttrf(ab_step[2, :-1], ab_step[1], ab_step[0, 1:])
         _lapack_check(info, "dgttrf")
 
         def band_solve(b):
@@ -381,7 +420,8 @@ def _step_solver(m: DiscreteManifold, dt: float):
     else:
         lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
         lu[l:] = ab_step
-        lu, ipiv, info = dgbtrf(lu, l, u, overwrite_ab=1)
+        dgbtrs = _lapack.dgbtrs
+        lu, ipiv, info = _lapack.dgbtrf(lu, l, u, overwrite_ab=1)
         _lapack_check(info, "dgbtrf")
 
         def band_solve(b):

@@ -325,7 +325,8 @@ def test_export_trajectory_cleans_up_when_a_block_fails(tmp_path, monkeypatch, c
     # the forked child inherits the patched formatter; a failing child
     # raises OSError in the parent and writes its traceback to stderr, a
     # failing parent stops the child, and either way every child is reaped
-    # (the autouse fixture checks) and no part file is left
+    # (the autouse fixture checks), no temporary file is left, and no CSV is
+    # written: an earlier one stays as it was
     parent = os.getpid()
     write = evolve_module._write_csv_rows
 
@@ -339,8 +340,28 @@ def test_export_trajectory_cleans_up_when_a_block_fails(tmp_path, monkeypatch, c
     error = (OSError, "exited with code 1 ") if failing == "child" else (RuntimeError, "^parent formatter failed$")
     with pytest.raises(error[0], match=error[1]):
         export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "run.json")
-    assert os.listdir(tmp_path) == ["run.csv"]
+    assert os.listdir(tmp_path) == []
     assert ("RuntimeError: child formatter failed" in capfd.readouterr().err) == (failing == "child")
+    earlier = b"t,node_index,u\r\n0.0,0,1.0\r\n"
+    (tmp_path / "run.csv").write_bytes(earlier)
+    with pytest.raises(error[0], match=error[1]):
+        export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "run.json")
+    assert os.listdir(tmp_path) == ["run.csv"]
+    assert (tmp_path / "run.csv").read_bytes() == earlier
+
+
+def test_export_trajectory_gives_the_csv_the_mode_of_a_plain_open(tmp_path):
+    # the CSV is renamed into place from a private directory; its mode is
+    # still the one open(path, "w") gives a new file under the umask
+    old = os.umask(0o027)
+    try:
+        export_trajectory(export_sample(3), tmp_path / "run.csv")
+        open(tmp_path / "plain.csv", "w").close()
+    finally:
+        os.umask(old)
+    assert (tmp_path / "run.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+    assert (tmp_path / "run.csv").stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["plain.csv", "run.csv"]
 
 
 def test_export_trajectory_formats_the_blocks_it_cannot_fork(tmp_path, monkeypatch, csv_writer_lines):

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
@@ -76,12 +78,57 @@ def test_flat_torus_is_a_spelling_of_the_circle():
     assert np.array_equal(implicit_diffusion_solve(torus, u, 0.1), implicit_diffusion_solve(circle, u, 0.1))
 
 
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports semiheat from this tree;
+    its standard output, stripped."""
+    src = os.path.dirname(os.path.dirname(semiheat.__file__))
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_import_leaves_scipy_sparse_unloaded():
     # the operators live in band form only; nothing needs scipy.sparse
-    src = os.path.dirname(os.path.dirname(semiheat.__file__))
-    code = f"import sys; sys.path.insert(0, {src!r}); import semiheat; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert run_fresh("import semiheat; print('scipy.sparse' in sys.modules)") == "False"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the LAPACK wrappers are loaded from their file, not through
+    # scipy.linalg, whose import costs more than the rest of semiheat's
+    code = """
+import semiheat, semiheat.cli
+loaded = ["scipy.linalg" in sys.modules]
+m = semiheat.build_manifold("sphere_zonal", 2, 1.0, 64)
+semiheat.laplacian_spectrum(m)
+semiheat.implicit_diffusion_solve(m, m.nodes, 0.01)
+r = semiheat.build_manifold("euclidean_radial", 3, 10.0, 64)
+semiheat.implicit_diffusion_solve(r, r.nodes, 0.01)
+loaded.append("scipy.linalg" in sys.modules)
+print(loaded)
+"""
+    assert run_fresh(code) == "[False, False]"
+
+
+def test_scipy_linalg_imports_after_semiheat():
+    # a later import of scipy.linalg reuses the module semiheat loaded, and
+    # its banded solve agrees with the step solve bit for bit
+    code = """
+import numpy as np
+import semiheat
+from semiheat import geometry
+import scipy.linalg, scipy.linalg.lapack
+assert scipy.linalg.lapack.dgttrf is geometry._lapack.dgttrf
+for kind, n, size in (("sphere_zonal", 2, 1.0), ("euclidean_radial", 3, 10.0)):
+    m = semiheat.build_manifold(kind, n, size, 40)
+    l, u, ab = m._ops["band"]
+    ab = -0.01 * ab
+    ab[u] += 1.0
+    b = np.cos(m.nodes)
+    x = semiheat.implicit_diffusion_solve(m, b, 0.01)
+    assert np.array_equal(scipy.linalg.solve_banded((l, u), ab, b), x), kind
+print("ok")
+"""
+    assert run_fresh(code) == "ok"
 
 
 def test_laplacian_of_constant_is_zero():
@@ -189,6 +236,73 @@ def test_circle_spectrum_wavenumbers():
     assert lam[1] == pytest.approx(1.0, rel=1e-3)
     assert lam[2] == pytest.approx(1.0, rel=1e-3)
     assert lam[3] == pytest.approx(4.0, rel=4e-3)
+
+
+def eigh_spectrum(m):
+    """The spectrum as scipy.linalg.eigh gives it for the symmetrized
+    matrix, in the order and normalization laplacian_spectrum returns."""
+    N = m.node_count
+    L = np.column_stack([laplace_beltrami(m, e) for e in np.eye(N)])  # column j is L e_j
+    w_half = np.sqrt(m.volume_weights)
+    S = (w_half[:, None] * L) / w_half[None, :]
+    vals, vecs = scipy.linalg.eigh(0.5 * (S + S.T))
+    y = vecs[:, ::-1] / w_half[:, None]
+    for j in range(N):
+        y[:, j] = y[:, j] / y[np.argmax(np.abs(y[:, j])), j]
+    return -vals[::-1], y
+
+
+@pytest.mark.parametrize("count", [256, 1000])
+@pytest.mark.parametrize("kind, n, size", [("sphere_zonal", 2, 1.0), ("circle", 1, 2 * np.pi)])
+def test_spectrum_equals_eigh_bit_for_bit(kind, n, size, count):
+    # laplacian_spectrum calls dsyevr as eigh's default driver does; a
+    # different driver, workspace or triangle would move the last bits
+    lam, modes = laplacian_spectrum(build_manifold(kind, n, size, count))
+    ref_lam, ref_modes = eigh_spectrum(build_manifold(kind, n, size, count))
+    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(modes, ref_modes)
+
+
+def _lapack_results():
+    # the spectra of the closed kinds and a step solve on every kind, each on
+    # a fresh manifold, so nothing comes from a cached factor or spectrum
+    out = []
+    for kind, (n, size) in sorted(_KIND_SPECS.items()):
+        m = build_manifold(kind, n, size, 256)
+        if kind in CLOSED_KINDS:
+            out.extend(laplacian_spectrum(m))
+        out.append(implicit_diffusion_solve(m, np.cos(m.nodes) + 2.0, 0.01))
+    return out
+
+
+@pytest.mark.parametrize("layout", ["no scipy found", "no _flapack file"])
+def test_lapack_fallback_gives_the_same_bits(monkeypatch, tmp_path, layout):
+    # where scipy's extension file cannot be found, the one-time choice
+    # falls back to scipy.linalg.lapack; run it again under a finder that
+    # fails, put its choice in place of the loaded module, and compare
+    from semiheat import geometry
+
+    assert geometry._lapack.__name__ == "scipy.linalg._flapack"
+    fast = _lapack_results()
+    find_spec = importlib.util.find_spec
+
+    def failing_find_spec(name, package=None):
+        if name != "scipy":
+            return find_spec(name, package)
+        if layout == "no scipy found":
+            return None
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(tmp_path))  # holds no linalg/_flapack*
+        return spec
+
+    monkeypatch.setattr(importlib.util, "find_spec", failing_find_spec)
+    fallback = geometry._lapack_module()
+    assert fallback is scipy.linalg.lapack
+    monkeypatch.setattr(geometry, "_lapack", fallback)
+    slow = _lapack_results()
+    assert len(slow) == len(fast) == 7
+    for a, b in zip(fast, slow):
+        assert np.array_equal(a, b)
 
 
 def test_spectrum_rejects_open_kind():
