@@ -329,7 +329,11 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     ``os.fork``) nothing is forked; where ``os.fork`` fails, the caller
     formats the remaining blocks itself.  Every child is reaped and the
     private directory removed before this returns or raises; a child that
-    fails raises OSError here and writes its traceback to stderr.
+    fails raises OSError here and writes its traceback to stderr.  The
+    sidecar is serialized before the CSV is renamed into place and renamed
+    onto ``sidecar_path`` from the same directory right after it, so a
+    ``meta`` that JSON cannot encode leaves an earlier CSV and sidecar as
+    they were.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
@@ -352,7 +356,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 rest = lo
                 break
             if pid == 0:
-                _export_block_and_exit(fd, node_fields, times[lo:hi], traj.snapshots[lo:hi])
+                _write_in_child_and_exit(fd, _write_csv_rows, node_fields, times[lo:hi], traj.snapshots[lo:hi])
             parts[-1][1] = pid
             os.close(fd)  # the parent's copy
         with open(partial, "w", newline="") as fh:
@@ -360,70 +364,90 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
             fh.flush()
             for part in parts:
-                pid, status = os.waitpid(part[1], 0)
-                part[1] = None
-                code = os.waitstatus_to_exitcode(status)
-                if code != 0:
-                    raise OSError(f"export worker {pid} exited with code {code} (its traceback, if any, is on stderr)")
+                pid, part[1] = part[1], None
+                _reap_child(pid, "export worker")
                 with open(part[0], "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
             _write_csv_rows(fh, node_fields, times[rest:], traj.snapshots[rest:])
+        if sidecar_path is not None:
+            sidecar = {
+                "manifold": {
+                    "kind": traj.manifold.kind,
+                    "n": traj.manifold.n,
+                    "radius_or_length": traj.manifold.radius_or_length,
+                    "node_count": traj.manifold.node_count,
+                },
+                "step_log": {
+                    "t": traj.step_times.tolist(),
+                    "dt": traj.step_dt.tolist(),
+                    "max_u": traj.step_max.tolist(),
+                    "min_u": traj.step_min.tolist(),
+                },
+                "blowup": None if traj.blowup is None else asdict(traj.blowup),
+                "negative_data": traj.negative_data,
+                "meta": meta or {},
+            }
+            sidecar_partial = os.path.join(workdir, "sidecar.json")
+            with open(sidecar_partial, "w") as fh:
+                json.dump(sidecar, fh, indent=1, sort_keys=True)
         os.replace(partial, csv_path)
+        if sidecar_path is not None:
+            os.replace(sidecar_partial, sidecar_path)
     finally:
-        for _, pid in parts:
-            if pid:
-                # only on an error: the block is no longer wanted
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        _kill_children(pid for _, pid in parts)
         shutil.rmtree(workdir)
-    if sidecar_path is not None:
-        sidecar = {
-            "manifold": {
-                "kind": traj.manifold.kind,
-                "n": traj.manifold.n,
-                "radius_or_length": traj.manifold.radius_or_length,
-                "node_count": traj.manifold.node_count,
-            },
-            "step_log": {
-                "t": traj.step_times.tolist(),
-                "dt": traj.step_dt.tolist(),
-                "max_u": traj.step_max.tolist(),
-                "min_u": traj.step_min.tolist(),
-            },
-            "blowup": None if traj.blowup is None else asdict(traj.blowup),
-            "negative_data": traj.negative_data,
-            "meta": meta or {},
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(sidecar, fh, indent=1, sort_keys=True)
+
+
+def _fork_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork: a
+    forked child formatting output can then run beside its parent."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     """Snapshot indices 0 = b_0 < ... < b_k = snapshots of the export
-    blocks: k is the CPU count, capped so that each block keeps at least a
-    snapshot and about EXPORT_VALUES_PER_WORKER values, and 1 where fork is
-    missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return [0, snapshots]
-    k = max(1, min(len(os.sched_getaffinity(0)), snapshots, snapshots * nodes // EXPORT_VALUES_PER_WORKER))
+    blocks: k is _fork_cpus(), capped so that each block keeps at least a
+    snapshot and about EXPORT_VALUES_PER_WORKER values."""
+    k = max(1, min(_fork_cpus(), snapshots, snapshots * nodes // EXPORT_VALUES_PER_WORKER))
     return [snapshots * i // k for i in range(k + 1)]
 
 
-def _export_block_and_exit(fd, node_fields, times, snapshots):
-    """In a forked child: format one export block into ``fd``, then leave
-    without running the parent's cleanup or flushing its buffers.  It runs
-    only Python formatting and file writes, no BLAS routine, so the parent's
-    idle BLAS threads, which it does not inherit, are never waited on."""
+def _write_in_child_and_exit(fd, write, *args):
+    """In a forked child: call ``write(fh, *args)`` with ``fd`` opened as
+    text, then leave without running the parent's cleanup or flushing its
+    buffers (so nothing the parent buffered is written twice).  ``write``
+    runs only Python formatting and file writes, no BLAS routine, so the
+    parent's idle BLAS threads, which the child does not inherit, are never
+    waited on."""
     status = 1
     try:
         with open(fd, "w", newline="") as fh:
-            _write_csv_rows(fh, node_fields, times, snapshots)
+            write(fh, *args)
         status = 0
     except BaseException:
         # the parent sees only the exit code; the cause goes to stderr
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(status)
+
+
+def _reap_child(pid: int, what: str):
+    """Wait for child ``pid``; OSError naming ``what`` if it failed."""
+    _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise OSError(f"{what} {pid} exited with code {code} (its traceback, if any, is on stderr)")
+
+
+def _kill_children(pids):
+    """Stop and reap every child in ``pids`` not yet reaped (None): their
+    output is no longer wanted, since the caller is raising."""
+    for pid in pids:
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _write_csv_rows(fh, node_fields, times, snapshots):

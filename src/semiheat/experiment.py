@@ -57,6 +57,15 @@ was written to or read from, and refuses an entry CSV whose digest differs:
 entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
+An entry's CSVs are formatted and written by a forked child while the next
+entry runs (``_start_entry_csvs``; the rule for forking is
+``export_trajectory``'s), and the runner itself writes them where it cannot
+fork.  The child sends each CSV's ``sha256`` and row count back over a pipe;
+the runner reads every pipe and reaps every child in entry order before it
+writes the report, and a child that failed raises OSError there, so no
+report is written.  ``timing.per_entry`` covers each entry's evolve and
+checks, not the formatting of its CSVs.
+
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
 to its check_* function, and which function that is.  Validation, dispatch
@@ -89,7 +98,16 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
-from .evolve import EvolveControls, SolverAbort, evolve
+from .evolve import (
+    EXPORT_VALUES_PER_WORKER,
+    EvolveControls,
+    SolverAbort,
+    _fork_cpus,
+    _kill_children,
+    _reap_child,
+    _write_in_child_and_exit,
+    evolve,
+)
 from .geometry import (
     _SPECTRUM_MAX_NODES,
     CLOSED_KINDS,
@@ -488,9 +506,13 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry_index: int, out_dir: str):
+def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry_index: int):
+    """Evolve and check one entry.  Returns the entry and, per check with
+    rows, its report record and EstimateReport: the record names the entry
+    CSV and gets ``rows`` and ``sha256`` once that CSV is written."""
     name = f"{scenario.name}__p{p:g}"
     entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
+    files = []
     started = time.perf_counter()
     try:
         u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
@@ -499,7 +521,7 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
         entry["status"] = "error"
         entry["error"] = str(exc)
         entry["wall_seconds"] = time.perf_counter() - started
-        return entry
+        return entry, files
 
     entry["trajectory"] = {
         "snapshot_count": int(traj.times.size),
@@ -516,23 +538,49 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
         except (ValueError, FloatingPointError) as exc:
             entry["checks"][cid] = {"status": "error", "error": str(exc)}
             continue
-        # the per-snapshot rows go to the entry CSV only; its sha256 ties it
-        # to this report, since a later run into the same directory may
-        # overwrite a CSV of the same name
+        entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
+        files.append((entry["checks"][cid], rep))
+    entry["wall_seconds"] = time.perf_counter() - started
+    return entry, files
+
+
+def _write_entry_csvs(fh, out_dir: str, files):
+    """Write the entry CSV of each (record, EstimateReport) in ``files`` into
+    ``out_dir``, and one line "<sha256> <data rows>" per CSV to ``fh``."""
+    # the per-snapshot rows go to the entry CSV only; its sha256 ties it to
+    # the report, since a later run into the same directory may overwrite a
+    # CSV of the same name
+    for record, rep in files:
         lines = [",".join(row) + "\n" for row in rep.csv_rows()]
         data = (_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8")
-        csv_name = f"{name}_{cid}.csv"
-        with open(os.path.join(out_dir, csv_name), "wb") as fh:
-            fh.write(data)
-        entry["checks"][cid] = {
-            **rep.to_json_dict(),
-            "status": "checked",
-            "csv": csv_name,
-            "rows": len(lines),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        }
-    entry["wall_seconds"] = time.perf_counter() - started
-    return entry
+        with open(os.path.join(out_dir, record["csv"]), "wb") as out:
+            out.write(data)
+        fh.write(f"{hashlib.sha256(data).hexdigest()} {len(lines)}\n")
+
+
+def _start_entry_csvs(files, out_dir: str) -> list:
+    """Write the entry CSVs of ``files``; returns [child pid, the read end of
+    its pipe] when a forked child writes them, [None, a StringIO] when this
+    process did.  Either stream yields _write_entry_csvs's lines.  The rule
+    for forking is export_trajectory's: more than one CPU, a child gets at
+    least EXPORT_VALUES_PER_WORKER values, and a failing fork falls back to
+    this process."""
+    if _fork_cpus() > 1 and 4 * sum(rep.times.size for _, rep in files) >= EXPORT_VALUES_PER_WORKER:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare (EAGAIN, ENOMEM)
+            os.close(read_fd)
+            os.close(write_fd)
+        else:
+            if pid == 0:
+                _write_in_child_and_exit(write_fd, _write_entry_csvs, out_dir, files)
+            os.close(write_fd)  # the parent's copy: the pipe ends when the child does
+            return [pid, open(read_fd)]
+    summary = io.StringIO()
+    _write_entry_csvs(summary, out_dir, files)
+    summary.seek(0)
+    return [None, summary]
 
 
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -549,7 +597,12 @@ def run_experiment(
 ) -> RunReport:
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
-    ``jobs`` is accepted and ignored, so callers that pass it keep working."""
+    Each entry's CSVs are written by a forked child while the next entry
+    runs (see the module docstring); every child is reaped before this
+    returns or raises, and one that failed raises OSError with no report
+    written.  ``timing.per_entry`` holds each entry's evolve and check
+    seconds, without the formatting of its CSVs.  ``jobs`` is accepted and
+    ignored, so callers that pass it keep working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config.config_hash
@@ -558,11 +611,29 @@ def run_experiment(
     m = config.built_manifold
     tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
     entries = []
-    for i, (scenario, p) in enumerate(tasks):
-        e = _run_entry(m, config, scenario, p, i, target)
-        entries.append(e)
-        if verbose:
-            print(f"  [{e['status']}] {e['name']}", flush=True)
+    writers = []  # [child pid or None once reaped, its summary stream, records], in entry order
+    try:
+        for i, (scenario, p) in enumerate(tasks):
+            e, files = _run_entry(m, config, scenario, p, i)
+            entries.append(e)
+            if files:
+                writers.append([*_start_entry_csvs(files, target), [record for record, _ in files]])
+            if verbose:
+                print(f"  [{e['status']}] {e['name']}", flush=True)
+        for writer in writers:
+            pid, stream, records = writer
+            summary = stream.read()
+            if pid is not None:
+                writer[0] = None
+                _reap_child(pid, "entry CSV writer")
+            for record, line in zip(records, summary.splitlines()):
+                sha256, rows = line.split()
+                record["rows"] = int(rows)
+                record["sha256"] = sha256
+    finally:
+        _kill_children(pid for pid, _, _ in writers)
+        for _, stream, _ in writers:
+            stream.close()
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

@@ -350,6 +350,18 @@ def test_export_trajectory_cleans_up_when_a_block_fails(tmp_path, monkeypatch, c
     assert (tmp_path / "run.csv").read_bytes() == earlier
 
 
+def test_export_trajectory_keeps_the_earlier_pair_when_meta_cannot_be_encoded(tmp_path, monkeypatch):
+    # the sidecar is serialized before the CSV is renamed into place, so a
+    # meta JSON cannot encode leaves the earlier CSV and sidecar byte for
+    # byte, and no private directory behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    export_trajectory(export_sample(3), tmp_path / "run.csv", tmp_path / "run.json", {"count": 3})
+    earlier = {name: (tmp_path / name).read_bytes() for name in ("run.csv", "run.json")}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "run.json", {"x": object()})
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
+
+
 def test_export_trajectory_gives_the_csv_the_mode_of_a_plain_open(tmp_path):
     # the CSV is renamed into place from a private directory; its mode is
     # still the one open(path, "w") gives a new file under the umask

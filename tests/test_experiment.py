@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
@@ -672,6 +673,126 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     got = open(path, "rb").read()
     assert got == reference_plot_bytes(report, "positivity", [made, made])
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
+
+
+def forking_raw():
+    """Three entries whose CSVs hold about 16k values each, enough for a
+    child of their own: positivity and decay write CSVs, triviality
+    errors and writes none."""
+    raw = base_raw()
+    raw["p_values"] = [1.5, 2.0, 3.0]
+    raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
+    raw["scenarios"][0]["controls"] = {"dt_max": 1e-4}
+    raw["checkers"] = [{"id": "positivity"}, {"id": "triviality"}, {"id": "decay", "T_blow": 5.0}]
+    return raw
+
+
+def counted_fork(monkeypatch, failing=()):
+    """Patch os.fork to count its calls and to raise, as under a process
+    limit, on the calls numbered in ``failing``; returns the call list."""
+    forks = []
+    fork = os.fork
+
+    def fork_unless_failing():
+        forks.append(None)
+        if len(forks) in failing:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_unless_failing)
+    return forks
+
+
+def sweep_outputs(out_dir, report):
+    """The report on disk minus its timing, and the bytes of every CSV under
+    ``out_dir`` (entry CSVs and the plot data of each checker), by name."""
+    for cid in ("positivity", "decay"):
+        emit_plot_data(report, cid, out_dir=str(out_dir / "plots"))
+    with open(report.timing["report_path"]) as fh:
+        on_disk = json.load(fh)
+    on_disk.pop("timing")
+    return on_disk, {str(path.relative_to(out_dir)): path.read_bytes() for path in out_dir.rglob("*.csv")}
+
+
+@pytest.mark.parametrize("fallback", ["second fork fails", "one CPU", "no fork"])
+def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeypatch, fallback):
+    # each entry's CSVs are written by a forked child while the next entry
+    # runs; where no child can be had, the runner writes them itself, and
+    # the report and every CSV are the same either way
+    cfg = validate_config(forking_raw())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_fork(monkeypatch)
+    forked = run_experiment(cfg, out_dir=str(tmp_path / "forked"))
+    assert len(forks) == 3
+    if fallback == "second fork fails":
+        forks = counted_fork(monkeypatch, failing=(2,))
+    elif fallback == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        forks = counted_fork(monkeypatch)
+    else:
+        monkeypatch.delattr(os, "fork")
+        forks = []
+    written = run_experiment(cfg, out_dir=str(tmp_path / "written"))
+    assert len(forks) == (3 if fallback == "second fork fails" else 0)
+    expected = sweep_outputs(tmp_path / "forked", forked)
+    assert len(expected[1]) == 3 * 2 + 2
+    assert sweep_outputs(tmp_path / "written", written) == expected
+    assert [e["checks"]["decay"]["rows"] for e in written.entries] == [2001] * 3
+
+
+def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypatch, capfd):
+    # a directory stands where the second entry's decay CSV goes: its child
+    # fails, the runner raises OSError once it reaps it, and no report is
+    # written (every child is reaped; the autouse fixture checks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "out"
+    (out / "warm__p2_decay.csv").mkdir(parents=True)
+    with pytest.raises(OSError, match=r"^entry CSV writer \d+ exited with code 1 "):
+        run_experiment(validate_config(forking_raw()), out_dir=str(out))
+    assert not [name for name in os.listdir(out) if name.startswith("report_")]
+    assert "IsADirectoryError" in capfd.readouterr().err
+
+
+def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, monkeypatch):
+    # the first entry's CSVs are in a child when the second entry raises an
+    # error the runner does not record; the child is stopped and reaped
+    # (the autouse fixture checks) and no report is written
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_fork(monkeypatch)
+    check = experiment.check_decay
+
+    def fails_at_p2(traj, p, **kwargs):
+        if p == 2.0:
+            raise RuntimeError("unexpected")
+        return check(traj, p=p, **kwargs)
+
+    monkeypatch.setattr(experiment, "check_decay", fails_at_p2)
+    with pytest.raises(RuntimeError, match="^unexpected$"):
+        run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
+    assert len(forks) == 1
+    assert not [name for name in os.listdir(tmp_path) if name.startswith("report_")]
+
+
+def test_cli_run_verbose_prints_each_entry_once(tmp_path):
+    # with stdout a pipe it is block-buffered; a forked child must not
+    # write what the parent buffered, nor print anything of its own
+    cfg_path = write_cfg(tmp_path, forking_raw())
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    code = "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from semiheat.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", cfg_path, "--verbose", "--out-dir", str(tmp_path / "out")],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr  # the triviality check errors
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["  [ok] warm__p1.5", "  [ok] warm__p2", "  [ok] warm__p3"]
+    assert lines[3].startswith("report: ")
+    assert lines[4:] == ["entries: 3, scenario errors: 0, check failures: 3"]
 
 
 def test_cli_plotdata_missing_entry_csv(tmp_path):
