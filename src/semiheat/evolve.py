@@ -302,11 +302,13 @@ def ancient_approximation(
     return evolve(m, u0, t_start, T_blow + 1.0, p, controls)
 
 
-# Each extra process export_trajectory forks formats at least this many
-# values.  A fork and its join cost about 4-5 ms, the time of some 5000
-# values; split in two, an export of 2^13 values breaks even or saves 15 %,
-# one of 2^14 saves 19-33 % (measured on a 2-core VM in a process of 73 and
-# 137 MB, BENCH_10.json "export_crossover").
+# A forked writer (_fork_writer) formats at least this many values.  A fork
+# and its join cost about 4-5 ms, the time of some 5000 values; split in
+# two, an export of 2^13 values breaks even or saves 15 %, one of 2^14 saves
+# 19-33 % (measured on a 2-core VM in a process of 73 and 137 MB,
+# BENCH_10.json "export_crossover").  Writing a sweep entry's CSVs in a
+# child breaks even at 6-8k values and saves from 2^13 on (BENCH_12.json
+# "entry_crossover").
 EXPORT_VALUES_PER_WORKER = 1 << 13
 
 
@@ -330,10 +332,10 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     formats the remaining blocks itself.  Every child is reaped and the
     private directory removed before this returns or raises; a child that
     fails raises OSError here and writes its traceback to stderr.  The
-    sidecar is serialized before the CSV is renamed into place and renamed
-    onto ``sidecar_path`` from the same directory right after it, so a
-    ``meta`` that JSON cannot encode leaves an earlier CSV and sidecar as
-    they were.
+    sidecar is written into the private directory before the CSV is renamed
+    into place and copied onto ``sidecar_path`` after it, so a ``meta`` that
+    JSON cannot encode leaves an earlier CSV and sidecar as they were;
+    ``sidecar_path`` may be on another file system than ``csv_path``.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
@@ -345,20 +347,13 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             fd, path = tempfile.mkstemp(suffix=".part", dir=workdir)
-            parts.append([path, None])
-            try:
-                pid = os.fork()
-            except OSError:
-                # no process to spare (EAGAIN, ENOMEM): the caller formats
-                # this block and the later ones itself
-                os.close(fd)
-                parts.pop()
+            values = (hi - lo) * traj.manifold.node_count
+            pid = _fork_writer(values, fd, _write_csv_rows, node_fields, times[lo:hi], traj.snapshots[lo:hi])
+            if pid is None:
+                # the caller formats this block and the later ones itself
                 rest = lo
                 break
-            if pid == 0:
-                _write_in_child_and_exit(fd, _write_csv_rows, node_fields, times[lo:hi], traj.snapshots[lo:hi])
-            parts[-1][1] = pid
-            os.close(fd)  # the parent's copy
+            parts.append([path, pid])
         with open(partial, "w", newline="") as fh:
             fh.write("t,node_index,u\r\n")
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
@@ -392,7 +387,8 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 json.dump(sidecar, fh, indent=1, sort_keys=True)
         os.replace(partial, csv_path)
         if sidecar_path is not None:
-            os.replace(sidecar_partial, sidecar_path)
+            # copied, not renamed: sidecar_path may be on another file system
+            shutil.copyfile(sidecar_partial, sidecar_path)
     finally:
         _kill_children(pid for _, pid in parts)
         shutil.rmtree(workdir)
@@ -409,9 +405,29 @@ def _fork_cpus() -> int:
 def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     """Snapshot indices 0 = b_0 < ... < b_k = snapshots of the export
     blocks: k is _fork_cpus(), capped so that each block keeps at least a
-    snapshot and about EXPORT_VALUES_PER_WORKER values."""
-    k = max(1, min(_fork_cpus(), snapshots, snapshots * nodes // EXPORT_VALUES_PER_WORKER))
+    snapshot and EXPORT_VALUES_PER_WORKER values."""
+    per_block = -(-EXPORT_VALUES_PER_WORKER // nodes)  # snapshots, rounded up
+    k = max(1, min(_fork_cpus(), snapshots // per_block))
     return [snapshots * i // k for i in range(k + 1)]
+
+
+def _fork_writer(values: int, fd, write, *args) -> int | None:
+    """Fork a child that calls ``write(fh, *args)`` with ``fd`` opened as
+    text and leaves (_write_in_child_and_exit); returns its pid.  Returns
+    None where the caller is to write the ``values`` values itself: they are
+    fewer than EXPORT_VALUES_PER_WORKER, this process may run on one CPU or
+    has no ``os.fork``, or the fork fails.  ``fd`` is closed in this process
+    either way."""
+    pid = None
+    if values >= EXPORT_VALUES_PER_WORKER and _fork_cpus() > 1:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare (EAGAIN, ENOMEM)
+            pass
+        if pid == 0:
+            _write_in_child_and_exit(fd, write, *args)
+    os.close(fd)  # this process's copy
+    return pid
 
 
 def _write_in_child_and_exit(fd, write, *args):

@@ -58,13 +58,15 @@ entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
 An entry's CSVs are formatted and written by a forked child while the next
-entry runs (``_start_entry_csvs``; the rule for forking is
-``export_trajectory``'s), and the runner itself writes them where it cannot
-fork.  The child sends each CSV's ``sha256`` and row count back over a pipe;
-the runner reads every pipe and reaps every child in entry order before it
-writes the report, and a child that failed raises OSError there, so no
-report is written.  ``timing.per_entry`` covers each entry's evolve and
-checks, not the formatting of its CSVs.
+entry runs (``_start_entry_csvs``).  The runner writes them itself where
+``_fork_writer`` starts no child: CSVs of fewer than
+EXPORT_VALUES_PER_WORKER values, one CPU, no fork.  The child sends each
+CSV's ``sha256`` and row count back over a pipe.  The runner reads that
+pipe and reaps the child before it starts the next entry's writer, so at
+most one child is outstanding, and the last one before it writes the
+report; a child that failed raises OSError there, so no report is written.
+``timing.per_entry`` covers each entry's evolve and checks, not the
+formatting of its CSVs.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -98,16 +100,7 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
-from .evolve import (
-    EXPORT_VALUES_PER_WORKER,
-    EvolveControls,
-    SolverAbort,
-    _fork_cpus,
-    _kill_children,
-    _reap_child,
-    _write_in_child_and_exit,
-    evolve,
-)
+from .evolve import EvolveControls, SolverAbort, _fork_writer, _kill_children, _reap_child, evolve
 from .geometry import (
     _SPECTRUM_MAX_NODES,
     CLOSED_KINDS,
@@ -559,28 +552,37 @@ def _write_entry_csvs(fh, out_dir: str, files):
 
 
 def _start_entry_csvs(files, out_dir: str) -> list:
-    """Write the entry CSVs of ``files``; returns [child pid, the read end of
-    its pipe] when a forked child writes them, [None, a StringIO] when this
-    process did.  Either stream yields _write_entry_csvs's lines.  The rule
-    for forking is export_trajectory's: more than one CPU, a child gets at
-    least EXPORT_VALUES_PER_WORKER values, and a failing fork falls back to
-    this process."""
-    if _fork_cpus() > 1 and 4 * sum(rep.times.size for _, rep in files) >= EXPORT_VALUES_PER_WORKER:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare (EAGAIN, ENOMEM)
-            os.close(read_fd)
-            os.close(write_fd)
-        else:
-            if pid == 0:
-                _write_in_child_and_exit(write_fd, _write_entry_csvs, out_dir, files)
-            os.close(write_fd)  # the parent's copy: the pipe ends when the child does
-            return [pid, open(read_fd)]
+    """Write the entry CSVs of ``files``, in a forked child where
+    _fork_writer starts one.  Returns [the child's pid or None, a stream
+    that yields _write_entry_csvs's lines, the records of ``files``]: the
+    read end of the child's pipe, or a StringIO this process wrote."""
+    records = [record for record, _ in files]
+    read_fd, write_fd = os.pipe()
+    values = len(_ENTRY_CSV_HEADER.split(",")) * sum(rep.times.size for _, rep in files)
+    pid = _fork_writer(values, write_fd, _write_entry_csvs, out_dir, files)
+    if pid is not None:
+        return [pid, open(read_fd), records]
+    os.close(read_fd)
     summary = io.StringIO()
     _write_entry_csvs(summary, out_dir, files)
     summary.seek(0)
-    return [None, summary]
+    return [None, summary, records]
+
+
+def _finish_entry_csvs(writer: list):
+    """Read the stream of ``writer`` (from _start_entry_csvs) and reap its
+    child, setting the pid to None once reaped: OSError if the child failed.
+    Then fill in each record's ``rows`` and ``sha256``."""
+    pid, stream, records = writer
+    with stream:
+        summary = stream.read()
+    if pid is not None:
+        writer[0] = None
+        _reap_child(pid, "entry CSV writer")
+    for record, line in zip(records, summary.splitlines()):
+        sha256, rows = line.split()
+        record["rows"] = int(rows)
+        record["sha256"] = sha256
 
 
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -598,11 +600,11 @@ def run_experiment(
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
     Each entry's CSVs are written by a forked child while the next entry
-    runs (see the module docstring); every child is reaped before this
-    returns or raises, and one that failed raises OSError with no report
-    written.  ``timing.per_entry`` holds each entry's evolve and check
-    seconds, without the formatting of its CSVs.  ``jobs`` is accepted and
-    ignored, so callers that pass it keep working."""
+    runs (see the module docstring), one child at a time; every child is reaped before this returns or raises, and one that
+    failed raises OSError with no report written.  ``timing.per_entry``
+    holds each entry's evolve and check seconds, without the formatting of
+    its CSVs.  ``jobs`` is accepted and ignored, so callers that pass it
+    keep working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config.config_hash
@@ -611,29 +613,24 @@ def run_experiment(
     m = config.built_manifold
     tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
     entries = []
-    writers = []  # [child pid or None once reaped, its summary stream, records], in entry order
+    writer = None  # the last _start_entry_csvs result
     try:
         for i, (scenario, p) in enumerate(tasks):
             e, files = _run_entry(m, config, scenario, p, i)
             entries.append(e)
             if files:
-                writers.append([*_start_entry_csvs(files, target), [record for record, _ in files]])
+                # the previous entry's CSVs were written while this entry ran
+                if writer:
+                    _finish_entry_csvs(writer)
+                writer = _start_entry_csvs(files, target)
             if verbose:
                 print(f"  [{e['status']}] {e['name']}", flush=True)
-        for writer in writers:
-            pid, stream, records = writer
-            summary = stream.read()
-            if pid is not None:
-                writer[0] = None
-                _reap_child(pid, "entry CSV writer")
-            for record, line in zip(records, summary.splitlines()):
-                sha256, rows = line.split()
-                record["rows"] = int(rows)
-                record["sha256"] = sha256
+        if writer:
+            _finish_entry_csvs(writer)
     finally:
-        _kill_children(pid for pid, _, _ in writers)
-        for _, stream, _ in writers:
-            stream.close()
+        if writer:
+            _kill_children([writer[0]])
+            writer[1].close()
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +361,26 @@ def test_export_trajectory_keeps_the_earlier_pair_when_meta_cannot_be_encoded(tm
     with pytest.raises(TypeError, match="not JSON serializable"):
         export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "run.json", {"x": object()})
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
+
+
+def test_export_trajectory_writes_a_sidecar_on_another_file_system(tmp_path, monkeypatch):
+    # a rename across file systems fails (EXDEV); the sidecar is copied onto
+    # its path, so it may sit on another file system than the CSV
+    other = tmp_path / "other"
+    other.mkdir()
+    replace = os.replace
+
+    def within_a_file_system(src, dst):
+        if Path(src).is_relative_to(other) != Path(dst).is_relative_to(other):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+        replace(src, dst)
+
+    export_trajectory(export_sample(3), tmp_path / "ref.csv", tmp_path / "ref.json", {"count": 3})
+    monkeypatch.setattr(os, "replace", within_a_file_system)
+    export_trajectory(export_sample(3), tmp_path / "run.csv", other / "run.json", {"count": 3})
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (other / "run.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert os.listdir(other) == ["run.json"]
 
 
 def test_export_trajectory_gives_the_csv_the_mode_of_a_plain_open(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -30,6 +31,8 @@ import semiheat.estimates as estimates
 import semiheat.experiment as experiment
 from semiheat.cli import main as cli_main
 from semiheat.experiment import _CHECKERS, _CONTROLS
+
+evolve_module = importlib.import_module("semiheat.evolve")  # the package exports a function of that name
 
 
 def base_raw():
@@ -676,9 +679,8 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
 
 
 def forking_raw():
-    """Three entries whose CSVs hold about 16k values each, enough for a
-    child of their own: positivity and decay write CSVs, triviality
-    errors and writes none."""
+    """Three entries whose CSVs hold about 16k values each: positivity and
+    decay write CSVs, triviality errors and writes none."""
     raw = base_raw()
     raw["p_values"] = [1.5, 2.0, 3.0]
     raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
@@ -738,6 +740,45 @@ def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeyp
     assert len(expected[1]) == 3 * 2 + 2
     assert sweep_outputs(tmp_path / "written", written) == expected
     assert [e["checks"]["decay"]["rows"] for e in written.entries] == [2001] * 3
+
+
+def test_run_experiment_keeps_one_entry_csv_writer_at_a_time(tmp_path, monkeypatch):
+    # each writer is read and reaped before the next one starts, so a sweep
+    # of many entries holds at most one child and one pipe, whatever its
+    # size.  These entries hold fewer than EXPORT_VALUES_PER_WORKER values
+    # each, so the runner writes them all itself until that gate is lowered
+    raw = base_raw()
+    raw["p_values"] = [1.5 + 0.25 * k for k in range(12)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = counted_fork(monkeypatch)
+    run_experiment(validate_config(raw), out_dir=str(tmp_path / "gated"))
+    assert forks == []
+    monkeypatch.setattr(evolve_module, "EXPORT_VALUES_PER_WORKER", 1)
+    live, outstanding = set(), []
+    fork, waitpid = os.fork, os.waitpid
+
+    def tracked_fork():
+        outstanding.append(len(live))
+        pid = fork()
+        if pid:
+            live.add(pid)
+        return pid
+
+    def tracked_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        live.discard(reaped[0])
+        return reaped
+
+    monkeypatch.setattr(os, "fork", tracked_fork)
+    monkeypatch.setattr(os, "waitpid", tracked_waitpid)
+    report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
+    assert outstanding == [0] * 12
+    assert not live
+    for entry in report.entries:
+        record = entry["checks"]["positivity"]
+        data = (tmp_path / record["csv"]).read_bytes()
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+        assert record["rows"] == data.count(b"\n") - 1
 
 
 def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypatch, capfd):
