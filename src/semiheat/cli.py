@@ -52,16 +52,10 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config, out_dir=args.out_dir, verbose=args.verbose)
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
-    check_failures = sum(
-        1
-        for e in report.entries
-        for rep in e.get("checks", {}).values()
-        if rep.get("status") == "error" or not rep.get("passed", False)
-    )
     print(f"report: {report.timing.get('report_path', '?')}")
     print(
         f"entries: {len(report.entries)}, scenario errors: {len(failed)}, "
-        f"check failures: {check_failures}"
+        f"check failures: {report._check_failures}"
     )
     if report.all_passed:
         print("all checks passed")

@@ -325,11 +325,12 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     gives a new file.  Its body is split into contiguous snapshot blocks,
     one per CPU this process may run on while each extra block keeps at
     least EXPORT_VALUES_PER_WORKER values: the caller formats the first
-    block into the CSV, a forked child formats each later one into a part
-    file, and the parts are appended in order, so the bytes do not depend on
-    the CPU count.  With one block (one CPU, a small trajectory, or no
-    ``os.fork``) nothing is forked; where ``os.fork`` fails, the caller
-    formats the remaining blocks itself.  Every child is reaped and the
+    block into the CSV, a forked child formats each later one into the part
+    file ``<lo>.part`` of the private directory (``lo``: the block's first
+    snapshot index), and the parts are appended in order, so the bytes do
+    not depend on the CPU count.  With one block (one CPU, a small
+    trajectory, or no ``os.fork``) nothing is forked; where ``os.fork``
+    fails, the caller formats the remaining blocks itself.  Every child is reaped and the
     private directory removed before this returns or raises; a child that
     fails raises OSError here and writes its traceback to stderr.  The
     sidecar is written into the private directory before the CSV is renamed
@@ -346,9 +347,9 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     rest = times.size  # the caller formats the snapshots from here on itself
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fd, path = tempfile.mkstemp(suffix=".part", dir=workdir)
+            path = os.path.join(workdir, f"{lo}.part")
             values = (hi - lo) * traj.manifold.node_count
-            pid = _fork_writer(values, fd, _write_csv_rows, node_fields, times[lo:hi], traj.snapshots[lo:hi])
+            pid = _fork_writer(values, _write_csv_part, path, node_fields, times[lo:hi], traj.snapshots[lo:hi])
             if pid is None:
                 # the caller formats this block and the later ones itself
                 rest = lo
@@ -411,13 +412,12 @@ def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     return [snapshots * i // k for i in range(k + 1)]
 
 
-def _fork_writer(values: int, fd, write, *args) -> int | None:
-    """Fork a child that calls ``write(fh, *args)`` with ``fd`` opened as
-    text and leaves (_write_in_child_and_exit); returns its pid.  Returns
+def _fork_writer(values: int, write, *args) -> int | None:
+    """Fork a child that calls ``write(*args)``, which writes its files by
+    path, and leaves (_write_in_child_and_exit); returns its pid.  Returns
     None where the caller is to write the ``values`` values itself: they are
     fewer than EXPORT_VALUES_PER_WORKER, this process may run on one CPU or
-    has no ``os.fork``, or the fork fails.  ``fd`` is closed in this process
-    either way."""
+    has no ``os.fork``, or the fork fails."""
     pid = None
     if values >= EXPORT_VALUES_PER_WORKER and _fork_cpus() > 1:
         try:
@@ -425,22 +425,20 @@ def _fork_writer(values: int, fd, write, *args) -> int | None:
         except OSError:  # no process to spare (EAGAIN, ENOMEM)
             pass
         if pid == 0:
-            _write_in_child_and_exit(fd, write, *args)
-    os.close(fd)  # this process's copy
+            _write_in_child_and_exit(write, *args)
     return pid
 
 
-def _write_in_child_and_exit(fd, write, *args):
-    """In a forked child: call ``write(fh, *args)`` with ``fd`` opened as
-    text, then leave without running the parent's cleanup or flushing its
-    buffers (so nothing the parent buffered is written twice).  ``write``
-    runs only Python formatting and file writes, no BLAS routine, so the
-    parent's idle BLAS threads, which the child does not inherit, are never
-    waited on."""
+def _write_in_child_and_exit(write, *args):
+    """In a forked child: call ``write(*args)``, then leave without running
+    the parent's cleanup or flushing its buffers (so nothing the parent
+    buffered is written twice); ``write`` closes the files it opens.
+    ``write`` runs only Python formatting and file writes, no BLAS routine,
+    so the parent's idle BLAS threads, which the child does not inherit,
+    are never waited on."""
     status = 1
     try:
-        with open(fd, "w", newline="") as fh:
-            write(fh, *args)
+        write(*args)
         status = 0
     except BaseException:
         # the parent sees only the exit code; the cause goes to stderr
@@ -464,6 +462,11 @@ def _kill_children(pids):
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _write_csv_part(path, node_fields, times, snapshots):
+    with open(path, "w", newline="") as fh:
+        _write_csv_rows(fh, node_fields, times, snapshots)
 
 
 def _write_csv_rows(fh, node_fields, times, snapshots):

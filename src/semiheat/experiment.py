@@ -60,13 +60,14 @@ may have written over it.
 An entry's CSVs are formatted and written by a forked child while the next
 entry runs (``_start_entry_csvs``).  The runner writes them itself where
 ``_fork_writer`` starts no child: CSVs of fewer than
-EXPORT_VALUES_PER_WORKER values, one CPU, no fork.  The child sends each
-CSV's ``sha256`` and row count back over a pipe.  The runner reads that
-pipe and reaps the child before it starts the next entry's writer, so at
-most one child is outstanding, and the last one before it writes the
-report; a child that failed raises OSError there, so no report is written.
-``timing.per_entry`` covers each entry's evolve and checks, not the
-formatting of its CSVs.
+EXPORT_VALUES_PER_WORKER values, one CPU, no fork.  Either way the writer
+only writes its files by path.  The runner reaps the child before it starts
+the next entry's writer, so at most one child is outstanding, and the last
+one before it writes the report; then it reads each entry CSV back and sets
+``sha256`` and ``rows`` from its bytes (``_finish_entry_csvs``).  A child
+that failed, or an entry CSV that is missing, raises OSError there, so no
+report is written.  ``timing.per_entry`` covers each entry's evolve and
+checks, not the formatting of its CSVs.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -151,14 +152,17 @@ class RunReport:
     directory: str = "."
 
     @property
+    def _check_failures(self) -> int:
+        """How many checks, over all entries, errored or did not pass."""
+        return sum(
+            rep.get("status") == "error" or not rep.get("passed", False)
+            for entry in self.entries
+            for rep in entry.get("checks", {}).values()
+        )
+
+    @property
     def all_passed(self) -> bool:
-        for entry in self.entries:
-            if entry["status"] != "ok":
-                return False
-            for rep in entry["checks"].values():
-                if rep.get("status") == "error" or not rep.get("passed", False):
-                    return False
-        return True
+        return all(entry["status"] == "ok" for entry in self.entries) and self._check_failures == 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -502,7 +506,7 @@ def load_config(path: str) -> ExperimentConfig:
 def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry_index: int):
     """Evolve and check one entry.  Returns the entry and, per check with
     rows, its report record and EstimateReport: the record names the entry
-    CSV and gets ``rows`` and ``sha256`` once that CSV is written."""
+    CSV and gets ``rows`` and ``sha256`` once that CSV is read back."""
     name = f"{scenario.name}__p{p:g}"
     entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
     files = []
@@ -537,52 +541,42 @@ def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry
     return entry, files
 
 
-def _write_entry_csvs(fh, out_dir: str, files):
+def _write_entry_csvs(out_dir: str, files):
     """Write the entry CSV of each (record, EstimateReport) in ``files`` into
-    ``out_dir``, and one line "<sha256> <data rows>" per CSV to ``fh``."""
-    # the per-snapshot rows go to the entry CSV only; its sha256 ties it to
-    # the report, since a later run into the same directory may overwrite a
-    # CSV of the same name
+    ``out_dir``, each built as one text and written with one call."""
     for record, rep in files:
         lines = [",".join(row) + "\n" for row in rep.csv_rows()]
-        data = (_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8")
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
-            out.write(data)
-        fh.write(f"{hashlib.sha256(data).hexdigest()} {len(lines)}\n")
+            out.write((_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8"))
 
 
 def _start_entry_csvs(files, out_dir: str) -> list:
     """Write the entry CSVs of ``files``, in a forked child where
-    _fork_writer starts one.  Returns [the child's pid or None, a stream
-    that yields _write_entry_csvs's lines, the records of ``files``]: the
-    read end of the child's pipe, or a StringIO this process wrote."""
-    records = [record for record, _ in files]
-    read_fd, write_fd = os.pipe()
+    _fork_writer starts one.  Returns [the child's pid or None, the records
+    of ``files``]."""
     values = len(_ENTRY_CSV_HEADER.split(",")) * sum(rep.times.size for _, rep in files)
-    pid = _fork_writer(values, write_fd, _write_entry_csvs, out_dir, files)
-    if pid is not None:
-        return [pid, open(read_fd), records]
-    os.close(read_fd)
-    summary = io.StringIO()
-    _write_entry_csvs(summary, out_dir, files)
-    summary.seek(0)
-    return [None, summary, records]
+    pid = _fork_writer(values, _write_entry_csvs, out_dir, files)
+    if pid is None:
+        _write_entry_csvs(out_dir, files)
+    return [pid, [record for record, _ in files]]
 
 
-def _finish_entry_csvs(writer: list):
-    """Read the stream of ``writer`` (from _start_entry_csvs) and reap its
-    child, setting the pid to None once reaped: OSError if the child failed.
-    Then fill in each record's ``rows`` and ``sha256``."""
-    pid, stream, records = writer
-    with stream:
-        summary = stream.read()
+def _finish_entry_csvs(writer: list, out_dir: str):
+    """Reap the child of ``writer`` (from _start_entry_csvs), if any, setting
+    its pid to None: OSError if it failed.  Then read each record's entry
+    CSV back from ``out_dir`` and set its ``sha256`` and ``rows`` (newlines
+    less the header's) from those bytes: OSError if the file is missing."""
+    pid, records = writer
     if pid is not None:
         writer[0] = None
         _reap_child(pid, "entry CSV writer")
-    for record, line in zip(records, summary.splitlines()):
-        sha256, rows = line.split()
-        record["rows"] = int(rows)
-        record["sha256"] = sha256
+    # the digest ties the entry CSV to the report, since a later run into
+    # the same directory may overwrite a CSV of the same name
+    for record in records:
+        with open(os.path.join(out_dir, record["csv"]), "rb") as fh:
+            data = fh.read()
+        record["sha256"] = hashlib.sha256(data).hexdigest()
+        record["rows"] = data.count(b"\n") - 1
 
 
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -600,11 +594,12 @@ def run_experiment(
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
     Each entry's CSVs are written by a forked child while the next entry
-    runs (see the module docstring), one child at a time; every child is reaped before this returns or raises, and one that
-    failed raises OSError with no report written.  ``timing.per_entry``
-    holds each entry's evolve and check seconds, without the formatting of
-    its CSVs.  ``jobs`` is accepted and ignored, so callers that pass it
-    keep working."""
+    runs (see the module docstring), one child at a time; every child is
+    reaped before this returns or raises.  A child that failed, or an entry
+    CSV missing when it is read back, raises OSError with no report
+    written.  ``timing.per_entry`` holds each entry's evolve and check
+    seconds, without the formatting of its CSVs.  ``jobs`` is accepted and
+    ignored, so callers that pass it keep working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config.config_hash
@@ -621,16 +616,15 @@ def run_experiment(
             if files:
                 # the previous entry's CSVs were written while this entry ran
                 if writer:
-                    _finish_entry_csvs(writer)
+                    _finish_entry_csvs(writer, target)
                 writer = _start_entry_csvs(files, target)
             if verbose:
                 print(f"  [{e['status']}] {e['name']}", flush=True)
         if writer:
-            _finish_entry_csvs(writer)
+            _finish_entry_csvs(writer, target)
     finally:
         if writer:
             _kill_children([writer[0]])
-            writer[1].close()
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,14 +547,14 @@ def test_emit_plot_data(tmp_path):
     report = run_experiment(cfg, out_dir=str(tmp_path))
     paths = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
     assert len(paths) == 1
-    lines = open(paths[0]).read().splitlines()
+    lines = Path(paths[0]).read_text().splitlines()
     assert lines[0] == "scenario,p,t,lhs,structural_rhs,ratio"
     expected_rows = report.entries[0]["checks"]["positivity"]["rows"]
     assert expected_rows > 0
     assert len(lines) == 1 + expected_rows
-    first_bytes = open(paths[0], "rb").read()
+    first_bytes = Path(paths[0]).read_bytes()
     emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    assert open(paths[0], "rb").read() == first_bytes
+    assert Path(paths[0]).read_bytes() == first_bytes
     with pytest.raises(ValueError, match="unknown checker id"):
         emit_plot_data(report, "sorcery", out_dir=str(tmp_path))
     with pytest.raises(ValueError, match="not present"):
@@ -565,7 +566,7 @@ def test_emit_plot_data_header_only_for_empty_report(tmp_path):
     raw["scenarios"] = []
     report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
     paths = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    lines = open(paths[0]).read().splitlines()
+    lines = Path(paths[0]).read_text().splitlines()
     assert lines == ["scenario,p,t,lhs,structural_rhs,ratio"]
 
 
@@ -634,7 +635,7 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
     }
     out = tmp_path / "out"
     report = run_experiment(validate_config(raw), out_dir=str(out))
-    on_disk = json.loads(open(report.timing["report_path"]).read())
+    on_disk = json.loads(Path(report.timing["report_path"]).read_text())
     assert on_disk["entries"] == report.entries
     for entry in on_disk["entries"]:
         for cid, rep in entry["checks"].items():
@@ -648,12 +649,12 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
     for cid in _CHECKERS:
         assert sum(rep.times.size for rep in captured[cid]) > 0, cid
         (path,) = emit_plot_data(report, cid, out_dir=str(tmp_path / "plots"))
-        assert open(path, "rb").read() == reference_plot_bytes(report, cid, captured[cid]), cid
+        assert Path(path).read_bytes() == reference_plot_bytes(report, cid, captured[cid]), cid
         # a report read back from disk finds its entry CSVs through its directory
         loaded = RunReport.from_json_dict(on_disk)
         loaded.directory = str(out)
         (again,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / "again"))
-        assert open(again, "rb").read() == open(path, "rb").read()
+        assert Path(again).read_bytes() == Path(path).read_bytes()
 
 
 def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch):
@@ -673,7 +674,7 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
     assert [e["checks"]["positivity"]["rows"] for e in report.entries] == [5, 5]
     (path,) = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    got = open(path, "rb").read()
+    got = Path(path).read_bytes()
     assert got == reference_plot_bytes(report, "positivity", [made, made])
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
 
@@ -794,6 +795,21 @@ def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypa
     assert "IsADirectoryError" in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatch, cpus):
+    # a writer that writes nothing, in a forked child (which inherits the
+    # patch) or in the runner: reading the first entry's CSVs back raises
+    # OSError, no report is written and every child is reaped (the autouse
+    # fixture checks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(experiment, "_write_entry_csvs", lambda *args: None)
+    forks = counted_fork(monkeypatch)
+    with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
+        run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
+    assert len(forks) == (1 if cpus == 2 else 0)
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, monkeypatch):
     # the first entry's CSVs are in a child when the second entry raises an
     # error the runner does not record; the child is stopped and reaped
@@ -886,7 +902,7 @@ def test_plotdata_refuses_an_entry_csv_a_later_run_overwrote(tmp_path):
 
 def test_report_json_round_trip(tmp_path):
     report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path))
-    loaded = json.load(open(report.timing["report_path"]))
+    loaded = json.loads(Path(report.timing["report_path"]).read_text())
     again = RunReport.from_json_dict(loaded)
     assert again.config_hash == report.config_hash
     assert again.all_passed == report.all_passed
