@@ -116,18 +116,15 @@ class EstimateReport:
         written through ``csv_rows``."""
 
         def clean(x):
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, np.bool_):
-                return bool(x)
+            # JSON has no infinity: +-inf becomes "inf"/"-inf", from numpy too
+            if isinstance(x, (np.ndarray, np.generic)):
+                x = x.tolist()
             if isinstance(x, dict):
                 return {k: clean(v) for k, v in x.items()}
             if isinstance(x, (list, tuple)):
                 return [clean(v) for v in x]
             if isinstance(x, float) and math.isinf(x):
-                return "inf"
+                return "inf" if x > 0 else "-inf"
             return x
 
         return {

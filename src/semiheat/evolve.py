@@ -325,12 +325,12 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     gives a new file.  Its body is split into contiguous snapshot blocks,
     one per CPU this process may run on while each extra block keeps at
     least EXPORT_VALUES_PER_WORKER values: the caller formats the first
-    block into the CSV, a forked child formats each later one into the part
-    file ``<lo>.part`` of the private directory (``lo``: the block's first
-    snapshot index), and the parts are appended in order, so the bytes do
-    not depend on the CPU count.  With one block (one CPU, a small
-    trajectory, or no ``os.fork``) nothing is forked; where ``os.fork``
-    fails, the caller formats the remaining blocks itself.  Every child is reaped and the
+    block into the CSV and each later one goes to the part file ``<lo>.part``
+    of the private directory (``lo``: the block's first snapshot index),
+    formatted by a forked child (_fork_writer) or, once a fork has failed,
+    by the caller; the parts are appended in order, so the bytes do not
+    depend on the CPU count.  With one block (one CPU, a small trajectory,
+    or no ``os.fork``) nothing is forked.  Every child is reaped and the
     private directory removed before this returns or raises; a child that
     fails raises OSError here and writes its traceback to stderr.  The
     sidecar is written into the private directory before the CSV is renamed
@@ -343,17 +343,14 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     bounds = _export_block_bounds(times.size, traj.manifold.node_count)
     workdir = tempfile.mkdtemp(prefix=f".{os.path.basename(csv_path)}.", dir=os.path.dirname(os.path.abspath(csv_path)))
     partial = os.path.join(workdir, "export.csv")
-    parts = []  # [part path, child pid or None once reaped], in block order
-    rest = times.size  # the caller formats the snapshots from here on itself
+    parts = []  # [part path, child pid or None: none or reaped], in block order
     try:
+        forking = True  # until a fork fails: then the caller writes every later block
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             path = os.path.join(workdir, f"{lo}.part")
-            values = (hi - lo) * traj.manifold.node_count
+            values = (hi - lo) * traj.manifold.node_count if forking else 0
             pid = _fork_writer(values, _write_csv_part, path, node_fields, times[lo:hi], traj.snapshots[lo:hi])
-            if pid is None:
-                # the caller formats this block and the later ones itself
-                rest = lo
-                break
+            forking = pid is not None
             parts.append([path, pid])
         with open(partial, "w", newline="") as fh:
             fh.write("t,node_index,u\r\n")
@@ -364,7 +361,6 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 _reap_child(pid, "export worker")
                 with open(part[0], "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
-            _write_csv_rows(fh, node_fields, times[rest:], traj.snapshots[rest:])
         if sidecar_path is not None:
             sidecar = {
                 "manifold": {
@@ -413,42 +409,44 @@ def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
 
 
 def _fork_writer(values: int, write, *args) -> int | None:
-    """Fork a child that calls ``write(*args)``, which writes its files by
-    path, and leaves (_write_in_child_and_exit); returns its pid.  Returns
-    None where the caller is to write the ``values`` values itself: they are
-    fewer than EXPORT_VALUES_PER_WORKER, this process may run on one CPU or
-    has no ``os.fork``, or the fork fails."""
+    """Call ``write(*args)``, which writes its files by path, in a forked
+    child and return the child's pid; or, where no child is forked, call it
+    here and return None.  No child is forked for fewer than
+    EXPORT_VALUES_PER_WORKER ``values``, where this process may run on one
+    CPU or has no ``os.fork``, or where the fork fails.
+
+    The child leaves through ``os._exit``, without running the parent's
+    cleanup or flushing its buffers (so nothing the parent buffered is
+    written twice); ``write`` closes the files it opens.  The parent sees
+    only its exit code (_reap_child), so a failure's traceback goes to
+    stderr.  ``write`` runs only Python formatting and file writes, no BLAS
+    routine, so the parent's idle BLAS threads, which the child does not
+    inherit, are never waited on."""
     pid = None
     if values >= EXPORT_VALUES_PER_WORKER and _fork_cpus() > 1:
         try:
             pid = os.fork()
         except OSError:  # no process to spare (EAGAIN, ENOMEM)
             pass
-        if pid == 0:
-            _write_in_child_and_exit(write, *args)
+    if pid == 0:
+        status = 1
+        try:
+            write(*args)
+            status = 0
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(status)
+    if pid is None:
+        write(*args)
     return pid
 
 
-def _write_in_child_and_exit(write, *args):
-    """In a forked child: call ``write(*args)``, then leave without running
-    the parent's cleanup or flushing its buffers (so nothing the parent
-    buffered is written twice); ``write`` closes the files it opens.
-    ``write`` runs only Python formatting and file writes, no BLAS routine,
-    so the parent's idle BLAS threads, which the child does not inherit,
-    are never waited on."""
-    status = 1
-    try:
-        write(*args)
-        status = 0
-    except BaseException:
-        # the parent sees only the exit code; the cause goes to stderr
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _reap_child(pid: int, what: str):
-    """Wait for child ``pid``; OSError naming ``what`` if it failed."""
+def _reap_child(pid: int | None, what: str):
+    """Wait for child ``pid`` (None: no child, nothing to do); OSError
+    naming ``what`` if it failed."""
+    if pid is None:
+        return
     _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
     if code != 0:

@@ -57,17 +57,18 @@ was written to or read from, and refuses an entry CSV whose digest differs:
 entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
-An entry's CSVs are formatted and written by a forked child while the next
-entry runs (``_start_entry_csvs``).  The runner writes them itself where
-``_fork_writer`` starts no child: CSVs of fewer than
-EXPORT_VALUES_PER_WORKER values, one CPU, no fork.  Either way the writer
-only writes its files by path.  The runner reaps the child before it starts
-the next entry's writer, so at most one child is outstanding, and the last
-one before it writes the report; then it reads each entry CSV back and sets
-``sha256`` and ``rows`` from its bytes (``_finish_entry_csvs``).  A child
-that failed, or an entry CSV that is missing, raises OSError there, so no
-report is written.  ``timing.per_entry`` covers each entry's evolve and
-checks, not the formatting of its CSVs.
+The runner first removes any file at an entry's CSV paths, then hands the
+writing to ``_fork_writer``: a forked child writes them while the next entry
+runs, or, where it forks none (CSVs of fewer than EXPORT_VALUES_PER_WORKER
+values, one CPU, no fork), the runner writes them there and then.  Either
+way the writer only writes its files by path.  The runner reaps the child
+before it starts the next entry's writer, so at most one child is
+outstanding, and the last one before it writes the report; then it reads
+each entry CSV back and sets ``sha256`` and ``rows`` from its bytes
+(``_finish_entry_csvs``).  A child that failed, or an entry CSV that is
+missing, raises OSError there, so no report is written and no earlier
+run's file is recorded.  ``timing.per_entry`` covers each entry's evolve
+and checks, not the formatting of its CSVs.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -78,6 +79,7 @@ one entry there; ``_RECIPES`` does the same for initial-data recipes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -111,7 +113,7 @@ from .geometry import (
     build_manifold,
     laplacian_spectrum,
 )
-from .reaction_ode import trivial_ancient
+from .reaction_ode import trivial_ancient, validate_exponent
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
@@ -175,6 +177,21 @@ class RunReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunReport":
+        """The report of a parsed report JSON.  ValueError naming the first
+        field that does not have the shape ``run`` writes."""
+
+        def expect(value, kind, path):
+            if not isinstance(value, kind):
+                what = {dict: "an object", list: "a list", str: "a string"}[kind]
+                raise ValueError(f"report{path}: expected {what}, got {type(value).__name__}")
+            return value
+
+        expect(d, dict, "")
+        expect(d.get("config_hash"), str, ".config_hash")
+        for i, entry in enumerate(expect(d.get("entries"), list, ".entries")):
+            expect(entry, dict, f".entries[{i}]")
+            for cid, rep in expect(entry.get("checks", {}), dict, f".entries[{i}].checks").items():
+                expect(rep, dict, f".entries[{i}].checks.{cid}")
         return cls(
             config_hash=d["config_hash"],
             entries=d["entries"],
@@ -400,8 +417,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("p_values", "must be a list")
     p_values = tuple(_number(p, f"p_values[{i}]") for i, p in enumerate(p_values))
     for i, p in enumerate(p_values):
-        if p <= 1.0:
-            raise ConfigError(f"p_values[{i}]", "exponent must exceed 1")
+        try:
+            validate_exponent(p)
+        except ValueError as exc:
+            raise ConfigError(f"p_values[{i}]", str(exc)) from None
 
     scenarios = raw.get("scenarios", [])
     if not isinstance(scenarios, list):
@@ -550,26 +569,12 @@ def _write_entry_csvs(out_dir: str, files):
             out.write((_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8"))
 
 
-def _start_entry_csvs(files, out_dir: str) -> list:
-    """Write the entry CSVs of ``files``, in a forked child where
-    _fork_writer starts one.  Returns [the child's pid or None, the records
-    of ``files``]."""
-    values = len(_ENTRY_CSV_HEADER.split(",")) * sum(rep.times.size for _, rep in files)
-    pid = _fork_writer(values, _write_entry_csvs, out_dir, files)
-    if pid is None:
-        _write_entry_csvs(out_dir, files)
-    return [pid, [record for record, _ in files]]
-
-
-def _finish_entry_csvs(writer: list, out_dir: str):
-    """Reap the child of ``writer`` (from _start_entry_csvs), if any, setting
-    its pid to None: OSError if it failed.  Then read each record's entry
-    CSV back from ``out_dir`` and set its ``sha256`` and ``rows`` (newlines
-    less the header's) from those bytes: OSError if the file is missing."""
-    pid, records = writer
-    if pid is not None:
-        writer[0] = None
-        _reap_child(pid, "entry CSV writer")
+def _finish_entry_csvs(pid: int | None, records, out_dir: str):
+    """Reap the entry CSV writer ``pid`` (None: no child), OSError if it
+    failed.  Then read each of the ``records``' entry CSVs back from
+    ``out_dir`` and set its ``sha256`` and ``rows`` (newlines less the
+    header's) from those bytes: OSError if the file is missing."""
+    _reap_child(pid, "entry CSV writer")
     # the digest ties the entry CSV to the report, since a later run into
     # the same directory may overwrite a CSV of the same name
     for record in records:
@@ -594,12 +599,14 @@ def run_experiment(
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
     Each entry's CSVs are written by a forked child while the next entry
-    runs (see the module docstring), one child at a time; every child is
-    reaped before this returns or raises.  A child that failed, or an entry
-    CSV missing when it is read back, raises OSError with no report
-    written.  ``timing.per_entry`` holds each entry's evolve and check
-    seconds, without the formatting of its CSVs.  ``jobs`` is accepted and
-    ignored, so callers that pass it keep working."""
+    runs, or by the runner where _fork_writer forks none (see the module
+    docstring), one child at a time; every child is reaped before this
+    returns or raises.  A child that failed, or an entry CSV missing when
+    it is read back (a file of an earlier run was removed first), raises
+    OSError with no report written.  ``timing.per_entry`` holds each
+    entry's evolve and check seconds, without the formatting of its CSVs.
+    ``jobs`` is accepted and ignored, so callers that pass it keep
+    working."""
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config.config_hash
@@ -608,23 +615,32 @@ def run_experiment(
     m = config.built_manifold
     tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
     entries = []
-    writer = None  # the last _start_entry_csvs result
+    pid, records = None, []  # the last entry CSV writer's child (None: none running) and records
     try:
         for i, (scenario, p) in enumerate(tasks):
             e, files = _run_entry(m, config, scenario, p, i)
             entries.append(e)
             if files:
-                # the previous entry's CSVs were written while this entry ran
-                if writer:
-                    _finish_entry_csvs(writer, target)
-                writer = _start_entry_csvs(files, target)
+                # the previous entry's CSVs were written while this entry ran;
+                # its pid is dropped before the reap, so the finally cannot
+                # kill a reaped one
+                done, pid = pid, None
+                _finish_entry_csvs(done, records, target)
+                records = [record for record, _ in files]
+                for record in records:
+                    # so that an earlier run's file is never read back for
+                    # this one; a path that cannot be removed (none there, a
+                    # directory) is left to the writer to replace or fail on
+                    with contextlib.suppress(OSError):
+                        os.remove(os.path.join(target, record["csv"]))
+                values = len(_ENTRY_CSV_HEADER.split(",")) * sum(rep.times.size for _, rep in files)
+                pid = _fork_writer(values, _write_entry_csvs, target, files)
             if verbose:
                 print(f"  [{e['status']}] {e['name']}", flush=True)
-        if writer:
-            _finish_entry_csvs(writer, target)
+        done, pid = pid, None
+        _finish_entry_csvs(done, records, target)
     finally:
-        if writer:
-            _kill_children([writer[0]])
+        _kill_children([pid])
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -72,6 +73,36 @@ def test_report_invariants_enforced():
     assert d["c_fit"] == 0.5
     rows = list(r.csv_rows())
     assert rows and len(rows[0]) == 4
+
+
+def test_report_json_writes_signed_infinities_as_strings(torus):
+    # JSON has no infinity: +-inf, from Python or numpy, becomes "inf" or
+    # "-inf", so the text parses with no bare constant
+    arr = np.array([0.0])
+    diagnostics = {
+        "py": [math.inf, -math.inf],
+        "np": [np.float64(np.inf), np.float64(-np.inf)],
+        "array": np.array([np.inf, -np.inf, 1.5]),
+        "finite": np.float64(0.25),
+    }
+    r = EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=math.inf, passed=True, diagnostics=diagnostics)
+
+    def bare(name):
+        raise AssertionError(f"bare JSON constant {name}")
+
+    d = json.loads(json.dumps(r.to_json_dict()), parse_constant=bare)
+    assert d["c_cap"] == "inf"
+    assert d["diagnostics"] == {
+        "py": ["inf", "-inf"],
+        "np": ["inf", "-inf"],
+        "array": ["inf", "-inf", 1.5],
+        "finite": 0.25,
+    }
+    # an unbounded cap puts the second branch of the lower bound at -inf
+    traj = evolve(torus, -np.ones(256), 0.0, 3.0, 2.0)
+    params = EstimateParams(delta=0.5, L=1.0, A=8.0, r0=1.0, T=3.0, K=0.0)
+    text = json.dumps(check_lower_bound_lemma(traj, params, math.inf, 2.0).to_json_dict())
+    assert json.loads(text, parse_constant=bare)["diagnostics"]["second_branch_bound"] == "-inf"
 
 
 def test_finalize_refuses_a_nan_constant():

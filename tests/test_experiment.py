@@ -274,6 +274,8 @@ def test_validate_config_accepts_base():
             for key in ("t0", "t1")
         ),
         pytest.param(lambda r: r.update(checkers=[{"T_blow": 1.0}]), "checkers[0].id", id="missing-checker-id"),
+        # above 1, but within the exponent floor every run refuses
+        pytest.param(lambda r: r.update(p_values=[2.0, 1.0000000001]), "p_values[1]", id="p-within-floor-of-1"),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
@@ -744,9 +746,8 @@ def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeyp
 
 
 def test_run_experiment_keeps_one_entry_csv_writer_at_a_time(tmp_path, monkeypatch):
-    # each writer is read and reaped before the next one starts, so a sweep
-    # of many entries holds at most one child and one pipe, whatever its
-    # size.  These entries hold fewer than EXPORT_VALUES_PER_WORKER values
+    # each writer is reaped and read back before the next one starts, so a
+    # sweep of many entries holds at most one child, whatever its size.  These entries hold fewer than EXPORT_VALUES_PER_WORKER values
     # each, so the runner writes them all itself until that gate is lowered
     raw = base_raw()
     raw["p_values"] = [1.5 + 0.25 * k for k in range(12)]
@@ -800,14 +801,21 @@ def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatc
     # a writer that writes nothing, in a forked child (which inherits the
     # patch) or in the runner: reading the first entry's CSVs back raises
     # OSError, no report is written and every child is reaped (the autouse
-    # fixture checks)
+    # fixture checks).  So too where an earlier run of the same config left
+    # its entry CSVs and report: its files are not read back for this run
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = validate_config(forking_raw())
+    earlier = run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
+    report_bytes = Path(earlier.timing["report_path"]).read_bytes()
     monkeypatch.setattr(experiment, "_write_entry_csvs", lambda *args: None)
     forks = counted_fork(monkeypatch)
     with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
-        run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
+        run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
     assert len(forks) == (1 if cpus == 2 else 0)
-    assert os.listdir(tmp_path) == []
+    assert os.listdir(tmp_path / "fresh") == []
+    with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
+        run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
+    assert Path(earlier.timing["report_path"]).read_bytes() == report_bytes
 
 
 def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, monkeypatch):
@@ -870,6 +878,27 @@ def test_cli_plotdata_missing_entry_csv(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "warm__p2_positivity.csv" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        pytest.param([], "report: expected an object, got list", id="not-an-object"),
+        pytest.param({"config_hash": "ab", "entries": 5}, "report.entries: expected a list, got int", id="entries"),
+        pytest.param(
+            {"config_hash": "ab", "entries": [{"name": "warm__p2", "checks": []}]},
+            "report.entries[0].checks: expected an object, got list",
+            id="checks",
+        ),
+        pytest.param({"config_hash": 7, "entries": []}, "report.config_hash: expected a string, got int", id="hash"),
+    ],
+)
+def test_cli_plotdata_refuses_a_report_not_shaped_as_run_writes_it(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert cli_main(["plotdata", str(path), "positivity", "--out-dir", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "plots").exists()
 
 
