@@ -1,6 +1,6 @@
 """Command line front end.
 
-    semiheat run CONFIG [--out-dir DIR] [--verbose]
+    semiheat run CONFIG [--out-dir DIR] [--jobs N] [--verbose]
     semiheat check CONFIG
     semiheat plotdata REPORT CHECKER [--out-dir DIR]
 
@@ -25,6 +25,16 @@ from .experiment import (
 )
 
 
+def _positive_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiheat",
@@ -35,7 +45,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute a sweep config")
     run_p.add_argument("config", help="path to a JSON config")
     run_p.add_argument("--out-dir", default=None, help="output directory override")
-    run_p.add_argument("--jobs", type=int, default=1, help="ignored: entries run one after another")
+    run_p.add_argument(
+        "--jobs",
+        type=_positive_jobs,
+        default=None,
+        help="entries run at once, each in a forked worker; 1 runs them in this process "
+        "(default: one per CPU this process may run on)",
+    )
     run_p.add_argument("--verbose", action="store_true", help="print per-entry progress")
 
     check_p = sub.add_parser("check", help="validate a config without running it")
@@ -50,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    report = run_experiment(config, out_dir=args.out_dir, verbose=args.verbose)
+    report = run_experiment(config, out_dir=args.out_dir, verbose=args.verbose, jobs=args.jobs)
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
     print(f"report: {report.timing.get('report_path', '?')}")
     print(

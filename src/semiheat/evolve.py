@@ -302,13 +302,11 @@ def ancient_approximation(
     return evolve(m, u0, t_start, T_blow + 1.0, p, controls)
 
 
-# A forked writer (_fork_writer) formats at least this many values.  A fork
-# and its join cost about 4-5 ms, the time of some 5000 values; split in
-# two, an export of 2^13 values breaks even or saves 15 %, one of 2^14 saves
-# 19-33 % (measured on a 2-core VM in a process of 73 and 137 MB,
-# BENCH_10.json "export_crossover").  Writing a sweep entry's CSVs in a
-# child breaks even at 6-8k values and saves from 2^13 on (BENCH_12.json
-# "entry_crossover").
+# Each export block a forked child formats holds at least this many values.
+# A fork and its join cost about 4-5 ms, the time of some 5000 values; split
+# in two, an export of 2^13 values breaks even or saves 15 %, one of 2^14
+# saves 19-33 % (measured on a 2-core VM in a process of 73 and 137 MB,
+# BENCH_10.json "export_crossover").
 EXPORT_VALUES_PER_WORKER = 1 << 13
 
 
@@ -327,7 +325,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     least EXPORT_VALUES_PER_WORKER values: the caller formats the first
     block into the CSV and each later one goes to the part file ``<lo>.part``
     of the private directory (``lo``: the block's first snapshot index),
-    formatted by a forked child (_fork_writer) or, once a fork has failed,
+    formatted by a forked child (_fork_worker) or, once a fork has failed,
     by the caller; the parts are appended in order, so the bytes do not
     depend on the CPU count.  With one block (one CPU, a small trajectory,
     or no ``os.fork``) nothing is forked.  Every child is reaped and the
@@ -345,11 +343,12 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     partial = os.path.join(workdir, "export.csv")
     parts = []  # [part path, child pid or None: none or reaped], in block order
     try:
-        forking = True  # until a fork fails: then the caller writes every later block
+        # each later block holds at least EXPORT_VALUES_PER_WORKER values
+        # (_export_block_bounds); once a fork fails, the caller writes the rest
+        forking = True
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             path = os.path.join(workdir, f"{lo}.part")
-            values = (hi - lo) * traj.manifold.node_count if forking else 0
-            pid = _fork_writer(values, _write_csv_part, path, node_fields, times[lo:hi], traj.snapshots[lo:hi])
+            pid = _fork_worker(forking, _write_csv_part, path, node_fields, times[lo:hi], traj.snapshots[lo:hi])
             forking = pid is not None
             parts.append([path, pid])
         with open(partial, "w", newline="") as fh:
@@ -392,8 +391,8 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
 
 
 def _fork_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork: a
-    forked child formatting output can then run beside its parent."""
+    """The CPUs this process may run on, or 1 where it cannot fork: forked
+    children can then run beside their parent."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
@@ -408,22 +407,24 @@ def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     return [snapshots * i // k for i in range(k + 1)]
 
 
-def _fork_writer(values: int, write, *args) -> int | None:
-    """Call ``write(*args)``, which writes its files by path, in a forked
-    child and return the child's pid; or, where no child is forked, call it
-    here and return None.  No child is forked for fewer than
-    EXPORT_VALUES_PER_WORKER ``values``, where this process may run on one
-    CPU or has no ``os.fork``, or where the fork fails.
+def _fork_worker(fork: bool, work, *args) -> int | None:
+    """Call ``work(*args)``, which leaves its results in files by path, in a
+    forked child and return the child's pid; or, where no child is forked,
+    call it here and return None.  The caller decides whether to ``fork``
+    (export_trajectory: a block of at least EXPORT_VALUES_PER_WORKER values
+    on more than one CPU; run_experiment: more than one job); no child is
+    forked either where ``os.fork`` is missing or fails.
 
     The child leaves through ``os._exit``, without running the parent's
     cleanup or flushing its buffers (so nothing the parent buffered is
-    written twice); ``write`` closes the files it opens.  The parent sees
+    written twice); ``work`` closes the files it opens.  The parent sees
     only its exit code (_reap_child), so a failure's traceback goes to
-    stderr.  ``write`` runs only Python formatting and file writes, no BLAS
-    routine, so the parent's idle BLAS threads, which the child does not
-    inherit, are never waited on."""
+    stderr.  A sweep entry's ``work`` runs LAPACK solves, not only
+    formatting: numpy's OpenBLAS (a pthreads build) starts its thread pool
+    afresh in a forked child, which does not inherit the parent's threads,
+    so the child never waits on a thread it lacks."""
     pid = None
-    if values >= EXPORT_VALUES_PER_WORKER and _fork_cpus() > 1:
+    if fork and hasattr(os, "fork"):
         try:
             pid = os.fork()
         except OSError:  # no process to spare (EAGAIN, ENOMEM)
@@ -431,14 +432,14 @@ def _fork_writer(values: int, write, *args) -> int | None:
     if pid == 0:
         status = 1
         try:
-            write(*args)
+            work(*args)
             status = 0
         except BaseException:
             os.write(2, traceback.format_exc().encode())
         finally:
             os._exit(status)
     if pid is None:
-        write(*args)
+        work(*args)
     return pid
 
 

@@ -38,14 +38,15 @@ trajectory, are config errors.  The runner only executes these records and
 reads no raw config dict; validation also computes the config hash.
 
 The sweep runs every scenario at every p (cardinality = len(scenarios) *
-len(p_values)).  Entries run one after another in that order, on the one
-manifold that validation built; a failing scenario is recorded and never
-disturbs the others.  The report is written even when checks fail: failures
-are the interesting output.  Everything in the report except the "timing"
-block is a pure function of the config.  The config hash is the sha256 of
-the canonicalized (key-sorted, compact) JSON text followed by the sha256 of
-each custom file's bytes, so a config without one hashes its text alone.  A
-key the schema above does not name, at any level, is a config error.
+len(p_values)); the entries are listed in that order, each run on the one
+manifold that validation built, and no entry reads another's results.  A
+failing scenario is recorded and never disturbs the others.  The report is
+written even when checks fail: failures are the interesting output.
+Everything in the report except the "timing" block is a pure function of
+the config.  The config hash is the sha256 of the canonicalized
+(key-sorted, compact) JSON text followed by the sha256 of each custom
+file's bytes, so a config without one hashes its text alone.  A key the
+schema above does not name, at any level, is a config error.
 
 Each check writes its per-snapshot rows (t, lhs, structural rhs, ratio) once,
 to the entry CSV ``<entry>_<checker>.csv`` beside the report.  The report
@@ -57,18 +58,24 @@ was written to or read from, and refuses an entry CSV whose digest differs:
 entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
-The runner first removes any file at an entry's CSV paths, then hands the
-writing to ``_fork_writer``: a forked child writes them while the next entry
-runs, or, where it forks none (CSVs of fewer than EXPORT_VALUES_PER_WORKER
-values, one CPU, no fork), the runner writes them there and then.  Either
-way the writer only writes its files by path.  The runner reaps the child
-before it starts the next entry's writer, so at most one child is
-outstanding, and the last one before it writes the report; then it reads
-each entry CSV back and sets ``sha256`` and ``rows`` from its bytes
-(``_finish_entry_csvs``).  A child that failed, or an entry CSV that is
-missing, raises OSError there, so no report is written and no earlier
-run's file is recorded.  ``timing.per_entry`` covers each entry's evolve
-and checks, not the formatting of its CSVs.
+The runner works in a private directory beside the report
+(``.report_<hash>.<random>``).  With more than one job it forks one worker
+per entry (_fork_worker), at most ``jobs`` alive at once: a worker evolves
+its entry, runs its checks, writes its entry CSVs into the private directory
+and pickles the entry to ``<i>.pkl`` there, then leaves.  The runner reaps
+the workers in entry order, each with ``waitpid`` on its pid, and loads each
+entry; with one job, or where fork is missing or fails, it does the same
+work itself.  What every worker would otherwise repeat (the spectrum,
+numpy's lazy import of its random module) is done once, before any fork
+(``_warm_up``).  Once every entry is in, the runner reads each entry CSV
+back and sets ``sha256`` and ``rows`` from its bytes
+(``_finish_entry_csvs``), renames the entry CSVs into place and writes the
+report.  A worker that failed, or an entry CSV that is missing, raises
+OSError before any file beside the report is replaced, so no report is
+written and an earlier run's files stay as they were; the private
+directory is removed either way.  The bytes do not
+depend on the job count.  ``timing.per_entry`` covers each entry's evolve
+and checks, measured where it ran, and ``timing.jobs`` is the worker count.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -81,10 +88,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pickle
+import shutil
+import tempfile
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -103,7 +114,7 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
-from .evolve import EvolveControls, SolverAbort, _fork_writer, _kill_children, _reap_child, evolve
+from .evolve import EvolveControls, SolverAbort, _fork_cpus, _fork_worker, _kill_children, _reap_child, evolve
 from .geometry import (
     _SPECTRUM_MAX_NODES,
     CLOSED_KINDS,
@@ -522,11 +533,10 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _run_entry(m, config: ExperimentConfig, scenario: _Scenario, p: float, entry_index: int):
+def _run_entry(m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
     """Evolve and check one entry.  Returns the entry and, per check with
     rows, its report record and EstimateReport: the record names the entry
     CSV and gets ``rows`` and ``sha256`` once that CSV is read back."""
-    name = f"{scenario.name}__p{p:g}"
     entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
     files = []
     started = time.perf_counter()
@@ -569,19 +579,45 @@ def _write_entry_csvs(out_dir: str, files):
             out.write((_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8"))
 
 
-def _finish_entry_csvs(pid: int | None, records, out_dir: str):
-    """Reap the entry CSV writer ``pid`` (None: no child), OSError if it
-    failed.  Then read each of the ``records``' entry CSVs back from
-    ``out_dir`` and set its ``sha256`` and ``rows`` (newlines less the
-    header's) from those bytes: OSError if the file is missing."""
-    _reap_child(pid, "entry CSV writer")
+def _entry_work(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
+    """Run entry ``entry_index`` (_run_entry), write its entry CSVs into
+    ``workdir`` and pickle the entry there, to ``<entry_index>.pkl``."""
+    entry, files = _run_entry(m, config, name, scenario, p, entry_index)
+    _write_entry_csvs(workdir, files)
+    with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
+        pickle.dump(entry, fh)
+
+
+def _finish_entry_csvs(records, directory: str):
+    """Read each of the ``records``' entry CSVs back from ``directory`` and
+    set its ``sha256`` and ``rows`` (newlines less the header's) from those
+    bytes: OSError if the file is missing."""
     # the digest ties the entry CSV to the report, since a later run into
     # the same directory may overwrite a CSV of the same name
     for record in records:
-        with open(os.path.join(out_dir, record["csv"]), "rb") as fh:
+        with open(os.path.join(directory, record["csv"]), "rb") as fh:
             data = fh.read()
         record["sha256"] = hashlib.sha256(data).hexdigest()
         record["rows"] = data.count(b"\n") - 1
+
+
+def _warm_up(config: ExperimentConfig):
+    """Do once, before any worker forks, what each worker would otherwise
+    do for itself: compute the manifold's spectrum where an entry may read
+    it (a trivial_plus_mode scenario builds from it; the triviality check
+    reads it on a closed kind of positive Ricci bound), and import
+    numpy.random, which numpy loads on first use, where a random_uniform
+    scenario draws from it.  A spectrum that cannot be had is left for each
+    entry to record."""
+    m = config.built_manifold
+    builds = {scenario.build for scenario in config.scenarios}
+    if _mode_data in builds or (
+        m.kind in CLOSED_KINDS and m.ricci_lower > 0 and any(cid == "triviality" for cid, _ in config.checkers)
+    ):
+        with contextlib.suppress(ValueError):
+            laplacian_spectrum(m)
+    if _RECIPES["random_uniform"].build in builds:
+        importlib.import_module("numpy.random")
 
 
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -594,53 +630,67 @@ def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> st
 
 
 def run_experiment(
-    config: ExperimentConfig, out_dir: str | None = None, verbose: bool = False, *, jobs=None
+    config: ExperimentConfig, out_dir: str | None = None, verbose: bool = False, *, jobs: int | None = None
 ) -> RunReport:
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
-    Each entry's CSVs are written by a forked child while the next entry
-    runs, or by the runner where _fork_writer forks none (see the module
-    docstring), one child at a time; every child is reaped before this
-    returns or raises.  A child that failed, or an entry CSV missing when
-    it is read back (a file of an earlier run was removed first), raises
-    OSError with no report written.  ``timing.per_entry`` holds each
-    entry's evolve and check seconds, without the formatting of its CSVs.
-    ``jobs`` is accepted and ignored, so callers that pass it keep
-    working."""
+    With ``jobs`` > 1 each entry runs in a forked worker, at most ``jobs``
+    at once (None: one per CPU this process may run on, _fork_cpus; a
+    ``jobs`` above the entry count is capped); with 1, or where fork is
+    missing or fails, the runner runs the entry itself (see the module
+    docstring).  Every worker is reaped, and the private directory removed,
+    before this returns or raises.  A worker that fails raises OSError
+    naming its entry; so does an entry CSV missing when it is read back.
+    Either way no report is written and an earlier run's report and entry
+    CSVs stay as they were.  ``timing.per_entry`` holds each entry's evolve
+    and check seconds, measured where the entry ran, and ``timing.jobs``
+    the worker count used.  ValueError if ``jobs`` is not a positive
+    integer."""
+    if jobs is None:
+        jobs = _fork_cpus()
+    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     target = resolve_out_dir(config, out_dir)
     os.makedirs(target, exist_ok=True)
     digest = config.config_hash
 
     started = time.perf_counter()
     m = config.built_manifold
-    tasks = [(scenario, p) for scenario in config.scenarios for p in config.p_values]
+    tasks = [(f"{scenario.name}__p{p:g}", scenario, p) for scenario in config.scenarios for p in config.p_values]
+    jobs = max(1, min(jobs, len(tasks)))
+    if tasks:
+        _warm_up(config)
+    workdir = tempfile.mkdtemp(prefix=f".report_{digest[:12]}.", dir=target)
     entries = []
-    pid, records = None, []  # the last entry CSV writer's child (None: none running) and records
+    pids = []  # per started entry: its worker, None once reaped or where the runner ran it
+
+    def collect():
+        # the next entry in order: its worker's pid is dropped before the
+        # reap, so the finally cannot kill a reaped one
+        i = len(entries)
+        pid, pids[i] = pids[i], None
+        _reap_child(pid, f"worker of entry {tasks[i][0]}")
+        with open(os.path.join(workdir, f"{i}.pkl"), "rb") as fh:
+            entries.append(pickle.load(fh))
+        if verbose:
+            print(f"  [{entries[i]['status']}] {entries[i]['name']}", flush=True)
+
     try:
-        for i, (scenario, p) in enumerate(tasks):
-            e, files = _run_entry(m, config, scenario, p, i)
-            entries.append(e)
-            if files:
-                # the previous entry's CSVs were written while this entry ran;
-                # its pid is dropped before the reap, so the finally cannot
-                # kill a reaped one
-                done, pid = pid, None
-                _finish_entry_csvs(done, records, target)
-                records = [record for record, _ in files]
-                for record in records:
-                    # so that an earlier run's file is never read back for
-                    # this one; a path that cannot be removed (none there, a
-                    # directory) is left to the writer to replace or fail on
-                    with contextlib.suppress(OSError):
-                        os.remove(os.path.join(target, record["csv"]))
-                values = len(_ENTRY_CSV_HEADER.split(",")) * sum(rep.times.size for _, rep in files)
-                pid = _fork_writer(values, _write_entry_csvs, target, files)
-            if verbose:
-                print(f"  [{e['status']}] {e['name']}", flush=True)
-        done, pid = pid, None
-        _finish_entry_csvs(done, records, target)
+        for i, task in enumerate(tasks):
+            if i >= jobs:
+                collect()
+            pids.append(_fork_worker(jobs > 1, _entry_work, workdir, m, config, *task, i))
+        while len(entries) < len(tasks):
+            collect()
+        records = [rec for entry in entries for rec in entry["checks"].values() if "csv" in rec]
+        _finish_entry_csvs(records, workdir)
+        # every entry CSV is in hand before the first replaces an earlier
+        # run's file of the same name
+        for record in records:
+            os.replace(os.path.join(workdir, record["csv"]), os.path.join(target, record["csv"]))
     finally:
-        _kill_children([pid])
+        _kill_children(pids)
+        shutil.rmtree(workdir)
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}
@@ -652,6 +702,7 @@ def run_experiment(
         timing={
             "wall_seconds": wall,
             "per_entry": {e["name"]: e.pop("wall_seconds", None) for e in entries},
+            "jobs": jobs,
         },
         directory=target,
     )

@@ -2,10 +2,10 @@ import contextlib
 import copy
 import errno
 import hashlib
-import importlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,8 +32,6 @@ import semiheat.estimates as estimates
 import semiheat.experiment as experiment
 from semiheat.cli import main as cli_main
 from semiheat.experiment import _CHECKERS, _CONTROLS
-
-evolve_module = importlib.import_module("semiheat.evolve")  # the package exports a function of that name
 
 
 def base_raw():
@@ -636,7 +634,8 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
         ],
     }
     out = tmp_path / "out"
-    report = run_experiment(validate_config(raw), out_dir=str(out))
+    # one job: the checks run in this process, where the wrappers see them
+    report = run_experiment(validate_config(raw), out_dir=str(out), jobs=1)
     on_disk = json.loads(Path(report.timing["report_path"]).read_text())
     assert on_disk["entries"] == report.entries
     for entry in on_disk["entries"]:
@@ -721,41 +720,38 @@ def sweep_outputs(out_dir, report):
 
 @pytest.mark.parametrize("fallback", ["second fork fails", "one CPU", "no fork"])
 def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeypatch, fallback):
-    # each entry's CSVs are written by a forked child while the next entry
-    # runs; where no child can be had, the runner writes them itself, and
-    # the report and every CSV are the same either way
+    # with two CPUs each entry runs in a forked worker; where no worker can
+    # be had, the runner runs the entry and writes its CSVs itself, and the
+    # report and every CSV are the same either way
     cfg = validate_config(forking_raw())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_fork(monkeypatch)
     forked = run_experiment(cfg, out_dir=str(tmp_path / "forked"))
     assert len(forks) == 3
+    jobs = 2
     if fallback == "second fork fails":
         forks = counted_fork(monkeypatch, failing=(2,))
     elif fallback == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         forks = counted_fork(monkeypatch)
+        jobs = None
     else:
         monkeypatch.delattr(os, "fork")
         forks = []
-    written = run_experiment(cfg, out_dir=str(tmp_path / "written"))
+    written = run_experiment(cfg, out_dir=str(tmp_path / "written"), jobs=jobs)
     assert len(forks) == (3 if fallback == "second fork fails" else 0)
+    assert written.timing["jobs"] == (1 if fallback == "one CPU" else 2)
     expected = sweep_outputs(tmp_path / "forked", forked)
     assert len(expected[1]) == 3 * 2 + 2
     assert sweep_outputs(tmp_path / "written", written) == expected
     assert [e["checks"]["decay"]["rows"] for e in written.entries] == [2001] * 3
 
 
-def test_run_experiment_keeps_one_entry_csv_writer_at_a_time(tmp_path, monkeypatch):
-    # each writer is reaped and read back before the next one starts, so a
-    # sweep of many entries holds at most one child, whatever its size.  These entries hold fewer than EXPORT_VALUES_PER_WORKER values
-    # each, so the runner writes them all itself until that gate is lowered
+def test_run_experiment_keeps_at_most_jobs_workers_alive(tmp_path, monkeypatch):
+    # the runner reaps its workers in entry order, each by its pid, before
+    # it forks the next one past ``jobs``; one job forks none
     raw = base_raw()
     raw["p_values"] = [1.5 + 0.25 * k for k in range(12)]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = counted_fork(monkeypatch)
-    run_experiment(validate_config(raw), out_dir=str(tmp_path / "gated"))
-    assert forks == []
-    monkeypatch.setattr(evolve_module, "EXPORT_VALUES_PER_WORKER", 1)
     live, outstanding = set(), []
     fork, waitpid = os.fork, os.waitpid
 
@@ -767,63 +763,136 @@ def test_run_experiment_keeps_one_entry_csv_writer_at_a_time(tmp_path, monkeypat
         return pid
 
     def tracked_waitpid(pid, options):
+        assert pid > 0, "reaped a child it did not name"
         reaped = waitpid(pid, options)
         live.discard(reaped[0])
         return reaped
 
+    def no_wait(*args):
+        raise AssertionError("os.wait reaps any child, not only the runner's own")
+
     monkeypatch.setattr(os, "fork", tracked_fork)
     monkeypatch.setattr(os, "waitpid", tracked_waitpid)
-    report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
-    assert outstanding == [0] * 12
-    assert not live
-    for entry in report.entries:
-        record = entry["checks"]["positivity"]
-        data = (tmp_path / record["csv"]).read_bytes()
-        assert record["sha256"] == hashlib.sha256(data).hexdigest()
-        assert record["rows"] == data.count(b"\n") - 1
+    monkeypatch.setattr(os, "wait", no_wait)
+    for jobs in (1, 2, 3):
+        out = tmp_path / f"jobs{jobs}"
+        outstanding.clear()
+        report = run_experiment(validate_config(raw), out_dir=str(out), jobs=jobs)
+        assert outstanding == ([] if jobs == 1 else [min(k, jobs - 1) for k in range(12)])
+        assert not live
+        assert report.timing["jobs"] == jobs
+        assert [e["name"] for e in report.entries] == [f"warm__p{1.5 + 0.25 * k:g}" for k in range(12)]
+        for entry in report.entries:
+            record = entry["checks"]["positivity"]
+            data = (out / record["csv"]).read_bytes()
+            assert record["sha256"] == hashlib.sha256(data).hexdigest()
+            assert record["rows"] == data.count(b"\n") - 1
+        assert sorted(os.listdir(out)) == sorted(
+            [os.path.basename(report.timing["report_path"]), *(f"{e['name']}_positivity.csv" for e in report.entries)]
+        )
+
+
+def test_run_experiment_refuses_and_caps_jobs(tmp_path, monkeypatch):
+    cfg = validate_config(forking_raw())
+    for jobs in (0, -1, True, 1.5, "2"):
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            run_experiment(cfg, out_dir=str(tmp_path / "refused"), jobs=jobs)
+    assert not (tmp_path / "refused").exists()
+    # more jobs than entries: one worker per entry
+    forks = counted_fork(monkeypatch)
+    report = run_experiment(cfg, out_dir=str(tmp_path), jobs=8)
+    assert len(forks) == 3
+    assert report.timing["jobs"] == 3
+    # each entry's evolve and check seconds, measured in its worker
+    assert list(report.timing["per_entry"]) == ["warm__p1.5", "warm__p2", "warm__p3"]
+    assert all(0.0 < seconds < report.timing["wall_seconds"] for seconds in report.timing["per_entry"].values())
+    raw = base_raw()
+    raw["scenarios"] = []
+    assert run_experiment(validate_config(raw), out_dir=str(tmp_path / "empty"), jobs=4).timing["jobs"] == 1
+
+
+def test_run_experiment_computes_the_spectrum_once_before_forking(tmp_path):
+    # the runner computes the spectrum a worker would read before it forks,
+    # so it lands in the runner's manifold cache; a sweep that reads none
+    # does not pay for it
+    mode = {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -3.0, "eps": 0.05, "mode": 1}
+    for kind, n, initial, checker, computed in (
+        ("sphere_zonal", 2, mode, "positivity", True),
+        ("sphere_zonal", 2, {"type": "constant", "value": 0.5}, "triviality", True),
+        ("sphere_zonal", 2, {"type": "constant", "value": 0.5}, "positivity", False),
+        ("circle", 1, {"type": "constant", "value": 0.5}, "triviality", False),  # refused before the spectrum
+    ):
+        raw = base_raw()
+        raw["manifold"] = {"kind": kind, "n": n, "size": 1.0, "resolution": 32}
+        raw["p_values"] = [1.5, 2.0]
+        raw["scenarios"][0].update(initial=initial, window={"t0": -3.0, "t1": -2.8})
+        raw["checkers"] = [{"id": checker}]
+        cfg = validate_config(raw)
+        run_experiment(cfg, out_dir=str(tmp_path / f"{kind}_{checker}_{computed}"), jobs=2)
+        assert ("spectrum" in cfg.built_manifold._ops) == computed, (kind, initial["type"], checker)
 
 
 def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypatch, capfd):
-    # a directory stands where the second entry's decay CSV goes: its child
-    # fails, the runner raises OSError once it reaps it, and no report is
-    # written (every child is reaped; the autouse fixture checks)
+    # a directory stands where the second entry's decay CSV goes, in the
+    # worker's private directory: its worker fails, the runner raises
+    # OSError naming the entry once it reaps it, and no report is written
+    # (every child is reaped; the autouse fixture checks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    write = experiment._write_entry_csvs
+
+    def blocked_at_p2(out_dir, files):
+        for record, _ in files:
+            if record["csv"] == "warm__p2_decay.csv":
+                os.mkdir(os.path.join(out_dir, record["csv"]))
+        write(out_dir, files)
+
+    monkeypatch.setattr(experiment, "_write_entry_csvs", blocked_at_p2)
     out = tmp_path / "out"
-    (out / "warm__p2_decay.csv").mkdir(parents=True)
-    with pytest.raises(OSError, match=r"^entry CSV writer \d+ exited with code 1 "):
+    with pytest.raises(OSError, match=r"^worker of entry warm__p2 \d+ exited with code 1 "):
         run_experiment(validate_config(forking_raw()), out_dir=str(out))
-    assert not [name for name in os.listdir(out) if name.startswith("report_")]
+    assert os.listdir(out) == []
     assert "IsADirectoryError" in capfd.readouterr().err
+    # a directory where an entry CSV goes beside the report: the CSV cannot
+    # be renamed into place, and no report is written
+    monkeypatch.setattr(experiment, "_write_entry_csvs", write)
+    (out / "warm__p2_decay.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        run_experiment(validate_config(forking_raw()), out_dir=str(out))
+    assert not [name for name in os.listdir(out) if name.startswith(("report_", ".report_"))]
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatch, cpus):
-    # a writer that writes nothing, in a forked child (which inherits the
+    # a writer that writes nothing, in forked workers (which inherit the
     # patch) or in the runner: reading the first entry's CSVs back raises
     # OSError, no report is written and every child is reaped (the autouse
     # fixture checks).  So too where an earlier run of the same config left
-    # its entry CSVs and report: its files are not read back for this run
+    # its entry CSVs and report: its files are not read back for this run,
+    # and they stay as they were
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = validate_config(forking_raw())
     earlier = run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
-    report_bytes = Path(earlier.timing["report_path"]).read_bytes()
+    earlier_files = {name: (tmp_path / "earlier" / name).read_bytes() for name in os.listdir(tmp_path / "earlier")}
+    assert len(earlier_files) == 3 * 2 + 1
     monkeypatch.setattr(experiment, "_write_entry_csvs", lambda *args: None)
     forks = counted_fork(monkeypatch)
     with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
         run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
-    assert len(forks) == (1 if cpus == 2 else 0)
+    assert len(forks) == (3 if cpus == 2 else 0)
     assert os.listdir(tmp_path / "fresh") == []
     with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
         run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
-    assert Path(earlier.timing["report_path"]).read_bytes() == report_bytes
+    assert {name: (tmp_path / "earlier" / name).read_bytes() for name in os.listdir(tmp_path / "earlier")} == earlier_files
 
 
 def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, monkeypatch):
-    # the first entry's CSVs are in a child when the second entry raises an
-    # error the runner does not record; the child is stopped and reaped
-    # (the autouse fixture checks) and no report is written
+    # the second entry raises an error the runner does not record.  In a
+    # worker, that worker fails: the runner raises OSError naming the entry
+    # when it reaps it, and the third entry's worker, started once the
+    # first was reaped, is stopped and reaped (the autouse fixture checks).
+    # In the runner (one job) the error itself propagates.  No report is
+    # written either way
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    forks = counted_fork(monkeypatch)
     check = experiment.check_decay
 
     def fails_at_p2(traj, p, **kwargs):
@@ -832,10 +901,46 @@ def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, m
         return check(traj, p=p, **kwargs)
 
     monkeypatch.setattr(experiment, "check_decay", fails_at_p2)
-    with pytest.raises(RuntimeError, match="^unexpected$"):
+    forks = counted_fork(monkeypatch)
+    with pytest.raises(OSError, match=r"^worker of entry warm__p2 \d+ exited with code 1 "):
         run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
-    assert len(forks) == 1
-    assert not [name for name in os.listdir(tmp_path) if name.startswith("report_")]
+    assert len(forks) == 3
+    forks = counted_fork(monkeypatch)
+    with pytest.raises(RuntimeError, match="^unexpected$"):
+        run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path), jobs=1)
+    assert forks == []
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("death", ["raises", "killed"])
+def test_run_experiment_raises_when_a_worker_dies(tmp_path, monkeypatch, capfd, death):
+    # a worker that raises an error _run_entry does not catch, or that is
+    # killed, is an OSError naming its entry.  No report is written, the
+    # report and entry CSVs of an earlier run of another config into the
+    # same directory stay byte for byte (the other entries' CSVs, written
+    # by then, differ from theirs), no private directory is left, and every
+    # child is reaped (the autouse fixture checks)
+    first_raw, raw = forking_raw(), forking_raw()
+    first_raw["checkers"][2]["T_blow"] = 6.0  # other decay rows, same names
+    run_experiment(validate_config(first_raw), out_dir=str(tmp_path), jobs=1)
+    earlier = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert len(earlier) == 3 * 2 + 1
+    runner = os.getpid()
+    check = experiment.check_decay
+
+    def dies_at_p2(traj, p, **kwargs):
+        if p == 2.0 and os.getpid() != runner:
+            if death == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("worker error")
+        return check(traj, p=p, **kwargs)
+
+    monkeypatch.setattr(experiment, "check_decay", dies_at_p2)
+    code = -signal.SIGKILL if death == "killed" else 1
+    with pytest.raises(OSError, match=rf"^worker of entry warm__p2 \d+ exited with code {code} "):
+        run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
+    assert ("RuntimeError: worker error" in capfd.readouterr().err) == (death == "raises")
 
 
 def test_cli_run_verbose_prints_each_entry_once(tmp_path):
@@ -987,20 +1092,30 @@ def test_cli_runs_tiny_data_at_large_p(tmp_path, capsys):
     assert entry["checks"]["positivity"]["passed"]
 
 
-def test_cli_jobs_flag_is_ignored(tmp_path):
+def test_cli_jobs_flag_changes_no_output(tmp_path, capsys):
     raw = base_raw()
-    raw["p_values"] = [1.5, 2.0]
+    raw["p_values"] = [1.5, 2.0, 3.0]
     raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
     cfg_path = write_cfg(tmp_path, raw)
-    reports = []
-    for out, extra in (("plain", []), ("jobs", ["--jobs", "2"])):
-        out_dir = tmp_path / out
+    outputs = []
+    # by default, one worker per CPU, at most one per entry
+    for jobs, extra in ((min(len(os.sched_getaffinity(0)), 3), []), (1, ["--jobs", "1"]), (2, ["--jobs", "2"])):
+        out_dir = tmp_path / f"jobs{len(outputs)}"
         assert cli_main(["run", cfg_path, "--out-dir", str(out_dir), *extra]) in (0, 1)
         (path,) = [f for f in os.listdir(out_dir) if f.startswith("report_")]
         report = json.loads((out_dir / path).read_text())
-        report.pop("timing")
-        reports.append(report)
-    assert reports[0] == reports[1]
+        assert report.pop("timing")["jobs"] == jobs
+        outputs.append((report, {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir) if name != path}))
+    assert outputs[0] == outputs[1] == outputs[2]
+    capsys.readouterr()
+    for bad in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "bad"), "--jobs", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --jobs: expected a positive integer, got '{bad}'" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -1134,3 +1249,58 @@ def test_checked_configs_run_to_a_report(raw):
                 out_dir = os.path.join(tmp, "out")
                 assert cli_main(["run", path, "--out-dir", out_dir]) in (0, 1)
                 assert any(name.startswith("report_") for name in os.listdir(out_dir))
+
+
+# a scenario that aborts at once at every p: dt_max is below the resolution
+# of t on its window
+_FAILING_SCENARIO = {
+    "name": "stuck",
+    "initial": {"type": "constant", "value": 0.5},
+    "window": {"t0": 1e17, "t1": 2e17},
+}
+_GOOD_SCENARIOS = [
+    {"name": "warm", "initial": {"type": "constant", "value": 0.5}, "window": {"t0": 0.0, "t1": 0.3}},
+    {"name": "random", "initial": {"type": "random_uniform", "low": 0.1, "high": 0.6}, "window": {"t0": 0.0, "t1": 0.3}},
+    {
+        "name": "ancient",
+        "initial": {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -3.0, "eps": 0.05, "mode": 1},
+        "window": {"t0": -3.0, "t1": -2.5},
+        "controls": {"dt_max": 0.02},
+    },
+]
+
+
+@st.composite
+def job_count_configs(draw):
+    """A 32-node sphere sweep of 1-4 p values and 1-3 scenarios, one of
+    which fails at every p, under a random seed."""
+    good = draw(st.lists(st.sampled_from(_GOOD_SCENARIOS), max_size=2, unique_by=lambda sc: sc["name"]))
+    scenarios = [copy.deepcopy(sc) for sc in good]
+    scenarios.insert(draw(st.integers(0, len(good))), copy.deepcopy(_FAILING_SCENARIO))
+    return {
+        "manifold": {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 32},
+        "p_values": draw(st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.5]), min_size=1, max_size=4, unique=True)),
+        "scenarios": scenarios,
+        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, {"id": "triviality"}],
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(raw=job_count_configs())
+def test_job_count_changes_no_output(raw):
+    # the report minus its timing, every entry CSV and every plot data CSV
+    # are the same bytes at one, two and three jobs
+    cfg = validate_config(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = []
+        for jobs in (1, 2, 3):
+            out = Path(tmp) / f"jobs{jobs}"
+            report = run_experiment(cfg, out_dir=str(out), jobs=jobs)
+            assert report.timing["jobs"] == min(jobs, len(report.entries))
+            outputs.append(sweep_outputs(out, report))
+        assert outputs[0] == outputs[1] == outputs[2]
+        statuses = {e["name"]: e["status"] for e in report.entries}
+        assert [name for name, status in statuses.items() if status == "error"] == [
+            f"stuck__p{p:g}" for p in raw["p_values"]
+        ]
