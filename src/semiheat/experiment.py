@@ -70,12 +70,13 @@ numpy's lazy import of its random module) is done once, before any fork
 (``_warm_up``).  Once every entry is in, the runner reads each entry CSV
 back and sets ``sha256`` and ``rows`` from its bytes
 (``_finish_entry_csvs``), renames the entry CSVs into place and writes the
-report.  A worker that failed, or an entry CSV that is missing, raises
-OSError before any file beside the report is replaced, so no report is
-written and an earlier run's files stay as they were; the private
-directory is removed either way.  The bytes do not
-depend on the job count.  ``timing.per_entry`` covers each entry's evolve
-and checks, measured where it ran, and ``timing.jobs`` is the worker count.
+report.  A worker that failed, an entry CSV that is missing, or a
+directory where an entry CSV goes raises OSError before any file beside
+the report is replaced, so no report is written and an earlier run's
+files stay as they were; the private directory is removed either way.
+The bytes do not depend on the job count.  ``timing.per_entry`` covers
+each entry's evolve and checks, measured where it ran, and ``timing.jobs``
+is the worker count.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -87,6 +88,7 @@ one entry there; ``_RECIPES`` does the same for initial-data recipes.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
@@ -570,13 +572,30 @@ def _run_entry(m, config: ExperimentConfig, name: str, scenario: _Scenario, p: f
     return entry, files
 
 
+class _TimeTexts(dict):
+    """The repr of each time met, formatted once and then looked up.  0.0
+    and -0.0 are one key but two texts, so a zero is never kept."""
+
+    def __missing__(self, t: float) -> str:
+        text = repr(t)
+        if t:
+            self[t] = text
+        return text
+
+
 def _write_entry_csvs(out_dir: str, files):
     """Write the entry CSV of each (record, EstimateReport) in ``files`` into
-    ``out_dir``, each built as one text and written with one call."""
+    ``out_dir``: the header, then each row of ``rep.csv_rows()`` joined by
+    commas, built as one text and written with one call.  The checks of one
+    entry share most of their times, so each time is formatted once per
+    call and its text reused."""
+    time_texts = _TimeTexts()
     for record, rep in files:
-        lines = [",".join(row) + "\n" for row in rep.csv_rows()]
+        times = map(time_texts.__getitem__, np.asarray(rep.times, dtype=float).tolist())
+        lhs, rhs, ratio = (np.asarray(x, dtype=float).tolist() for x in (rep.lhs, rep.rhs, rep.ratio))
+        body = "".join([f"{t},{a!r},{b!r},{r!r}\n" for t, a, b, r in zip(times, lhs, rhs, ratio)])
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
-            out.write((_ENTRY_CSV_HEADER + "".join(lines)).encode("utf-8"))
+            out.write((_ENTRY_CSV_HEADER + body).encode("utf-8"))
 
 
 def _entry_work(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
@@ -640,12 +659,13 @@ def run_experiment(
     missing or fails, the runner runs the entry itself (see the module
     docstring).  Every worker is reaped, and the private directory removed,
     before this returns or raises.  A worker that fails raises OSError
-    naming its entry; so does an entry CSV missing when it is read back.
-    Either way no report is written and an earlier run's report and entry
-    CSVs stay as they were.  ``timing.per_entry`` holds each entry's evolve
-    and check seconds, measured where the entry ran, and ``timing.jobs``
-    the worker count used.  ValueError if ``jobs`` is not a positive
-    integer."""
+    naming its entry; so does an entry CSV missing when it is read back,
+    and a directory in the place of an entry CSV raises IsADirectoryError
+    naming it.  In each case no report is written and an earlier run's
+    report and entry CSVs stay as they were.  ``timing.per_entry`` holds
+    each entry's evolve and check seconds, measured where the entry ran,
+    and ``timing.jobs`` the worker count used.  ValueError if ``jobs`` is
+    not a positive integer."""
     if jobs is None:
         jobs = _fork_cpus()
     elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
@@ -684,8 +704,13 @@ def run_experiment(
             collect()
         records = [rec for entry in entries for rec in entry["checks"].values() if "csv" in rec]
         _finish_entry_csvs(records, workdir)
-        # every entry CSV is in hand before the first replaces an earlier
-        # run's file of the same name
+        # every entry CSV is in hand, and every place it goes can take a
+        # file, before the first replaces an earlier run's file of the same
+        # name: a directory there would stop the renames part-way
+        for record in records:
+            dest = os.path.join(target, record["csv"])
+            if os.path.isdir(dest):
+                raise IsADirectoryError(errno.EISDIR, "an entry CSV cannot replace a directory", dest)
         for record in records:
             os.replace(os.path.join(workdir, record["csv"]), os.path.join(target, record["csv"]))
     finally:

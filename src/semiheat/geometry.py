@@ -79,7 +79,8 @@ def _lapack_module():
     return scipy.linalg.lapack
 
 
-# dgttrf/dgttrs, dgbtrf/dgbtrs and dsyevr_lwork/dsyevr, chosen once
+# dgtsv, dgttrf/dgttrs, dgbtrf/dgbtrs, dstemr and dsyevr_lwork/dsyevr,
+# chosen once
 _lapack = _lapack_module()
 
 
@@ -344,9 +345,16 @@ def laplacian_spectrum(m: DiscreteManifold):
     Returns (lam, modes): lam ascending with lam[0] ~ 0, modes[:, j]
     normalized to sup-norm 1 with a deterministic sign.  The operator is
     self-adjoint in the volume-weighted inner product, so the symmetrized
-    dense problem is solved once and cached on the manifold, by LAPACK's
-    dsyevr called as ``scipy.linalg.eigh``'s default ``evr`` driver calls
-    it: the eigenpairs are those of ``eigh`` bit for bit.
+    problem S = W^(1/2) L W^(-1/2), averaged with its transpose, is solved
+    once and cached on the manifold.  On the sphere that matrix is
+    tridiagonal: its diagonal and off-diagonal are built from the band with
+    the operations of the dense 0.5 * (S + S.T), in the same order, and go
+    to LAPACK's dstemr, the routine dsyevr hands a tridiagonal matrix after
+    a Householder reduction that leaves it unchanged.  The circle's corner
+    entries are outside the tridiagonal, so its dense matrix goes to dsyevr,
+    called as ``scipy.linalg.eigh``'s default ``evr`` driver calls it.
+    Either way the eigenpairs are those of ``eigh`` of the dense symmetrized
+    matrix bit for bit.
     """
     if m.kind not in CLOSED_KINDS:
         raise ValueError("spectrum is only available for the closed kinds")
@@ -354,23 +362,47 @@ def laplacian_spectrum(m: DiscreteManifold):
         N = m.node_count
         if N > _SPECTRUM_MAX_NODES:
             raise ValueError("grid too large for a dense spectrum")
-        L = _apply_band(m, np.eye(N)).T  # row j of the product is L e_j
         w_half = np.sqrt(m.volume_weights)
-        S = (w_half[:, None] * L) / w_half[None, :]
-        S = 0.5 * (S + S.T)
-        if not np.isfinite(S).all():
-            raise ValueError("the symmetrized Laplacian is not finite")
-        lwork, liwork, info = _lapack.dsyevr_lwork(N, lower=1)
-        _lapack_check(info, "dsyevr_lwork")
-        vals, vecs, _, _, info = _lapack.dsyevr(S, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork))
-        _lapack_check(info, "dsyevr", "dsyevr: internal error")
+        if m.kind == "circle":
+            vals, vecs = _dense_eigenpairs(m, w_half)
+        else:
+            vals, vecs = _tridiagonal_eigenpairs(m, w_half)
         lam = -vals[::-1]
         y = vecs[:, ::-1] / w_half[:, None]
-        for j in range(N):
-            peak = np.argmax(np.abs(y[:, j]))
-            y[:, j] = y[:, j] / y[peak, j]
+        y /= y[np.argmax(np.abs(y), axis=0), np.arange(N)]
         m._ops["spectrum"] = (lam, y)
     return m._ops["spectrum"]
+
+
+def _dense_eigenpairs(m: DiscreteManifold, w_half: np.ndarray):
+    # ascending eigenpairs of the dense symmetrized Laplacian, by dsyevr
+    N = m.node_count
+    L = _apply_band(m, np.eye(N)).T  # row j of the product is L e_j
+    S = (w_half[:, None] * L) / w_half[None, :]
+    S = 0.5 * (S + S.T)
+    if not np.isfinite(S).all():
+        raise ValueError("the symmetrized Laplacian is not finite")
+    lwork, liwork, info = _lapack.dsyevr_lwork(N, lower=1)
+    _lapack_check(info, "dsyevr_lwork")
+    vals, vecs, _, _, info = _lapack.dsyevr(S, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork))
+    _lapack_check(info, "dsyevr", "dsyevr: internal error")
+    return vals, vecs
+
+
+def _tridiagonal_eigenpairs(m: DiscreteManifold, w_half: np.ndarray):
+    # ascending eigenpairs of the symmetrized tridiagonal Laplacian, by
+    # dstemr; S[i, j] = (w_half[i] * L[i, j]) / w_half[j] entry by entry, as
+    # the dense path forms it, and L[i, j] = ab[1 + i - j, j]
+    _, _, ab = m._ops["band"]
+    d = (w_half * ab[1]) / w_half
+    d = 0.5 * (d + d)
+    e = np.zeros(m.node_count)  # dstemr takes N entries and uses the last as workspace
+    e[:-1] = 0.5 * ((w_half[1:] * ab[2, :-1]) / w_half[:-1] + (w_half[:-1] * ab[0, 1:]) / w_half[1:])
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("the symmetrized Laplacian is not finite")
+    _, vals, vecs, info = _lapack.dstemr(d, e, 0, 0.0, 0.0, 0, 0)  # range 0: every eigenpair
+    _lapack_check(info, "dstemr", "dstemr: internal error")
+    return vals, vecs
 
 
 def _lapack_check(info: int, routine: str, failure: str = "singular matrix"):
@@ -380,33 +412,106 @@ def _lapack_check(info: int, routine: str, failure: str = "singular matrix"):
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _step_solver(m: DiscreteManifold, dt: float):
-    """The solve of (I - dt * Laplacian) x = b, factored once per dt.
+def _step_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
+    """x with (I - dt * Laplacian) x = b, in a new array.
 
-    The manifold keeps the last step's factor and replaces it when dt
-    changes; one entry, not one per dt, because a blow-up run takes a new dt
-    on every step.  The tridiagonal kinds go through dgttrf/dgttrs and the
-    radial band through dgbtrf/dgbtrs, taken from the module
-    ``_lapack_module`` loads: the routines solve_banded's gtsv and gbsv are
-    made of, so the bits are those of a plain banded solve.
+    The manifold keeps one entry for the last dt it solved at,
+    ``m._ops["step"] = (dt, solve or None)``: one entry, not one per dt,
+    because a blow-up run takes a new dt on most steps.  The LAPACK routines
+    come from the module ``_lapack_module`` loads, and which run depends on
+    the kind and on that entry:
+
+    * radial band: dgbtrf factors each new dt, and dgbtrs solves with the
+      kept factor, the routines solve_banded's gbsv is made of;
+    * tridiagonal kinds (sphere, circle): a dt other than the entry's is
+      solved by one dgtsv call, the routine of solve_banded's tridiagonal
+      case, and recorded as (dt, None).  Only when that dt comes again does
+      dgttrf factor it; that solve and every later one at the dt run
+      dgttrs with the kept factor.  dgtsv performs the operations of
+      dgttrf followed by dgttrs, in the same order, so all three solves
+      give the same bits, and a run that changes dt on every step pays for
+      no factor it does not reuse.  The circle solves b and the vector of
+      its corner update as two right-hand sides of the one dgtsv call, or
+      each with the factor.
+
+    A non-finite matrix is a ValueError and a singular one a LinAlgError;
+    either leaves the entry as it was.
     """
     cached = m._ops.get("step")
-    if cached is not None and cached[0] == dt:
-        return cached[1]
-    l, u, ab = m._ops["band"]
+    seen = cached is not None and cached[0] == dt
+    if seen and cached[1] is not None:
+        return cached[1](b)
+    l, u, _ = m._ops["band"]
+    if l == u == 1 and not seen:
+        x = _one_call_solve(m, b, dt)
+        m._ops["step"] = (dt, None)
+        return x
+    solve = _factored_solver(m, dt)
+    m._ops["step"] = (dt, solve)
+    return solve(b)
+
+
+def _step_matrix(m: DiscreteManifold, dt: float):
+    """(ab_step, corners): I - dt * Laplacian in m's band layout, in a new
+    array.  On the circle the corner entries become a rank-one update of
+    the tridiagonal part, which never reads the corner slots of ab, and
+    corners = (c_lr, c_ul, gamma); on the other kinds corners is None.
+    ValueError if an entry is not finite."""
+    _, u, ab = m._ops["band"]
     ab_step = -dt * ab
     ab_step[u, :] += 1.0
-    periodic = m.kind == "circle"
-    if periodic:
-        # tridiagonal plus the two corner entries, as a rank-one update of
-        # the tridiagonal part, which never reads the corner slots of ab
+    corners = None
+    if m.kind == "circle":
         c_lr, c_ul = ab_step[0, 0], ab_step[2, -1]  # A[N-1, 0], A[0, N-1]
         gamma = -ab_step[1, 0]
         ab_step[1, 0] -= gamma
         ab_step[1, -1] -= c_ul * c_lr / gamma
+        corners = (c_lr, c_ul, gamma)
     if not np.isfinite(ab_step).all():
         raise ValueError(f"I - dt * Laplacian is not finite at dt = {dt!r}")
+    return ab_step, corners
 
+
+def _corner_update(y: np.ndarray, z: np.ndarray, corners) -> np.ndarray:
+    # Sherman-Morrison: the circle's solution from the tridiagonal part's
+    # solutions y of b and z of the update vector (gamma, 0, ..., 0, c_lr)
+    _, c_ul, gamma = corners
+    vy = y[0] + c_ul * y[-1] / gamma
+    vz = z[0] + c_ul * z[-1] / gamma
+    return y - z * (vy / (1.0 + vz))
+
+
+def _one_call_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
+    # one dgtsv call on a tridiagonal kind; the matrix is this call's own,
+    # so dgtsv may overwrite it, and so is the circle's two-column
+    # right-hand side, while the caller's b is copied
+    ab_step, corners = _step_matrix(m, dt)
+    rhs, own_rhs = b, 0
+    if corners is not None:
+        rhs, own_rhs = np.zeros((b.size, 2), order="F"), 1
+        rhs[:, 0] = b
+        rhs[0, 1], rhs[-1, 1] = corners[2], corners[0]
+    _, _, _, x, info = _lapack.dgtsv(
+        ab_step[2, :-1],
+        ab_step[1],
+        ab_step[0, 1:],
+        rhs,
+        overwrite_dl=1,
+        overwrite_d=1,
+        overwrite_du=1,
+        overwrite_b=own_rhs,
+    )
+    _lapack_check(info, "dgtsv")
+    if corners is None:
+        return x
+    return _corner_update(x[:, 0], x[:, 1], corners)
+
+
+def _factored_solver(m: DiscreteManifold, dt: float):
+    # the solve with a factor of I - dt * Laplacian kept for reuse:
+    # dgttrf/dgttrs on the tridiagonal kinds, dgbtrf/dgbtrs on the radial band
+    ab_step, corners = _step_matrix(m, dt)
+    l, u, _ = m._ops["band"]
     if l == u == 1:
         dgttrs = _lapack.dgttrs
         dl, d, du, du2, ipiv, info = _lapack.dgttrf(ab_step[2, :-1], ab_step[1], ab_step[0, 1:])
@@ -429,33 +534,31 @@ def _step_solver(m: DiscreteManifold, dt: float):
             _lapack_check(info, "dgbtrs")
             return x
 
-    solve = band_solve
-    if periodic:
-        e = np.zeros(ab_step.shape[1])
-        e[0], e[-1] = gamma, c_lr
-        z = band_solve(e)
-        vz = z[0] + c_ul * z[-1] / gamma
-
-        def solve(b):
-            y = band_solve(b)
-            vy = y[0] + c_ul * y[-1] / gamma
-            return y - z * (vy / (1.0 + vz))
-
-    m._ops["step"] = (dt, solve)
-    return solve
+    if corners is None:
+        return band_solve
+    e = np.zeros(ab_step.shape[1])
+    e[0], e[-1] = corners[2], corners[0]
+    z = band_solve(e)
+    return lambda b: _corner_update(band_solve(b), z, corners)
 
 
 def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float) -> np.ndarray:
-    """Solve (I - dt * Laplacian) u_new = values.
+    """Solve (I - dt * Laplacian) u_new = values, into a new array.
 
-    One banded (or cyclic-banded) solve with a factor reused while dt stays
-    the same; row sums of the matrix are 1, so constants pass through to a
-    few ulps per solve (at dt = 0.01 on 32 nodes, 1.0 comes out as
-    0.9999999999999998 on the circle and 0.9999999999999997 on the sphere).
-    A non-finite right-hand side or matrix is a
-    ValueError, a singular matrix a LinAlgError.
+    One banded (or cyclic-banded) solve: on the sphere and the circle one
+    dgtsv call at a dt met for the first time, dgttrf's factor from the
+    second solve at the same dt on, reused while dt stays the same; on the
+    radial kind dgbtrf's factor, made once per dt (_step_solve).  Row sums
+    of the matrix are 1, so constants pass through to a few ulps per solve
+    (at dt = 0.01 on 32 nodes, 1.0 comes out as 0.9999999999999998 on the
+    circle and 0.9999999999999997 on the sphere).  A 1-D float64 array of
+    the manifold's size is used as given, anything else converted as
+    laplace_beltrami converts it.  A non-finite right-hand side or matrix
+    is a ValueError, a singular matrix a LinAlgError.
     """
-    b = _aligned_values(m, values)
+    b = values
+    if not (type(b) is np.ndarray and b.dtype == np.float64 and b.shape == (m.node_count,)):
+        b = _aligned_values(m, values)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
-    return _step_solver(m, dt)(b)
+    return _step_solve(m, b, dt)

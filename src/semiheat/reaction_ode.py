@@ -10,6 +10,7 @@ logic are what is actually under test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -131,8 +132,13 @@ def _dt_cap(p: float, mag: float) -> float:
     cap (inf).
     """
     if mag > _flat_floor(p):
-        return min(C_DT, 0.5 / (p - 1.0)) * mag ** (1.0 - p)
+        return _cap_factor(p) * mag ** (1.0 - p)
     return math.inf
+
+
+def _cap_factor(p: float) -> float:
+    """The factor of the blow-up cap: min(C_DT, 0.5/(p-1))."""
+    return min(C_DT, 0.5 / (p - 1.0))
 
 
 # |v|^(1-p) stays below e^709 above exp(_LOG_POW_SAFE / (1 - p)), short of
@@ -140,6 +146,7 @@ def _dt_cap(p: float, mag: float) -> float:
 _LOG_POW_SAFE = 709.0
 
 
+@functools.lru_cache(maxsize=64)  # called twice a step, at the run's one p
 def _flat_floor(p: float) -> float:
     """The magnitude at or below which the flow leaves an entry unchanged:
     1e-100, or exp(709/(1-p)) where that is larger (p > 4.08).  Below the
@@ -161,7 +168,9 @@ def reaction_flow(values, p: float, dt: float):
     callers cap dt by _dt_cap, which keeps the bracket positive.  The input
     is never written and never returned.
     """
-    v = np.atleast_1d(np.asarray(values, dtype=float))
+    v, scalar = values, False
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1):
+        v, scalar = np.atleast_1d(np.asarray(values, dtype=float)), np.ndim(values) == 0
     a = (p - 1.0) * dt
     tiny = _flat_floor(p)
     out = None
@@ -185,17 +194,21 @@ def reaction_flow(values, p: float, dt: float):
             if (bracket <= 0).any():
                 raise FloatingPointError("reaction step crossed a blow-down time")
             out[neg] = -(bracket ** (-1.0 / (p - 1.0)))
-    if np.ndim(values) == 0:
+    if scalar:
         return float(out[0])
     return out
 
 
 def _positive_flow(v, p, a):
     # (v^(1-p) - a)^(-1/(p-1)) in one new array; ** keeps numpy's
-    # scalar-power fast paths, which np.power(..., out=) would not
+    # scalar-power fast paths, which np.power(..., out=) would not.  The
+    # callers pass p > 1 and v above _flat_floor(p), never NaN (+inf may
+    # occur), so v^(1-p) is finite: the bracket holds a NaN only where a is
+    # NaN, and then every entry is NaN.  So min() <= 0 raises exactly where
+    # a test of each entry would, and is the cheaper reduction.
     bracket = v ** (1.0 - p)
     bracket -= a
-    if (bracket <= 0).any():
+    if bracket.min() <= 0:
         raise FloatingPointError("reaction step crossed a blow-up time")
     bracket **= -1.0 / (p - 1.0)
     return bracket

@@ -633,10 +633,14 @@ def test_evolve_calls_the_step_functions_through_its_module_globals(monkeypatch)
 )
 def test_step_functions_return_fresh_arrays(kind, dim, size):
     # evolve stores snapshots without copying: no step may hand back, or
-    # later write into, an array it was given
+    # later write into, an array it was given.  The solve is called three
+    # times at one dt: the one-call solve (tridiagonal kinds), the one that
+    # factors, and the one that reuses the factor
     m = build_manifold(kind, dim, size, 32)
     u = 0.5 + 0.05 * np.cos(np.linspace(0.0, 3.0, 32))
     before = u.copy()
-    for out in (implicit_diffusion_solve(m, u, 1e-3), reaction_flow(u, 2.0, 1e-3)):
+    outs = [implicit_diffusion_solve(m, u, 1e-3) for _ in range(3)] + [reaction_flow(u, 2.0, 1e-3)]
+    for i, out in enumerate(outs):
         assert not np.shares_memory(out, u)
+        assert not any(np.shares_memory(out, other) for other in outs[i + 1 :])
     assert np.array_equal(u, before)

@@ -680,6 +680,37 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
 
 
+def test_entry_csvs_are_the_csv_rows_with_times_formatted_once(tmp_path):
+    # the writer formats each time once per entry and shares the text
+    # between that entry's checks: repeated times, and 0.0 beside -0.0 in
+    # one file and across two, must still give csv_rows' text exactly
+    def made(times, scale):
+        times = np.array(times)
+        return EstimateReport(
+            "x",
+            times=times,
+            lhs=scale * np.arange(times.size) / 7.0,
+            rhs=np.where(times == 0.0, -0.0, times),
+            ratio=np.full(times.size, np.nan) if scale < 0 else times / 3.0,
+            c_fit=0.5,
+            c_cap=1.0,
+            passed=True,
+        )
+
+    reports = [
+        made([-0.0, 0.0, 0.1, 0.1, 1.0 / 3.0, -0.0, 1e308], 1.0),
+        made([0.0, -0.0, 0.1, 5e-324, 0.1, np.inf, 0.0], -1.0),
+        made([], 1.0),
+    ]
+    files = [({"csv": f"e_{i}.csv"}, rep) for i, rep in enumerate(reports)]
+    experiment._write_entry_csvs(str(tmp_path), files)
+    for record, rep in files:
+        want = "t,lhs,structural_rhs,ratio\n" + "".join(",".join(row) + "\n" for row in rep.csv_rows())
+        assert (tmp_path / record["csv"]).read_bytes() == want.encode("utf-8")
+    assert (tmp_path / "e_0.csv").read_text().splitlines()[1:3] == ["-0.0,0.0,-0.0,-0.0", "0.0,0.14285714285714285,-0.0,0.0"]
+    assert (tmp_path / "e_1.csv").read_text().splitlines()[1:3] == ["0.0,-0.0,-0.0,nan", "-0.0,-0.14285714285714285,-0.0,nan"]
+
+
 def forking_raw():
     """Three entries whose CSVs hold about 16k values each: positivity and
     decay write CSVs, triviality errors and writes none."""
@@ -941,6 +972,25 @@ def test_run_experiment_raises_when_a_worker_dies(tmp_path, monkeypatch, capfd, 
         run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
     assert ("RuntimeError: worker error" in capfd.readouterr().err) == (death == "raises")
+
+
+def test_run_experiment_replaces_no_entry_csv_when_one_cannot_be_renamed(tmp_path):
+    # a directory stands where the second entry's decay CSV goes, beside
+    # the report of an earlier run of another config: the runner raises
+    # IsADirectoryError naming it before it renames any entry CSV, so no
+    # report is written and every earlier file stays byte for byte (the new
+    # run's CSVs of the same names differ from them)
+    first_raw, raw = forking_raw(), forking_raw()
+    first_raw["checkers"][2]["T_blow"] = 6.0  # other decay rows, same names
+    run_experiment(validate_config(first_raw), out_dir=str(tmp_path), jobs=1)
+    (tmp_path / "warm__p2_decay.csv").unlink()
+    (tmp_path / "warm__p2_decay.csv").mkdir()
+    earlier = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if (tmp_path / name).is_file()}
+    assert len(earlier) == 3 * 2
+    with pytest.raises(IsADirectoryError, match="warm__p2_decay.csv"):
+        run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if (tmp_path / name).is_file()} == earlier
+    assert sorted(os.listdir(tmp_path)) == sorted([*earlier, "warm__p2_decay.csv"])
 
 
 def test_cli_run_verbose_prints_each_entry_once(tmp_path):

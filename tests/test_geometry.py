@@ -252,15 +252,24 @@ def eigh_spectrum(m):
     return -vals[::-1], y
 
 
-@pytest.mark.parametrize("count", [256, 1000])
-@pytest.mark.parametrize("kind, n, size", [("sphere_zonal", 2, 1.0), ("circle", 1, 2 * np.pi)])
+@pytest.mark.parametrize(
+    "kind, n, size, count",
+    [
+        *[("sphere_zonal", 2, 1.0, count) for count in (256, 1000)],
+        *[("circle", 1, 2 * np.pi, count) for count in (256, 1000)],
+        # the sphere's tridiagonal path across dimensions and sizes
+        *[("sphere_zonal", n, size, count) for n in range(2, 7) for size, count in ((0.7, 16), (1.0, 37), (2.5, 512))],
+    ],
+)
 def test_spectrum_equals_eigh_bit_for_bit(kind, n, size, count):
-    # laplacian_spectrum calls dsyevr as eigh's default driver does; a
-    # different driver, workspace or triangle would move the last bits
+    # the circle calls dsyevr as eigh's default driver does, and the sphere
+    # dstemr on the tridiagonal matrix dsyevr would hand it; a different
+    # driver, workspace, triangle or order of operations would move the
+    # last bits
     lam, modes = laplacian_spectrum(build_manifold(kind, n, size, count))
     ref_lam, ref_modes = eigh_spectrum(build_manifold(kind, n, size, count))
-    assert np.array_equal(lam, ref_lam)
-    assert np.array_equal(modes, ref_modes)
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert modes.tobytes() == ref_modes.tobytes()
 
 
 def _lapack_results():
@@ -419,3 +428,86 @@ def test_step_solve_keeps_one_factor():
         implicit_diffusion_solve(m, u, float(dt))
     assert [key for key in m._ops if key != "band"] == ["step"]
     assert m._ops["step"][0] == 1e-1
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["circle", "sphere_zonal"]),
+    count=st.integers(16, 700),
+    log_dt=st.floats(-9.0, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_second_and_cached_solves_agree(kind, count, log_dt, seed):
+    # the first solve at a dt is one dgtsv call, the second factors with
+    # dgttrf, the third reuses that factor: one set of bits, the plain
+    # banded solve's, for mixed-sign right-hand sides
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, count)
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log_dt
+    u = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-2, 2)
+    want = reference_solve(m, u, dt)
+    got = [implicit_diffusion_solve(m, u, dt) for _ in range(3)]
+    for x in got:
+        assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_SPECS))
+def test_step_solve_factors_a_dt_on_its_second_solve(kind, monkeypatch):
+    # the tridiagonal kinds record a first-seen dt as (dt, None) and factor
+    # it when it comes again; the radial band factors every new dt and
+    # never takes the one-call path
+    from semiheat import geometry
+
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, 64)
+    u = np.cos(m.nodes)
+    one_call = geometry._one_call_solve
+    one_calls = []
+
+    def counted(*args):
+        one_calls.append(args[2])
+        return one_call(*args)
+
+    monkeypatch.setattr(geometry, "_one_call_solve", counted)
+    states = []
+    for dt in (1e-3, 1e-3, 1e-3, 2e-3, 1e-3):
+        implicit_diffusion_solve(m, u, dt)
+        cached_dt, solve = m._ops["step"]
+        states.append((cached_dt, solve is None))
+    if kind == "euclidean_radial":
+        assert one_calls == []
+        assert states == [(1e-3, False), (1e-3, False), (1e-3, False), (2e-3, False), (1e-3, False)]
+    else:
+        assert one_calls == [1e-3, 2e-3, 1e-3]
+        assert states == [(1e-3, True), (1e-3, False), (1e-3, False), (2e-3, True), (1e-3, True)]
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere_zonal"])
+def test_step_solve_refuses_singular_and_non_finite_matrices(kind):
+    # a band whose second column of I - dt * L is zero at dt = 1: both the
+    # one-call and the factored solve raise LinAlgError, a non-finite band
+    # entry is a ValueError, and a refused dt leaves the entry as it was
+    from semiheat import geometry
+
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, 32)
+    u = np.cos(m.nodes)
+    implicit_diffusion_solve(m, u, 1e-3)
+    l, u_band, ab = m._ops["band"]
+    singular = ab.copy()
+    singular[0, 1], singular[1, 1], singular[2, 1] = 0.0, 1.0, 0.0  # A[0, 1] = A[1, 1] = A[2, 1] = 0
+    m._ops["band"] = (l, u_band, singular)
+    with pytest.raises(np.linalg.LinAlgError):
+        implicit_diffusion_solve(m, u, 1.0)
+    assert m._ops["step"][0] == 1e-3
+    with pytest.raises(np.linalg.LinAlgError):
+        geometry._factored_solver(m, 1.0)
+    broken = ab.copy()
+    broken[1, 5] = np.nan
+    m._ops["band"] = (l, u_band, broken)
+    with pytest.raises(ValueError, match="not finite"):
+        implicit_diffusion_solve(m, u, 2e-3)
+    with pytest.raises(ValueError, match="not finite"):
+        geometry._factored_solver(m, 2e-3)
+    assert m._ops["step"][0] == 1e-3

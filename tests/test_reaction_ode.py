@@ -14,7 +14,7 @@ from semiheat import (
     trivial_ancient,
     validate_exponent,
 )
-from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap
+from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, _flat_floor, _positive_flow
 
 
 def closed_form(p, v0, t):
@@ -358,6 +358,32 @@ def test_reaction_flow_overflow_rule(count, p, log_dt, signed, ordinary, seed):
         assert got == want
     else:
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    p=st.floats(1.0 + 1e-6, 80.0),
+    values=st.lists(st.floats(min_value=0.0, allow_nan=False), min_size=1, max_size=12),
+    a_kind=st.sampled_from(["any", "edge", "below_edge"]),
+    a_any=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])),
+    pick=st.integers(0, 11),
+)
+def test_positive_flow_raises_where_an_entrywise_test_would(p, values, a_kind, a_any, pick):
+    # _positive_flow tests bracket.min() <= 0 where the parent tested every
+    # entry, (bracket <= 0).any(); on what its callers pass (p > 1, entries
+    # above _flat_floor(p), +inf allowed, NaN not) the two agree, for any a,
+    # NaN and infinities included, and at a bracket of exactly 0
+    v = np.array([x for x in values if x > _flat_floor(p)] or [1.0])
+    with np.errstate(all="ignore"):
+        edge = float(v[pick % v.size] ** (1.0 - p))
+        a = {"any": a_any, "edge": edge, "below_edge": math.nextafter(edge, -math.inf)}[a_kind]
+        entrywise = bool((v ** (1.0 - p) - a <= 0).any())
+        try:
+            _positive_flow(v, p, a)
+            raised = False
+        except FloatingPointError:
+            raised = True
+    assert raised == entrywise
 
 
 @pytest.mark.parametrize(
