@@ -29,13 +29,11 @@ import json
 import math
 import os
 import shutil
-import signal
-import tempfile
-import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._workers import Workers, cpus
 from .geometry import (
     DiscreteManifold,
     _aligned_values,
@@ -325,42 +323,32 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     gives a new file.  Its body is split into contiguous snapshot blocks,
     one per CPU this process may run on while each extra block keeps at
     least EXPORT_VALUES_PER_WORKER values: the caller formats the first
-    block into the CSV and each later one goes to the part file ``<lo>.part``
-    of the private directory (``lo``: the block's first snapshot index),
-    formatted by a forked child (_fork_worker) or, once a fork has failed,
-    by the caller; the parts are appended in order, so the bytes do not
-    depend on the CPU count.  With one block (one CPU, a small trajectory,
-    or no ``os.fork``) nothing is forked.  Every child is reaped and the
-    private directory removed before this returns or raises; a child that
-    fails raises OSError here and writes its traceback to stderr.  The
-    sidecar is written into the private directory before the CSV is renamed
-    into place and copied onto ``sidecar_path`` after it, so a ``meta`` that
-    JSON cannot encode leaves an earlier CSV and sidecar as they were;
-    ``sidecar_path`` may be on another file system than ``csv_path``.
+    block into the CSV, and a worker (_workers.Workers, which owns the
+    private directory) formats each later one into the part file
+    ``<lo>.part`` (``lo``: the block's first snapshot index); the parts are
+    appended in order, so the bytes do not depend on the CPU count, and a
+    worker that fails is an OSError.  The sidecar is written into the
+    private directory before the CSV is renamed into place and copied onto
+    ``sidecar_path`` after it, so a ``meta`` that JSON cannot encode leaves
+    an earlier CSV and sidecar as they were; ``sidecar_path`` may be on
+    another file system than ``csv_path``.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
     bounds = _export_block_bounds(times.size, traj.manifold.node_count)
-    workdir = tempfile.mkdtemp(prefix=f".{os.path.basename(csv_path)}.", dir=os.path.dirname(os.path.abspath(csv_path)))
-    partial = os.path.join(workdir, "export.csv")
-    parts = []  # [part path, child pid or None: none or reaped], in block order
-    try:
-        # each later block holds at least EXPORT_VALUES_PER_WORKER values
-        # (_export_block_bounds); once a fork fails, the caller writes the rest
-        forking = True
+    with Workers(os.path.dirname(os.path.abspath(csv_path)), f".{os.path.basename(csv_path)}.") as workers:
+        parts = []  # part paths, in block order
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            path = os.path.join(workdir, f"{lo}.part")
-            pid = _fork_worker(forking, _write_csv_part, path, node_fields, times[lo:hi], traj.snapshots[lo:hi])
-            forking = pid is not None
-            parts.append([path, pid])
+            parts.append(os.path.join(workers.dir, f"{lo}.part"))
+            workers.start("export worker", _write_csv_part, parts[-1], node_fields, times[lo:hi], traj.snapshots[lo:hi])
+        partial = os.path.join(workers.dir, "export.csv")
         with open(partial, "w", newline="") as fh:
             fh.write("t,node_index,u\r\n")
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
             fh.flush()
             for part in parts:
-                pid, part[1] = part[1], None
-                _reap_child(pid, "export worker")
-                with open(part[0], "rb") as src:
+                workers.wait()
+                with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
         if sidecar_path is not None:
             sidecar = {
@@ -380,89 +368,22 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 "negative_data": traj.negative_data,
                 "meta": meta or {},
             }
-            sidecar_partial = os.path.join(workdir, "sidecar.json")
+            sidecar_partial = os.path.join(workers.dir, "sidecar.json")
             with open(sidecar_partial, "w") as fh:
                 json.dump(sidecar, fh, indent=1, sort_keys=True)
         os.replace(partial, csv_path)
         if sidecar_path is not None:
             # copied, not renamed: sidecar_path may be on another file system
             shutil.copyfile(sidecar_partial, sidecar_path)
-    finally:
-        _kill_children(pid for _, pid in parts)
-        shutil.rmtree(workdir)
-
-
-def _fork_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork: forked
-    children can then run beside their parent."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     """Snapshot indices 0 = b_0 < ... < b_k = snapshots of the export
-    blocks: k is _fork_cpus(), capped so that each block keeps at least a
-    snapshot and EXPORT_VALUES_PER_WORKER values."""
+    blocks: k is _workers.cpus(), capped so that each block keeps at least
+    a snapshot and EXPORT_VALUES_PER_WORKER values."""
     per_block = -(-EXPORT_VALUES_PER_WORKER // nodes)  # snapshots, rounded up
-    k = max(1, min(_fork_cpus(), snapshots // per_block))
+    k = max(1, min(cpus(), snapshots // per_block))
     return [snapshots * i // k for i in range(k + 1)]
-
-
-def _fork_worker(fork: bool, work, *args) -> int | None:
-    """Call ``work(*args)``, which leaves its results in files by path, in a
-    forked child and return the child's pid; or, where no child is forked,
-    call it here and return None.  The caller decides whether to ``fork``
-    (export_trajectory: a block of at least EXPORT_VALUES_PER_WORKER values
-    on more than one CPU; run_experiment: more than one job); no child is
-    forked either where ``os.fork`` is missing or fails.
-
-    The child leaves through ``os._exit``, without running the parent's
-    cleanup or flushing its buffers (so nothing the parent buffered is
-    written twice); ``work`` closes the files it opens.  The parent sees
-    only its exit code (_reap_child), so a failure's traceback goes to
-    stderr.  A sweep entry's ``work`` runs LAPACK solves, not only
-    formatting: numpy's OpenBLAS (a pthreads build) starts its thread pool
-    afresh in a forked child, which does not inherit the parent's threads,
-    so the child never waits on a thread it lacks."""
-    pid = None
-    if fork and hasattr(os, "fork"):
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare (EAGAIN, ENOMEM)
-            pass
-    if pid == 0:
-        status = 1
-        try:
-            work(*args)
-            status = 0
-        except BaseException:
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(status)
-    if pid is None:
-        work(*args)
-    return pid
-
-
-def _reap_child(pid: int | None, what: str):
-    """Wait for child ``pid`` (None: no child, nothing to do); OSError
-    naming ``what`` if it failed."""
-    if pid is None:
-        return
-    _, status = os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise OSError(f"{what} {pid} exited with code {code} (its traceback, if any, is on stderr)")
-
-
-def _kill_children(pids):
-    """Stop and reap every child in ``pids`` not yet reaped (None): their
-    output is no longer wanted, since the caller is raising."""
-    for pid in pids:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _write_csv_part(path, node_fields, times, snapshots):

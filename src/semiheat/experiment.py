@@ -58,25 +58,15 @@ was written to or read from, and refuses an entry CSV whose digest differs:
 entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
-The runner works in a private directory beside the report
-(``.report_<hash>.<random>``).  With more than one job it forks one worker
-per entry (_fork_worker), at most ``jobs`` alive at once: a worker evolves
-its entry, runs its checks, writes its entry CSVs into the private directory
-and pickles the entry to ``<i>.pkl`` there, then leaves.  The runner reaps
-the workers in entry order, each with ``waitpid`` on its pid, and loads each
-entry; with one job, or where fork is missing or fails, it does the same
-work itself.  What every worker would otherwise repeat (the spectrum,
-numpy's lazy import of its random module) is done once, before any fork
-(``_warm_up``).  Once every entry is in, the runner reads each entry CSV
-back and sets ``sha256`` and ``rows`` from its bytes
-(``_finish_entry_csvs``), renames the entry CSVs into place and writes the
-report.  A worker that failed, an entry CSV that is missing, or a
-directory where an entry CSV goes raises OSError before any file beside
-the report is replaced, so no report is written and an earlier run's
-files stay as they were; the private directory is removed either way.
-The bytes do not depend on the job count.  ``timing.per_entry`` covers
-each entry's evolve and checks, measured where it ran, and ``timing.jobs``
-is the worker count.
+Each entry runs in a worker (_workers.Workers, at most ``jobs`` at once,
+forked where there is more than one job), which evolves the entry, runs its
+checks, writes its entry CSVs into the workers' private directory beside
+the report, sets each record's ``sha256`` and ``rows`` from the bytes it
+wrote, and pickles the entry to ``<i>.pkl`` there.  What every worker would
+otherwise repeat (the spectrum, numpy's lazy import of its random module)
+is done once, before any fork (``_warm_up``).  The runner loads the entries
+in order, renames the entry CSVs into place and writes the report; the
+bytes do not depend on the job count.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -96,8 +86,6 @@ import json
 import math
 import os
 import pickle
-import shutil
-import tempfile
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -116,7 +104,8 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
-from .evolve import EvolveControls, SolverAbort, _fork_cpus, _fork_worker, _kill_children, _reap_child, evolve
+from ._workers import Workers, cpus
+from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
     _SPECTRUM_MAX_NODES,
     CLOSED_KINDS,
@@ -538,7 +527,7 @@ def load_config(path: str) -> ExperimentConfig:
 def _run_entry(m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
     """Evolve and check one entry.  Returns the entry and, per check with
     rows, its report record and EstimateReport: the record names the entry
-    CSV and gets ``rows`` and ``sha256`` once that CSV is read back."""
+    CSV and gets ``rows`` and ``sha256`` once _write_entry_csvs writes it."""
     entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
     files = []
     started = time.perf_counter()
@@ -586,16 +575,22 @@ class _TimeTexts(dict):
 def _write_entry_csvs(out_dir: str, files):
     """Write the entry CSV of each (record, EstimateReport) in ``files`` into
     ``out_dir``: the header, then each row of ``rep.csv_rows()`` joined by
-    commas, built as one text and written with one call.  The checks of one
-    entry share most of their times, so each time is formatted once per
-    call and its text reused."""
+    commas, built as one text and written with one call, and set the
+    record's ``rows`` and ``sha256`` (the digest of the bytes written).  The
+    checks of one entry share most of their times, so each time is
+    formatted once per call and its text reused."""
     time_texts = _TimeTexts()
     for record, rep in files:
         times = map(time_texts.__getitem__, np.asarray(rep.times, dtype=float).tolist())
         lhs, rhs, ratio = (np.asarray(x, dtype=float).tolist() for x in (rep.lhs, rep.rhs, rep.ratio))
-        body = "".join([f"{t},{a!r},{b!r},{r!r}\n" for t, a, b, r in zip(times, lhs, rhs, ratio)])
+        rows = [f"{t},{a!r},{b!r},{r!r}\n" for t, a, b, r in zip(times, lhs, rhs, ratio)]
+        data = (_ENTRY_CSV_HEADER + "".join(rows)).encode("utf-8")
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
-            out.write((_ENTRY_CSV_HEADER + body).encode("utf-8"))
+            out.write(data)
+        # the digest ties the entry CSV to the report, since a later run into
+        # the same directory may overwrite a CSV of the same name
+        record["rows"] = len(rows)
+        record["sha256"] = hashlib.sha256(data).hexdigest()
 
 
 def _entry_work(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
@@ -605,19 +600,6 @@ def _entry_work(workdir: str, m, config: ExperimentConfig, name: str, scenario: 
     _write_entry_csvs(workdir, files)
     with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
         pickle.dump(entry, fh)
-
-
-def _finish_entry_csvs(records, directory: str):
-    """Read each of the ``records``' entry CSVs back from ``directory`` and
-    set its ``sha256`` and ``rows`` (newlines less the header's) from those
-    bytes: OSError if the file is missing."""
-    # the digest ties the entry CSV to the report, since a later run into
-    # the same directory may overwrite a CSV of the same name
-    for record in records:
-        with open(os.path.join(directory, record["csv"]), "rb") as fh:
-            data = fh.read()
-        record["sha256"] = hashlib.sha256(data).hexdigest()
-        record["rows"] = data.count(b"\n") - 1
 
 
 def _warm_up(config: ExperimentConfig):
@@ -653,21 +635,18 @@ def run_experiment(
 ) -> RunReport:
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
-    With ``jobs`` > 1 each entry runs in a forked worker, at most ``jobs``
-    at once (None: one per CPU this process may run on, _fork_cpus; a
-    ``jobs`` above the entry count is capped); with 1, or where fork is
-    missing or fails, the runner runs the entry itself (see the module
-    docstring).  Every worker is reaped, and the private directory removed,
-    before this returns or raises.  A worker that fails raises OSError
-    naming its entry; so does an entry CSV missing when it is read back,
-    and a directory in the place of an entry CSV raises IsADirectoryError
-    naming it.  In each case no report is written and an earlier run's
-    report and entry CSVs stay as they were.  ``timing.per_entry`` holds
-    each entry's evolve and check seconds, measured where the entry ran,
-    and ``timing.jobs`` the worker count used.  ValueError if ``jobs`` is
-    not a positive integer."""
+    Entries run in workers, at most ``jobs`` at once (None: one per CPU
+    this process may run on; a ``jobs`` above the entry count is capped;
+    see the module docstring).  A worker that fails raises OSError naming
+    its entry, an entry CSV that is missing FileNotFoundError naming it,
+    and a directory in the place of an entry CSV IsADirectoryError naming
+    it; all are raised before the first entry CSV is renamed into place,
+    so no report is written and an earlier run's report and entry CSVs
+    stay as they were.  ``timing.per_entry`` holds each entry's evolve and
+    check seconds, measured where the entry ran, and ``timing.jobs`` the
+    worker count used.  ValueError if ``jobs`` is not a positive integer."""
     if jobs is None:
-        jobs = _fork_cpus()
+        jobs = cpus()
     elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     target = resolve_out_dir(config, out_dir)
@@ -680,42 +659,35 @@ def run_experiment(
     jobs = max(1, min(jobs, len(tasks)))
     if tasks:
         _warm_up(config)
-    workdir = tempfile.mkdtemp(prefix=f".report_{digest[:12]}.", dir=target)
     entries = []
-    pids = []  # per started entry: its worker, None once reaped or where the runner ran it
+    with Workers(target, f".report_{digest[:12]}.", fork=jobs > 1) as workers:
 
-    def collect():
-        # the next entry in order: its worker's pid is dropped before the
-        # reap, so the finally cannot kill a reaped one
-        i = len(entries)
-        pid, pids[i] = pids[i], None
-        _reap_child(pid, f"worker of entry {tasks[i][0]}")
-        with open(os.path.join(workdir, f"{i}.pkl"), "rb") as fh:
-            entries.append(pickle.load(fh))
-        if verbose:
-            print(f"  [{entries[i]['status']}] {entries[i]['name']}", flush=True)
+        def collect():
+            # the next entry in order
+            workers.wait()
+            with open(os.path.join(workers.dir, f"{len(entries)}.pkl"), "rb") as fh:
+                entries.append(pickle.load(fh))
+            if verbose:
+                print(f"  [{entries[-1]['status']}] {entries[-1]['name']}", flush=True)
 
-    try:
         for i, task in enumerate(tasks):
             if i >= jobs:
                 collect()
-            pids.append(_fork_worker(jobs > 1, _entry_work, workdir, m, config, *task, i))
+            workers.start(f"worker of entry {task[0]}", _entry_work, workers.dir, m, config, *task, i)
         while len(entries) < len(tasks):
             collect()
         records = [rec for entry in entries for rec in entry["checks"].values() if "csv" in rec]
-        _finish_entry_csvs(records, workdir)
         # every entry CSV is in hand, and every place it goes can take a
         # file, before the first replaces an earlier run's file of the same
-        # name: a directory there would stop the renames part-way
+        # name: a missing CSV or a directory there would stop the renames
+        # part-way
         for record in records:
+            os.stat(os.path.join(workers.dir, record["csv"]))
             dest = os.path.join(target, record["csv"])
             if os.path.isdir(dest):
                 raise IsADirectoryError(errno.EISDIR, "an entry CSV cannot replace a directory", dest)
         for record in records:
-            os.replace(os.path.join(workdir, record["csv"]), os.path.join(target, record["csv"]))
-    finally:
-        _kill_children(pids)
-        shutil.rmtree(workdir)
+            os.replace(os.path.join(workers.dir, record["csv"]), os.path.join(target, record["csv"]))
 
     n = m.n
     regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}

@@ -434,8 +434,8 @@ def _step_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
       its corner update as two right-hand sides of the one dgtsv call, or
       each with the factor.
 
-    A non-finite matrix is a ValueError and a singular one a LinAlgError;
-    either leaves the entry as it was.
+    A dt that is not positive or a non-finite matrix is a ValueError and a
+    singular matrix a LinAlgError; each leaves the entry as it was.
     """
     cached = m._ops.get("step")
     seen = cached is not None and cached[0] == dt
@@ -456,7 +456,10 @@ def _step_matrix(m: DiscreteManifold, dt: float):
     array.  On the circle the corner entries become a rank-one update of
     the tridiagonal part, which never reads the corner slots of ab, and
     corners = (c_lr, c_ul, gamma); on the other kinds corners is None.
-    ValueError if an entry is not finite."""
+    ValueError if dt is not positive (on the circle dt = -h^2/2 would make
+    gamma zero) or an entry is not finite."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     _, u, ab = m._ops["band"]
     ab_step = -dt * ab
     ab_step[u, :] += 1.0
@@ -553,8 +556,9 @@ def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float)
     (at dt = 0.01 on 32 nodes, 1.0 comes out as 0.9999999999999998 on the
     circle and 0.9999999999999997 on the sphere).  A 1-D float64 array of
     the manifold's size is used as given, anything else converted as
-    laplace_beltrami converts it.  A non-finite right-hand side or matrix
-    is a ValueError, a singular matrix a LinAlgError.
+    laplace_beltrami converts it.  A dt that is not positive (backward heat
+    flow is ill-posed), a non-finite right-hand side or matrix is a
+    ValueError, a singular matrix a LinAlgError.
     """
     b = values
     if not (type(b) is np.ndarray and b.dtype == np.float64 and b.shape == (m.node_count,)):

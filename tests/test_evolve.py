@@ -398,8 +398,9 @@ def test_export_trajectory_gives_the_csv_the_mode_of_a_plain_open(tmp_path):
 
 
 def test_export_trajectory_formats_the_blocks_it_cannot_fork(tmp_path, monkeypatch, csv_writer_lines):
-    # four blocks; the second fork fails as under a process limit, so one
-    # child formats block 1 and the caller formats blocks 0, 2 and 3
+    # four blocks; every fork after the first fails as under a process
+    # limit, and each later block tries again, so one child formats block 1
+    # and the caller formats blocks 0, 2 and 3
     forks = []
     fork = os.fork
 
@@ -414,7 +415,7 @@ def test_export_trajectory_formats_the_blocks_it_cannot_fork(tmp_path, monkeypat
     monkeypatch.setattr(evolve_module, "EXPORT_VALUES_PER_WORKER", 16)
     assert len(evolve_module._export_block_bounds(FORK_AT + 1, 16)) == 5
     export_trajectory(export_sample(FORK_AT + 1), tmp_path / "run.csv")
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert (tmp_path / "run.csv").read_bytes() == b"".join(csv_writer_lines)
     assert os.listdir(tmp_path) == ["run.csv"]
 

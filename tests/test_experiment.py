@@ -683,7 +683,9 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
 def test_entry_csvs_are_the_csv_rows_with_times_formatted_once(tmp_path):
     # the writer formats each time once per entry and shares the text
     # between that entry's checks: repeated times, and 0.0 beside -0.0 in
-    # one file and across two, must still give csv_rows' text exactly
+    # one file and across two, must still give csv_rows' text exactly.  Each
+    # record gets the data-line count and the digest of the file written,
+    # the empty report's too
     def made(times, scale):
         times = np.array(times)
         return EstimateReport(
@@ -706,7 +708,11 @@ def test_entry_csvs_are_the_csv_rows_with_times_formatted_once(tmp_path):
     experiment._write_entry_csvs(str(tmp_path), files)
     for record, rep in files:
         want = "t,lhs,structural_rhs,ratio\n" + "".join(",".join(row) + "\n" for row in rep.csv_rows())
-        assert (tmp_path / record["csv"]).read_bytes() == want.encode("utf-8")
+        data = (tmp_path / record["csv"]).read_bytes()
+        assert data == want.encode("utf-8")
+        assert record["rows"] == data.count(b"\n") - 1 == rep.times.size
+        assert record["sha256"] == hashlib.sha256(data).hexdigest()
+    assert [record["rows"] for record, _ in files] == [7, 7, 0]
     assert (tmp_path / "e_0.csv").read_text().splitlines()[1:3] == ["-0.0,0.0,-0.0,-0.0", "0.0,0.14285714285714285,-0.0,0.0"]
     assert (tmp_path / "e_1.csv").read_text().splitlines()[1:3] == ["0.0,-0.0,-0.0,nan", "-0.0,-0.14285714285714285,-0.0,nan"]
 
@@ -895,11 +901,11 @@ def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypa
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatch, cpus):
     # a writer that writes nothing, in forked workers (which inherit the
-    # patch) or in the runner: reading the first entry's CSVs back raises
-    # OSError, no report is written and every child is reaped (the autouse
-    # fixture checks).  So too where an earlier run of the same config left
-    # its entry CSVs and report: its files are not read back for this run,
-    # and they stay as they were
+    # patch) or in the runner: the check before the first rename finds the
+    # first entry's CSV missing and raises OSError, no report is written and
+    # every child is reaped (the autouse fixture checks).  So too where an
+    # earlier run of the same config left its entry CSVs and report: its
+    # files do not stand in for this run's, and they stay as they were
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = validate_config(forking_raw())
     earlier = run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
@@ -991,6 +997,31 @@ def test_run_experiment_replaces_no_entry_csv_when_one_cannot_be_renamed(tmp_pat
         run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path) if (tmp_path / name).is_file()} == earlier
     assert sorted(os.listdir(tmp_path)) == sorted([*earlier, "warm__p2_decay.csv"])
+
+
+def test_run_experiment_replaces_no_entry_csv_when_a_later_one_is_missing(tmp_path, monkeypatch):
+    # the last entry's decay CSV is gone from the private directory: the
+    # runner raises FileNotFoundError naming it before it renames any entry
+    # CSV, so the earlier entries' CSVs replace none of an earlier run's
+    # files of the same names (which differ from them), and no report is
+    # written
+    first_raw, raw = forking_raw(), forking_raw()
+    first_raw["checkers"][2]["T_blow"] = 6.0  # other decay rows, same names
+    run_experiment(validate_config(first_raw), out_dir=str(tmp_path), jobs=1)
+    earlier = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert len(earlier) == 3 * 2 + 1
+    write = experiment._write_entry_csvs
+
+    def loses_p3_decay(out_dir, files):
+        write(out_dir, files)
+        for record, _ in files:
+            if record["csv"] == "warm__p3_decay.csv":
+                os.remove(os.path.join(out_dir, record["csv"]))
+
+    monkeypatch.setattr(experiment, "_write_entry_csvs", loses_p3_decay)
+    with pytest.raises(FileNotFoundError, match="warm__p3_decay.csv"):
+        run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
 
 
 def test_cli_run_verbose_prints_each_entry_once(tmp_path):

@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -419,6 +420,26 @@ def test_step_solve_refuses_non_finite_input(kind):
     # a refused dt leaves the manifold solving as before
     u = np.cos(m.nodes)
     assert np.array_equal(implicit_diffusion_solve(m, u, 1e-3), reference_solve(m, u, 1e-3))
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_SPECS))
+def test_step_solve_refuses_a_dt_that_is_not_positive(kind):
+    # backward heat flow is ill-posed: a dt that is not positive is refused
+    # before the matrix is built, so the circle's dt = -h^2/2, where the
+    # corner update would divide by A[0, 0] = 0, warns nothing (the suite
+    # makes a RuntimeWarning an error), and the entry stays as it was
+    n, size = _KIND_SPECS[kind]
+    m = build_manifold(kind, n, size, 64)
+    u = np.cos(m.nodes)
+    implicit_diffusion_solve(m, u, 1e-3)
+    cached = m._ops["step"]
+    bad = [0.0, -1e-3, -np.inf]
+    if kind == "circle":
+        bad.append(float(1.0 / m._ops["band"][2][1, 0]))  # -h^2/2: 1 - dt * L[0, 0] = 0
+    for dt in bad:
+        with pytest.raises(ValueError, match=f"^dt must be positive, got {re.escape(repr(dt))}$"):
+            implicit_diffusion_solve(m, u, dt)
+        assert m._ops["step"] is cached
 
 
 def test_step_solve_keeps_one_factor():
