@@ -15,6 +15,8 @@ any child, which could reap one this process did not start), and raises
 OSError naming ``what`` if it exited with a nonzero code.  Leaving the
 context, by return or raise, kills and reaps every worker not yet waited
 for, whose output is no longer wanted, then removes the directory.
+``publish(targets)`` puts staged files of the directory in their places:
+it is the one place the package moves a file.
 
 A child leaves through ``os._exit``, without running the parent's cleanup
 or flushing its buffers (so nothing the parent buffered is written twice);
@@ -27,6 +29,7 @@ threads, so the child never waits on a thread it lacks.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import signal
@@ -82,6 +85,22 @@ class Workers:
         code = os.waitstatus_to_exitcode(status)
         if code:
             raise OSError(f"{what} {pid} exited with code {code} (its traceback, if any, is on stderr)")
+
+    def publish(self, targets):
+        """Move each staged file ``name`` of ``dir`` onto ``path``, for
+        (name, path) in ``targets`` (distinct names).  Every staged file and
+        path is checked first, so a refusal replaces no earlier file: a
+        missing staged file is FileNotFoundError, a directory at a path
+        (``shutil.move`` would move into it) IsADirectoryError naming it.
+        Each move is a rename, or a copy where that fails, as across file
+        systems; a file keeps its own mode, not that of the one it replaces."""
+        targets = [(os.path.join(self.dir, name), path) for name, path in targets]
+        for staged, path in targets:
+            os.stat(staged)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "a staged file cannot replace a directory", os.fspath(path))
+        for staged, path in targets:
+            shutil.move(staged, path)
 
     def __exit__(self, *exc):
         for _, pid in self._started:

@@ -556,10 +556,14 @@ def check_triviality(
     C_cap = 1 + rate_tol; intervals whose oscillation starts at or below
     osc_floor pass outright.  Verdict "trivial-limit" iff every evaluated
     interval passed.  A negative osc_floor is a ValueError: it would let
-    flat data divide 0 by 0.
+    flat data divide 0 by 0, and so is an ``m`` whose kind, n, size or node
+    count is not the trajectory's: lambda1 and Theta would be another
+    manifold's.
     """
     p = validate_exponent(p)
     _check_osc_floor(osc_floor)
+    if any(getattr(m, key) != getattr(traj.manifold, key) for key in ("kind", "n", "radius_or_length", "node_count")):
+        raise ValueError("triviality check needs the trajectory's manifold: kind, n, size or node count differ")
     if m.kind not in CLOSED_KINDS:
         raise ValueError("triviality check requires a compact manifold")
     if m.ricci_lower <= 0:
@@ -645,7 +649,9 @@ def talenti_residual(n: int, grid_count: int, R_max: float) -> float:
 
 def exponent_regime(n: int, p: float) -> str:
     """Classify p against n(n+2)/(n-1)^2 and the Sobolev exponent
-    (n+2)/(n-2); for n in {1, 2} both thresholds are infinite."""
+    (n+2)/(n-2).  Both thresholds are infinite for n = 1; for n = 2 only the
+    Sobolev exponent is, and n(n+2)/(n-1)^2 = 8, which _exponent_gate
+    enforces, while the label stays low_dimension_all_subcritical."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
     p = validate_exponent(p)

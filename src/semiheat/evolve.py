@@ -315,23 +315,23 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     carrying the manifold, the step log, blow-up info, and the caller's
     ``meta`` dict (JSON-serializable metadata, stored as given).
 
-    The CSV holds the bytes ``csv.writer`` would write.  It is written
-    under a temporary name in a private directory beside ``csv_path`` and
-    renamed onto ``csv_path`` only once complete, so an export that raises
-    leaves an earlier file at ``csv_path`` as it was, and no CSV where there
-    was none.  The final file has the permissions ``open(csv_path, "w")``
-    gives a new file.  Its body is split into contiguous snapshot blocks,
-    one per CPU this process may run on while each extra block keeps at
-    least EXPORT_VALUES_PER_WORKER values: the caller formats the first
-    block into the CSV, and a worker (_workers.Workers, which owns the
-    private directory) formats each later one into the part file
-    ``<lo>.part`` (``lo``: the block's first snapshot index); the parts are
-    appended in order, so the bytes do not depend on the CPU count, and a
-    worker that fails is an OSError.  The sidecar is written into the
-    private directory before the CSV is renamed into place and copied onto
-    ``sidecar_path`` after it, so a ``meta`` that JSON cannot encode leaves
-    an earlier CSV and sidecar as they were; ``sidecar_path`` may be on
-    another file system than ``csv_path``.
+    The CSV holds the bytes ``csv.writer`` would write.  Its body is split
+    into contiguous snapshot blocks, one per CPU this process may run on
+    while each extra block keeps at least EXPORT_VALUES_PER_WORKER values:
+    the caller formats the first block into the CSV, and a worker
+    (_workers.Workers, which owns a private directory beside ``csv_path``)
+    formats each later one into the part file ``<lo>.part`` (``lo``: the
+    block's first snapshot index); the parts are appended in order, so the
+    bytes do not depend on the CPU count, and a worker that fails is an
+    OSError.  The CSV and the sidecar are written in the private directory
+    and published in one ``Workers.publish`` call once both are complete:
+    the CSV is renamed onto ``csv_path``, the sidecar onto ``sidecar_path``,
+    or copied there where that is on another file system.  So an export
+    that raises (a ``meta`` that JSON cannot encode included), or a
+    directory at either path, leaves an earlier CSV and sidecar as they
+    were, and no file where there was none.  Each file has the permissions
+    ``open(path, "w")`` gives a new file: an earlier sidecar's mode is not
+    kept.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
@@ -341,8 +341,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             parts.append(os.path.join(workers.dir, f"{lo}.part"))
             workers.start("export worker", _write_csv_part, parts[-1], node_fields, times[lo:hi], traj.snapshots[lo:hi])
-        partial = os.path.join(workers.dir, "export.csv")
-        with open(partial, "w", newline="") as fh:
+        with open(os.path.join(workers.dir, "export.csv"), "w", newline="") as fh:
             fh.write("t,node_index,u\r\n")
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
             fh.flush()
@@ -350,6 +349,7 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 workers.wait()
                 with open(part, "rb") as src:
                     shutil.copyfileobj(src, fh.buffer)
+        targets = [("export.csv", csv_path)]
         if sidecar_path is not None:
             sidecar = {
                 "manifold": {
@@ -368,13 +368,10 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                 "negative_data": traj.negative_data,
                 "meta": meta or {},
             }
-            sidecar_partial = os.path.join(workers.dir, "sidecar.json")
-            with open(sidecar_partial, "w") as fh:
+            with open(os.path.join(workers.dir, "sidecar.json"), "w") as fh:
                 json.dump(sidecar, fh, indent=1, sort_keys=True)
-        os.replace(partial, csv_path)
-        if sidecar_path is not None:
-            # copied, not renamed: sidecar_path may be on another file system
-            shutil.copyfile(sidecar_partial, sidecar_path)
+            targets.append(("sidecar.json", sidecar_path))
+        workers.publish(targets)
 
 
 def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:

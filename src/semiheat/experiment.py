@@ -59,14 +59,16 @@ entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
 Each entry runs in a worker (_workers.Workers, at most ``jobs`` at once,
-forked where there is more than one job), which evolves the entry, runs its
-checks, writes its entry CSVs into the workers' private directory beside
-the report, sets each record's ``sha256`` and ``rows`` from the bytes it
-wrote, and pickles the entry to ``<i>.pkl`` there.  What every worker would
-otherwise repeat (the spectrum, numpy's lazy import of its random module)
-is done once, before any fork (``_warm_up``).  The runner loads the entries
-in order, renames the entry CSVs into place and writes the report; the
-bytes do not depend on the job count.
+forked where there is more than one job): ``_run_entry`` evolves the entry,
+runs its checks, writes its entry CSVs into the workers' private directory
+beside the report, sets each record's ``sha256`` and ``rows`` from the
+bytes it wrote, and pickles the entry to ``<i>.pkl`` there.  What every
+worker would otherwise repeat (the spectrum, numpy's lazy import of its
+random module) is done once, before any fork (``_warm_up``).  The runner
+loads the entries in order, writes the report into the private directory
+and publishes it with the entry CSVs (``Workers.publish``); the bytes do
+not depend on the job count.  Entry names must be distinct, so two p
+values may not share their ``{p:g}`` text.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -78,7 +80,6 @@ one entry there; ``_RECIPES`` does the same for initial-data recipes.
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import importlib
 import io
@@ -418,11 +419,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(p_values, list):
         raise ConfigError("p_values", "must be a list")
     p_values = tuple(_number(p, f"p_values[{i}]") for i, p in enumerate(p_values))
+    first_with_name = {}  # entry names carry p as f"{p:g}"
     for i, p in enumerate(p_values):
         try:
             validate_exponent(p)
         except ValueError as exc:
             raise ConfigError(f"p_values[{i}]", str(exc)) from None
+        earlier = first_with_name.setdefault(f"{p:g}", i)
+        if earlier != i:
+            raise ConfigError(f"p_values[{i}]", f"p = {p!r} shares its entry name p{p:g} with p_values[{earlier}]")
 
     scenarios = raw.get("scenarios", [])
     if not isinstance(scenarios, list):
@@ -524,12 +529,12 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _run_entry(m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
-    """Evolve and check one entry.  Returns the entry and, per check with
-    rows, its report record and EstimateReport: the record names the entry
-    CSV and gets ``rows`` and ``sha256`` once _write_entry_csvs writes it."""
+def _run_entry(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
+    """Evolve and check entry ``entry_index``, write its entry CSVs into
+    ``workdir`` (_write_entry_csvs, which sets each record's ``rows`` and
+    ``sha256``) and pickle the entry there, to ``<entry_index>.pkl``."""
     entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
-    files = []
+    files = []  # (report record, EstimateReport) per check with rows
     started = time.perf_counter()
     try:
         u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
@@ -537,28 +542,28 @@ def _run_entry(m, config: ExperimentConfig, name: str, scenario: _Scenario, p: f
     except (SolverAbort, ValueError, FloatingPointError) as exc:
         entry["status"] = "error"
         entry["error"] = str(exc)
-        entry["wall_seconds"] = time.perf_counter() - started
-        return entry, files
-
-    entry["trajectory"] = {
-        "snapshot_count": int(traj.times.size),
-        "step_count": int(traj.step_times.size),
-        "first_time": float(traj.times[0]),
-        "final_time": float(traj.times[-1]),
-        "max_abs_value": float(np.max(np.abs(traj.snapshots))),
-        "negative_data": bool(traj.negative_data),
-        "blowup": None if traj.blowup is None else asdict(traj.blowup),
-    }
-    for cid, kwargs in config.checkers:
-        try:
-            rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
-        except (ValueError, FloatingPointError) as exc:
-            entry["checks"][cid] = {"status": "error", "error": str(exc)}
-            continue
-        entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
-        files.append((entry["checks"][cid], rep))
+    else:
+        entry["trajectory"] = {
+            "snapshot_count": int(traj.times.size),
+            "step_count": int(traj.step_times.size),
+            "first_time": float(traj.times[0]),
+            "final_time": float(traj.times[-1]),
+            "max_abs_value": float(np.max(np.abs(traj.snapshots))),
+            "negative_data": bool(traj.negative_data),
+            "blowup": None if traj.blowup is None else asdict(traj.blowup),
+        }
+        for cid, kwargs in config.checkers:
+            try:
+                rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
+            except (ValueError, FloatingPointError) as exc:
+                entry["checks"][cid] = {"status": "error", "error": str(exc)}
+                continue
+            entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
+            files.append((entry["checks"][cid], rep))
     entry["wall_seconds"] = time.perf_counter() - started
-    return entry, files
+    _write_entry_csvs(workdir, files)
+    with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
+        pickle.dump(entry, fh)
 
 
 class _TimeTexts(dict):
@@ -591,15 +596,6 @@ def _write_entry_csvs(out_dir: str, files):
         # the same directory may overwrite a CSV of the same name
         record["rows"] = len(rows)
         record["sha256"] = hashlib.sha256(data).hexdigest()
-
-
-def _entry_work(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
-    """Run entry ``entry_index`` (_run_entry), write its entry CSVs into
-    ``workdir`` and pickle the entry there, to ``<entry_index>.pkl``."""
-    entry, files = _run_entry(m, config, name, scenario, p, entry_index)
-    _write_entry_csvs(workdir, files)
-    with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
-        pickle.dump(entry, fh)
 
 
 def _warm_up(config: ExperimentConfig):
@@ -637,14 +633,18 @@ def run_experiment(
 
     Entries run in workers, at most ``jobs`` at once (None: one per CPU
     this process may run on; a ``jobs`` above the entry count is capped;
-    see the module docstring).  A worker that fails raises OSError naming
-    its entry, an entry CSV that is missing FileNotFoundError naming it,
-    and a directory in the place of an entry CSV IsADirectoryError naming
-    it; all are raised before the first entry CSV is renamed into place,
-    so no report is written and an earlier run's report and entry CSVs
-    stay as they were.  ``timing.per_entry`` holds each entry's evolve and
-    check seconds, measured where the entry ran, and ``timing.jobs`` the
-    worker count used.  ValueError if ``jobs`` is not a positive integer."""
+    see the module docstring).  The report JSON is written beside the
+    entry CSVs in the workers' private directory, and one
+    ``Workers.publish`` call renames them all into place, the report last.
+    A worker that fails raises OSError naming its entry, an entry CSV that
+    is missing FileNotFoundError naming it, and a directory in the place of
+    an entry CSV or of the report IsADirectoryError naming it; all are
+    raised before the first file is renamed into place, so no report is
+    written and an earlier run's report and entry CSVs stay as they were.
+    ``timing.wall_seconds`` ends before the publish.  ``timing.per_entry``
+    holds each entry's evolve and check seconds, measured where the entry
+    ran, and ``timing.jobs`` the worker count used.  ValueError if ``jobs``
+    is not a positive integer."""
     if jobs is None:
         jobs = cpus()
     elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
@@ -673,41 +673,29 @@ def run_experiment(
         for i, task in enumerate(tasks):
             if i >= jobs:
                 collect()
-            workers.start(f"worker of entry {task[0]}", _entry_work, workers.dir, m, config, *task, i)
+            workers.start(f"worker of entry {task[0]}", _run_entry, workers.dir, m, config, *task, i)
         while len(entries) < len(tasks):
             collect()
-        records = [rec for entry in entries for rec in entry["checks"].values() if "csv" in rec]
-        # every entry CSV is in hand, and every place it goes can take a
-        # file, before the first replaces an earlier run's file of the same
-        # name: a missing CSV or a directory there would stop the renames
-        # part-way
-        for record in records:
-            os.stat(os.path.join(workers.dir, record["csv"]))
-            dest = os.path.join(target, record["csv"])
-            if os.path.isdir(dest):
-                raise IsADirectoryError(errno.EISDIR, "an entry CSV cannot replace a directory", dest)
-        for record in records:
-            os.replace(os.path.join(workers.dir, record["csv"]), os.path.join(target, record["csv"]))
 
-    n = m.n
-    regimes = {f"{p:g}": exponent_regime(n, p) for p in config.p_values}
-    wall = time.perf_counter() - started
-    report = RunReport(
-        config_hash=digest,
-        entries=entries,
-        regimes={"n": n, "by_p": regimes},
-        timing={
-            "wall_seconds": wall,
-            "per_entry": {e["name"]: e.pop("wall_seconds", None) for e in entries},
-            "jobs": jobs,
-        },
-        directory=target,
-    )
-    report_path = os.path.join(target, f"report_{digest[:12]}.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    report.timing["report_path"] = report_path
+        n = m.n
+        report = RunReport(
+            config_hash=digest,
+            entries=entries,
+            regimes={"n": n, "by_p": {f"{p:g}": exponent_regime(n, p) for p in config.p_values}},
+            timing={
+                "wall_seconds": time.perf_counter() - started,
+                "per_entry": {e["name"]: e.pop("wall_seconds", None) for e in entries},
+                "jobs": jobs,
+            },
+            directory=target,
+        )
+        report_name = f"report_{digest[:12]}.json"
+        with open(os.path.join(workers.dir, report_name), "w", encoding="utf-8") as fh:
+            json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        names = [rec["csv"] for entry in entries for rec in entry["checks"].values() if "csv" in rec]
+        workers.publish((name, os.path.join(target, name)) for name in [*names, report_name])
+    report.timing["report_path"] = os.path.join(target, report_name)
     return report
 
 

@@ -495,6 +495,27 @@ def test_triviality_refuses_a_negative_osc_floor(sphere):
     assert np.array_equal(report.ratio, np.zeros(2))
 
 
+def test_triviality_refuses_a_manifold_that_is_not_the_trajectorys():
+    # a mode that does not decay fails on its own 64-node unit sphere; a
+    # larger sphere (smaller lambda1 and threshold) would pass it with
+    # c_fit 0, so another kind, n, size or node count is a ValueError
+    sphere = build_manifold("sphere_zonal", 2, 1.0, 64)
+    _, modes = laplacian_spectrum(sphere)
+    times = np.linspace(0.0, 3.0, 31)
+    field = 0.1 + 0.05 * modes[:, 1] / np.max(np.abs(modes[:, 1]))
+    traj = trajectory_from_samples(sphere, times, np.tile(field, (times.size, 1)))
+    report = check_triviality(traj, sphere, 2.0)
+    assert not report.passed and report.c_fit > 5.0
+    for other in (
+        build_manifold("sphere_zonal", 2, 3.0, 64),
+        build_manifold("sphere_zonal", 2, 1.0, 128),
+        build_manifold("sphere_zonal", 3, 1.0, 64),
+        build_manifold("circle", 1, 2.0 * math.pi, 64),
+    ):
+        with pytest.raises(ValueError, match="needs the trajectory's manifold"):
+            check_triviality(traj, other, 2.0)
+
+
 def test_triviality_perturbed_run_decays(sphere):
     background = trivial_ancient(2.0, 0.0, -12.0)
     lam, modes = laplacian_spectrum(sphere)

@@ -363,24 +363,42 @@ def test_export_trajectory_keeps_the_earlier_pair_when_meta_cannot_be_encoded(tm
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
 
 
+def test_export_trajectory_keeps_the_earlier_pair_when_a_directory_is_at_the_sidecar_path(tmp_path, monkeypatch):
+    # both paths are checked before either file is placed: a directory at
+    # sidecar_path is IsADirectoryError naming it, the earlier CSV and
+    # sidecar stay byte for byte (the new CSV differs from the earlier
+    # one), and no private directory is left
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    export_trajectory(export_sample(3), tmp_path / "run.csv", tmp_path / "run.json", {"count": 3})
+    earlier = {name: (tmp_path / name).read_bytes() for name in ("run.csv", "run.json")}
+    (tmp_path / "dir.json").mkdir()
+    with pytest.raises(IsADirectoryError, match="dir.json"):
+        export_trajectory(export_sample(FORK_AT), tmp_path / "run.csv", tmp_path / "dir.json", {"count": FORK_AT})
+    assert sorted(os.listdir(tmp_path)) == ["dir.json", "run.csv", "run.json"]
+    assert {name: (tmp_path / name).read_bytes() for name in ("run.csv", "run.json")} == earlier
+    assert os.listdir(tmp_path / "dir.json") == []
+
+
 def test_export_trajectory_writes_a_sidecar_on_another_file_system(tmp_path, monkeypatch):
-    # a rename across file systems fails (EXDEV); the sidecar is copied onto
-    # its path, so it may sit on another file system than the CSV
+    # a rename across file systems fails (EXDEV); the sidecar is then copied
+    # onto its path, so it may sit on another file system than the CSV
     other = tmp_path / "other"
     other.mkdir()
-    replace = os.replace
+    rename, refused = os.rename, []
 
     def within_a_file_system(src, dst):
         if Path(src).is_relative_to(other) != Path(dst).is_relative_to(other):
+            refused.append(dst)
             raise OSError(errno.EXDEV, "Invalid cross-device link")
-        replace(src, dst)
+        rename(src, dst)
 
     export_trajectory(export_sample(3), tmp_path / "ref.csv", tmp_path / "ref.json", {"count": 3})
-    monkeypatch.setattr(os, "replace", within_a_file_system)
+    monkeypatch.setattr(os, "rename", within_a_file_system)
     export_trajectory(export_sample(3), tmp_path / "run.csv", other / "run.json", {"count": 3})
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert (other / "run.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
     assert os.listdir(other) == ["run.json"]
+    assert refused == [other / "run.json"]
 
 
 def test_export_trajectory_gives_the_csv_the_mode_of_a_plain_open(tmp_path):

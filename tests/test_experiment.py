@@ -144,6 +144,8 @@ def test_validate_config_accepts_base():
             "scenarios[0].initial.path",
             id="custom-path-number",
         ),
+        # entry names carry p as f"{p:g}", which would give two entries one name
+        pytest.param(lambda r: r.update(p_values=[2.0, 3.0, 2.0000001]), "p_values[2]", id="p-same-entry-name"),
         pytest.param(lambda r: r.update(seed=True), "seed", id="seed-bool"),
         pytest.param(lambda r: r.update(seed=-1), "seed", id="seed-negative"),
         pytest.param(
@@ -1024,6 +1026,34 @@ def test_run_experiment_replaces_no_entry_csv_when_a_later_one_is_missing(tmp_pa
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
 
 
+def test_cli_run_replaces_nothing_when_a_directory_is_at_the_report_path(tmp_path, capsys):
+    # the report is published with the entry CSVs, and every path is
+    # checked before the first file is placed: a directory where this run's
+    # report goes is exit 2 naming it.  An earlier run of another config
+    # (same entry CSV names, other decay rows) keeps its report and entry
+    # CSVs byte for byte, so plotdata on its report still runs, and no
+    # private directory is left
+    first_raw, raw = forking_raw(), forking_raw()
+    first_raw["checkers"][2]["T_blow"] = 6.0  # other decay rows, same names
+    out = tmp_path / "out"
+    (tmp_path / "first").mkdir()
+    assert cli_main(["run", write_cfg(tmp_path / "first", first_raw), "--out-dir", str(out), "--jobs", "2"]) == 1
+    earlier = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert len(earlier) == 3 * 2 + 1
+    report_name = f"report_{validate_config(raw).config_hash[:12]}.json"
+    assert report_name not in earlier
+    (out / report_name).mkdir()
+    capsys.readouterr()
+    assert cli_main(["run", write_cfg(tmp_path, raw), "--out-dir", str(out), "--jobs", "2"]) == 2
+    assert report_name in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted([*earlier, report_name])
+    assert {name: (out / name).read_bytes() for name in earlier} == earlier
+    assert os.listdir(out / report_name) == []
+    (first_report,) = [name for name in earlier if name.startswith("report_")]
+    plots = tmp_path / "plots"
+    assert cli_main(["plotdata", str(out / first_report), "decay", "--out-dir", str(plots)]) == 0
+
+
 def test_cli_run_verbose_prints_each_entry_once(tmp_path):
     # with stdout a pipe it is block-buffered; a forked child must not
     # write what the parent buffered, nor print anything of its own
@@ -1330,6 +1360,53 @@ def test_checked_configs_run_to_a_report(raw):
                 out_dir = os.path.join(tmp, "out")
                 assert cli_main(["run", path, "--out-dir", out_dir]) in (0, 1)
                 assert any(name.startswith("report_") for name in os.listdir(out_dir))
+
+
+@st.composite
+def repeated_p_configs(draw):
+    """A 16-node circle sweep of one or two scenarios and 1-4 p values drawn
+    with repeats and near-repeats (equal in their 6 significant digits or
+    not)."""
+    raw = base_raw()
+    raw["manifold"] = {"kind": "circle", "n": 1, "size": 6.3, "resolution": 16}
+    near = [1.5, 1.5000001, 2.0, 2.0 + 1e-12, 2.00001, 3.0]
+    raw["p_values"] = draw(st.lists(st.sampled_from(near), min_size=1, max_size=4))
+    window = {"t0": 0.0, "t1": 0.05}
+    raw["scenarios"] = [
+        {"name": "warm", "initial": {"type": "constant", "value": 0.5}, "window": window},
+        {"name": "random", "initial": {"type": "random_uniform", "low": 0.1, "high": 0.6}, "window": window},
+    ][: draw(st.integers(1, 2))]
+    raw["checkers"] = [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}]
+    return raw
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(raw=repeated_p_configs())
+def test_accepted_p_values_run_to_a_report_naming_every_csv(raw):
+    # a config validation accepts runs to a report whose every entry CSV
+    # is in place with its recorded digest; one it refuses names the first
+    # p whose entry name an earlier p already has, and that earlier p
+    names = [f"{p:g}" for p in raw["p_values"]]
+    try:
+        cfg = validate_config(raw)
+    except ConfigError as exc:
+        repeated = next(i for i, name in enumerate(names) if name in names[:i])
+        assert exc.field_path == f"p_values[{repeated}]"
+        assert str(exc).endswith(f"with p_values[{names.index(names[repeated])}]")
+        return
+    assert len(set(names)) == len(names)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = run_experiment(cfg, out_dir=tmp, jobs=1)
+        with open(report.timing["report_path"], encoding="utf-8") as fh:
+            on_disk = json.load(fh)
+        records = [rec for entry in on_disk["entries"] for rec in entry["checks"].values() if "csv" in rec]
+        assert len(on_disk["entries"]) == len(names) * len(raw["scenarios"])
+        assert len(records) == 2 * len(on_disk["entries"])
+        for rec in records:
+            with open(os.path.join(tmp, rec["csv"]), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == rec["sha256"]
+        published = [os.path.basename(report.timing["report_path"]), *(rec["csv"] for rec in records)]
+        assert sorted(os.listdir(tmp)) == sorted(published)
 
 
 # a scenario that aborts at once at every p: dt_max is below the resolution

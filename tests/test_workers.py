@@ -1,5 +1,6 @@
-"""Where worker processes and their private directories are handled: in
-_workers alone, which export_trajectory and run_experiment both use."""
+"""Where worker processes and their private directories are handled, and
+where files are moved out of those directories: in _workers alone, which
+export_trajectory and run_experiment both use."""
 
 import ast
 import os
@@ -13,9 +14,11 @@ from semiheat._workers import Workers
 
 SOURCES = sorted(pathlib.Path(semiheat.__file__).parent.glob("*.py"))
 
-# what starts, waits for or stops a process, or makes or removes a private
-# directory
-LIFECYCLE = {"os.fork", "os.waitpid", "os.kill", "os._exit", "tempfile.mkdtemp", "shutil.rmtree"}
+# what starts, waits for or stops a process, makes or removes a private
+# directory, or moves a staged file out of it (Workers.publish)
+LIFECYCLE = {"os.fork", "os.waitpid", "os.kill", "os._exit", "tempfile.mkdtemp", "shutil.rmtree", "shutil.move"}
+# other ways to put a file in place, which would bypass publish's checks
+BYPASSES = {"os.replace", "os.rename", "shutil.copyfile"}
 
 
 def module_trees():
@@ -23,8 +26,10 @@ def module_trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_only_workers_forks_waits_kills_or_makes_private_directories():
-    users = {name: set() for name in LIFECYCLE}
+def modules_using(names):
+    """For each dotted name in ``names``, the modules that use it as an
+    attribute of a module name or import it."""
+    users = {name: set() for name in names}
     for module, tree in module_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
@@ -33,9 +38,17 @@ def test_only_workers_forks_waits_kills_or_makes_private_directories():
                 used = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            for name in LIFECYCLE.intersection(used):
+            for name in names.intersection(used):
                 users[name].add(module)
-    assert users == {name: {"_workers.py"} for name in LIFECYCLE}
+    return users
+
+
+def test_only_workers_forks_waits_kills_or_makes_private_directories():
+    assert modules_using(LIFECYCLE) == {name: {"_workers.py"} for name in LIFECYCLE}
+
+
+def test_no_module_replaces_renames_or_copies_a_file_onto_a_path():
+    assert modules_using(BYPASSES) == {name: set() for name in BYPASSES}
 
 
 def test_no_module_imports_a_private_name_of_evolve():
