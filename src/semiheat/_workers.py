@@ -1,11 +1,11 @@
 """Forked workers that leave their results in files.
 
 Two callers use them: ``export_trajectory`` starts one per CSV block after
-the first, and ``run_experiment`` one per sweep entry.  ``Workers`` is the
-one lifecycle both share.  Entering it creates a private directory
-``<prefix><random>`` in a given directory; ``start(what, work, *args)``
-calls ``work(*args)``, which writes its results into files by path, in a
-forked child and returns at once.  Where forking is off for the caller,
+the first, and ``run_experiment`` one per job, which runs every
+``jobs``-th sweep entry.  ``Workers`` is the one lifecycle both share.
+Entering it creates a private directory ``<prefix><random>`` in a given
+directory; ``start(what, work, *args)`` calls ``work(*args)``, which writes
+its results into files by path, in a forked child and returns at once.  Where forking is off for the caller,
 ``os.fork`` is missing or it raises OSError (no process to spare: EAGAIN,
 ENOMEM), ``work`` runs in this process before ``start`` returns, and what
 it raises propagates as is.  Every start tries to fork again, so a failed
@@ -21,7 +21,7 @@ it is the one place the package moves a file.
 A child leaves through ``os._exit``, without running the parent's cleanup
 or flushing its buffers (so nothing the parent buffered is written twice);
 ``work`` closes the files it opens.  The parent sees only the exit code, so
-a failure's traceback goes to stderr.  A sweep entry's ``work`` runs LAPACK
+a failure's traceback goes to stderr.  A sweep worker's ``work`` runs LAPACK
 solves, not only formatting: numpy's OpenBLAS (a pthreads build) starts its
 thread pool afresh in a forked child, which does not inherit the parent's
 threads, so the child never waits on a thread it lacks.
@@ -91,14 +91,21 @@ class Workers:
         (name, path) in ``targets`` (distinct names).  Every staged file and
         path is checked first, so a refusal replaces no earlier file: a
         missing staged file is FileNotFoundError, a directory at a path
-        (``shutil.move`` would move into it) IsADirectoryError naming it.
-        Each move is a rename, or a copy where that fails, as across file
+        (``shutil.move`` would move into it) IsADirectoryError naming it,
+        and a path that names the same file as an earlier one (the later
+        move would replace the earlier file) ValueError naming it.  Each
+        move is a rename, or a copy where that fails, as across file
         systems; a file keeps its own mode, not that of the one it replaces."""
         targets = [(os.path.join(self.dir, name), path) for name, path in targets]
+        destinations = set()
         for staged, path in targets:
             os.stat(staged)
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "a staged file cannot replace a directory", os.fspath(path))
+            destination = os.path.abspath(path)
+            if destination in destinations:
+                raise ValueError(f"two staged files would be published to {os.fspath(path)}")
+            destinations.add(destination)
         for staged, path in targets:
             shutil.move(staged, path)
 

@@ -49,10 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_jobs,
         default=None,
-        help="entries run at once, each in a forked worker; 1 runs them in this process "
-        "(default: one per CPU this process may run on)",
+        help="workers to fork, once each; worker w runs entries w, w + JOBS, ... in order, and 1 "
+        "runs every entry in this process (default: one per CPU this process may run on)",
     )
-    run_p.add_argument("--verbose", action="store_true", help="print per-entry progress")
+    run_p.add_argument("--verbose", action="store_true", help="print each entry's status in order once all workers end")
 
     check_p = sub.add_parser("check", help="validate a config without running it")
     check_p.add_argument("config", help="path to a JSON config")

@@ -327,11 +327,11 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     and published in one ``Workers.publish`` call once both are complete:
     the CSV is renamed onto ``csv_path``, the sidecar onto ``sidecar_path``,
     or copied there where that is on another file system.  So an export
-    that raises (a ``meta`` that JSON cannot encode included), or a
-    directory at either path, leaves an earlier CSV and sidecar as they
-    were, and no file where there was none.  Each file has the permissions
-    ``open(path, "w")`` gives a new file: an earlier sidecar's mode is not
-    kept.
+    that raises (a ``meta`` that JSON cannot encode included), a directory
+    at either path, or one path for both (ValueError), leaves an earlier
+    CSV and sidecar as they were, and no file where there was none.  Each
+    file has the permissions ``open(path, "w")`` gives a new file: an
+    earlier sidecar's mode is not kept.
     """
     times = traj.times
     node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]

@@ -58,17 +58,18 @@ was written to or read from, and refuses an entry CSV whose digest differs:
 entry CSV names carry no config hash, so a later run into the same directory
 may have written over it.
 
-Each entry runs in a worker (_workers.Workers, at most ``jobs`` at once,
-forked where there is more than one job): ``_run_entry`` evolves the entry,
+The runner starts ``jobs`` workers once (_workers.Workers, forked where
+there is more than one job), and worker w runs entries w, w + jobs,
+w + 2 jobs, ... in order: ``_run_entry`` evolves each entry of its share,
 runs its checks, writes its entry CSVs into the workers' private directory
 beside the report, sets each record's ``sha256`` and ``rows`` from the
-bytes it wrote, and pickles the entry to ``<i>.pkl`` there.  What every
-worker would otherwise repeat (the spectrum, numpy's lazy import of its
-random module) is done once, before any fork (``_warm_up``).  The runner
-loads the entries in order, writes the report into the private directory
-and publishes it with the entry CSVs (``Workers.publish``); the bytes do
-not depend on the job count.  Entry names must be distinct, so two p
-values may not share their ``{p:g}`` text.
+bytes it wrote, and pickles the entry to ``<i>.pkl`` there.  The spectrum,
+which the workers would otherwise each compute at the same time, is
+computed once before any fork (``_warm_up``).  Once every worker is done,
+the runner loads the entries in order, writes the report into the private
+directory and publishes it with the entry CSVs (``Workers.publish``); the
+bytes do not depend on the job count.  Entry names must be distinct, so
+two p values may not share their ``{p:g}`` text.
 
 ``_CHECKERS`` is the one place checker ids live: each entry names the
 config fields its checker reads, which of them are required, how they bind
@@ -81,7 +82,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -490,10 +490,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(checkers, list):
         raise ConfigError("checkers", "must be a list")
     bound_checkers = []
+    first_with_id = {}  # the report keeps one record per checker id
     for i, ck in enumerate(checkers):
         path = f"checkers[{i}]"
         fields = _check_fields(ck, _CHECKER_SPEC, path, "checker", ("id",))
         cid = fields.pop("id")
+        earlier = first_with_id.setdefault(cid, i)
+        if earlier != i:
+            raise ConfigError(path, f"checker {cid!r} is already checkers[{earlier}]")
         spec = _CHECKERS[cid]
         values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
         if cid == "gradient":  # each variant requires its own window fields
@@ -529,41 +533,45 @@ def load_config(path: str) -> ExperimentConfig:
     return validate_config(raw)
 
 
-def _run_entry(workdir: str, m, config: ExperimentConfig, name: str, scenario: _Scenario, p: float, entry_index: int):
-    """Evolve and check entry ``entry_index``, write its entry CSVs into
-    ``workdir`` (_write_entry_csvs, which sets each record's ``rows`` and
-    ``sha256``) and pickle the entry there, to ``<entry_index>.pkl``."""
-    entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
-    files = []  # (report record, EstimateReport) per check with rows
-    started = time.perf_counter()
-    try:
-        u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
-        traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
-    except (SolverAbort, ValueError, FloatingPointError) as exc:
-        entry["status"] = "error"
-        entry["error"] = str(exc)
-    else:
-        entry["trajectory"] = {
-            "snapshot_count": int(traj.times.size),
-            "step_count": int(traj.step_times.size),
-            "first_time": float(traj.times[0]),
-            "final_time": float(traj.times[-1]),
-            "max_abs_value": float(np.max(np.abs(traj.snapshots))),
-            "negative_data": bool(traj.negative_data),
-            "blowup": None if traj.blowup is None else asdict(traj.blowup),
-        }
-        for cid, kwargs in config.checkers:
-            try:
-                rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
-            except (ValueError, FloatingPointError) as exc:
-                entry["checks"][cid] = {"status": "error", "error": str(exc)}
-                continue
-            entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
-            files.append((entry["checks"][cid], rep))
-    entry["wall_seconds"] = time.perf_counter() - started
-    _write_entry_csvs(workdir, files)
-    with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
-        pickle.dump(entry, fh)
+def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
+    """Evolve and check entry i = (name, scenario, p) of ``tasks``, for each
+    i of ``share`` in order, write its entry CSVs into ``workdir``
+    (_write_entry_csvs, which sets each record's ``rows`` and ``sha256``)
+    and pickle the entry there, to ``<i>.pkl``."""
+    m = config.built_manifold
+    for entry_index in share:
+        name, scenario, p = tasks[entry_index]
+        entry = {"name": name, "scenario": scenario.name, "p": p, "status": "ok", "checks": {}}
+        files = []  # (report record, EstimateReport) per check with rows
+        started = time.perf_counter()
+        try:
+            u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
+            traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
+        except (SolverAbort, ValueError, FloatingPointError) as exc:
+            entry["status"] = "error"
+            entry["error"] = str(exc)
+        else:
+            entry["trajectory"] = {
+                "snapshot_count": int(traj.times.size),
+                "step_count": int(traj.step_times.size),
+                "first_time": float(traj.times[0]),
+                "final_time": float(traj.times[-1]),
+                "max_abs_value": float(np.max(np.abs(traj.snapshots))),
+                "negative_data": bool(traj.negative_data),
+                "blowup": None if traj.blowup is None else asdict(traj.blowup),
+            }
+            for cid, kwargs in config.checkers:
+                try:
+                    rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
+                except (ValueError, FloatingPointError) as exc:
+                    entry["checks"][cid] = {"status": "error", "error": str(exc)}
+                    continue
+                entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
+                files.append((entry["checks"][cid], rep))
+        entry["wall_seconds"] = time.perf_counter() - started
+        _write_entry_csvs(workdir, files)
+        with open(os.path.join(workdir, f"{entry_index}.pkl"), "wb") as fh:
+            pickle.dump(entry, fh)
 
 
 class _TimeTexts(dict):
@@ -599,22 +607,18 @@ def _write_entry_csvs(out_dir: str, files):
 
 
 def _warm_up(config: ExperimentConfig):
-    """Do once, before any worker forks, what each worker would otherwise
-    do for itself: compute the manifold's spectrum where an entry may read
-    it (a trivial_plus_mode scenario builds from it; the triviality check
-    reads it on a closed kind of positive Ricci bound), and import
-    numpy.random, which numpy loads on first use, where a random_uniform
-    scenario draws from it.  A spectrum that cannot be had is left for each
-    entry to record."""
+    """Compute the manifold's spectrum once, before any worker forks, where
+    an entry may read it: a trivial_plus_mode scenario builds from it, and
+    the triviality check reads it on a closed kind of positive Ricci bound.
+    Workers that each computed a dense (circle) spectrum at once would
+    contend for OpenBLAS threads, each taking many times as long as one
+    alone.  A spectrum that cannot be had is left for each entry to record."""
     m = config.built_manifold
-    builds = {scenario.build for scenario in config.scenarios}
-    if _mode_data in builds or (
+    if any(scenario.build is _mode_data for scenario in config.scenarios) or (
         m.kind in CLOSED_KINDS and m.ricci_lower > 0 and any(cid == "triviality" for cid, _ in config.checkers)
     ):
         with contextlib.suppress(ValueError):
             laplacian_spectrum(m)
-    if _RECIPES["random_uniform"].build in builds:
-        importlib.import_module("numpy.random")
 
 
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
@@ -631,16 +635,18 @@ def run_experiment(
 ) -> RunReport:
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
-    Entries run in workers, at most ``jobs`` at once (None: one per CPU
-    this process may run on; a ``jobs`` above the entry count is capped;
-    see the module docstring).  The report JSON is written beside the
-    entry CSVs in the workers' private directory, and one
-    ``Workers.publish`` call renames them all into place, the report last.
-    A worker that fails raises OSError naming its entry, an entry CSV that
-    is missing FileNotFoundError naming it, and a directory in the place of
-    an entry CSV or of the report IsADirectoryError naming it; all are
-    raised before the first file is renamed into place, so no report is
-    written and an earlier run's report and entry CSVs stay as they were.
+    Entries run in ``jobs`` workers, each started once and running every
+    ``jobs``-th entry in order (None: one per CPU this process may run on;
+    a ``jobs`` above the entry count is capped; see the module docstring).
+    The report JSON is written beside the entry CSVs in the workers'
+    private directory, and one ``Workers.publish`` call renames them all
+    into place, the report last.
+    A worker that fails raises OSError naming each entry of its share, once
+    the workers started before it are done; an entry CSV that is missing
+    FileNotFoundError naming it, and a directory in the place of an entry
+    CSV or of the report IsADirectoryError naming it; all are raised before
+    the first file is renamed into place, so no report is written and an
+    earlier run's report and entry CSVs stay as they were.
     ``timing.wall_seconds`` ends before the publish.  ``timing.per_entry``
     holds each entry's evolve and check seconds, measured where the entry
     ran, and ``timing.jobs`` the worker count used.  ValueError if ``jobs``
@@ -654,30 +660,25 @@ def run_experiment(
     digest = config.config_hash
 
     started = time.perf_counter()
-    m = config.built_manifold
     tasks = [(f"{scenario.name}__p{p:g}", scenario, p) for scenario in config.scenarios for p in config.p_values]
     jobs = max(1, min(jobs, len(tasks)))
     if tasks:
         _warm_up(config)
-    entries = []
     with Workers(target, f".report_{digest[:12]}.", fork=jobs > 1) as workers:
-
-        def collect():
-            # the next entry in order
+        for w in range(jobs):
+            share = range(w, len(tasks), jobs)
+            what = "worker of entry " + ", ".join(tasks[i][0] for i in share)
+            workers.start(what, _run_entry, workers.dir, config, tasks, share)
+        for _ in range(jobs):
             workers.wait()
-            with open(os.path.join(workers.dir, f"{len(entries)}.pkl"), "rb") as fh:
+        entries = []
+        for i in range(len(tasks)):
+            with open(os.path.join(workers.dir, f"{i}.pkl"), "rb") as fh:
                 entries.append(pickle.load(fh))
             if verbose:
                 print(f"  [{entries[-1]['status']}] {entries[-1]['name']}", flush=True)
 
-        for i, task in enumerate(tasks):
-            if i >= jobs:
-                collect()
-            workers.start(f"worker of entry {task[0]}", _run_entry, workers.dir, m, config, *task, i)
-        while len(entries) < len(tasks):
-            collect()
-
-        n = m.n
+        n = config.built_manifold.n
         report = RunReport(
             config_hash=digest,
             entries=entries,

@@ -379,6 +379,21 @@ def test_export_trajectory_keeps_the_earlier_pair_when_a_directory_is_at_the_sid
     assert os.listdir(tmp_path / "dir.json") == []
 
 
+def test_export_trajectory_refuses_one_path_for_the_csv_and_the_sidecar(tmp_path, monkeypatch):
+    # the sidecar would replace the CSV just placed: ValueError naming the
+    # path, before either file is placed, so the earlier CSV and sidecar
+    # stay byte for byte and no private directory is left.  The paths are
+    # compared as absolute paths, so two spellings of one path are refused
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    run_csv, run_json = tmp_path / "run.csv", tmp_path / "run.json"
+    export_trajectory(export_sample(3), run_csv, run_json, {"count": 3})
+    earlier = {name: (tmp_path / name).read_bytes() for name in ("run.csv", "run.json")}
+    for csv_path, sidecar_path in ((run_csv, run_csv), (run_csv, f"{tmp_path}/./run.csv"), (run_json, run_json)):
+        with pytest.raises(ValueError, match=re.escape(f"published to {sidecar_path}") + "$"):
+            export_trajectory(export_sample(FORK_AT), csv_path, sidecar_path, {"count": FORK_AT})
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == earlier
+
+
 def test_export_trajectory_writes_a_sidecar_on_another_file_system(tmp_path, monkeypatch):
     # a rename across file systems fails (EXDEV); the sidecar is then copied
     # onto its path, so it may sit on another file system than the CSV

@@ -274,6 +274,18 @@ def test_validate_config_accepts_base():
             for key in ("t0", "t1")
         ),
         pytest.param(lambda r: r.update(checkers=[{"T_blow": 1.0}]), "checkers[0].id", id="missing-checker-id"),
+        # the static profile is radial, of dimension at least 3
+        pytest.param(
+            lambda r: (r["manifold"].update(kind="sphere_zonal", n=3), r["scenarios"][0].update(initial={"type": "talenti"})),
+            "scenarios[0].initial.type",
+            id="talenti-on-a-sphere",
+        ),
+        # one checker id twice: the report would keep only the last record
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "decay", "T_blow": 5.0}, {"id": "decay", "T_blow": 50.0, "c_cap": 1e-3}]),
+            "checkers[1]",
+            id="checker-same-id",
+        ),
         # above 1, but within the exponent floor every run refuses
         pytest.param(lambda r: r.update(p_values=[2.0, 1.0000000001]), "p_values[1]", id="p-within-floor-of-1"),
     ],
@@ -431,6 +443,22 @@ def test_run_experiment_isolates_scenario_errors(tmp_path):
     assert "no longer advances t" in by_name["broken__p3"]["error"]
     assert not report.all_passed
     assert os.path.exists(report.timing["report_path"])
+
+
+def test_run_experiment_runs_the_talenti_profile(tmp_path):
+    # the static profile of u_t = Delta u + u^5 on the radial model of
+    # dimension 3 barely moves over a short window: the largest value the
+    # run reports stays within 1e-3 of the profile's peak, 1 at r = 0 (the
+    # Strang step moves it by about dt_max per unit time)
+    raw = base_raw()
+    raw["manifold"] = {"kind": "euclidean_radial", "n": 3, "size": 8.0, "resolution": 128}
+    raw["p_values"] = [5.0]
+    raw["scenarios"][0].update(initial={"type": "talenti"}, window={"t0": 0.0, "t1": 0.1}, controls={"dt_max": 1e-3})
+    report = run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=1)
+    (entry,) = report.entries
+    assert entry["status"] == "ok"
+    assert abs(entry["trajectory"]["max_abs_value"] - 1.0) < 1e-3
+    assert entry["checks"]["positivity"]["passed"]
 
 
 def test_run_experiment_isolates_checker_errors(tmp_path):
@@ -759,14 +787,15 @@ def sweep_outputs(out_dir, report):
 
 @pytest.mark.parametrize("fallback", ["second fork fails", "one CPU", "no fork"])
 def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeypatch, fallback):
-    # with two CPUs each entry runs in a forked worker; where no worker can
-    # be had, the runner runs the entry and writes its CSVs itself, and the
-    # report and every CSV are the same either way
+    # with two CPUs two workers are forked, one per job, and each runs its
+    # share of the entries; where a worker cannot be forked, the runner runs
+    # its share and writes their CSVs itself, and the report and every CSV
+    # are the same either way
     cfg = validate_config(forking_raw())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = counted_fork(monkeypatch)
     forked = run_experiment(cfg, out_dir=str(tmp_path / "forked"))
-    assert len(forks) == 3
+    assert len(forks) == 2
     jobs = 2
     if fallback == "second fork fails":
         forks = counted_fork(monkeypatch, failing=(2,))
@@ -778,7 +807,7 @@ def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeyp
         monkeypatch.delattr(os, "fork")
         forks = []
     written = run_experiment(cfg, out_dir=str(tmp_path / "written"), jobs=jobs)
-    assert len(forks) == (3 if fallback == "second fork fails" else 0)
+    assert len(forks) == (2 if fallback == "second fork fails" else 0)
     assert written.timing["jobs"] == (1 if fallback == "one CPU" else 2)
     expected = sweep_outputs(tmp_path / "forked", forked)
     assert len(expected[1]) == 3 * 2 + 2
@@ -787,8 +816,9 @@ def test_entry_csvs_written_without_a_child_are_the_same_bytes(tmp_path, monkeyp
 
 
 def test_run_experiment_keeps_at_most_jobs_workers_alive(tmp_path, monkeypatch):
-    # the runner reaps its workers in entry order, each by its pid, before
-    # it forks the next one past ``jobs``; one job forks none
+    # the runner forks its ``jobs`` workers once, each while the earlier
+    # ones run, and reaps them in start order, each by its pid; one job
+    # forks none
     raw = base_raw()
     raw["p_values"] = [1.5 + 0.25 * k for k in range(12)]
     live, outstanding = set(), []
@@ -817,7 +847,7 @@ def test_run_experiment_keeps_at_most_jobs_workers_alive(tmp_path, monkeypatch):
         out = tmp_path / f"jobs{jobs}"
         outstanding.clear()
         report = run_experiment(validate_config(raw), out_dir=str(out), jobs=jobs)
-        assert outstanding == ([] if jobs == 1 else [min(k, jobs - 1) for k in range(12)])
+        assert outstanding == ([] if jobs == 1 else list(range(jobs)))
         assert not live
         assert report.timing["jobs"] == jobs
         assert [e["name"] for e in report.entries] == [f"warm__p{1.5 + 0.25 * k:g}" for k in range(12)]
@@ -917,7 +947,7 @@ def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatc
     forks = counted_fork(monkeypatch)
     with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
         run_experiment(cfg, out_dir=str(tmp_path / "fresh"))
-    assert len(forks) == (3 if cpus == 2 else 0)
+    assert len(forks) == (2 if cpus == 2 else 0)
     assert os.listdir(tmp_path / "fresh") == []
     with pytest.raises(FileNotFoundError, match="warm__p1.5_positivity.csv"):
         run_experiment(cfg, out_dir=str(tmp_path / "earlier"))
@@ -926,28 +956,55 @@ def test_run_experiment_raises_when_an_entry_csv_is_missing(tmp_path, monkeypatc
 
 def test_run_experiment_reaps_its_children_when_a_later_entry_raises(tmp_path, monkeypatch):
     # the second entry raises an error the runner does not record.  In a
-    # worker, that worker fails: the runner raises OSError naming the entry
-    # when it reaps it, and the third entry's worker, started once the
-    # first was reaped, is stopped and reaped (the autouse fixture checks).
-    # In the runner (one job) the error itself propagates.  No report is
-    # written either way
+    # worker (the second of two; the first runs the first and third
+    # entries), that worker fails: the runner raises OSError naming the
+    # entry once it has waited for both.  Where the first entry raises
+    # instead, the runner raises on its first wait, and the second worker,
+    # not yet waited for, is stopped and reaped.  Every child is reaped
+    # (the autouse fixture checks).  In the runner (one job) the error
+    # itself propagates.  No report is written either way
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     check = experiment.check_decay
+    failing_p = [2.0]
 
-    def fails_at_p2(traj, p, **kwargs):
-        if p == 2.0:
+    def fails_at_p(traj, p, **kwargs):
+        if p == failing_p[0]:
             raise RuntimeError("unexpected")
         return check(traj, p=p, **kwargs)
 
-    monkeypatch.setattr(experiment, "check_decay", fails_at_p2)
+    monkeypatch.setattr(experiment, "check_decay", fails_at_p)
     forks = counted_fork(monkeypatch)
     with pytest.raises(OSError, match=r"^worker of entry warm__p2 \d+ exited with code 1 "):
         run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
-    assert len(forks) == 3
+    assert len(forks) == 2
+    failing_p[0] = 1.5
+    with pytest.raises(OSError, match=r"^worker of entry warm__p1.5, warm__p3 \d+ exited with code 1 "):
+        run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path))
+    assert len(forks) == 4
     forks = counted_fork(monkeypatch)
     with pytest.raises(RuntimeError, match="^unexpected$"):
         run_experiment(validate_config(forking_raw()), out_dir=str(tmp_path), jobs=1)
     assert forks == []
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_worker_names_every_entry_of_its_share(tmp_path, monkeypatch):
+    # at two jobs, worker 1 runs the second and fourth entries; an error in
+    # the fourth fails it, and the OSError names both.  No report is written
+    raw = base_raw()
+    raw["p_values"] = [1.5, 2.0, 2.5, 3.0]
+    check = experiment.check_positivity_min_ode
+
+    def fails_at_p3(traj, p, **kwargs):
+        if p == 3.0:
+            raise RuntimeError("unexpected")
+        return check(traj, p=p, **kwargs)
+
+    monkeypatch.setattr(experiment, "check_positivity_min_ode", fails_at_p3)
+    forks = counted_fork(monkeypatch)
+    with pytest.raises(OSError, match=r"^worker of entry warm__p2, warm__p3 \d+ exited with code 1 "):
+        run_experiment(validate_config(raw), out_dir=str(tmp_path), jobs=2)
+    assert len(forks) == 2
     assert os.listdir(tmp_path) == []
 
 
@@ -1173,11 +1230,15 @@ def test_cli_check_and_run_pass(tmp_path, capsys):
     assert "all checks passed" in out
 
 
-def test_cli_run_failure_exit_code(tmp_path):
+def test_cli_run_failure_exit_code(tmp_path, capsys):
+    # a check that fails and an entry that errors: exit 1, and stderr names
+    # the entry
     raw = base_raw()
     raw["checkers"] = [{"id": "decay", "T_blow": 1.0, "c_cap": 1e-6}]
+    raw["scenarios"].append(copy.deepcopy(_FAILING_SCENARIO))
     cfg_path = write_cfg(tmp_path, raw)
     assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["scenario error: stuck__p2", "FAILED"]
 
 
 def test_cli_runs_tiny_data_at_large_p(tmp_path, capsys):
