@@ -16,12 +16,13 @@ All derivatives are closed-form polynomial evaluations, never differences.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+
+from ._floats import float_texts
 
 _PLATEAU_END = 0.75
 _SUPPORT_END = 1.0
@@ -175,9 +176,9 @@ def verify_phi_inequality(c: SmoothCutoff, p: float, refinement_levels: int = 3)
 
 
 def export_cutoff_csv(c: SmoothCutoff, path):
-    """Profile table (s, phi, phi', phi'') for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "phi", "dphi", "d2phi"])
-        for row in zip(c.grid, c.phi, c.dphi, c.d2phi):
-            writer.writerow([repr(float(v)) for v in row])
+    """Profile table (s, phi, phi', phi'') for plotting: the bytes
+    ``csv.writer`` writes for the ``repr`` of each value (_floats.float_texts)."""
+    columns = [float_texts(x) for x in (c.grid, c.phi, c.dphi, c.d2phi)]
+    with open(path, "wb") as fh:
+        fh.write(b"s,phi,dphi,d2phi\r\n")
+        fh.writelines(map(b"%s,%s,%s,%s\r\n".__mod__, zip(*columns)))

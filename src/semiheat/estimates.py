@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._floats import float_texts
 from .evolve import Trajectory
 from .geometry import (
     CLOSED_KINDS,
@@ -136,8 +137,12 @@ class EstimateReport:
         }
 
     def csv_rows(self):
-        for t, a, b, r in zip(self.times, self.lhs, self.rhs, self.ratio):
-            yield [repr(float(t)), repr(float(a)), repr(float(b)), repr(float(r))]
+        """Yield ``[t, lhs, rhs, ratio]`` per snapshot, each the ``repr`` of
+        the float: each column is formatted by one _floats.float_texts call,
+        orjson's text where 1e-4 <= |v| < 1e16 and at zero, ``repr``
+        elsewhere."""
+        columns = [list(map(bytes.decode, float_texts(x))) for x in (self.times, self.lhs, self.rhs, self.ratio)]
+        yield from map(list, zip(*columns))
 
 
 def _finalize(**kw) -> EstimateReport:

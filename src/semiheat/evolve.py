@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._floats import float_texts
 from ._workers import Workers, cpus
 from .geometry import (
     DiscreteManifold,
@@ -303,11 +304,11 @@ def ancient_approximation(
 
 
 # Each export block a forked child formats holds at least this many values.
-# A fork and its join cost about 4-5 ms, the time of some 5000 values; split
-# in two, an export of 2^13 values breaks even or saves 15 %, one of 2^14
-# saves 19-33 % (measured on a 2-core VM in a process of 73 and 137 MB,
-# BENCH_10.json "export_crossover").
-EXPORT_VALUES_PER_WORKER = 1 << 13
+# A fork and its join cost about 6 ms, the time of some 17000 values at
+# about 0.35 us each (float_texts); split in two, an export of 2^16 values
+# breaks even, one of 2^17 saves 10-19 % (measured on a 2-core VM in a
+# process of 73 and 137 MB, BENCH_22.json "export_crossover").
+EXPORT_VALUES_PER_WORKER = 1 << 16
 
 
 def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict | None = None):
@@ -315,10 +316,12 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     carrying the manifold, the step log, blow-up info, and the caller's
     ``meta`` dict (JSON-serializable metadata, stored as given).
 
-    The CSV holds the bytes ``csv.writer`` would write.  Its body is split
-    into contiguous snapshot blocks, one per CPU this process may run on
-    while each extra block keeps at least EXPORT_VALUES_PER_WORKER values:
-    the caller formats the first block into the CSV, and a worker
+    The CSV holds the bytes ``csv.writer`` would write, each float as its
+    ``repr``: _floats.float_texts formats each snapshot with orjson where
+    1e-4 <= |v| < 1e16 and at zero, and with ``repr`` elsewhere.  Its body
+    is split into contiguous snapshot blocks, one per CPU this process may
+    run on while each extra block keeps at least EXPORT_VALUES_PER_WORKER
+    values: the caller formats the first block into the CSV, and a worker
     (_workers.Workers, which owns a private directory beside ``csv_path``)
     formats each later one into the part file ``<lo>.part`` (``lo``: the
     block's first snapshot index); the parts are appended in order, so the
@@ -326,29 +329,28 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
     OSError.  The CSV and the sidecar are written in the private directory
     and published in one ``Workers.publish`` call once both are complete:
     the CSV is renamed onto ``csv_path``, the sidecar onto ``sidecar_path``,
-    or copied there where that is on another file system.  So an export
-    that raises (a ``meta`` that JSON cannot encode included), a directory
-    at either path, or one path for both (ValueError), leaves an earlier
-    CSV and sidecar as they were, and no file where there was none.  Each
-    file has the permissions ``open(path, "w")`` gives a new file: an
-    earlier sidecar's mode is not kept.
+    or copied there where that is on another file system.  So an export that
+    raises (a ``meta`` that JSON cannot encode included), a directory at
+    either path, or one path for both (ValueError), leaves an earlier CSV
+    and sidecar as they were, and no file where there was none.  Each file
+    has the permissions ``open(path, "w")`` gives a new file: an earlier
+    sidecar's mode is not kept.
     """
     times = traj.times
-    node_fields = [f",{idx}," for idx in range(traj.manifold.node_count)]
+    node_fields = [f",{idx},".encode() for idx in range(traj.manifold.node_count)]
     bounds = _export_block_bounds(times.size, traj.manifold.node_count)
     with Workers(os.path.dirname(os.path.abspath(csv_path)), f".{os.path.basename(csv_path)}.") as workers:
         parts = []  # part paths, in block order
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             parts.append(os.path.join(workers.dir, f"{lo}.part"))
             workers.start("export worker", _write_csv_part, parts[-1], node_fields, times[lo:hi], traj.snapshots[lo:hi])
-        with open(os.path.join(workers.dir, "export.csv"), "w", newline="") as fh:
-            fh.write("t,node_index,u\r\n")
+        with open(os.path.join(workers.dir, "export.csv"), "wb") as fh:
+            fh.write(b"t,node_index,u\r\n")
             _write_csv_rows(fh, node_fields, times[: bounds[1]], traj.snapshots[: bounds[1]])
-            fh.flush()
             for part in parts:
                 workers.wait()
                 with open(part, "rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
+                    shutil.copyfileobj(src, fh)
         targets = [("export.csv", csv_path)]
         if sidecar_path is not None:
             sidecar = {
@@ -384,13 +386,17 @@ def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
 
 
 def _write_csv_part(path, node_fields, times, snapshots):
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         _write_csv_rows(fh, node_fields, times, snapshots)
 
 
 def _write_csv_rows(fh, node_fields, times, snapshots):
     # the rows csv.writer would write (no field needs quoting), one snapshot
-    # per write; the block is converted row by row to bound peak memory
-    for t, snap in zip(times.tolist(), snapshots):
-        t_field = repr(t)
-        fh.write("".join([f"{t_field}{mid}{val!r}\r\n" for mid, val in zip(node_fields, snap.tolist())]))
+    # per write; the block is formatted snapshot by snapshot to bound peak
+    # memory.  Each row is four pieces: t, ",<idx>,", u, CRLF
+    pieces = [b"\r\n"] * (4 * len(node_fields))
+    pieces[1::4] = node_fields
+    for t_text, snap in zip(float_texts(times), snapshots):
+        pieces[0::4] = [t_text] * len(node_fields)
+        pieces[2::4] = float_texts(snap)
+        fh.write(b"".join(pieces))

@@ -105,6 +105,7 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
+from ._floats import float_texts
 from ._workers import Workers, cpus
 from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
@@ -574,35 +575,22 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
             pickle.dump(entry, fh)
 
 
-class _TimeTexts(dict):
-    """The repr of each time met, formatted once and then looked up.  0.0
-    and -0.0 are one key but two texts, so a zero is never kept."""
-
-    def __missing__(self, t: float) -> str:
-        text = repr(t)
-        if t:
-            self[t] = text
-        return text
-
-
 def _write_entry_csvs(out_dir: str, files):
     """Write the entry CSV of each (record, EstimateReport) in ``files`` into
-    ``out_dir``: the header, then each row of ``rep.csv_rows()`` joined by
+    ``out_dir``: the header, then the rows of ``rep.csv_rows()`` joined by
     commas, built as one text and written with one call, and set the
-    record's ``rows`` and ``sha256`` (the digest of the bytes written).  The
-    checks of one entry share most of their times, so each time is
-    formatted once per call and its text reused."""
-    time_texts = _TimeTexts()
+    record's ``rows`` and ``sha256`` (the digest of the bytes written).
+    Each column is formatted by one _floats.float_texts call: orjson's text
+    where 1e-4 <= |v| < 1e16 and at zero, ``repr`` elsewhere, which is the
+    ``repr`` of every value."""
     for record, rep in files:
-        times = map(time_texts.__getitem__, np.asarray(rep.times, dtype=float).tolist())
-        lhs, rhs, ratio = (np.asarray(x, dtype=float).tolist() for x in (rep.lhs, rep.rhs, rep.ratio))
-        rows = [f"{t},{a!r},{b!r},{r!r}\n" for t, a, b, r in zip(times, lhs, rhs, ratio)]
-        data = (_ENTRY_CSV_HEADER + "".join(rows)).encode("utf-8")
+        t, lhs, rhs, ratio = (float_texts(x) for x in (rep.times, rep.lhs, rep.rhs, rep.ratio))
+        data = _ENTRY_CSV_HEADER.encode() + b"".join(map(b"%s,%s,%s,%s\n".__mod__, zip(t, lhs, rhs, ratio)))
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
             out.write(data)
         # the digest ties the entry CSV to the report, since a later run into
         # the same directory may overwrite a CSV of the same name
-        record["rows"] = len(rows)
+        record["rows"] = len(t)
         record["sha256"] = hashlib.sha256(data).hexdigest()
 
 

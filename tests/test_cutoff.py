@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -117,3 +118,9 @@ def test_export_cutoff_csv(tmp_path):
     assert len(lines) == 257
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+    # the bytes csv.writer writes for the repr of each value
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["s", "phi", "dphi", "d2phi"])
+        writer.writerows([repr(float(v)) for v in row] for row in zip(c.grid, c.phi, c.dphi, c.d2phi))
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

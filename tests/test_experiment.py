@@ -710,12 +710,11 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
 
 
-def test_entry_csvs_are_the_csv_rows_with_times_formatted_once(tmp_path):
-    # the writer formats each time once per entry and shares the text
-    # between that entry's checks: repeated times, and 0.0 beside -0.0 in
-    # one file and across two, must still give csv_rows' text exactly.  Each
-    # record gets the data-line count and the digest of the file written,
-    # the empty report's too
+def test_entry_csvs_are_the_repr_of_each_value(tmp_path):
+    # every value is written as its repr, and csv_rows gives the same
+    # texts: repeated times, 0.0 beside -0.0 in one file and across two,
+    # values outside orjson's band and NaN.  Each record gets the data-line
+    # count and the digest of the file written, the empty report's too
     def made(times, scale):
         times = np.array(times)
         return EstimateReport(
@@ -737,7 +736,10 @@ def test_entry_csvs_are_the_csv_rows_with_times_formatted_once(tmp_path):
     files = [({"csv": f"e_{i}.csv"}, rep) for i, rep in enumerate(reports)]
     experiment._write_entry_csvs(str(tmp_path), files)
     for record, rep in files:
-        want = "t,lhs,structural_rhs,ratio\n" + "".join(",".join(row) + "\n" for row in rep.csv_rows())
+        columns = [np.asarray(x).tolist() for x in (rep.times, rep.lhs, rep.rhs, rep.ratio)]
+        rows = [[repr(v) for v in row] for row in zip(*columns)]
+        assert list(rep.csv_rows()) == rows
+        want = "t,lhs,structural_rhs,ratio\n" + "".join(",".join(row) + "\n" for row in rows)
         data = (tmp_path / record["csv"]).read_bytes()
         assert data == want.encode("utf-8")
         assert record["rows"] == data.count(b"\n") - 1 == rep.times.size
