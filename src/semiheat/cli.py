@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    report = run_experiment(config, out_dir=args.out_dir, verbose=args.verbose, jobs=args.jobs)
+    report = run_experiment(config, out_dir=args.out_dir, jobs=args.jobs)
+    if args.verbose:
+        for entry in report.entries:
+            print(f"  [{entry['status']}] {entry['name']}")
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
     print(f"report: {report.timing.get('report_path', '?')}")
     print(

@@ -91,8 +91,7 @@ class EstimateReport:
 
     ``times``/``lhs``/``rhs``/``ratio`` are aligned per-snapshot arrays (for
     the positivity check, per snapshot pair; for the triviality check, per
-    evaluated interval); ``extras`` carries named auxiliary fields such as
-    the substitution fields of the gradient check.
+    evaluated interval).
     """
 
     inequality_id: str
@@ -104,7 +103,6 @@ class EstimateReport:
     c_cap: float
     passed: bool
     diagnostics: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.c_fit < 0:
@@ -285,9 +283,6 @@ def check_gradient_estimate(
     the full window.  When the ancient variant degenerates
     (p D^(p-1) <= (n-1) K, so S = 0) the check instead asserts
     max |grad u| <= grad_tol.
-
-    extras at the maximizing snapshot: "f" = log(u / D) (with the u_floor
-    regularization) and "w" = |grad f|^2 / (1 - f)^2.
     """
     p = validate_exponent(p)
     if not isinstance(variant, str) or variant not in _GRADIENT_VARIANTS:
@@ -342,11 +337,6 @@ def check_gradient_estimate(
         score = ratio_out
     k_best = int(np.argmax(score))
 
-    u_best = np.maximum(u[k_best], u_floor)
-    f_field = np.log(u_best / D)
-    grad_f = gradient_norm(m, f_field)
-    w_field = grad_f**2 / (1.0 - f_field) ** 2
-
     times_out = traj.times[sub_time]
     return _finalize(
         inequality_id="gradient_log_bound",
@@ -365,7 +355,6 @@ def check_gradient_estimate(
             "max_node": int(nodes[k_best]),
             "window_max_u": window_max,
         },
-        extras={"f": f_field, "w": w_field},
     )
 
 
@@ -628,7 +617,6 @@ def check_triviality(
             "intervals_above_threshold": skipped_above,
             "max_background": float(np.max(mx)),
         },
-        extras={"osc": osc, "max_u": mx, "snapshot_times": t},
     )
     report.diagnostics["verdict"] = "trivial-limit" if report.passed else "nontrivial"
     return report

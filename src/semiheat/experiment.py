@@ -215,9 +215,10 @@ def config_hash(raw: dict, contents=()) -> str:
 
 
 def _number(value, path: str) -> float:
-    # value != value only for NaN, which JSON readers accept as a literal
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    # Python's JSON reader accepts NaN and +-Infinity, which fail the
+    # comparison; an int compares with inf exactly, however large
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
@@ -276,6 +277,8 @@ def _read_custom(path: str, node_count: int):
     values = np.loadtxt(io.BytesIO(data), dtype=float).ravel()
     if values.size != node_count:
         raise ValueError(f"custom initial data has {values.size} values, manifold has {node_count} nodes")
+    if not np.isfinite(values).all():
+        raise ValueError("custom initial data holds NaN or an infinity")
     values.setflags(write=False)
     return data, values
 
@@ -406,8 +409,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError("manifold.n", str(exc)) from None
     size = _number(man["size"], "manifold.size")
-    if not 0 < size < math.inf:  # an infinite size builds a grid of NaN nodes
-        raise ConfigError("manifold.size", "must be positive and finite")
+    if size <= 0:
+        raise ConfigError("manifold.size", "must be positive")
     resolution = _positive_int(man["resolution"], "manifold.resolution")
     if not 16 <= resolution <= MAX_RESOLUTION:
         raise ConfigError("manifold.resolution", f"must be in [16, {MAX_RESOLUTION}]")
@@ -619,7 +622,7 @@ def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> st
 
 
 def run_experiment(
-    config: ExperimentConfig, out_dir: str | None = None, verbose: bool = False, *, jobs: int | None = None
+    config: ExperimentConfig, out_dir: str | None = None, *, jobs: int | None = None
 ) -> RunReport:
     """Execute the sweep and write report JSON plus per-checker CSVs.
 
@@ -663,8 +666,6 @@ def run_experiment(
         for i in range(len(tasks)):
             with open(os.path.join(workers.dir, f"{i}.pkl"), "rb") as fh:
                 entries.append(pickle.load(fh))
-            if verbose:
-                print(f"  [{entries[-1]['status']}] {entries[-1]['name']}", flush=True)
 
         n = config.built_manifold.n
         report = RunReport(

@@ -288,6 +288,31 @@ def test_validate_config_accepts_base():
         ),
         # above 1, but within the exponent floor every run refuses
         pytest.param(lambda r: r.update(p_values=[2.0, 1.0000000001]), "p_values[1]", id="p-within-floor-of-1"),
+        # Python's JSON reader accepts Infinity; every entry would then error
+        # or run on all-zero data, and p would reach the report as a bare
+        # Infinity that strict JSON parsers refuse
+        *(
+            pytest.param(lambda r, v=v, set_=set_: set_(r, v), path, id=f"{name}-{v}")
+            for v in (float("inf"), float("-inf"))
+            for name, set_, path in (
+                ("constant-value", lambda r, v: r["scenarios"][0]["initial"].update(value=v), "scenarios[0].initial.value"),
+                ("window-t0", lambda r, v: r["scenarios"][0]["window"].update(t0=v), "scenarios[0].window.t0"),
+                ("window-t1", lambda r, v: r["scenarios"][0]["window"].update(t1=v), "scenarios[0].window.t1"),
+                *(
+                    (
+                        f"mode-{key}",
+                        lambda r, v, k=key: r["scenarios"][0].update(
+                            initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1, k: v}
+                        ),
+                        f"scenarios[0].initial.{key}",
+                    )
+                    for key in ("eps", "T_blow")
+                ),
+                ("p", lambda r, v: r.update(p_values=[2.0, v]), "p_values[1]"),
+                ("c-cap", lambda r, v: r.update(checkers=[{"id": "decay", "T_blow": 5.0, "c_cap": v}]), "checkers[0].c_cap"),
+                ("dt-max", lambda r, v: r["scenarios"][0].update(controls={"dt_max": v}), "scenarios[0].controls.dt_max"),
+            )
+        ),
     ],
 )
 def test_validate_config_field_paths(mutate, path):
@@ -368,7 +393,12 @@ def test_custom_recipe_hashes_its_content(tmp_path):
 def test_custom_recipe_refuses_missing_and_mis_sized_files(tmp_path, capsys):
     short = tmp_path / "short.txt"
     short.write_text("0.5\n" * 63)
-    for path, message in ((tmp_path / "missing.txt", "No such file"), (short, "63 values, manifold has 64 nodes")):
+    cases = [(tmp_path / "missing.txt", "No such file"), (short, "63 values, manifold has 64 nodes")]
+    for bad in ("nan", "inf", "-inf"):  # each entry would error with "initial data must be finite"
+        non_finite = tmp_path / f"{bad}.txt"
+        non_finite.write_text("0.5\n" * 31 + f"{bad}\n" + "0.5\n" * 32)
+        cases.append((non_finite, "holds NaN or an infinity"))
+    for path, message in cases:
         with pytest.raises(ConfigError, match=message) as err:
             validate_config(custom_raw(path))
         assert err.value.field_path == "scenarios[0].initial.path"
