@@ -185,17 +185,23 @@ class RunReport:
         field that does not have the shape ``run`` writes."""
 
         def expect(value, kind, path):
-            if not isinstance(value, kind):
-                what = {dict: "an object", list: "a list", str: "a string"}[kind]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = {dict: "an object", list: "a list", str: "a string", int: "an integer"}.get(kind, "a number")
                 raise ValueError(f"report{path}: expected {what}, got {type(value).__name__}")
             return value
 
         expect(d, dict, "")
         expect(d.get("config_hash"), str, ".config_hash")
         for i, entry in enumerate(expect(d.get("entries"), list, ".entries")):
-            expect(entry, dict, f".entries[{i}]")
-            for cid, rep in expect(entry.get("checks", {}), dict, f".entries[{i}].checks").items():
-                expect(rep, dict, f".entries[{i}].checks.{cid}")
+            at = f".entries[{i}]"
+            expect(entry, dict, at)
+            for cid, rep in expect(entry.get("checks", {}), dict, f"{at}.checks").items():
+                expect(rep, dict, f"{at}.checks.{cid}")
+                if rep.get("status") == "checked":  # the fields emit_plot_data reads
+                    for key, kind in (("csv", str), ("rows", int), ("sha256", str)):
+                        expect(rep.get(key), kind, f"{at}.checks.{cid}.{key}")
+            for key, kind in (("name", str), ("scenario", str), ("p", (int, float))):
+                expect(entry.get(key), kind, f"{at}.{key}")
         return cls(
             config_hash=d["config_hash"],
             entries=d["entries"],
@@ -274,6 +280,10 @@ def _read_custom(path: str, node_count: int):
     """The file's bytes (hashed with the config) and its read-only values."""
     with open(path, "rb") as fh:
         data = fh.read()
+    # a file with nothing but blanks and comments would make loadtxt warn,
+    # with the address of its stream in the text, before any error
+    if not any(line.split(b"#", 1)[0].strip() for line in data.splitlines()):
+        raise ValueError(f"custom initial data has 0 values, manifold has {node_count} nodes")
     values = np.loadtxt(io.BytesIO(data), dtype=float).ravel()
     if values.size != node_count:
         raise ValueError(f"custom initial data has {values.size} values, manifold has {node_count} nodes")

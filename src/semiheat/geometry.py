@@ -79,8 +79,7 @@ def _lapack_module():
     return scipy.linalg.lapack
 
 
-# dgtsv, dgttrf/dgttrs, dgbtrf/dgbtrs, dstemr and dsyevr_lwork/dsyevr,
-# chosen once
+# dgtsv, dgbtrf/dgbtrs, dstemr and dsyevr_lwork/dsyevr, chosen once
 _lapack = _lapack_module()
 
 
@@ -416,39 +415,20 @@ def _step_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
     """x with (I - dt * Laplacian) x = b, in a new array.
 
     The manifold keeps one entry for the last dt it solved at,
-    ``m._ops["step"] = (dt, solve or None)``: one entry, not one per dt,
-    because a blow-up run takes a new dt on most steps.  The LAPACK routines
-    come from the module ``_lapack_module`` loads, and which run depends on
-    the kind and on that entry:
-
-    * radial band: dgbtrf factors each new dt, and dgbtrs solves with the
-      kept factor, the routines solve_banded's gbsv is made of;
-    * tridiagonal kinds (sphere, circle): a dt other than the entry's is
-      solved by one dgtsv call, the routine of solve_banded's tridiagonal
-      case, and recorded as (dt, None).  Only when that dt comes again does
-      dgttrf factor it; that solve and every later one at the dt run
-      dgttrs with the kept factor.  dgtsv performs the operations of
-      dgttrf followed by dgttrs, in the same order, so all three solves
-      give the same bits, and a run that changes dt on every step pays for
-      no factor it does not reuse.  The circle solves b and the vector of
-      its corner update as two right-hand sides of the one dgtsv call, or
-      each with the factor.
-
-    A dt that is not positive or a non-finite matrix is a ValueError and a
-    singular matrix a LinAlgError; each leaves the entry as it was.
+    ``m._ops["step"] = (dt, solve)``: one entry, not one per dt, because a
+    blow-up run takes a new dt on most steps.  ``_step_solver`` builds it
+    from ``_step_matrix``, and it is stored only once its first solve has
+    succeeded.  A dt that is not positive or a non-finite matrix is a
+    ValueError and a singular matrix a LinAlgError; each leaves the entry
+    as it was.
     """
     cached = m._ops.get("step")
-    seen = cached is not None and cached[0] == dt
-    if seen and cached[1] is not None:
+    if cached is not None and cached[0] == dt:
         return cached[1](b)
-    l, u, _ = m._ops["band"]
-    if l == u == 1 and not seen:
-        x = _one_call_solve(m, b, dt)
-        m._ops["step"] = (dt, None)
-        return x
-    solve = _factored_solver(m, dt)
+    solve = _step_solver(m, dt)
+    x = solve(b)
     m._ops["step"] = (dt, solve)
-    return solve(b)
+    return x
 
 
 def _step_matrix(m: DiscreteManifold, dt: float):
@@ -484,76 +464,58 @@ def _corner_update(y: np.ndarray, z: np.ndarray, corners) -> np.ndarray:
     return y - z * (vy / (1.0 + vz))
 
 
-def _one_call_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
-    # one dgtsv call on a tridiagonal kind; the matrix is this call's own,
-    # so dgtsv may overwrite it, and so is the circle's two-column
-    # right-hand side, while the caller's b is copied
-    ab_step, corners = _step_matrix(m, dt)
-    rhs, own_rhs = b, 0
-    if corners is not None:
-        rhs, own_rhs = np.zeros((b.size, 2), order="F"), 1
-        rhs[:, 0] = b
-        rhs[0, 1], rhs[-1, 1] = corners[2], corners[0]
-    _, _, _, x, info = _lapack.dgtsv(
-        ab_step[2, :-1],
-        ab_step[1],
-        ab_step[0, 1:],
-        rhs,
-        overwrite_dl=1,
-        overwrite_d=1,
-        overwrite_du=1,
-        overwrite_b=own_rhs,
-    )
-    _lapack_check(info, "dgtsv")
-    if corners is None:
-        return x
-    return _corner_update(x[:, 0], x[:, 1], corners)
-
-
-def _factored_solver(m: DiscreteManifold, dt: float):
-    # the solve with a factor of I - dt * Laplacian kept for reuse:
-    # dgttrf/dgttrs on the tridiagonal kinds, dgbtrf/dgbtrs on the radial band
+def _step_solver(m: DiscreteManifold, dt: float):
+    # the solve with I - dt * Laplacian, kept for reuse at the same dt; the
+    # LAPACK routines come from the module _lapack_module loads
     ab_step, corners = _step_matrix(m, dt)
     l, u, _ = m._ops["band"]
     if l == u == 1:
-        dgttrs = _lapack.dgttrs
-        dl, d, du, du2, ipiv, info = _lapack.dgttrf(ab_step[2, :-1], ab_step[1], ab_step[0, 1:])
-        _lapack_check(info, "dgttrf")
+        # tridiagonal kinds: one dgtsv call per solve, the routine of
+        # solve_banded's tridiagonal case; dgtsv overwrites its inputs, so
+        # the wrapper's default copies keep the matrix and b intact
+        dgtsv = _lapack.dgtsv
+        dl, d, du = ab_step[2, :-1], ab_step[1], ab_step[0, 1:]
 
-        def band_solve(b):
-            x, info = dgttrs(dl, d, du, du2, ipiv, b)
-            _lapack_check(info, "dgttrs")
-            return x
+        def solve(b):
+            if corners is None:
+                _, _, _, x, info = dgtsv(dl, d, du, b)
+                _lapack_check(info, "dgtsv")
+                return x
+            # the circle solves b and its corner update's vector as two
+            # right-hand sides of the one call
+            rhs = np.zeros((b.size, 2), order="F")
+            rhs[:, 0] = b
+            rhs[0, 1], rhs[-1, 1] = corners[2], corners[0]
+            _, _, _, x, info = dgtsv(dl, d, du, rhs, overwrite_b=1)
+            _lapack_check(info, "dgtsv")
+            return _corner_update(x[:, 0], x[:, 1], corners)
 
-    else:
-        lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
-        lu[l:] = ab_step
-        dgbtrs = _lapack.dgbtrs
-        lu, ipiv, info = _lapack.dgbtrf(lu, l, u, overwrite_ab=1)
-        _lapack_check(info, "dgbtrf")
+        return solve
 
-        def band_solve(b):
-            x, info = dgbtrs(lu, l, u, b, ipiv)
-            _lapack_check(info, "dgbtrs")
-            return x
+    # radial band: dgbtrf's factor, solved by dgbtrs, the routines
+    # solve_banded's gbsv is made of
+    lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
+    lu[l:] = ab_step
+    dgbtrs = _lapack.dgbtrs
+    lu, ipiv, info = _lapack.dgbtrf(lu, l, u, overwrite_ab=1)
+    _lapack_check(info, "dgbtrf")
 
-    if corners is None:
-        return band_solve
-    e = np.zeros(ab_step.shape[1])
-    e[0], e[-1] = corners[2], corners[0]
-    z = band_solve(e)
-    return lambda b: _corner_update(band_solve(b), z, corners)
+    def solve(b):
+        x, info = dgbtrs(lu, l, u, b, ipiv)
+        _lapack_check(info, "dgbtrs")
+        return x
+
+    return solve
 
 
 def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float) -> np.ndarray:
     """Solve (I - dt * Laplacian) u_new = values, into a new array.
 
     One banded (or cyclic-banded) solve: on the sphere and the circle one
-    dgtsv call at a dt met for the first time, dgttrf's factor from the
-    second solve at the same dt on, reused while dt stays the same; on the
-    radial kind dgbtrf's factor, made once per dt (_step_solve).  Row sums
-    of the matrix are 1, so constants pass through to a few ulps per solve
-    (at dt = 0.01 on 32 nodes, 1.0 comes out as 0.9999999999999998 on the
+    dgtsv call on the matrix kept for the dt; on the radial kind dgbtrs
+    with dgbtrf's factor, made once per dt (_step_solve).  Row sums of the
+    matrix are 1, so constants pass through to a few ulps per solve (at
+    dt = 0.01 on 32 nodes, 1.0 comes out as 0.9999999999999998 on the
     circle and 0.9999999999999997 on the sphere).  A 1-D float64 array of
     the manifold's size is used as given, anything else converted as
     laplace_beltrami converts it.  A dt that is not positive (backward heat

@@ -409,6 +409,27 @@ def test_custom_recipe_refuses_missing_and_mis_sized_files(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text", ["", " \n\t\n", "# no values\n  # none here either\n"], ids=["empty", "blank", "comments"]
+)
+def test_custom_recipe_refuses_a_file_with_no_values(tmp_path, text):
+    # refused before loadtxt, which would warn with a stream's address first:
+    # stderr holds the one config-error line
+    path = tmp_path / "u0.txt"
+    path.write_text(text)
+    cfg_path = write_cfg(tmp_path, custom_raw(path))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiheat.cli", "check", cfg_path], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "config error: scenarios[0].initial.path: custom initial data has 0 values, manifold has 64 nodes\n"
+    )
+
+
 def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
     cfg = validate_config(base_raw())
     monkeypatch.delenv("SEMIHEAT_OUT_DIR", raising=False)
@@ -1205,6 +1226,67 @@ def test_cli_plotdata_refuses_a_report_not_shaped_as_run_writes_it(tmp_path, cap
     assert cli_main(["plotdata", str(path), "positivity", "--out-dir", str(tmp_path / "plots")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "plots").exists()
+
+
+@pytest.fixture(scope="module")
+def run_report(tmp_path_factory):
+    # a real report and its entry CSVs, shared by the report-shape tests
+    out = tmp_path_factory.mktemp("report")
+    report = run_experiment(validate_config(base_raw()), out_dir=str(out))
+    return Path(report.timing["report_path"])
+
+
+def _drop(record, key):
+    del record[key]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(lambda e: e.update(p=None), "report.entries[0].p: expected a number, got NoneType", id="p-null"),
+        pytest.param(lambda e: e.update(p=True), "report.entries[0].p: expected a number, got bool", id="p-bool"),
+        pytest.param(lambda e: e.update(p="2.0"), "report.entries[0].p: expected a number, got str", id="p-str"),
+        pytest.param(lambda e: _drop(e, "p"), "report.entries[0].p: expected a number, got NoneType", id="p-missing"),
+        pytest.param(
+            lambda e: _drop(e, "scenario"), "report.entries[0].scenario: expected a string, got NoneType", id="scenario"
+        ),
+        pytest.param(
+            lambda e: e.update(scenario=5), "report.entries[0].scenario: expected a string, got int", id="scenario-int"
+        ),
+        pytest.param(lambda e: _drop(e, "name"), "report.entries[0].name: expected a string, got NoneType", id="name"),
+        pytest.param(
+            lambda e: _drop(e["checks"]["positivity"], "rows"),
+            "report.entries[0].checks.positivity.rows: expected an integer, got NoneType",
+            id="rows",
+        ),
+        pytest.param(
+            lambda e: e["checks"]["positivity"].update(rows="3"),
+            "report.entries[0].checks.positivity.rows: expected an integer, got str",
+            id="rows-str",
+        ),
+        pytest.param(
+            lambda e: _drop(e["checks"]["positivity"], "csv"),
+            "report.entries[0].checks.positivity.csv: expected a string, got NoneType",
+            id="csv",
+        ),
+        pytest.param(
+            lambda e: e["checks"]["positivity"].update(sha256=None),
+            "report.entries[0].checks.positivity.sha256: expected a string, got NoneType",
+            id="sha256",
+        ),
+    ],
+)
+def test_cli_plotdata_names_the_malformed_field_of_a_real_report(tmp_path, capsys, run_report, mutate, message):
+    # a run's report with one field emit_plot_data reads broken, written
+    # beside the run's entry CSVs: exit 2 and one line naming the field
+    report = json.loads(run_report.read_text())
+    mutate(report["entries"][0])
+    path = run_report.with_name(f"mutated_{tmp_path.name}.json")
+    path.write_text(json.dumps(report))
+    assert cli_main(["plotdata", str(path), "positivity", "--out-dir", str(tmp_path / "plots")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "plots").exists()
+    assert cli_main(["plotdata", str(run_report), "positivity", "--out-dir", str(tmp_path / "plots")]) == 0
 
 
 def test_plotdata_refuses_an_entry_csv_a_later_run_overwrote(tmp_path):

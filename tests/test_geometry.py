@@ -118,7 +118,7 @@ import numpy as np
 import semiheat
 from semiheat import geometry
 import scipy.linalg, scipy.linalg.lapack
-assert scipy.linalg.lapack.dgttrf is geometry._lapack.dgttrf
+assert scipy.linalg.lapack.dgtsv is geometry._lapack.dgtsv
 for kind, n, size in (("sphere_zonal", 2, 1.0), ("euclidean_radial", 3, 10.0)):
     m = semiheat.build_manifold(kind, n, size, 40)
     l, u, ab = m._ops["band"]
@@ -443,12 +443,14 @@ def test_step_solve_refuses_a_dt_that_is_not_positive(kind):
 
 
 def test_step_solve_keeps_one_factor():
-    m = build_manifold("euclidean_radial", 3, 20.0, 200)
-    u = np.exp(-m.nodes)
-    for dt in np.geomspace(1e-6, 1e-1, 100):
-        implicit_diffusion_solve(m, u, float(dt))
-    assert [key for key in m._ops if key != "band"] == ["step"]
-    assert m._ops["step"][0] == 1e-1
+    # every kind, one entry whatever the number of dts it has solved at
+    for kind, (n, size) in sorted(_KIND_SPECS.items()):
+        m = build_manifold(kind, n, size, 200)
+        u = np.exp(-m.nodes)
+        for dt in np.geomspace(1e-6, 1e-1, 100):
+            implicit_diffusion_solve(m, u, float(dt))
+        assert [key for key in m._ops if key != "band"] == ["step"], kind
+        assert m._ops["step"][0] == 1e-1, kind
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -459,9 +461,9 @@ def test_step_solve_keeps_one_factor():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_first_second_and_cached_solves_agree(kind, count, log_dt, seed):
-    # the first solve at a dt is one dgtsv call, the second factors with
-    # dgttrf, the third reuses that factor: one set of bits, the plain
-    # banded solve's, for mixed-sign right-hand sides
+    # the first solve at a dt builds the kept matrix, the second and third
+    # solve with it again: one set of bits, the plain banded solve's, for
+    # mixed-sign right-hand sides
     n, size = _KIND_SPECS[kind]
     m = build_manifold(kind, n, size, count)
     rng = np.random.default_rng(seed)
@@ -474,41 +476,39 @@ def test_first_second_and_cached_solves_agree(kind, count, log_dt, seed):
 
 
 @pytest.mark.parametrize("kind", sorted(_KIND_SPECS))
-def test_step_solve_factors_a_dt_on_its_second_solve(kind, monkeypatch):
-    # the tridiagonal kinds record a first-seen dt as (dt, None) and factor
-    # it when it comes again; the radial band factors every new dt and
-    # never takes the one-call path
+def test_step_solve_keeps_one_entry_per_dt(kind, monkeypatch):
+    # one (dt, solve) entry: a second solve at its dt reuses it without
+    # building the matrix again, and a new dt replaces it
     from semiheat import geometry
 
     n, size = _KIND_SPECS[kind]
     m = build_manifold(kind, n, size, 64)
     u = np.cos(m.nodes)
-    one_call = geometry._one_call_solve
-    one_calls = []
+    step_matrix = geometry._step_matrix
+    built = []
 
-    def counted(*args):
-        one_calls.append(args[2])
-        return one_call(*args)
+    def counted(m, dt):
+        built.append(dt)
+        return step_matrix(m, dt)
 
-    monkeypatch.setattr(geometry, "_one_call_solve", counted)
-    states = []
+    monkeypatch.setattr(geometry, "_step_matrix", counted)
+    entries = []
     for dt in (1e-3, 1e-3, 1e-3, 2e-3, 1e-3):
         implicit_diffusion_solve(m, u, dt)
-        cached_dt, solve = m._ops["step"]
-        states.append((cached_dt, solve is None))
-    if kind == "euclidean_radial":
-        assert one_calls == []
-        assert states == [(1e-3, False), (1e-3, False), (1e-3, False), (2e-3, False), (1e-3, False)]
-    else:
-        assert one_calls == [1e-3, 2e-3, 1e-3]
-        assert states == [(1e-3, True), (1e-3, False), (1e-3, False), (2e-3, True), (1e-3, True)]
+        assert [key for key in m._ops if key != "band"] == ["step"]
+        entries.append(m._ops["step"])
+    assert built == [1e-3, 2e-3, 1e-3]
+    assert [cached_dt for cached_dt, _ in entries] == [1e-3, 1e-3, 1e-3, 2e-3, 1e-3]
+    assert entries[0] is entries[1] is entries[2]
+    assert entries[3] is not entries[2] and entries[4] is not entries[3]
+    assert all(callable(solve) for _, solve in entries)
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere_zonal"])
 def test_step_solve_refuses_singular_and_non_finite_matrices(kind):
-    # a band whose second column of I - dt * L is zero at dt = 1: both the
-    # one-call and the factored solve raise LinAlgError, a non-finite band
-    # entry is a ValueError, and a refused dt leaves the entry as it was
+    # a band whose second column of I - dt * L is zero at dt = 1: the
+    # solve raises LinAlgError, a non-finite band entry is a ValueError, and
+    # a refused dt leaves the entry as it was
     from semiheat import geometry
 
     n, size = _KIND_SPECS[kind]
@@ -523,12 +523,13 @@ def test_step_solve_refuses_singular_and_non_finite_matrices(kind):
         implicit_diffusion_solve(m, u, 1.0)
     assert m._ops["step"][0] == 1e-3
     with pytest.raises(np.linalg.LinAlgError):
-        geometry._factored_solver(m, 1.0)
+        geometry._step_solver(m, 1.0)(u)
+    assert m._ops["step"][0] == 1e-3
     broken = ab.copy()
     broken[1, 5] = np.nan
     m._ops["band"] = (l, u_band, broken)
     with pytest.raises(ValueError, match="not finite"):
         implicit_diffusion_solve(m, u, 2e-3)
     with pytest.raises(ValueError, match="not finite"):
-        geometry._factored_solver(m, 2e-3)
+        geometry._step_solver(m, 2e-3)
     assert m._ops["step"][0] == 1e-3
