@@ -12,6 +12,7 @@ from SEMIHEAT_OUT_DIR; --out-dir overrides both it and the config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,6 +36,7 @@ def _positive_jobs(text: str) -> int:
     return jobs
 
 
+@functools.cache  # one per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semiheat",

@@ -310,18 +310,30 @@ def ancient_approximation(
 # process of 73 and 137 MB, BENCH_22.json "export_crossover").
 EXPORT_VALUES_PER_WORKER = 1 << 16
 
+# Values formatted per float_texts call and written per write (whole
+# snapshots, at least one).  A call has a fixed cost of some 15-25 us; on
+# one core the 2934 x 256 export took 191 ms a snapshot at a time and 149,
+# 141, 158 and 169 ms at 2^10, 2^12, 2^14 and 2^16 values a chunk, larger
+# chunks falling out of cache (BENCH_25.json "chunk_size").
+EXPORT_CHUNK_VALUES = 1 << 12
+
 
 def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict | None = None):
     """Write the trajectory as CSV (t, node_index, u) with a JSON sidecar
     carrying the manifold, the step log, blow-up info, and the caller's
-    ``meta`` dict (JSON-serializable metadata, stored as given).
+    ``meta`` dict (JSON-serializable metadata, stored as given).  The
+    sidecar's text is that of ``json.dump(sidecar, fh, indent=1,
+    sort_keys=True)``, its step-log lists written by the C encoder and
+    indented by one replace each (_sidecar_text).
 
     The CSV holds the bytes ``csv.writer`` would write, each float as its
-    ``repr``: _floats.float_texts formats each snapshot with orjson where
-    1e-4 <= |v| < 1e16 and at zero, and with ``repr`` elsewhere.  Its body
-    is split into contiguous snapshot blocks, one per CPU this process may
-    run on while each extra block keeps at least EXPORT_VALUES_PER_WORKER
-    values: the caller formats the first block into the CSV, and a worker
+    ``repr``: _floats.float_texts formats the values by the chunk of
+    EXPORT_CHUNK_VALUES (whole snapshots, at least one) with orjson where
+    1e-4 <= |v| < 1e16 and at zero, and with ``repr`` elsewhere, and each
+    chunk's rows are one write (see _write_csv_rows).  Its body is split
+    into contiguous snapshot blocks, one per CPU this process may run on
+    while each extra block keeps at least EXPORT_VALUES_PER_WORKER values:
+    the caller formats the first block into the CSV, and a worker
     (_workers.Workers, which owns a private directory beside ``csv_path``)
     formats each later one into the part file ``<lo>.part`` (``lo``: the
     block's first snapshot index); the parts are appended in order, so the
@@ -360,18 +372,18 @@ def export_trajectory(traj: Trajectory, csv_path, sidecar_path=None, meta: dict 
                     "radius_or_length": traj.manifold.radius_or_length,
                     "node_count": traj.manifold.node_count,
                 },
-                "step_log": {
-                    "t": traj.step_times.tolist(),
-                    "dt": traj.step_dt.tolist(),
-                    "max_u": traj.step_max.tolist(),
-                    "min_u": traj.step_min.tolist(),
-                },
                 "blowup": None if traj.blowup is None else asdict(traj.blowup),
                 "negative_data": traj.negative_data,
                 "meta": meta or {},
             }
+            step_log = {
+                "t": traj.step_times.tolist(),
+                "dt": traj.step_dt.tolist(),
+                "max_u": traj.step_max.tolist(),
+                "min_u": traj.step_min.tolist(),
+            }
             with open(os.path.join(workers.dir, "sidecar.json"), "w") as fh:
-                json.dump(sidecar, fh, indent=1, sort_keys=True)
+                fh.write(_sidecar_text(sidecar, step_log))
             targets.append(("sidecar.json", sidecar_path))
         workers.publish(targets)
 
@@ -385,18 +397,48 @@ def _export_block_bounds(snapshots: int, nodes: int) -> list[int]:
     return [snapshots * i // k for i in range(k + 1)]
 
 
+def _sidecar_text(sidecar: dict, step_log: dict) -> str:
+    """``json.dumps({**sidecar, "step_log": step_log}, indent=1,
+    sort_keys=True)``, with each list of ``step_log`` (numbers only) written
+    by the C encoder: ``step_log`` sorts last among the root keys, and in
+    ``json.dumps(list)`` of numbers ", " occurs only between items, so
+    putting a newline and the indent there gives the indented layout.  Both
+    encoders write a float as its ``repr`` and NaN and +-inf as ``NaN`` and
+    ``+-Infinity``; the pure-Python one, which ``indent`` selects, took 21
+    ms for the 11.7k step-log floats of a 2934-snapshot run, this 13 ms."""
+    head = json.dumps(sidecar, indent=1, sort_keys=True)
+    lists = []
+    for key, values in sorted(step_log.items()):
+        text = json.dumps(values)
+        if values:
+            text = "[\n   " + text[1:-1].replace(", ", ",\n   ") + "\n  ]"
+        lists.append(f'  "{key}": {text}')
+    return head[:-2] + ',\n "step_log": {\n' + ",\n".join(lists) + "\n }\n}"
+
+
 def _write_csv_part(path, node_fields, times, snapshots):
     with open(path, "wb") as fh:
         _write_csv_rows(fh, node_fields, times, snapshots)
 
 
 def _write_csv_rows(fh, node_fields, times, snapshots):
-    # the rows csv.writer would write (no field needs quoting), one snapshot
-    # per write; the block is formatted snapshot by snapshot to bound peak
-    # memory.  Each row is four pieces: t, ",<idx>,", u, CRLF
-    pieces = [b"\r\n"] * (4 * len(node_fields))
-    pieces[1::4] = node_fields
-    for t_text, snap in zip(float_texts(times), snapshots):
-        pieces[0::4] = [t_text] * len(node_fields)
-        pieces[2::4] = float_texts(snap)
-        fh.write(b"".join(pieces))
+    """Write the rows csv.writer would write for each snapshot (no field
+    needs quoting), one write per chunk of EXPORT_CHUNK_VALUES values, to
+    bound peak memory.  Each chunk's u texts come from one float_texts call;
+    each snapshot's rows are one join of those texts between fixed
+    separators (",<idx>," and CRLF) holding T where the time goes, and one
+    replace of T by the time's text, which no float's text contains."""
+    nodes = len(node_fields)
+    per_chunk = max(1, EXPORT_CHUNK_VALUES // nodes)
+    # T,0,u_0 CRLF T,1,u_1 ... CRLF, u_j at the odd places
+    pieces = [b"\r\n"] * (2 * nodes + 1)
+    pieces[0:-1:2] = [b"\r\nT" + field for field in node_fields]
+    pieces[0] = b"T" + node_fields[0]
+    t_texts = float_texts(times)
+    for lo in range(0, len(t_texts), per_chunk):
+        u_texts = float_texts(snapshots[lo : lo + per_chunk].reshape(-1))
+        rows = []
+        for k, t_text in enumerate(t_texts[lo : lo + per_chunk]):
+            pieces[1::2] = u_texts[k * nodes : (k + 1) * nodes]
+            rows.append(b"".join(pieces).replace(b"T", t_text))
+        fh.write(b"".join(rows))

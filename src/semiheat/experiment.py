@@ -87,6 +87,8 @@ import json
 import math
 import os
 import pickle
+import re
+import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
@@ -122,7 +124,7 @@ from .reaction_ode import trivial_ancient, validate_exponent
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
 # first line of every entry CSV; the rows follow, one per snapshot
-_ENTRY_CSV_HEADER = "t,lhs,structural_rhs,ratio\n"
+_ENTRY_CSV_HEADER = b"t,lhs,structural_rhs,ratio\n"
 
 # largest manifold.resolution a config may ask for (the largest grid used by
 # the tests, demos and benchmark is 2000 nodes)
@@ -202,6 +204,8 @@ class RunReport:
                         expect(rep.get(key), kind, f"{at}.checks.{cid}.{key}")
             for key, kind in (("name", str), ("scenario", str), ("p", (int, float))):
                 expect(entry.get(key), kind, f"{at}.{key}")
+            if not abs(entry["p"]) <= sys.float_info.max:  # NaN, +-inf or an int beyond the float range
+                raise ValueError(f"report{at}.p: expected a finite number")
         return cls(
             config_hash=d["config_hash"],
             entries=d["entries"],
@@ -454,9 +458,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         required = ("name", "initial", "window")
         _check_fields(sc, dict.fromkeys((*required, "controls")), path, "scenario", required)
         name = sc["name"]
-        if not isinstance(name, str) or not name or not all(
-            ch.isalnum() or ch in "_-" for ch in name
-        ):
+        if not isinstance(name, str) or not re.fullmatch("[A-Za-z0-9_-]+", name):
             raise ConfigError(f"{path}.name", "must match [A-Za-z0-9_-]+")
         if name in seen_names:
             raise ConfigError(f"{path}.name", f"duplicate scenario name {name!r}")
@@ -598,7 +600,7 @@ def _write_entry_csvs(out_dir: str, files):
     ``repr`` of every value."""
     for record, rep in files:
         t, lhs, rhs, ratio = (float_texts(x) for x in (rep.times, rep.lhs, rep.rhs, rep.ratio))
-        data = _ENTRY_CSV_HEADER.encode() + b"".join(map(b"%s,%s,%s,%s\n".__mod__, zip(t, lhs, rhs, ratio)))
+        data = _ENTRY_CSV_HEADER + b"".join(map(b"%s,%s,%s,%s\n".__mod__, zip(t, lhs, rhs, ratio)))
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
             out.write(data)
         # the digest ties the entry CSV to the report, since a later run into
@@ -701,12 +703,13 @@ def run_experiment(
 
 def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[str]:
     """Write one tidy CSV for checker ``which``: scenario, p, t, lhs,
-    structural rhs, ratio per snapshot row.  The rows are the entry CSVs in
-    ``report.directory``, copied line by line behind the scenario and p, so
-    no value is parsed or formatted again.  An entry CSV whose sha256 is not
-    the one the report recorded (another run into the same directory wrote
-    over it), or a ``csv`` that is not a bare file name, is a ValueError.
-    Emitting twice is byte-identical."""
+    structural rhs, ratio per snapshot row.  The rows are the bytes of the
+    entry CSVs in ``report.directory`` behind the scenario and p, put in
+    front of each row by one replace per entry CSV, so no value is parsed or
+    formatted again.  An entry CSV whose sha256 is not the one the report
+    recorded (another run into the same directory wrote over it), that is
+    not the header and ``rows`` newline-ended rows, or a ``csv`` that is not
+    a bare file name, is a ValueError.  Emitting twice is byte-identical."""
     present = {cid for entry in report.entries for cid in entry.get("checks", {})}
     if which not in _CHECKERS:
         raise ValueError(f"unknown checker id {which!r}")
@@ -725,14 +728,13 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[st
             data = fh.read()
         if hashlib.sha256(data).hexdigest() != rep.get("sha256"):
             raise ValueError(f"{csv_path}: not the entry CSV this report wrote (its sha256 differs)")
-        lines = data.decode("utf-8").splitlines(keepends=True)
-        if lines[:1] != [_ENTRY_CSV_HEADER] or len(lines) - 1 != rep["rows"]:
+        if not data.startswith(_ENTRY_CSV_HEADER) or data.count(b"\n") != rep["rows"] + 1 or not data.endswith(b"\n"):
             raise ValueError(f"{csv_path}: expected the header and {rep['rows']} rows")
-        prefix = f"{entry['scenario']},{repr(float(entry['p']))},"
-        chunks.extend(prefix + line for line in lines[1:])
+        if rep["rows"]:
+            prefix = f"{entry['scenario']},{float(entry['p'])!r},".encode()
+            chunks.append(prefix + data[len(_ENTRY_CSV_HEADER) : -1].replace(b"\n", b"\n" + prefix) + b"\n")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"plot_{which}_{report.config_hash[:12]}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scenario,p,t,lhs,structural_rhs,ratio\n")
-        fh.writelines(chunks)
+    with open(path, "wb") as fh:
+        fh.write(b"scenario,p,t,lhs,structural_rhs,ratio\n" + b"".join(chunks))
     return [path]

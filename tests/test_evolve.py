@@ -1,6 +1,7 @@
 import csv
 import errno
 import importlib
+import io
 import json
 import os
 import re
@@ -306,6 +307,110 @@ def test_export_trajectory_writes_the_csv_writer_bytes(tmp_path, monkeypatch, cs
     monkeypatch.delattr(os, "fork")
     export_trajectory(traj, tmp_path / "run.csv")
     assert (tmp_path / "run.csv").read_bytes() == expected
+
+
+def reference_export(traj, meta):
+    """The CSV csv.writer writes over repr(float) of each value, and the
+    sidecar json.dump(indent=1, sort_keys=True) writes."""
+    rows = io.StringIO(newline="")
+    writer = csv.writer(rows)
+    writer.writerow(["t", "node_index", "u"])
+    for t, snap in zip(traj.times.tolist(), traj.snapshots.tolist()):
+        writer.writerows([repr(t), idx, repr(val)] for idx, val in enumerate(snap))
+    sidecar = io.StringIO()
+    m = traj.manifold
+    json.dump(
+        {
+            "manifold": {"kind": m.kind, "n": m.n, "radius_or_length": m.radius_or_length, "node_count": m.node_count},
+            "step_log": {
+                "t": traj.step_times.tolist(),
+                "dt": traj.step_dt.tolist(),
+                "max_u": traj.step_max.tolist(),
+                "min_u": traj.step_min.tolist(),
+            },
+            "blowup": None if traj.blowup is None else {"detected_time": traj.blowup.detected_time, "method": traj.blowup.method},
+            "negative_data": traj.negative_data,
+            "meta": meta or {},
+        },
+        sidecar,
+        indent=1,
+        sort_keys=True,
+    )
+    return rows.getvalue().encode(), sidecar.getvalue().encode()
+
+
+# values whose repr orjson does not write, and signed zero
+OFF_BAND = [1e-5, -1e-8, 1e16, 5e-324, -0.0, -1e300, 9.999999999999999e-05]
+
+
+def off_band_sample(count, nodes):
+    # times outside orjson's band first, and such values in every seventh
+    # snapshot, whose node index moves with it
+    rng = np.random.default_rng(count)
+    times = np.concatenate([[-1e16, -1e-8, -0.0, 5e-324, 1e-5], 1e-4 + np.cumsum(rng.random(max(0, count - 5)))])[:count]
+    snaps = rng.standard_normal((count, nodes)) * 10.0 ** rng.integers(-9, 9, (count, nodes))
+    for k in range(0, count, 7):
+        snaps[k, k : k + len(OFF_BAND)] = OFF_BAND
+    return trajectory_from_samples(build_manifold("circle", 1, 2 * np.pi, nodes), times, snaps)
+
+
+def test_export_trajectory_chunks_write_the_reference_bytes(tmp_path, monkeypatch):
+    # snapshot counts around and between whole chunks of 4096 values (16
+    # snapshots of 256 nodes), one block per CPU where a block holds at
+    # least 16 * 256 values, and snapshots larger than a chunk
+    assert evolve_module.EXPORT_CHUNK_VALUES == 4096
+    monkeypatch.setattr(evolve_module, "EXPORT_VALUES_PER_WORKER", 16 * 256)
+    for count, nodes in [(count, 256) for count in (1, 5, 15, 16, 17, 33, 47)] + [(3, 5000)]:
+        traj = off_band_sample(count, nodes)
+        meta = {"count": count, "nodes": nodes}
+        expected = reference_export(traj, meta)
+        assert expected[0].startswith(b"t,node_index,u\r\n-1e+16,0,1e-05\r\n")
+        assert (b"\r\n5e-324,0," in expected[0]) == (count > 3)
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            export_trajectory(traj, tmp_path / "run.csv", tmp_path / "run.json", meta)
+            assert ((tmp_path / "run.csv").read_bytes(), (tmp_path / "run.json").read_bytes()) == expected, (count, nodes, cpus)
+
+
+def test_export_trajectory_writes_the_reference_sidecar(tmp_path):
+    # an empty step log (one snapshot), a hand-built step log holding NaN
+    # and +-inf with a blow-up record, and nested, non-ASCII meta
+    one = trajectory_from_samples(circle(16), [0.5], np.ones((1, 16)))
+    assert one.step_times.size == 0
+    logged = Trajectory(
+        manifold=circle(16),
+        times=[0.0, 1.0],
+        snapshots=np.ones((2, 16)),
+        step_times=np.array([0.5, 1.0, 1.5]),
+        step_dt=np.array([0.5, np.nan, 1e-5]),
+        step_max=np.array([np.inf, 2.0, -0.0]),
+        step_min=np.array([-np.inf, 1e16, 5e-324]),
+        blowup=BlowupInfo(1.0, "threshold"),
+    )
+    meta = {"caf\u00e9": [1, {"x\u00b2": [], "nested": {"deep": [0.1, "\u6f22"]}}], "": None, "n": float("nan")}
+    for traj in (one, logged):
+        for m in (None, {}, meta):
+            export_trajectory(traj, tmp_path / "run.csv", tmp_path / "run.json", m)
+            assert ((tmp_path / "run.csv").read_bytes(), (tmp_path / "run.json").read_bytes()) == reference_export(traj, m)
+    assert b'"dt": [\n   0.5,\n   NaN,\n   1e-05\n  ]' in (tmp_path / "run.json").read_bytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log=st.fixed_dictionaries({key: st.lists(st.floats(), max_size=6) for key in ("t", "dt", "max_u", "min_u")}),
+    meta=st.dictionaries(st.text(max_size=4), json_values, max_size=3),
+    rest=st.fixed_dictionaries({"manifold": st.dictionaries(st.text(max_size=4), json_values, max_size=3), "blowup": st.none()}),
+)
+def test_sidecar_text_is_the_indented_encoder_text(log, meta, rest):
+    sidecar = {**rest, "negative_data": False, "meta": meta}
+    assert evolve_module._sidecar_text(sidecar, log) == json.dumps({**sidecar, "step_log": log}, indent=1, sort_keys=True)
 
 
 def test_export_trajectory_splits_into_one_block_per_cpu(monkeypatch):

@@ -28,6 +28,7 @@ from semiheat import (
     run_experiment,
     validate_config,
 )
+import semiheat.cli as cli
 import semiheat.estimates as estimates
 import semiheat.experiment as experiment
 from semiheat.cli import main as cli_main
@@ -70,6 +71,10 @@ def test_validate_config_accepts_base():
         (lambda r: r["manifold"].update(size=-1.0), "manifold.size"),
         (lambda r: r.update(p_values=[0.5]), "p_values[0]"),
         (lambda r: r["scenarios"][0].update(name="bad name"), "scenarios[0].name"),
+        # str.isalnum is true of these; the names become file names and
+        # plotdata prefixes, which the message promises are ASCII
+        pytest.param(lambda r: r["scenarios"][0].update(name="caf\u00e9"), "scenarios[0].name", id="name-non-ascii-letter"),
+        pytest.param(lambda r: r["scenarios"][0].update(name="x\u00b2"), "scenarios[0].name", id="name-superscript-digit"),
         (lambda r: r["scenarios"][0]["initial"].update(type="mystery"), "scenarios[0].initial.type"),
         (lambda r: r["scenarios"][0]["window"].update(t1=-1.0), "scenarios[0].window.t1"),
         (lambda r: r["scenarios"][0].update(controls={"dt": 0.1}), "scenarios[0].controls"),
@@ -687,9 +692,10 @@ def capture_reports(monkeypatch):
     return captured
 
 
-def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
-    captured = capture_reports(monkeypatch)
-    raw = {
+def sphere_sweep_raw():
+    """Three scenarios at two p on a small sphere with all six checkers: an
+    ancient run, a run to blow-up and seeded random data."""
+    return {
         "manifold": {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 32},
         "p_values": [1.5, 3.0],
         "scenarios": [
@@ -714,6 +720,11 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
             {"id": "triviality"},
         ],
     }
+
+
+def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
+    captured = capture_reports(monkeypatch)
+    raw = sphere_sweep_raw()
     out = tmp_path / "out"
     # one job: the checks run in this process, where the wrappers see them
     report = run_experiment(validate_config(raw), out_dir=str(out), jobs=1)
@@ -759,6 +770,76 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     got = Path(path).read_bytes()
     assert got == reference_plot_bytes(report, "positivity", [made, made])
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
+
+
+def line_by_line_plot_bytes(report, which):
+    """The plot CSV as it was copied line by line: each entry CSV decoded,
+    split into lines, and every line after the header put behind the
+    scenario and p."""
+    out = ["scenario,p,t,lhs,structural_rhs,ratio\n"]
+    for entry in report.entries:
+        rep = entry.get("checks", {}).get(which)
+        if rep is None or rep.get("status") != "checked":
+            continue
+        lines = (Path(report.directory) / rep["csv"]).read_bytes().decode("utf-8").splitlines(keepends=True)
+        out.extend(f"{entry['scenario']},{repr(float(entry['p']))},{line}" for line in lines[1:])
+    return "".join(out).encode("utf-8")
+
+
+def test_plot_data_is_the_line_by_line_copy_at_every_job_count(tmp_path):
+    # a real sweep at one and two jobs, read back from its report: each
+    # plot CSV is the bytes the line-by-line copy wrote, at either count
+    plots = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        report = run_experiment(validate_config(sphere_sweep_raw()), out_dir=str(out), jobs=jobs)
+        loaded = RunReport.from_json_dict(json.loads(Path(report.timing["report_path"]).read_text()))
+        loaded.directory = str(out)
+        for cid in _CHECKERS:
+            (path,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / f"plots{jobs}"))
+            plots[jobs, cid] = Path(path).read_bytes()
+            assert plots[jobs, cid] == line_by_line_plot_bytes(loaded, cid), (jobs, cid)
+            assert plots[jobs, cid].count(b"\n") > 1, cid
+    assert all(plots[1, cid] == plots[2, cid] for cid in _CHECKERS)
+
+
+def test_plot_data_copies_an_entry_csv_with_no_rows(tmp_path, monkeypatch):
+    empty = np.array([])
+    made = EstimateReport("positivity_min_ode", empty, empty, empty, empty, c_fit=0.0, c_cap=1.0, passed=True)
+    monkeypatch.setattr(experiment, "check_positivity_min_ode", lambda traj, p: made)
+    report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path), jobs=1)
+    assert report.entries[0]["checks"]["positivity"]["rows"] == 0
+    (path,) = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    assert Path(path).read_bytes() == line_by_line_plot_bytes(report, "positivity") == b"scenario,p,t,lhs,structural_rhs,ratio\n"
+
+
+@pytest.mark.parametrize(
+    "rows, data",
+    [
+        pytest.param(lambda rows: rows + 1, None, id="more-rows"),
+        pytest.param(lambda rows: rows - 1, None, id="fewer-rows"),
+        pytest.param(None, lambda data: data[:-1], id="no-final-newline"),
+        pytest.param(None, lambda data: b"t,lhs\n" + data.split(b"\n", 1)[1], id="other-header"),
+    ],
+)
+def test_plotdata_refuses_an_entry_csv_not_of_its_recorded_rows(tmp_path, capsys, run_report, rows, data):
+    # the sha256 matches, but the bytes are not the header and the report's
+    # rows newline-ended rows: exit 2 naming the CSV, no plot CSV written
+    report = json.loads(run_report.read_text())
+    record = report["entries"][0]["checks"]["positivity"]
+    if rows is not None:
+        record["rows"] = rows(record["rows"])
+    if data is not None:
+        changed = data((run_report.parent / record["csv"]).read_bytes())
+        record["csv"] = f"changed_{tmp_path.name}.csv"
+        (run_report.parent / record["csv"]).write_bytes(changed)
+        record["sha256"] = hashlib.sha256(changed).hexdigest()
+    path = run_report.with_name(f"rows_{tmp_path.name}.json")
+    path.write_text(json.dumps(report))
+    assert cli_main(["plotdata", str(path), "positivity", "--out-dir", str(tmp_path / "plots")]) == 2
+    csv_path = run_report.parent / record["csv"]
+    assert capsys.readouterr().err == f"error: {csv_path}: expected the header and {record['rows']} rows\n"
+    assert not (tmp_path / "plots").exists()
 
 
 def test_entry_csvs_are_the_repr_of_each_value(tmp_path):
@@ -1246,6 +1327,10 @@ def _drop(record, key):
         pytest.param(lambda e: e.update(p=None), "report.entries[0].p: expected a number, got NoneType", id="p-null"),
         pytest.param(lambda e: e.update(p=True), "report.entries[0].p: expected a number, got bool", id="p-bool"),
         pytest.param(lambda e: e.update(p="2.0"), "report.entries[0].p: expected a number, got str", id="p-str"),
+        # float(p) of the first overflows; the others would reach every plot row
+        pytest.param(lambda e: e.update(p=10**400), "report.entries[0].p: expected a finite number", id="p-beyond-float"),
+        pytest.param(lambda e: e.update(p=float("nan")), "report.entries[0].p: expected a finite number", id="p-nan"),
+        pytest.param(lambda e: e.update(p=float("-inf")), "report.entries[0].p: expected a finite number", id="p-inf"),
         pytest.param(lambda e: _drop(e, "p"), "report.entries[0].p: expected a number, got NoneType", id="p-missing"),
         pytest.param(
             lambda e: _drop(e, "scenario"), "report.entries[0].scenario: expected a string, got NoneType", id="scenario"
@@ -1449,6 +1534,49 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
     assert "scenarios[0].initial.mode: mode index out of range for 64 nodes" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cli_gives_fresh_results_from_its_one_parser(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process; a run of calls gives the exit
+    # codes, output and files that each call gives with a parser of its own,
+    # so no option or default (plotdata's --out-dir ".") carries over
+    cfg_path = write_cfg(tmp_path, base_raw())
+    out = str(tmp_path / "out")
+    calls = [
+        ["run", cfg_path, "--out-dir", out, "--verbose"],
+        ["plotdata", None, "positivity"],
+        ["check", cfg_path],
+        ["run", cfg_path, "--jobs", "0"],
+        ["plotdata", None, "positivity"],
+        ["plotdata", None, "sorcery"],
+    ]
+
+    def session(cwd, fresh):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        results = []
+        for argv in calls:
+            if argv[0] == "plotdata":
+                (report,) = [name for name in os.listdir(out) if name.startswith("report_")]
+                argv = ["plotdata", os.path.join(out, report), *argv[2:]]
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results, {name: (cwd / name).read_bytes() for name in os.listdir(cwd)}
+
+    one_parser = session(tmp_path / "one", fresh=False)
+    fresh = session(tmp_path / "fresh", fresh=True)
+    assert one_parser == fresh
+    codes = [code for code, _, _ in fresh[0]]
+    assert codes == [0, 0, 0, ("exit", 2), 0, 2]
+    assert "expected a positive integer" in fresh[0][3][2]
+    assert fresh[0][0][1].startswith("  [ok] warm__p2\n")
+    assert list(fresh[1]) == [f"plot_positivity_{validate_config(base_raw()).config_hash[:12]}.csv"]
 
 
 def test_cli_plotdata_round_trip(tmp_path):
