@@ -79,7 +79,7 @@ def _lapack_module():
     return scipy.linalg.lapack
 
 
-# dgtsv, dgbtrf/dgbtrs, dstemr and dsyevr_lwork/dsyevr, chosen once
+# dgtsv, dgbtrf/dgbtrs/dtbtrs, dstemr and dsyevr_lwork/dsyevr, chosen once
 _lapack = _lapack_module()
 
 
@@ -420,7 +420,9 @@ def _step_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
     from ``_step_matrix``, and it is stored only once its first solve has
     succeeded.  A dt that is not positive or a non-finite matrix is a
     ValueError and a singular matrix a LinAlgError; each leaves the entry
-    as it was.
+    as it was.  The radial solve builds a second form of its factor on its
+    second call (_permuted_factor) and keeps it in its own closure, so it
+    leaves with the entry.
     """
     cached = m._ops.get("step")
     if cached is not None and cached[0] == dt:
@@ -492,35 +494,96 @@ def _step_solver(m: DiscreteManifold, dt: float):
 
         return solve
 
-    # radial band: dgbtrf's factor, solved by dgbtrs, the routines
-    # solve_banded's gbsv is made of
+    # radial band: dgbtrf's factor, the routine solve_banded's gbsv starts
+    # with.  Its first solve is dgbtrs, as in gbsv, which replays the row
+    # interchanges and applies L one row at a time (a dger call per row);
+    # from the second on, the factor in _permuted_factor's form solves by
+    # one gather and two banded triangular sweeps (dtbtrs), to the same bits
     lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
     lu[l:] = ab_step
-    dgbtrs = _lapack.dgbtrs
+    dgbtrs, dtbtrs = _lapack.dgbtrs, _lapack.dtbtrs
     lu, ipiv, info = _lapack.dgbtrf(lu, l, u, overwrite_ab=1)
     _lapack_check(info, "dgbtrf")
+    first = True
+    permuted = None  # (perm, lower, upper), built on the second solve
 
     def solve(b):
-        x, info = dgbtrs(lu, l, u, b, ipiv)
-        _lapack_check(info, "dgbtrs")
+        nonlocal first, permuted
+        if first:
+            first = False
+            x, info = dgbtrs(lu, l, u, b, ipiv)
+            _lapack_check(info, "dgbtrs")
+            return x
+        if permuted is None:
+            permuted = _permuted_factor(lu, ipiv, l, u)
+        perm, lower, upper = permuted
+        x, info = dtbtrs(lower, b[perm], uplo="L", diag="U", overwrite_b=1)
+        _lapack_check(info, "dtbtrs")
+        x, info = dtbtrs(upper, x, overwrite_b=1)
+        _lapack_check(info, "dtbtrs")
         return x
 
     return solve
+
+
+def _permuted_factor(lu: np.ndarray, ipiv: np.ndarray, l: int, u: int):
+    """(perm, lower, upper): dgbtrf's band factor ``(lu, ipiv)`` of an
+    N x N matrix A with l sub- and u superdiagonals, as P A = L' U.
+
+    dgbtrf interchanges rows j and ipiv[j] (0-based) before it eliminates
+    column j, and keeps the multipliers of the rows then at j+1 .. j+l in
+    ``lu[l+u+1:, j]``; dgbtrs replays both, step by step.  Here each
+    multiplier moves to the row its value of b ends at once every later
+    interchange is made, the way dgetrf applies them to the earlier columns
+    of a dense L: ``b[perm]`` is P b, ``lower`` holds L' in dtbtrs's lower
+    band layout (``lower[i - j, j] == L'[i, j]``; row 0, the unit diagonal,
+    holds nothing) and ``upper`` is U, rows 0 .. l+u of ``lu``, as an
+    F-ordered copy.  Forward substitution with L' then subtracts from each
+    value the products dgbtrs subtracts, in the same column order; the band
+    of L' is wider than l where the interchanges move a row further down.
+    Only the interchanging steps are visited one by one, and the
+    multipliers are placed by one scatter.
+    """
+    N = lu.shape[1]
+    cols = np.arange(N)
+    # origin[r, j]: the row of b whose value is at j+1+r when column j is
+    # eliminated (past N in the last columns, whose slots hold no multiplier)
+    origin = np.arange(1, l + 1)[:, None] + cols
+    rows = {}  # position -> row of b, where the interchanges so far moved it
+    for k in np.flatnonzero(ipiv != cols).tolist():
+        q = int(ipiv[k])
+        moved = rows.get(k, k)
+        rows[k] = rows.get(q, q)
+        rows[q] = moved
+        # step k moves that row down to q, where column j sees it at
+        # r = q-1-j for k <= j < q (flat index (q-1)N - j(N-1)), until a
+        # later step moves another row into q and overwrites it here
+        origin.reshape(-1)[q - 1 : (q - 1 - k) * N + k + 1 : N - 1] = moved
+    perm = cols.copy()
+    perm[np.fromiter(rows, np.intp, len(rows))] = np.fromiter(rows.values(), np.intp, len(rows))
+    final = np.full(N + l, -1)  # final[perm[i]] = i; -1 past N sends those slots to row 0
+    final[perm] = cols
+    offset = np.maximum(final[origin] - cols, 0)
+    width = int(offset.max()) + 1
+    lower = np.zeros((N, width))  # C-ordered transpose: lower.T is F-ordered
+    lower.reshape(-1)[(offset + cols * width).reshape(-1)] = lu[l + u + 1 :].reshape(-1)
+    return perm, lower.T, np.asfortranarray(lu[: l + u + 1])
 
 
 def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float) -> np.ndarray:
     """Solve (I - dt * Laplacian) u_new = values, into a new array.
 
     One banded (or cyclic-banded) solve: on the sphere and the circle one
-    dgtsv call on the matrix kept for the dt; on the radial kind dgbtrs
-    with dgbtrf's factor, made once per dt (_step_solve).  Row sums of the
-    matrix are 1, so constants pass through to a few ulps per solve (at
-    dt = 0.01 on 32 nodes, 1.0 comes out as 0.9999999999999998 on the
-    circle and 0.9999999999999997 on the sphere).  A 1-D float64 array of
-    the manifold's size is used as given, anything else converted as
-    laplace_beltrami converts it.  A dt that is not positive (backward heat
-    flow is ill-posed), a non-finite right-hand side or matrix is a
-    ValueError, a singular matrix a LinAlgError.
+    dgtsv call on the matrix kept for the dt; on the radial kind dgbtrf's
+    factor, made once per dt (_step_solve), solved by dgbtrs the first time
+    and by a gather and two dtbtrs sweeps after that, to the same bits
+    (_step_solver).  Row sums of the matrix are 1, so constants pass
+    through to a few ulps per solve (at dt = 0.01 on 32 nodes, 1.0 comes
+    out as 0.9999999999999998 on the circle and 0.9999999999999997 on the
+    sphere).  A 1-D float64 array of the manifold's size is used as given,
+    anything else converted as laplace_beltrami converts it.  A dt that is
+    not positive (backward heat flow is ill-posed), a non-finite right-hand
+    side or matrix is a ValueError, a singular matrix a LinAlgError.
     """
     b = values
     if not (type(b) is np.ndarray and b.dtype == np.float64 and b.shape == (m.node_count,)):

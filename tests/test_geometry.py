@@ -398,8 +398,10 @@ def test_step_solve_matches_plain_banded_solve(kind, count, log_dts, seed):
     m = build_manifold(kind, n, size, count)
     rng = np.random.default_rng(seed)
     dt_a, dt_b = (10.0**x for x in log_dts)
-    # A, B, A: a factor kept for the wrong dt would show on the third solve
-    for dt in (dt_a, dt_a, dt_b, dt_a):
+    # each dt three times in a row, so the radial factor's second and later
+    # solves (its permuted form) run as well as its first (dgbtrs), and A
+    # after B: a factor kept for the wrong dt would show there
+    for dt in (dt_a, dt_a, dt_a, dt_b, dt_b, dt_b, dt_a, dt_a, dt_a):
         u = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-2, 2)
         assert np.array_equal(implicit_diffusion_solve(m, u, dt), reference_solve(m, u, dt))
 
@@ -451,6 +453,88 @@ def test_step_solve_keeps_one_factor():
             implicit_diffusion_solve(m, u, float(dt))
         assert [key for key in m._ops if key != "band"] == ["step"], kind
         assert m._ops["step"][0] == 1e-1, kind
+
+
+def signed_zero_rhs(rng, count):
+    # mixed signs over six decades, with about a third of the entries +-0.0
+    b = rng.normal(size=count) * 10.0 ** rng.uniform(-3, 3, count)
+    zero = rng.random(count) < 0.3
+    b[zero] = np.where(rng.random(count) < 0.5, -0.0, 0.0)[zero]
+    return b
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(2, 5),
+    size=st.sampled_from([1.0, 5.0, 20.0]),
+    count=st.integers(16, 600),
+    log_ratio=st.floats(-3.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_radial_solves_match_the_banded_solve_at_any_pivoting(n, size, count, log_ratio, seed):
+    # dt / h^2 from 1e-3, where dgbtrf interchanges no row or one, to 1e5,
+    # where it interchanges nearly every row and the permuted factor's band
+    # is several times wider: the first solve of a factor and every later
+    # one give solve_banded's bits, the sign of a zero included
+    m = build_manifold("euclidean_radial", n, size, count)
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log_ratio * m.spacing**2
+    for _ in range(4):
+        b = signed_zero_rhs(rng, count)
+        x, want = implicit_diffusion_solve(m, b, dt), reference_solve(m, b, dt)
+        assert x.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(x), np.signbit(want))
+
+
+@pytest.mark.parametrize("l, u", [(4, 2), (1, 2), (2, 1), (3, 3), (5, 1)])
+def test_permuted_factor_solves_any_band_factor_as_dgbtrs(l, u):
+    # I - A for a random band A pivots wherever it likes, so steps that move
+    # two rows into one position in turn occur too; each solve of the kept
+    # factor gives solve_banded's bits
+    from semiheat import geometry
+
+    rng = np.random.default_rng(10 * l + u)
+    for count in (16, 57, 300):
+        m = build_manifold("euclidean_radial", 3, 20.0, count)
+        m._ops["band"] = (l, u, rng.normal(size=(l + u + 1, count)) * 10.0 ** rng.uniform(-2, 2, count))
+        solve = geometry._step_solver(m, 1.0)
+        for _ in range(3):
+            b = signed_zero_rhs(rng, count)
+            x, want = solve(b), reference_solve(m, b, 1.0)
+            assert x.tobytes() == want.tobytes()
+
+
+def test_radial_factor_builds_its_permuted_form_from_its_second_solve(monkeypatch):
+    # a factor solved once (a new dt on every step, as near blow-up) never
+    # builds the permuted form; one solved many times builds it once, on
+    # its second solve, and keeps it.  At dt / h^2 = 1e5 the interchanges
+    # widen the band of L beyond its 4 subdiagonals
+    from semiheat import geometry
+
+    builder = geometry._permuted_factor
+    built = []
+
+    def counted(lu, ipiv, l, u):
+        built.append(builder(lu, ipiv, l, u))
+        return built[-1]
+
+    monkeypatch.setattr(geometry, "_permuted_factor", counted)
+    m = build_manifold("euclidean_radial", 3, 20.0, 400)
+    rng = np.random.default_rng(26)
+    for dt in np.geomspace(1e-4, 1.0, 30):
+        b = signed_zero_rhs(rng, 400)
+        assert implicit_diffusion_solve(m, b, float(dt)).tobytes() == reference_solve(m, b, float(dt)).tobytes()
+    assert built == []
+    dt = 1e5 * m.spacing**2
+    for solves in range(1, 8):
+        b = signed_zero_rhs(rng, 400)
+        assert implicit_diffusion_solve(m, b, dt).tobytes() == reference_solve(m, b, dt).tobytes()
+        assert len(built) == (solves >= 2)
+    perm, lower, upper = built[0]
+    assert sorted(perm) == list(range(400)) and not np.array_equal(perm, np.arange(400))
+    assert lower.shape[0] > 5 and lower.flags.f_contiguous and upper.shape == (7, 400)
+    implicit_diffusion_solve(m, b, 2 * dt)
+    assert len(built) == 1
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
