@@ -63,9 +63,8 @@ there is more than one job), and worker w runs entries w, w + jobs,
 w + 2 jobs, ... in order: ``_run_entry`` evolves each entry of its share,
 runs its checks, writes its entry CSVs into the workers' private directory
 beside the report, sets each record's ``sha256`` and ``rows`` from the
-bytes it wrote, and pickles the entry to ``<i>.pkl`` there.  The spectrum,
-which the workers would otherwise each compute at the same time, is
-computed once before any fork (``_warm_up``).  Once every worker is done,
+bytes it wrote, and pickles the entry to ``<i>.pkl`` there; each worker
+computes the spectrum an entry reads for itself.  Once every worker is done,
 the runner loads the entries in order, writes the report into the private
 directory and publishes it with the entry CSVs (``Workers.publish``); the
 bytes do not depend on the job count.  Entry names must be distinct, so
@@ -80,7 +79,6 @@ one entry there; ``_RECIPES`` does the same for initial-data recipes.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
@@ -609,21 +607,6 @@ def _write_entry_csvs(out_dir: str, files):
         record["sha256"] = hashlib.sha256(data).hexdigest()
 
 
-def _warm_up(config: ExperimentConfig):
-    """Compute the manifold's spectrum once, before any worker forks, where
-    an entry may read it: a trivial_plus_mode scenario builds from it, and
-    the triviality check reads it on a closed kind of positive Ricci bound.
-    Workers that each computed a dense (circle) spectrum at once would
-    contend for OpenBLAS threads, each taking many times as long as one
-    alone.  A spectrum that cannot be had is left for each entry to record."""
-    m = config.built_manifold
-    if any(scenario.build is _mode_data for scenario in config.scenarios) or (
-        m.kind in CLOSED_KINDS and m.ricci_lower > 0 and any(cid == "triviality" for cid, _ in config.checkers)
-    ):
-        with contextlib.suppress(ValueError):
-            laplacian_spectrum(m)
-
-
 def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
     """--out-dir beats the config, the config beats the environment default."""
     if override:
@@ -665,8 +648,6 @@ def run_experiment(
     started = time.perf_counter()
     tasks = [(f"{scenario.name}__p{p:g}", scenario, p) for scenario in config.scenarios for p in config.p_values]
     jobs = max(1, min(jobs, len(tasks)))
-    if tasks:
-        _warm_up(config)
     with Workers(target, f".report_{digest[:12]}.", fork=jobs > 1) as workers:
         for w in range(jobs):
             share = range(w, len(tasks), jobs)

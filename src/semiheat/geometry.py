@@ -16,7 +16,7 @@ Each Laplacian is stored once, in LAPACK diagonal-ordered band form
 ``(l, u, ab)`` with ``ab[u + i - j, j] == L[i, j]``.  The circle's two
 periodic corner entries sit in the band slots that a plain tridiagonal
 matrix leaves unused: L[N-1, 0] in ``ab[0, 0]`` and L[0, N-1] in
-``ab[2, N-1]``.  The matvec, the dense matrix and the implicit solve are all
+``ab[2, N-1]``.  The matvec, the implicit solve and the spectrum are all
 derived from that one array.
 
 The closed kinds (sphere, circle) use a conservative flux form with
@@ -50,7 +50,7 @@ CLOSED_KINDS = ("sphere_zonal", "circle")
 # config spellings of a kind other than its own name
 _KIND_ALIASES = {"flat_torus_1d": "circle"}
 
-# dense spectra only; guards against accidentally materializing a huge matrix
+# the spectrum's modes are an N x N array; guards against a huge one
 _SPECTRUM_MAX_NODES = 4096
 
 
@@ -79,7 +79,7 @@ def _lapack_module():
     return scipy.linalg.lapack
 
 
-# dgtsv, dgbtrf/dgbtrs/dtbtrs, dstemr and dsyevr_lwork/dsyevr, chosen once
+# dgtsv, dgbtrf/dgbtrs/dtbtrs and dstemr, chosen once
 _lapack = _lapack_module()
 
 
@@ -342,18 +342,19 @@ def laplacian_spectrum(m: DiscreteManifold):
     """Eigenvalues and eigenmodes of -Laplacian for the closed kinds.
 
     Returns (lam, modes): lam ascending with lam[0] ~ 0, modes[:, j]
-    normalized to sup-norm 1 with a deterministic sign.  The operator is
-    self-adjoint in the volume-weighted inner product, so the symmetrized
-    problem S = W^(1/2) L W^(-1/2), averaged with its transpose, is solved
-    once and cached on the manifold.  On the sphere that matrix is
-    tridiagonal: its diagonal and off-diagonal are built from the band with
-    the operations of the dense 0.5 * (S + S.T), in the same order, and go
-    to LAPACK's dstemr, the routine dsyevr hands a tridiagonal matrix after
-    a Householder reduction that leaves it unchanged.  The circle's corner
-    entries are outside the tridiagonal, so its dense matrix goes to dsyevr,
-    called as ``scipy.linalg.eigh``'s default ``evr`` driver calls it.
-    Either way the eigenpairs are those of ``eigh`` of the dense symmetrized
-    matrix bit for bit.
+    normalized to sup-norm 1 with a deterministic sign (the first node of
+    largest modulus holds +1), computed once and cached on the manifold.
+    On the sphere the operator is self-adjoint in the volume-weighted inner
+    product, so the symmetrized matrix S = W^(1/2) L W^(-1/2), averaged
+    with its transpose, is solved; it is tridiagonal, its diagonal and
+    off-diagonal are built from the band with the operations of the dense
+    0.5 * (S + S.T), in the same order, and go to LAPACK's dstemr, the
+    routine dsyevr hands a tridiagonal matrix after a Householder reduction
+    that leaves it unchanged, so the eigenpairs are those of ``eigh`` of
+    the dense matrix bit for bit.  On the circle the periodic second
+    difference has known eigenpairs (_periodic_eigenpairs): every eigenvalue
+    but the first and, for even N, the last is double, and the closed form
+    fixes one basis of each such eigenspace, cos before sin.
     """
     if m.kind not in CLOSED_KINDS:
         raise ValueError("spectrum is only available for the closed kinds")
@@ -361,37 +362,41 @@ def laplacian_spectrum(m: DiscreteManifold):
         N = m.node_count
         if N > _SPECTRUM_MAX_NODES:
             raise ValueError("grid too large for a dense spectrum")
-        w_half = np.sqrt(m.volume_weights)
         if m.kind == "circle":
-            vals, vecs = _dense_eigenpairs(m, w_half)
+            lam, y = _periodic_eigenpairs(m)
         else:
+            w_half = np.sqrt(m.volume_weights)
             vals, vecs = _tridiagonal_eigenpairs(m, w_half)
-        lam = -vals[::-1]
-        y = vecs[:, ::-1] / w_half[:, None]
+            lam = -vals[::-1]
+            y = vecs[:, ::-1] / w_half[:, None]
         y /= y[np.argmax(np.abs(y), axis=0), np.arange(N)]
         m._ops["spectrum"] = (lam, y)
     return m._ops["spectrum"]
 
 
-def _dense_eigenpairs(m: DiscreteManifold, w_half: np.ndarray):
-    # ascending eigenpairs of the dense symmetrized Laplacian, by dsyevr
+def _periodic_eigenpairs(m: DiscreteManifold):
+    # -L's eigenpairs on the circle, ascending: column c is the mode of
+    # wavenumber k = (c + 1) // 2, cos(2 pi k j / N) for odd c and c = 0,
+    # sin(2 pi k j / N) for even c > 0, with eigenvalue (4 / h^2) sin^2(pi k / N);
+    # so the constant comes first, then each k's cos and sin, and for even N
+    # the alternating mode (k = N / 2) last.  Each phase is reduced to
+    # (j k) % N before it is scaled, so nodes of one phase get one value and
+    # the sign rule's ties between +max and -max resolve the same way always
+    _, _, ab = m._ops["band"]
     N = m.node_count
-    L = _apply_band(m, np.eye(N)).T  # row j of the product is L e_j
-    S = (w_half[:, None] * L) / w_half[None, :]
-    S = 0.5 * (S + S.T)
-    if not np.isfinite(S).all():
-        raise ValueError("the symmetrized Laplacian is not finite")
-    lwork, liwork, info = _lapack.dsyevr_lwork(N, lower=1)
-    _lapack_check(info, "dsyevr_lwork")
-    vals, vecs, _, _, info = _lapack.dsyevr(S, compute_v=1, lower=1, lwork=int(lwork), liwork=int(liwork))
-    _lapack_check(info, "dsyevr", "dsyevr: internal error")
-    return vals, vecs
+    k = (np.arange(N) + 1) // 2
+    lam = (4.0 * ab[0, 1]) * np.sin(k * (np.pi / N)) ** 2  # ab[0, 1] = L[0, 1] = 1 / h^2
+    phase = np.arange(N) * (2.0 * np.pi / N)
+    table = np.concatenate((np.cos(phase), np.sin(phase)))  # cos, then sin, of each reduced phase
+    index = np.outer(np.arange(N), k) % N
+    index[:, 2::2] += N
+    return lam, table[index]
 
 
 def _tridiagonal_eigenpairs(m: DiscreteManifold, w_half: np.ndarray):
     # ascending eigenpairs of the symmetrized tridiagonal Laplacian, by
     # dstemr; S[i, j] = (w_half[i] * L[i, j]) / w_half[j] entry by entry, as
-    # the dense path forms it, and L[i, j] = ab[1 + i - j, j]
+    # a dense 0.5 * (S + S.T) forms it, and L[i, j] = ab[1 + i - j, j]
     _, _, ab = m._ops["band"]
     d = (w_half * ab[1]) / w_half
     d = 0.5 * (d + d)
@@ -508,7 +513,7 @@ def _step_solver(m: DiscreteManifold, dt: float):
     permuted = None  # (perm, lower, upper), built on the second solve
 
     def solve(b):
-        nonlocal first, permuted
+        nonlocal first, permuted, lu, ipiv
         if first:
             first = False
             x, info = dgbtrs(lu, l, u, b, ipiv)
@@ -516,6 +521,7 @@ def _step_solver(m: DiscreteManifold, dt: float):
             return x
         if permuted is None:
             permuted = _permuted_factor(lu, ipiv, l, u)
+            lu = ipiv = None  # the permuted form holds copies of all it needs
         perm, lower, upper = permuted
         x, info = dtbtrs(lower, b[perm], uplo="L", diag="U", overwrite_b=1)
         _lapack_check(info, "dtbtrs")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from semiheat import (
@@ -1014,27 +1014,6 @@ def test_run_experiment_refuses_and_caps_jobs(tmp_path, monkeypatch):
     assert run_experiment(validate_config(raw), out_dir=str(tmp_path / "empty"), jobs=4).timing["jobs"] == 1
 
 
-def test_run_experiment_computes_the_spectrum_once_before_forking(tmp_path):
-    # the runner computes the spectrum a worker would read before it forks,
-    # so it lands in the runner's manifold cache; a sweep that reads none
-    # does not pay for it
-    mode = {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -3.0, "eps": 0.05, "mode": 1}
-    for kind, n, initial, checker, computed in (
-        ("sphere_zonal", 2, mode, "positivity", True),
-        ("sphere_zonal", 2, {"type": "constant", "value": 0.5}, "triviality", True),
-        ("sphere_zonal", 2, {"type": "constant", "value": 0.5}, "positivity", False),
-        ("circle", 1, {"type": "constant", "value": 0.5}, "triviality", False),  # refused before the spectrum
-    ):
-        raw = base_raw()
-        raw["manifold"] = {"kind": kind, "n": n, "size": 1.0, "resolution": 32}
-        raw["p_values"] = [1.5, 2.0]
-        raw["scenarios"][0].update(initial=initial, window={"t0": -3.0, "t1": -2.8})
-        raw["checkers"] = [{"id": checker}]
-        cfg = validate_config(raw)
-        run_experiment(cfg, out_dir=str(tmp_path / f"{kind}_{checker}_{computed}"), jobs=2)
-        assert ("spectrum" in cfg.built_manifold._ops) == computed, (kind, initial["type"], checker)
-
-
 def test_run_experiment_raises_when_an_entry_csv_writer_fails(tmp_path, monkeypatch, capfd):
     # a directory stands where the second entry's decay CSV goes, in the
     # worker's private directory: its worker fails, the runner raises
@@ -1733,13 +1712,14 @@ _GOOD_SCENARIOS = [
 
 @st.composite
 def job_count_configs(draw):
-    """A 32-node sphere sweep of 1-4 p values and 1-3 scenarios, one of
-    which fails at every p, under a random seed."""
+    """A 32-node sphere or circle sweep of 1-4 p values and 1-3 scenarios,
+    one of which fails at every p, under a random seed."""
+    kind, n = draw(st.sampled_from([("sphere_zonal", 2), ("circle", 1)]))
     good = draw(st.lists(st.sampled_from(_GOOD_SCENARIOS), max_size=2, unique_by=lambda sc: sc["name"]))
     scenarios = [copy.deepcopy(sc) for sc in good]
     scenarios.insert(draw(st.integers(0, len(good))), copy.deepcopy(_FAILING_SCENARIO))
     return {
-        "manifold": {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 32},
+        "manifold": {"kind": kind, "n": n, "size": 1.0, "resolution": 32},
         "p_values": draw(st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.5]), min_size=1, max_size=4, unique=True)),
         "scenarios": scenarios,
         "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, {"id": "triviality"}],
@@ -1749,6 +1729,15 @@ def job_count_configs(draw):
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(raw=job_count_configs())
+@example(
+    raw={  # a circle whose ancient data reads the spectrum, at every job count
+        "manifold": {"kind": "circle", "n": 1, "size": 1.0, "resolution": 32},
+        "p_values": [1.5, 2.0, 3.0],
+        "scenarios": [copy.deepcopy(_GOOD_SCENARIOS[2]), copy.deepcopy(_FAILING_SCENARIO)],
+        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, {"id": "triviality"}],
+        "seed": 0,
+    }
+)
 def test_job_count_changes_no_output(raw):
     # the report minus its timing, every entry CSV and every plot data CSV
     # are the same bytes at one, two and three jobs

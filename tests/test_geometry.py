@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -79,12 +80,12 @@ def test_flat_torus_is_a_spelling_of_the_circle():
     assert np.array_equal(implicit_diffusion_solve(torus, u, 0.1), implicit_diffusion_solve(circle, u, 0.1))
 
 
-def run_fresh(code):
-    """Run code in a fresh interpreter that imports semiheat from this tree;
-    its standard output, stripped."""
+def run_fresh(code, **env):
+    """Run code in a fresh interpreter that imports semiheat from this tree,
+    with ``env`` added to its environment; its standard output, stripped."""
     src = os.path.dirname(os.path.dirname(semiheat.__file__))
     out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env={**os.environ, **env})
     return out.stdout.strip()
 
 
@@ -257,20 +258,80 @@ def eigh_spectrum(m):
     "kind, n, size, count",
     [
         *[("sphere_zonal", 2, 1.0, count) for count in (256, 1000)],
-        *[("circle", 1, 2 * np.pi, count) for count in (256, 1000)],
         # the sphere's tridiagonal path across dimensions and sizes
         *[("sphere_zonal", n, size, count) for n in range(2, 7) for size, count in ((0.7, 16), (1.0, 37), (2.5, 512))],
     ],
 )
 def test_spectrum_equals_eigh_bit_for_bit(kind, n, size, count):
-    # the circle calls dsyevr as eigh's default driver does, and the sphere
-    # dstemr on the tridiagonal matrix dsyevr would hand it; a different
-    # driver, workspace, triangle or order of operations would move the
-    # last bits
+    # the sphere calls dstemr on the tridiagonal matrix dsyevr would hand
+    # it; a different driver, workspace, triangle or order of operations
+    # would move the last bits
     lam, modes = laplacian_spectrum(build_manifold(kind, n, size, count))
     ref_lam, ref_modes = eigh_spectrum(build_manifold(kind, n, size, count))
     assert lam.tobytes() == ref_lam.tobytes()
     assert modes.tobytes() == ref_modes.tobytes()
+
+
+def _circle_eigenspaces(count):
+    # column groups of one eigenvalue: the constant, each wavenumber's
+    # pair, and for even counts the alternating mode
+    groups = [[0], *([c, c + 1] for c in range(1, count - 1, 2))]
+    return groups + [[count - 1]] if count % 2 == 0 else groups
+
+
+@pytest.mark.parametrize("count", [16, 17, 18, 19, 30, 256, 257, 1000])
+def test_circle_spectrum_spans_eighs_eigenspaces(count):
+    # counts 0, 1, 2 and 3 mod 4: the eigenvalues are eigh's to 1e-14 of
+    # the largest, and each closed-form group spans the eigenspace eigh's
+    # vectors of that group span
+    m = build_manifold("circle", 1, 2 * np.pi * 0.37, count)
+    lam, modes = laplacian_spectrum(m)
+    ref_lam, ref_modes = eigh_spectrum(m)
+    assert np.max(np.abs(lam - ref_lam)) <= 1e-14 * ref_lam[-1]
+    for group in _circle_eigenspaces(count):
+        q, _ = np.linalg.qr(ref_modes[:, group])
+        ours = modes[:, group] / np.linalg.norm(modes[:, group], axis=0)
+        assert np.max(np.abs(ours - q @ (q.T @ ours))) <= 1e-9, group
+        assert np.linalg.svd(q.T @ ours, compute_uv=False).min() >= 1.0 - 1e-9, group
+    assert np.array_equal(np.max(np.abs(modes), axis=0), np.ones(count))
+    assert np.array_equal(modes[np.argmax(np.abs(modes), axis=0), np.arange(count)], np.ones(count))
+
+
+@pytest.mark.parametrize("count", [16, 17, 18, 19])
+def test_circle_spectrum_order_is_cos_before_sin(count):
+    # column c holds wavenumber k = (c + 1) // 2: the constant, then cos
+    # before sin for each k, and for even counts the alternating mode last;
+    # a sin whose largest modulus is off the grid's nodes (counts not a
+    # multiple of 4) is scaled to sup-norm 1 by its largest node value.
+    # Where +max and -max tie in exact arithmetic, the rounding of the
+    # phase decides the sign, so the reference takes the spectrum's phases
+    m = build_manifold("circle", 1, 3.0, count)
+    lam, modes = laplacian_spectrum(m)
+    h = 3.0 / count
+    j = np.arange(count)
+    assert lam[0] == 0.0 and np.array_equal(modes[:, 0], np.ones(count))
+    for c in range(1, count):
+        k = (c + 1) // 2
+        wave = (np.sin if c % 2 == 0 else np.cos)((k * j % count) * (2.0 * np.pi / count))
+        wave /= wave[np.argmax(np.abs(wave))]
+        assert lam[c] == pytest.approx(4.0 / h**2 * np.sin(np.pi * k / count) ** 2, rel=1e-14), c
+        assert np.max(np.abs(modes[:, c] - wave)) <= 1e-13, c
+    if count % 2 == 0:
+        assert np.array_equal(modes[:, -1], (-1.0) ** j)
+    assert np.all(np.diff(lam) >= 0)
+
+
+def test_circle_spectrum_does_not_depend_on_the_blas_thread_count():
+    # every nonzero eigenvalue of the circle is double; a dense eigensolver
+    # picked a basis of each eigenspace that moved with the OpenBLAS thread
+    # count (mode 1 was -sin at two threads and -cos at one on 256 nodes)
+    code = """
+import hashlib, semiheat
+lam, modes = semiheat.laplacian_spectrum(semiheat.build_manifold("circle", 1, 6.283185307179586, 256))
+print(hashlib.sha256(lam.tobytes() + modes.tobytes()).hexdigest())
+"""
+    digests = {run_fresh(code, OPENBLAS_NUM_THREADS=str(threads)) for threads in (1, 2)}
+    assert len(digests) == 1
 
 
 def _lapack_results():
@@ -535,6 +596,30 @@ def test_radial_factor_builds_its_permuted_form_from_its_second_solve(monkeypatc
     assert lower.shape[0] > 5 and lower.flags.f_contiguous and upper.shape == (7, 400)
     implicit_diffusion_solve(m, b, 2 * dt)
     assert len(built) == 1
+
+
+def test_radial_solve_lets_go_of_dgbtrfs_factor_once_it_is_permuted(monkeypatch):
+    # the permuted form copies all a later solve reads, so the kept solve
+    # holds dgbtrf's band factor and pivots only until its second solve
+    from semiheat import geometry
+
+    factored = []
+    dgbtrf = geometry._lapack.dgbtrf
+
+    def watched(*args, **kwargs):
+        lu, ipiv, info = dgbtrf(*args, **kwargs)
+        factored.append((weakref.ref(lu), weakref.ref(ipiv)))
+        return lu, ipiv, info
+
+    monkeypatch.setattr(geometry._lapack, "dgbtrf", watched)
+    m = build_manifold("euclidean_radial", 3, 20.0, 400)
+    b = np.cos(m.nodes)
+    dt = 1e3 * m.spacing**2
+    first = implicit_diffusion_solve(m, b, dt)
+    assert len(factored) == 1 and all(ref() is not None for ref in factored[0])
+    assert implicit_diffusion_solve(m, b, dt).tobytes() == first.tobytes()
+    assert [ref() for ref in factored[0]] == [None, None]
+    assert implicit_diffusion_solve(m, b, dt).tobytes() == first.tobytes()
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
