@@ -38,6 +38,7 @@ from ._workers import Workers, cpus
 from .geometry import (
     DiscreteManifold,
     _aligned_values,
+    _integer,
     implicit_diffusion_solve,
     laplacian_spectrum,
 )
@@ -61,11 +62,12 @@ class EvolveControls:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
-        if self.blow_threshold < 1e6:
-            raise ValueError("blow_threshold must be at least 1e6")
-        if self.snapshot_every < 1:
+        # written so that NaN fails each comparison
+        if not self.dt_max > 0:
+            raise ValueError(f"dt_max must be positive, got {self.dt_max!r}")
+        if not self.blow_threshold >= 1e6:
+            raise ValueError(f"blow_threshold must be at least 1e6, got {self.blow_threshold!r}")
+        if _integer(self.snapshot_every, "snapshot_every") < 1:
             raise ValueError("snapshot_every must be at least 1")
 
 

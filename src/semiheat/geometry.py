@@ -39,6 +39,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -220,6 +221,13 @@ def _canonical_kind(kind) -> str:
     return canonical
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or a float, even a whole one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_dimension(kind: str, n: int):
     """n >= 2 for sphere_zonal and euclidean_radial, n = 1 for the circle."""
     if kind == "circle":
@@ -242,11 +250,12 @@ def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) 
     node_count : uniform grid size, at least 16
     """
     kind = _canonical_kind(kind)
+    n = _integer(n, "n")
+    node_count = _integer(node_count, "node_count")
     if node_count < 16:
         raise ValueError("node_count must be at least 16")
-    if radius_or_length <= 0:
-        raise ValueError("radius_or_length must be positive")
-    n = int(n)
+    if not 0 < radius_or_length < math.inf:
+        raise ValueError(f"radius_or_length must be positive and finite, got {radius_or_length!r}")
     _check_dimension(kind, n)
 
     # sizes near the float range overflow or divide by zero; the checks

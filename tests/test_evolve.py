@@ -3,6 +3,7 @@ import errno
 import importlib
 import io
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -43,6 +44,22 @@ def test_controls_validation():
         EvolveControls(blow_threshold=1e5)
     with pytest.raises(ValueError):
         EvolveControls(snapshot_every=0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dt_max", math.nan, "dt_max must be positive, got nan"),
+        ("blow_threshold", math.nan, "blow_threshold must be at least 1e6, got nan"),
+        ("snapshot_every", 2.5, "snapshot_every must be an integer, got 2.5"),
+        ("snapshot_every", True, "snapshot_every must be an integer, got True"),
+    ],
+)
+def test_controls_refuse_nan_and_non_integral_values(field, value, message):
+    # NaN fails every comparison, so it would pass a check written as the
+    # negation of the bad case and turn off the threshold stop
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EvolveControls(**{field: value})
 
 
 def test_evolve_rejects_bad_arguments():

@@ -56,6 +56,27 @@ def test_build_manifold_rejects_bad_combinations():
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (("sphere_zonal", 2.5, 1.0, 64), "n must be an integer, got 2.5"),
+        (("euclidean_radial", 3.9, 1.0, 64), "n must be an integer, got 3.9"),
+        (("sphere_zonal", True, 1.0, 64), "n must be an integer, got True"),
+        (("sphere_zonal", 2, 1.0, 64.0), "node_count must be an integer, got 64.0"),
+        (("circle", 1, float("nan"), 64), "radius_or_length must be positive and finite, got nan"),
+        (("circle", 1, float("inf"), 64), "radius_or_length must be positive and finite, got inf"),
+    ],
+)
+def test_build_manifold_names_the_bad_argument(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_manifold(*args)
+
+
+def test_build_manifold_takes_numpy_integers():
+    m = build_manifold("sphere_zonal", np.int64(2), np.float64(1.0), np.int32(64))
+    assert m.n == 2 and type(m.n) is int and m.node_count == 64
+
+
+@pytest.mark.parametrize(
     "kind, n, size, count",
     [
         ("sphere_zonal", 200, 1.0, 256),  # volume weights underflow
