@@ -102,9 +102,7 @@ def _evaluate(k: int, q: int, s):
     if q >= 2:
         second = second + q * (q - 1) * e ** (q - 2) * de**2
     d2phi[mid] = second * scale**2
-    phi[z >= 1.0] = 0.0
-    dphi[z >= 1.0] = 0.0
-    d2phi[z >= 1.0] = 0.0
+    phi[z >= 1.0] = 0.0  # dphi and d2phi are zero there already
     if np.isscalar(s) or np.asarray(s).ndim == 0:
         return float(phi[0]), float(dphi[0]), float(d2phi[0])
     return phi, dphi, d2phi
@@ -116,15 +114,16 @@ def build_phi(p: float, k: int = 3, q: int | None = None, grid_count: int = 1024
     q defaults to the smallest integer with k*q >= 2p/(p-1), the sufficient
     condition for the reaction-power inequality to certify.
     """
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    if k < 2:
+    # written so that NaN fails each comparison
+    if not p > 1:
+        raise ValueError(f"p must exceed 1, got {p!r}")
+    if not k >= 2:
         raise ValueError("flatness order k must be at least 2")
-    if grid_count < 256:
+    if not grid_count >= 256:
         raise ValueError("grid_count must be at least 256")
     if q is None:
         q = default_power(p)
-    if q < 1:
+    if not q >= 1:
         raise ValueError("power q must be at least 1")
     grid = np.linspace(0.0, 1.0, grid_count)
     phi, dphi, d2phi = _evaluate(k, q, grid)
@@ -144,21 +143,6 @@ class CertificationResult:
 _STABILITY_RATIO = 1.05
 
 
-def _certify_ratio(k, q, numerator_fn, base_count, levels):
-    maxima = []
-    for level in range(levels):
-        count = base_count * 2**level
-        s = np.linspace(0.0, 1.0, count)
-        phi, dphi, d2phi = _evaluate(k, q, s)
-        mask = phi > 0.0
-        vals = numerator_fn(phi[mask], dphi[mask], d2phi[mask])
-        maxima.append(float(np.max(vals)))
-    diverged = any(
-        maxima[i + 1] > _STABILITY_RATIO * maxima[i] for i in range(len(maxima) - 1)
-    )
-    return CertificationResult(constant=maxima[-1], diverged=diverged, level_maxima=maxima)
-
-
 def verify_phi_inequality(c: SmoothCutoff, p: float, refinement_levels: int = 3) -> CertificationResult:
     """Certify |2 phi'^2 / phi - phi''| <= C phi^(1/p) by refinement.
 
@@ -166,13 +150,16 @@ def verify_phi_inequality(c: SmoothCutoff, p: float, refinement_levels: int = 3)
     the level maxima are stable, or a divergence flag when they grow by more
     than 5% per doubling, which happens exactly when kq < 2p/(p-1).
     """
-    if refinement_levels < 2:
+    if not refinement_levels >= 2:
         raise ValueError("need at least two refinement levels")
-
-    def ratio(phi, dphi, d2phi):
-        return np.abs(2.0 * dphi**2 / phi - d2phi) / phi ** (1.0 / p)
-
-    return _certify_ratio(c.k, c.q, ratio, c.grid.size, refinement_levels)
+    maxima = []
+    for level in range(refinement_levels):
+        phi, dphi, d2phi = _evaluate(c.k, c.q, np.linspace(0.0, 1.0, c.grid.size * 2**level))
+        mask = phi > 0.0
+        phi, dphi, d2phi = phi[mask], dphi[mask], d2phi[mask]
+        maxima.append(float(np.max(np.abs(2.0 * dphi**2 / phi - d2phi) / phi ** (1.0 / p))))
+    diverged = any(finer > _STABILITY_RATIO * coarser for coarser, finer in zip(maxima, maxima[1:]))
+    return CertificationResult(constant=maxima[-1], diverged=diverged, level_maxima=maxima)
 
 
 def export_cutoff_csv(c: SmoothCutoff, path):

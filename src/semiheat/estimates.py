@@ -73,13 +73,14 @@ class EstimateParams:
     u_floor: float | None = None
 
     def __post_init__(self):
-        if self.D is not None and self.D <= 0:
+        # written so that NaN fails each comparison
+        if self.D is not None and not self.D > 0:
             raise ValueError("D must be positive")
-        if self.K is not None and self.K < 0:
+        if self.K is not None and not self.K >= 0:
             raise ValueError("K must be nonnegative")
         for name in ("R", "T", "L", "A", "r0", "u_floor"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
@@ -527,7 +528,7 @@ def check_lower_bound_lemma(
 
 
 def _check_osc_floor(osc_floor: float):
-    if osc_floor < 0:
+    if not osc_floor >= 0:
         raise ValueError("osc_floor must be nonnegative")
 
 
@@ -589,17 +590,15 @@ def check_triviality(
             skipped_above += 1
             continue
         factor_allowed = math.exp(-(lambda1 - p * max(mxbar, 0.0) ** (p - 1.0)) * dt)
-        if osc[i0] <= osc_floor:
-            times_out.append(float(t[i0]))
-            lhs_out.append(float(osc[i1]))
-            rhs_out.append(factor_allowed)
-            ratio_out.append(0.0)
-            continue
-        factor = float(osc[i1] / osc[i0])
+        if osc[i0] <= osc_floor:  # floored: the end oscillation, which passes
+            lhs, ratio = float(osc[i1]), 0.0
+        else:
+            lhs = float(osc[i1] / osc[i0])
+            ratio = lhs / factor_allowed
         times_out.append(float(t[i0]))
-        lhs_out.append(factor)
+        lhs_out.append(lhs)
         rhs_out.append(factor_allowed)
-        ratio_out.append(factor / factor_allowed)
+        ratio_out.append(ratio)
 
     c_fit = max(ratio_out) if ratio_out else 0.0
     report = _finalize(

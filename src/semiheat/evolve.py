@@ -42,7 +42,7 @@ from .geometry import (
     implicit_diffusion_solve,
     laplacian_spectrum,
 )
-from .reaction_ode import _cap_factor, _flat_floor, reaction_flow, trivial_ancient, validate_exponent
+from .reaction_ode import _dt_cap, reaction_flow, trivial_ancient, validate_exponent
 
 
 class SolverAbort(RuntimeError):
@@ -200,11 +200,9 @@ def evolve(
     t = float(t0)
     step_index = 0
     tiny_horizon = 1e-14 * max(1.0, abs(t1))
-    # _dt_cap(p, mag) with its per-p constants taken once
-    cap_factor, cap_floor = _cap_factor(p), _flat_floor(p)
     while t1 - t > tiny_horizon:
         mag = max(abs(umax), abs(umin))
-        cap = cap_factor * mag ** (1.0 - p) if controls.reaction_on and mag > cap_floor else math.inf
+        cap = _dt_cap(p, mag) if controls.reaction_on else math.inf
         dt = min(controls.dt_max, cap, t1 - t)
         if t + dt == t:
             raise SolverAbort(f"step dt = {dt:g} no longer advances t = {t!r} (max |u| = {mag:g})")
@@ -267,10 +265,9 @@ def detect_blowup(traj: Trajectory, p: float) -> float:
     tt = traj.times[-w:]
     yy = mx[-w:] ** (1.0 - p)
     slope, intercept = np.polyfit(tt, yy, 1)
-    if traj.blowup is None and slope >= 0:
-        raise ValueError("trajectory did not blow up")
     if slope >= 0:
-        raise ValueError("blow-up tail is not decreasing; detection invalid")
+        why = "blow-up tail is not decreasing; detection invalid" if traj.blowup else "trajectory did not blow up"
+        raise ValueError(why)
     return float(-intercept / slope)
 
 

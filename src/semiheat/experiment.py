@@ -363,35 +363,32 @@ _CHECKERS = {
 _Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
 
 
-def _tagged(tag: str, table: dict, what: str) -> dict:
-    # first-pass spec of an object whose ``tag`` field names a ``table`` entry
-    # (a recipe, a checker): that name, plus any entry's fields, which the
-    # named entry's own spec then checks
-    def check(value, path: str) -> str:
-        if not isinstance(value, str) or value not in table:
-            raise ConfigError(path, f"unknown {what} {value!r}")
-        return value
-
-    return {tag: check, **dict.fromkeys(key for entry in table.values() for key in entry.fields)}
-
-
-_RECIPE_SPEC = _tagged("type", _RECIPES, "recipe")
-_CHECKER_SPEC = _tagged("id", _CHECKERS, "checker id")
+def _tag(d, tag: str, table: dict, path: str, what: str, noun: str):
+    """(name, fields): the ``table`` entry (a recipe, a checker id) that
+    field ``tag`` of the object ``d`` names, and d's other fields, which
+    that entry's own spec then checks.  A ``d`` that is not an object, then
+    a missing field, then a name ``table`` lacks, is refused first."""
+    if not isinstance(d, dict):
+        raise ConfigError(path, "must be an object")
+    if tag not in d or not isinstance(d[tag], str) or d[tag] not in table:
+        missing = f"missing required field for {what}"
+        raise ConfigError(f"{path}.{tag}", f"unknown {noun} {d[tag]!r}" if tag in d else missing)
+    return d[tag], {key: value for key, value in d.items() if key != tag}
 
 
 def _check_fields(d, spec: dict, path: str, what: str, required=()) -> dict:
-    """Refuse a ``d`` that is not an object, missing ``required`` fields and
-    fields ``spec`` does not name, then run each present field's type check
-    (None: checked by the caller).  Returns the present fields' parsed
-    values."""
+    """Refuse a ``d`` that is not an object, fields ``spec`` does not name,
+    then missing ``required`` fields, in that order, then run each present
+    field's type check (None: checked by the caller).  Returns the present
+    fields' parsed values."""
     if not isinstance(d, dict):
         raise ConfigError(path, "must be an object")
-    for key in required:
-        if key not in d:
-            raise ConfigError(f"{path}.{key}", f"missing required field for {what}")
     unknown = set(d) - set(spec)
     if unknown:
         raise ConfigError(path, f"unknown {what} fields {sorted(unknown)}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{path}.{key}", f"missing required field for {what}")
     return {
         key: d[key] if check is None else check(d[key], f"{path}.{key}")
         for key, check in spec.items()
@@ -461,8 +458,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if name in seen_names:
             raise ConfigError(f"{path}.name", f"duplicate scenario name {name!r}")
         seen_names.add(name)
-        fields = _check_fields(sc["initial"], _RECIPE_SPEC, f"{path}.initial", "initial data", ("type",))
-        recipe = fields.pop("type")
+        recipe, fields = _tag(sc["initial"], "type", _RECIPES, f"{path}.initial", "initial data", "recipe")
         spec = _RECIPES[recipe].fields
         values = _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
         if recipe == "talenti" and (canonical != "euclidean_radial" or n < 3):
@@ -507,8 +503,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     first_with_id = {}  # the report keeps one record per checker id
     for i, ck in enumerate(checkers):
         path = f"checkers[{i}]"
-        fields = _check_fields(ck, _CHECKER_SPEC, path, "checker", ("id",))
-        cid = fields.pop("id")
+        cid, fields = _tag(ck, "id", _CHECKERS, path, "checker", "checker id")
         earlier = first_with_id.setdefault(cid, i)
         if earlier != i:
             raise ConfigError(path, f"checker {cid!r} is already checkers[{earlier}]")

@@ -425,28 +425,6 @@ def _lapack_check(info: int, routine: str, failure: str = "singular matrix"):
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _step_solve(m: DiscreteManifold, b: np.ndarray, dt: float) -> np.ndarray:
-    """x with (I - dt * Laplacian) x = b, in a new array.
-
-    The manifold keeps one entry for the last dt it solved at,
-    ``m._ops["step"] = (dt, solve)``: one entry, not one per dt, because a
-    blow-up run takes a new dt on most steps.  ``_step_solver`` builds it
-    from ``_step_matrix``, and it is stored only once its first solve has
-    succeeded.  A dt that is not positive or a non-finite matrix is a
-    ValueError and a singular matrix a LinAlgError; each leaves the entry
-    as it was.  The radial solve builds a second form of its factor on its
-    second call (_permuted_factor) and keeps it in its own closure, so it
-    leaves with the entry.
-    """
-    cached = m._ops.get("step")
-    if cached is not None and cached[0] == dt:
-        return cached[1](b)
-    solve = _step_solver(m, dt)
-    x = solve(b)
-    m._ops["step"] = (dt, solve)
-    return x
-
-
 def _step_matrix(m: DiscreteManifold, dt: float):
     """(ab_step, corners): I - dt * Laplacian in m's band layout, in a new
     array.  On the circle the corner entries become a rank-one update of
@@ -512,7 +490,11 @@ def _step_solver(m: DiscreteManifold, dt: float):
     # with.  Its first solve is dgbtrs, as in gbsv, which replays the row
     # interchanges and applies L one row at a time (a dger call per row);
     # from the second on, the factor in _permuted_factor's form solves by
-    # one gather and two banded triangular sweeps (dtbtrs), to the same bits
+    # one gather and two banded triangular sweeps (dtbtrs), to the same bits.
+    # The first solve stays dgbtrs because a blow-up run takes a new dt, so a
+    # new factor, on nearly every step: building the permuted form with every
+    # factor ran radial blow-up runs 30-80 % slower per step (N = 2000: 360-408
+    # -> 497-527 us; N = 256: 64-91 -> 118-154 us; two runs each)
     lu = np.zeros((2 * l + u + 1, ab_step.shape[1]))
     lu[l:] = ab_step
     dgbtrs, dtbtrs = _lapack.dgbtrs, _lapack.dtbtrs
@@ -590,19 +572,30 @@ def implicit_diffusion_solve(m: DiscreteManifold, values: np.ndarray, dt: float)
 
     One banded (or cyclic-banded) solve: on the sphere and the circle one
     dgtsv call on the matrix kept for the dt; on the radial kind dgbtrf's
-    factor, made once per dt (_step_solve), solved by dgbtrs the first time
-    and by a gather and two dtbtrs sweeps after that, to the same bits
-    (_step_solver).  Row sums of the matrix are 1, so constants pass
-    through to a few ulps per solve (at dt = 0.01 on 32 nodes, 1.0 comes
-    out as 0.9999999999999998 on the circle and 0.9999999999999997 on the
-    sphere).  A 1-D float64 array of the manifold's size is used as given,
-    anything else converted as laplace_beltrami converts it.  A dt that is
-    not positive (backward heat flow is ill-posed), a non-finite right-hand
-    side or matrix is a ValueError, a singular matrix a LinAlgError.
+    factor, solved by dgbtrs the first time and by a gather and two dtbtrs
+    sweeps after that, to the same bits (_step_solver).  The manifold keeps
+    one solve, for the last dt it solved at, as ``m._ops["step"] = (dt,
+    solve)``: one entry, not one per dt, because a blow-up run takes a new
+    dt on most steps.  It is stored only once its first solve has
+    succeeded, so a dt that is not positive (backward heat flow is
+    ill-posed), a non-finite right-hand side or matrix (ValueError) or a
+    singular matrix (LinAlgError) leaves the entry as it was.  The radial
+    solve keeps the second form of its factor in its own closure, so that
+    form leaves with the entry.  Row sums of the matrix are 1, so constants
+    pass through to a few ulps per solve (at dt = 0.01 on 32 nodes, 1.0
+    comes out as 0.9999999999999998 on the circle and 0.9999999999999997 on
+    the sphere).  A 1-D float64 array of the manifold's size is used as
+    given, anything else converted as laplace_beltrami converts it.
     """
     b = values
     if not (type(b) is np.ndarray and b.dtype == np.float64 and b.shape == (m.node_count,)):
         b = _aligned_values(m, values)
     if not np.isfinite(b).all():
         raise ValueError("right-hand side must be finite")
-    return _step_solve(m, b, dt)
+    cached = m._ops.get("step")
+    if cached is not None and cached[0] == dt:
+        return cached[1](b)
+    solve = _step_solver(m, dt)
+    x = solve(b)
+    m._ops["step"] = (dt, solve)
+    return x

@@ -10,7 +10,6 @@ logic are what is actually under test.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -79,8 +78,8 @@ def blowup_time_from_min(p: float, v0: float) -> float:
     """Blow-up time of v' = v^p from v(0) = v0 > 0: v0^(1-p)/(p-1).
     By comparison this also bounds the PDE blow-up time from min u0."""
     p = validate_exponent(p)
-    if v0 <= 0:
-        raise ValueError("v0 must be positive")
+    if not v0 > 0:
+        raise ValueError(f"v0 must be positive, got {v0!r}")
     return v0 ** (1.0 - p) / (p - 1.0)
 
 
@@ -99,10 +98,10 @@ def ode_lower_envelope(p: float, delta: float, L: float, t) -> float | np.ndarra
     p = validate_exponent(p)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L!r}")
     t_arr = np.asarray(t, dtype=float)
-    if (t_arr < 0).any():
+    if not (t_arr >= 0).all():
         raise ValueError("envelope is defined for t >= 0")
     slope = (1.0 - delta) * (p - 1.0)
     start = L ** (1.0 - p)
@@ -123,7 +122,8 @@ def _pow_or_inf(x: float, y: float) -> float:
 
 
 def _dt_cap(p: float, mag: float) -> float:
-    """The blow-up cap on the step at max |v| = mag.
+    """The blow-up cap on the step at max |v| = mag, the one cap evolve
+    (where the reaction is on) and integrate_scalar_ode both step by.
 
     The factor is C_DT, or 0.5/(p-1) where that is smaller (p > 51): a step
     of factor * mag^(1-p) uses the fraction factor * (p-1) of the remaining
@@ -132,13 +132,8 @@ def _dt_cap(p: float, mag: float) -> float:
     cap (inf).
     """
     if mag > _flat_floor(p):
-        return _cap_factor(p) * mag ** (1.0 - p)
+        return min(C_DT, 0.5 / (p - 1.0)) * mag ** (1.0 - p)
     return math.inf
-
-
-def _cap_factor(p: float) -> float:
-    """The factor of the blow-up cap: min(C_DT, 0.5/(p-1))."""
-    return min(C_DT, 0.5 / (p - 1.0))
 
 
 # |v|^(1-p) stays below e^709 above exp(_LOG_POW_SAFE / (1 - p)), short of
@@ -146,7 +141,6 @@ def _cap_factor(p: float) -> float:
 _LOG_POW_SAFE = 709.0
 
 
-@functools.lru_cache(maxsize=64)  # called twice a step, at the run's one p
 def _flat_floor(p: float) -> float:
     """The magnitude at or below which the flow leaves an entry unchanged:
     1e-100, or exp(709/(1-p)) where that is larger (p > 4.08).  Below the
@@ -223,10 +217,13 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
     on dt falls below the resolution of t, and record the (then essentially
     exact) blow-up time.  Backward spans are integrated backward but stored
     with times ascending; a backward singularity stops the run without
-    recording a blow-up time.  A dt_max too small to advance t is a
+    recording a blow-up time.  A dt_max that is not positive (NaN included:
+    it would step t away from t1 forever) or too small to advance t is a
     ValueError.
     """
     p = validate_exponent(p)
+    if not dt_max > 0:
+        raise ValueError(f"dt_max must be positive, got {dt_max!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValueError("t_span must be a finite nondegenerate interval")

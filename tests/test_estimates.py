@@ -9,7 +9,9 @@ from semiheat import (
     EstimateReport,
     ExponentRegimeError,
     ball_mask,
+    blowup_time_from_min,
     build_manifold,
+    build_phi,
     check_decay,
     check_gradient_estimate,
     check_lower_bound_lemma,
@@ -27,7 +29,7 @@ from semiheat import (
     trajectory_from_samples,
     trivial_ancient,
 )
-from semiheat.estimates import _finalize
+from semiheat.estimates import _check_osc_floor, _finalize
 
 
 def constant_trajectory(m, times, values):
@@ -59,6 +61,33 @@ def test_params_validation():
         EstimateParams(delta=1.0)
     with pytest.raises(ValueError):
         EstimateParams(u_floor=-1.0)
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *(
+            pytest.param(lambda name=name: EstimateParams(**{name: _NAN}), f"{name} must", id=f"params-{name}")
+            for name in ("D", "K", "R", "T", "L", "A", "r0", "u_floor", "delta")
+        ),
+        pytest.param(lambda: _check_osc_floor(_NAN), "osc_floor must", id="osc_floor"),
+        pytest.param(lambda: blowup_time_from_min(2.0, _NAN), "v0 must", id="blowup-time-v0"),
+        pytest.param(lambda: ode_lower_envelope(2.0, _NAN, 1.0, 1.0), "delta must", id="envelope-delta"),
+        pytest.param(lambda: ode_lower_envelope(2.0, 0.5, _NAN, 1.0), "L must", id="envelope-L"),
+        pytest.param(lambda: ode_lower_envelope(2.0, 0.5, 1.0, [0.0, _NAN]), "t >= 0", id="envelope-t"),
+        pytest.param(lambda: build_phi(_NAN), "p must", id="phi-p"),
+        pytest.param(lambda: build_phi(2.0, k=_NAN), "k must", id="phi-k"),
+        pytest.param(lambda: build_phi(2.0, q=_NAN), "q must", id="phi-q"),
+        pytest.param(lambda: build_phi(2.0, grid_count=_NAN), "grid_count must", id="phi-grid-count"),
+    ],
+)
+def test_range_checks_refuse_nan(call, message):
+    # each range check is written so that NaN fails its comparison
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_report_invariants_enforced():

@@ -101,6 +101,21 @@ def test_validate_config_accepts_base():
         # explicit ids keep the generated ids of the rows above unchanged
         pytest.param(lambda r: r.update(p_value=[2.0]), "<root>", id="unknown-root-key"),
         pytest.param(lambda r: r["manifold"].update(resolutoin=64), "manifold", id="unknown-manifold-key"),
+        # a field the object's own spec does not name is reported before a
+        # missing required field, whether or not another entry names it
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "decay", "D": 1.0}]), "checkers[0]", id="checker-field-of-another-id"
+        ),
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={"type": "constant", "eps": 1.0}),
+            "scenarios[0].initial",
+            id="initial-field-of-another-recipe",
+        ),
+        pytest.param(
+            lambda r: r["manifold"].update(resolutoin=r["manifold"].pop("resolution")),
+            "manifold",
+            id="manifold-misspelt-resolution",
+        ),
         pytest.param(
             lambda r: r["manifold"].update(resolution=experiment.MAX_RESOLUTION + 1),
             "manifold.resolution",
@@ -1570,17 +1585,34 @@ def test_cli_plotdata_round_trip(tmp_path):
     assert cli_main(["plotdata", report_path, "sorcery", "--out-dir", str(tmp_path)]) == 2
 
 
-def test_sweep_report_demo_runs(tmp_path):
+@pytest.mark.parametrize(
+    "demo, takes_out_dir, line",
+    [
+        pytest.param(*row, id=row[0])
+        for row in (
+            ("blowup_on_sphere", True, "              constant 1    1.000   1.0000   1.00000"),
+            ("cutoff_certification", True, "deficient k = 2, q = 1 at p = 2: maxima 59774.6, 119973.0, 240370.2 -> diverged = True"),
+            ("gradient_bound_sweep", True, "degenerate branch on [-6, -5]: max|grad u| = 1.135e-07 (tolerance 1e-06, pass)"),
+            ("negative_envelope", False, "final minimum -0.2500 (exact -1/(1+t) gives -0.2500)"),
+            ("oscillation_collapse", False, "verdict: trivial-limit (cap 1.2)"),
+            ("static_profile_refinement", False, "  1000    4.002e-07   15.89"),
+            ("sweep_report", True, "all passed: True"),
+        )
+    ],
+)
+def test_demo_runs(tmp_path, demo, takes_out_dir, line):
+    # each demo in a fresh interpreter, in tmp_path, so none writes into the checkout
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
-    demo = os.path.join(root, "demos", "sweep_report.py")
-    proc = subprocess.run(
-        [sys.executable, demo, "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
-    )
+    args = [sys.executable, os.path.join(root, "demos", f"{demo}.py")]
+    if takes_out_dir:
+        args += ["--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(args, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "all passed: True" in proc.stdout
-    assert any(name.startswith("report_") for name in os.listdir(tmp_path))
-    assert any(name.startswith("plot_positivity_") for name in os.listdir(tmp_path))
+    assert line in proc.stdout.splitlines()
+    if demo == "sweep_report":
+        assert any(name.startswith("report_") for name in os.listdir(tmp_path / "out"))
+        assert any(name.startswith("plot_positivity_") for name in os.listdir(tmp_path / "out"))
 
 
 # ------------------------------------------------------- config properties

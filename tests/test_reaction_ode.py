@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -270,6 +273,18 @@ def test_integrate_records_blowup_below_time_resolution(p):
     assert traj.blowup_time == pytest.approx(blowup_time_from_min(p, 1.0), abs=1e-3)
     assert traj.blowup_time > traj.times[-1]
     assert traj.values[-1] < BLOW_THRESHOLD
+
+
+@pytest.mark.parametrize("dt_max", [-0.01, 0.0, float("nan")])
+def test_integrate_refuses_a_dt_max_that_is_not_positive(dt_max):
+    # a negative dt_max would step t away from t1 forever: the call runs in a
+    # child with a timeout, so a regression fails here instead of hanging
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+    code = f"import semiheat; semiheat.integrate_scalar_ode(2.0, 0.5, (0.0, 1.0), dt_max=float('{dt_max}'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == f"ValueError: dt_max must be positive, got {dt_max!r}"
 
 
 def test_integrate_reproduces_trivial_ancient():
