@@ -35,7 +35,6 @@ import numpy as np
 from ._floats import float_texts
 from .evolve import Trajectory
 from .geometry import (
-    CLOSED_KINDS,
     DiscreteManifold,
     build_manifold,
     curvature_bound,
@@ -92,7 +91,7 @@ class EstimateReport:
 
     ``times``/``lhs``/``rhs``/``ratio`` are aligned per-snapshot arrays (for
     the positivity check, per snapshot pair; for the triviality check, per
-    evaluated interval).
+    evaluated interval).  ``passed`` is computed: c_fit <= c_cap.
     """
 
     inequality_id: str
@@ -102,14 +101,13 @@ class EstimateReport:
     ratio: np.ndarray
     c_fit: float
     c_cap: float
-    passed: bool
     diagnostics: dict = field(default_factory=dict)
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         if self.c_fit < 0:
             raise ValueError("fitted constant must be nonnegative")
-        if self.passed != (self.c_fit <= self.c_cap):
-            raise ValueError("pass flag must equal c_fit <= c_cap")
+        self.passed = bool(self.c_fit <= self.c_cap)
 
     def to_json_dict(self) -> dict:
         """The check's scalars, JSON-ready; the per-snapshot arrays are
@@ -131,7 +129,7 @@ class EstimateReport:
             "inequality_id": self.inequality_id,
             "c_fit": clean(float(self.c_fit)),
             "c_cap": clean(float(self.c_cap)),
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "diagnostics": clean(self.diagnostics),
         }
 
@@ -145,14 +143,12 @@ class EstimateReport:
 
 
 def _finalize(**kw) -> EstimateReport:
-    # keep the c_fit >= 0 and pass <=> (c_fit <= c_cap) invariants in one place
+    # the checkers' c_fit as a float clamped at 0, c_cap as a float
     c_fit = float(kw.pop("c_fit"))
     if math.isnan(c_fit):
         # max(0.0, nan) is 0.0, which would read as a pass
         raise ValueError("fitted constant is NaN")
-    c_fit = max(0.0, c_fit)
-    c_cap = float(kw.pop("c_cap"))
-    return EstimateReport(c_fit=c_fit, c_cap=c_cap, passed=bool(c_fit <= c_cap), **kw)
+    return EstimateReport(c_fit=max(0.0, c_fit), c_cap=float(kw.pop("c_cap")), **kw)
 
 
 def scheme_tolerance(
@@ -167,25 +163,17 @@ def scheme_tolerance(
     return TOL_COEFF * mag**p * (dt + h * h)
 
 
-def _ball_limit(m: DiscreteManifold) -> float:
-    if m.kind == "sphere_zonal":
-        return math.pi * m.radius_or_length
-    if m.kind == "circle":
-        return 0.5 * m.radius_or_length
-    return m.radius_or_length
-
-
 def ball_mask(m: DiscreteManifold, radius: float) -> np.ndarray:
     """Nodes within geodesic distance ``radius`` of the base point (pole,
     origin, or x = 0 with wraparound)."""
-    if radius > _ball_limit(m) + 1e-12:
-        raise ValueError("ball exceeds the manifold diameter")
     if m.kind == "sphere_zonal":
-        dist = m.nodes * m.radius_or_length
+        dist, limit = m.nodes * m.radius_or_length, math.pi * m.radius_or_length
     elif m.kind == "circle":
-        dist = np.minimum(m.nodes, m.radius_or_length - m.nodes)
+        dist, limit = np.minimum(m.nodes, m.radius_or_length - m.nodes), 0.5 * m.radius_or_length
     else:
-        dist = m.nodes
+        dist, limit = m.nodes, m.radius_or_length
+    if radius > limit + 1e-12:
+        raise ValueError("ball exceeds the manifold diameter")
     return dist <= radius + 1e-12
 
 
@@ -553,14 +541,14 @@ def check_triviality(
     interval passed.  A negative osc_floor is a ValueError: it would let
     flat data divide 0 by 0, and so is an ``m`` whose kind, n, size or node
     count is not the trajectory's: lambda1 and Theta would be another
-    manifold's.
+    manifold's.  So is an ``m`` without a positive Ricci lower bound, the
+    circle and the radial kind; a complete manifold with one is compact
+    (Bonnet-Myers).
     """
     p = validate_exponent(p)
     _check_osc_floor(osc_floor)
     if any(getattr(m, key) != getattr(traj.manifold, key) for key in ("kind", "n", "radius_or_length", "node_count")):
         raise ValueError("triviality check needs the trajectory's manifold: kind, n, size or node count differ")
-    if m.kind not in CLOSED_KINDS:
-        raise ValueError("triviality check requires a compact manifold")
     if m.ricci_lower <= 0:
         raise ValueError("triviality check requires a positive Ricci lower bound")
     K = curvature_bound(m)
@@ -625,6 +613,12 @@ def check_triviality(
 # static solution residual and exponent thresholds
 
 
+def _talenti_profile(m: DiscreteManifold) -> np.ndarray:
+    """The static profile (n(n-2) / (n(n-2) + r^2))^((n-2)/2) at m's nodes."""
+    c = float(m.n * (m.n - 2))
+    return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
+
+
 def talenti_residual(n: int, grid_count: int, R_max: float) -> float:
     """Max interior residual of the static profile
     u(r) = (n(n-2) / (n(n-2) + r^2))^((n-2)/2)
@@ -632,9 +626,7 @@ def talenti_residual(n: int, grid_count: int, R_max: float) -> float:
     if n < 3:
         raise ValueError("the static profile requires n >= 3")
     m = build_manifold("euclidean_radial", n=n, radius_or_length=R_max, node_count=grid_count)
-    r = m.nodes
-    c = float(n * (n - 2))
-    u = (c / (c + r * r)) ** ((n - 2) / 2.0)
+    u = _talenti_profile(m)
     residual = laplace_beltrami(m, u) + u ** ((n + 2) / (n - 2))
     return float(np.max(np.abs(residual[1:-1])))
 

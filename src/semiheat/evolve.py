@@ -42,7 +42,7 @@ from .geometry import (
     implicit_diffusion_solve,
     laplacian_spectrum,
 )
-from .reaction_ode import _dt_cap, reaction_flow, trivial_ancient, validate_exponent
+from .reaction_ode import BLOW_THRESHOLD, _dt_cap, _near_trivial_data, reaction_flow, validate_exponent
 
 
 class SolverAbort(RuntimeError):
@@ -57,7 +57,7 @@ class EvolveControls:
     the regime where fitted constants are still being measured."""
 
     dt_max: float = 0.01
-    blow_threshold: float = 1e8
+    blow_threshold: float = BLOW_THRESHOLD
     reaction_on: bool = True
     snapshot_every: int = 1
 
@@ -285,20 +285,19 @@ def ancient_approximation(
     Starts at t_start (far in the past; T_blow - t_start >= 10 enforced) from
     the trivial profile times (1 + eps * mode), where mode is the selected
     discrete eigenmode normalized to sup-norm 1, then evolves forward until
-    the blow-up threshold terminates the run.
+    the blow-up threshold terminates the run.  A NaN eps fails its range
+    check, and trivial_ancient refuses a NaN T_blow or t_start (as t).
     """
     p = validate_exponent(p)
     if T_blow - t_start < 10.0:
         raise ValueError("t_start must precede T_blow by at least 10")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:  # NaN fails it
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if eps >= 1:
         raise ValueError("eps >= 1 would make the initial data change sign")
-    lam, modes = laplacian_spectrum(m)
-    if not 0 <= mode_index < lam.size:
+    if not 0 <= mode_index < m.node_count:  # a negative index would wrap
         raise ValueError("mode_index out of range")
-    background = trivial_ancient(p, T_blow, t_start)
-    u0 = background * (1.0 + eps * modes[:, mode_index])
+    u0 = _near_trivial_data(p, T_blow, t_start, eps, laplacian_spectrum(m)[1][:, mode_index])
     return evolve(m, u0, t_start, T_blow + 1.0, p, controls)
 
 

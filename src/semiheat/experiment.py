@@ -97,6 +97,7 @@ from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
     _check_osc_floor,
+    _talenti_profile,
     check_decay,
     check_gradient_estimate,
     check_lower_bound_lemma,
@@ -117,7 +118,7 @@ from .geometry import (
     build_manifold,
     laplacian_spectrum,
 )
-from .reaction_ode import trivial_ancient, validate_exponent
+from .reaction_ode import _near_trivial_data, validate_exponent
 
 ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
 
@@ -267,17 +268,6 @@ def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
 
 
-def _mode_data(v, m, p, seed, entry_index):
-    bg = trivial_ancient(p, v["T_blow"], v["t_start"])
-    _, modes = laplacian_spectrum(m)
-    return bg * (1.0 + v["eps"] * modes[:, v["mode"]])
-
-
-def _talenti(v, m, p, seed, entry_index):
-    c = float(m.n * (m.n - 2))
-    return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
-
-
 def _read_custom(path: str, node_count: int):
     """The file's bytes (hashed with the config) and its read-only values."""
     with open(path, "rb") as fh:
@@ -300,8 +290,13 @@ def _read_custom(path: str, node_count: int):
 _Recipe = namedtuple("_Recipe", "fields build")
 _RECIPES = {
     "constant": _Recipe(_numbers("value"), lambda v, m, *_: np.full(m.node_count, v["value"])),
-    "trivial_plus_mode": _Recipe({**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int}, _mode_data),
-    "talenti": _Recipe({}, _talenti),
+    "trivial_plus_mode": _Recipe(
+        {**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int},
+        lambda v, m, p, *_: _near_trivial_data(
+            p, v["T_blow"], v["t_start"], v["eps"], laplacian_spectrum(m)[1][:, v["mode"]]
+        ),
+    ),
+    "talenti": _Recipe({}, lambda v, m, *_: _talenti_profile(m)),
     "random_uniform": _Recipe(
         _numbers("low", "high"),
         lambda v, m, p, seed, i: np.random.default_rng([seed, i]).uniform(v["low"], v["high"], m.node_count),

@@ -300,28 +300,25 @@ def _aligned_values(m: DiscreteManifold, u) -> np.ndarray:
     return vals
 
 
-def _apply_band(m: DiscreteManifold, x: np.ndarray) -> np.ndarray:
-    # L @ x along the last axis of x, each row summed in ascending column
-    # order (the circle's corner L[N-1, 0] first in its row, L[0, N-1] last)
-    l, u, ab = m._ops["band"]
-    N = ab.shape[1]
-    out = np.zeros(x.shape)
-    periodic = m.kind == "circle"
-    if periodic:
-        out[..., -1] += ab[0, 0] * x[..., 0]
-    for k in range(-l, u + 1):  # diagonal j - i = k
-        if k < 0:
-            out[..., -k:] += ab[u - k, :k] * x[..., :k]
-        else:
-            out[..., : N - k] += ab[u - k, k:] * x[..., k:]
-    if periodic:
-        out[..., 0] += ab[2, -1] * x[..., -1]
-    return out
-
-
 def laplace_beltrami(m: DiscreteManifold, u) -> np.ndarray:
     """Apply the discrete Laplacian to nodal values."""
-    return _apply_band(m, _aligned_values(m, u))
+    # L @ x from the band, each row summed in ascending column order (the
+    # circle's corner L[N-1, 0] first in its row, L[0, N-1] last)
+    x = _aligned_values(m, u)
+    lower, upper, ab = m._ops["band"]
+    N = ab.shape[1]
+    out = np.zeros(N)
+    periodic = m.kind == "circle"
+    if periodic:
+        out[-1] += ab[0, 0] * x[0]
+    for k in range(-lower, upper + 1):  # diagonal j - i = k
+        if k < 0:
+            out[-k:] += ab[upper - k, :k] * x[:k]
+        else:
+            out[: N - k] += ab[upper - k, k:] * x[k:]
+    if periodic:
+        out[0] += ab[2, -1] * x[-1]
+    return out
 
 
 def gradient_norm(m: DiscreteManifold, u) -> np.ndarray:

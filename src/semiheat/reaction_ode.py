@@ -63,15 +63,27 @@ class ScalarTrajectory:
 
 def trivial_ancient(p: float, T_blow: float, t) -> float | np.ndarray:
     """The positive solution of v' = v^p blowing up at T_blow:
-    [(p-1)(T_blow - t)]^(-1/(p-1)), defined for t < T_blow."""
+    [(p-1)(T_blow - t)]^(-1/(p-1)), defined for t < T_blow.  A NaN T_blow
+    or t is refused by name."""
     p = validate_exponent(p)
     t_arr = np.asarray(t, dtype=float)
+    for name, value in (("T_blow", T_blow), ("t", t_arr)):
+        if np.isnan(value).any():
+            raise ValueError(f"{name} must not be NaN")
     if np.any(t_arr >= T_blow):
         raise ValueError("trivial_ancient requires t < T_blow")
     out = ((p - 1.0) * (T_blow - t_arr)) ** (-1.0 / (p - 1.0))
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
+
+
+def _near_trivial_data(p: float, T_blow: float, t: float, eps: float, mode: np.ndarray) -> np.ndarray:
+    """trivial_ancient(p, T_blow, t) * (1 + eps * mode): the near-trivial
+    ancient datum at time t, with mode a discrete eigenmode, as
+    evolve.ancient_approximation and the sweep's ``trivial_plus_mode``
+    recipe start from it."""
+    return trivial_ancient(p, T_blow, t) * (1.0 + eps * mode)
 
 
 def blowup_time_from_min(p: float, v0: float) -> float:

@@ -7,6 +7,8 @@ import and read perfbench/; they change nothing there."""
 import ast
 import importlib
 import os
+import re
+import subprocess
 import sys
 import types
 
@@ -55,3 +57,24 @@ def test_workloads_import_and_reach_existing_attributes(perfbench):
                 assert hasattr(base, node.attr), f"{node.value.id}.{node.attr}"
                 checked += 1
     assert checked
+
+
+def test_output_digests_repeat_for_one_seed():
+    # tools/output_digests.py runs each workload once (the sweep at jobs 1
+    # and 2); a second run prints the same digests and failure counts.  The
+    # byte counts are left out: the sweep's moves with its report's timing
+    tool = os.path.join(os.path.dirname(PERFBENCH), "tools", "output_digests.py")
+    line = re.compile(r"(\w+) jobs=(\d) digest=([0-9a-f]{64}) bytes=\d+ failed=(\d+/\d+)")
+    runs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, tool, "--seed", "0"], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append([line.fullmatch(text).groups() for text in proc.stdout.splitlines()])
+    assert [run[:2] for run in runs[0]] == [
+        ("sweep", "1"),
+        ("sweep", "2"),
+        ("long_run", "1"),
+        ("ancient_analysis", "1"),
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0][0][2:] == runs[0][1][2:]  # the job count changes no output

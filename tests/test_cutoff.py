@@ -30,13 +30,23 @@ def test_profile_plateau_and_support():
     assert dphi < 0.0
 
 
+def test_cutoff_holds_its_parameters():
+    # the grid and the samples are computed from k, q and grid_count
+    c = build_phi(2.0, grid_count=300)
+    assert c == SmoothCutoff(k=3, q=4, grid_count=300)
+    assert np.array_equal(c.grid, np.linspace(0.0, 1.0, 300))
+
+
 def test_profile_monotone_and_bounded():
     for p, k in [(1.5, 3), (2.0, 2), (3.0, 4)]:
         c = build_phi(p, k=k)
-        assert np.all(c.phi >= -1e-15)
-        assert np.all(c.phi <= 1.0 + 1e-15)
-        assert np.all(np.diff(c.phi) <= 1e-12)
-        assert np.all(c.dphi <= 1e-12)
+        phi, dphi, _ = c.at(c.grid)
+        assert np.all(phi >= -1e-15)
+        assert np.all(phi <= 1.0 + 1e-15)
+        assert np.all(np.diff(phi) <= 1e-12)
+        assert np.all(dphi <= 1e-12)
+        assert np.all(phi[c.grid <= 0.75] == 1.0)
+        assert np.all(phi[c.grid >= 1.0] == 0.0)
 
 
 def test_derivatives_match_difference_quotients():
@@ -63,14 +73,6 @@ def test_build_phi_validation():
         build_phi(2.0, grid_count=100)
 
 
-def test_smooth_cutoff_rejects_bad_samples():
-    c = build_phi(2.0)
-    with pytest.raises(ValueError):
-        SmoothCutoff(grid=c.grid, phi=c.phi * 2.0, dphi=c.dphi, d2phi=c.d2phi, k=c.k, q=c.q)
-    with pytest.raises(ValueError):
-        SmoothCutoff(grid=c.grid, phi=c.phi[::-1], dphi=c.dphi, d2phi=c.d2phi, k=c.k, q=c.q)
-
-
 def test_certification_bounded_cases():
     # k*q at or above 2p/(p-1) keeps the ratio bounded under refinement
     for p, k, q in [(2.0, 2, 2), (3.0, 3, 1), (2.0, 3, 4), (1.5, 3, 6)]:
@@ -79,6 +81,18 @@ def test_certification_bounded_cases():
         assert not result.diverged, (p, k, q, result.level_maxima)
         assert math.isfinite(result.constant) and result.constant > 0
         assert len(result.level_maxima) == 3
+
+
+@pytest.mark.parametrize("p", [float("nan"), 0.5, 1.0])
+def test_certification_refuses_p_not_above_1(p):
+    # at p = 0.5 the ratio divides by phi^2 and the grid maximum reads 2.2e40
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        verify_phi_inequality(build_phi(2.0), p)
+
+
+def test_certification_needs_two_levels():
+    with pytest.raises(ValueError, match="at least two refinement levels"):
+        verify_phi_inequality(build_phi(2.0), 2.0, refinement_levels=1)
 
 
 def test_certification_deficient_case_diverges():
@@ -122,5 +136,5 @@ def test_export_cutoff_csv(tmp_path):
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["s", "phi", "dphi", "d2phi"])
-        writer.writerows([repr(float(v)) for v in row] for row in zip(c.grid, c.phi, c.dphi, c.d2phi))
+        writer.writerows([repr(float(v)) for v in row] for row in zip(c.grid, *c.at(c.grid)))
     assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 
 from semiheat import (
     EstimateParams,
+    ancient_approximation,
     EstimateReport,
     ExponentRegimeError,
     ball_mask,
@@ -82,6 +83,18 @@ _NAN = float("nan")
         pytest.param(lambda: build_phi(2.0, k=_NAN), "k must", id="phi-k"),
         pytest.param(lambda: build_phi(2.0, q=_NAN), "q must", id="phi-q"),
         pytest.param(lambda: build_phi(2.0, grid_count=_NAN), "grid_count must", id="phi-grid-count"),
+        pytest.param(lambda: trivial_ancient(2.0, _NAN, -1.0), "T_blow must not be NaN", id="trivial-T-blow"),
+        pytest.param(lambda: trivial_ancient(2.0, 0.0, [-2.0, _NAN]), "t must not be NaN", id="trivial-t"),
+        pytest.param(
+            lambda: ancient_approximation(build_manifold("circle", 1, 6.0, 32), 2.0, 0.0, -12.0, _NAN, 1),
+            "eps must be nonnegative, got nan",
+            id="ancient-eps",
+        ),
+        pytest.param(
+            lambda: ancient_approximation(build_manifold("circle", 1, 6.0, 32), 2.0, _NAN, -12.0, 0.05, 1),
+            "T_blow must not be NaN",
+            id="ancient-T-blow",
+        ),
     ],
 )
 def test_range_checks_refuse_nan(call, message):
@@ -93,13 +106,16 @@ def test_range_checks_refuse_nan(call, message):
 def test_report_invariants_enforced():
     arr = np.array([0.0])
     with pytest.raises(ValueError):
-        EstimateReport("x", arr, arr, arr, arr, c_fit=-1.0, c_cap=1.0, passed=True)
-    with pytest.raises(ValueError):
-        EstimateReport("x", arr, arr, arr, arr, c_fit=2.0, c_cap=1.0, passed=True)
-    r = EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=1.0, passed=True)
+        EstimateReport("x", arr, arr, arr, arr, c_fit=-1.0, c_cap=1.0)
+    # the pass flag is computed, never given
+    with pytest.raises(TypeError):
+        EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=1.0, passed=True)
+    assert not EstimateReport("x", arr, arr, arr, arr, c_fit=2.0, c_cap=1.0).passed
+    r = EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=1.0)
     d = r.to_json_dict()
     assert d["inequality_id"] == "x"
     assert d["c_fit"] == 0.5
+    assert d["passed"] is True
     rows = list(r.csv_rows())
     assert rows and len(rows[0]) == 4
 
@@ -114,7 +130,7 @@ def test_report_json_writes_signed_infinities_as_strings(torus):
         "array": np.array([np.inf, -np.inf, 1.5]),
         "finite": np.float64(0.25),
     }
-    r = EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=math.inf, passed=True, diagnostics=diagnostics)
+    r = EstimateReport("x", arr, arr, arr, arr, c_fit=0.5, c_cap=math.inf, diagnostics=diagnostics)
 
     def bare(name):
         raise AssertionError(f"bare JSON constant {name}")
@@ -264,6 +280,11 @@ def test_gradient_error_paths(sphere):
     bad = constant_trajectory(sphere, times, -np.ones(30))
     with pytest.raises(ValueError):
         check_gradient_estimate(bad, EstimateParams(D=1.0), "ancient", 2.0)
+    with pytest.raises(ValueError, match="requires the sup bound D"):
+        check_gradient_estimate(traj, EstimateParams(T=1.0), "global", 2.0)
+    # a window that ends before the first snapshot
+    with pytest.raises(ValueError, match="window selects no snapshots"):
+        check_gradient_estimate(traj, EstimateParams(D=1.0, T=0.5, T0=-5.0), "global", 2.0)
 
 
 def test_gradient_real_run_reports_fields(sphere):
@@ -473,6 +494,10 @@ def test_lower_bound_error_paths(torus):
         )
     with pytest.raises(ValueError):
         check_lower_bound_lemma(traj, EstimateParams(A=8.0, L=1.0, r0=1.0), 1.0, 2.0)  # no delta
+    # without T the window is the trajectory's length, 0 for one snapshot
+    one = constant_trajectory(torus, times[:1], -0.5 * np.ones(1))
+    with pytest.raises(ValueError, match="window length must be positive"):
+        check_lower_bound_lemma(one, EstimateParams(A=8.0, delta=0.5, L=1.0, r0=1.0, K=0.0), 1.0, 2.0)
 
 
 def test_lower_bound_start_level_checked(torus):
@@ -499,11 +524,11 @@ def test_triviality_requires_positive_curvature(sphere):
     times = np.linspace(-6.0, -2.0, 50)
     rad = build_manifold("euclidean_radial", 3, 5.0, 64)
     traj = constant_trajectory(rad, times, np.ones(50))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a positive Ricci lower bound"):
         check_triviality(traj, rad, 2.0)
     circ = build_manifold("circle", 1, 6.0, 64)
     traj = constant_trajectory(circ, times, np.ones(50))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a positive Ricci lower bound"):
         check_triviality(traj, circ, 2.0)
 
 
@@ -583,6 +608,8 @@ def test_exponent_regime_examples():
     assert exponent_regime(1, 7.0) == "low_dimension_all_subcritical"
     with pytest.raises(ValueError):
         exponent_regime(3, 1.0)
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        exponent_regime(0, 2.0)
 
 
 # ---------------------------------------------------------------- determinism

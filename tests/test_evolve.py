@@ -152,6 +152,8 @@ def test_detect_blowup_rejects_flat_runs():
     traj = trajectory_from_samples(m, times, snaps)
     with pytest.raises(ValueError):
         detect_blowup(traj, 2.0)
+    with pytest.raises(ValueError, match="expects positive max u"):
+        detect_blowup(trajectory_from_samples(m, times, -snaps), 2.0)
 
 
 def test_detect_blowup_needs_enough_snapshots():
@@ -196,6 +198,9 @@ def test_ancient_approximation_rejects_bad_setup():
         ancient_approximation(m, 2.0, 0.0, -10.0, -0.1, 1)
     with pytest.raises(ValueError):
         ancient_approximation(m, 2.0, 0.0, -10.0, 0.1, 10_000)
+    # a negative index would pick a mode from the end of the spectrum
+    with pytest.raises(ValueError, match="mode_index out of range"):
+        ancient_approximation(m, 2.0, 0.0, -10.0, 0.1, -1)
 
 
 def test_slice_time():

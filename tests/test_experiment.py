@@ -81,6 +81,11 @@ def test_validate_config_accepts_base():
         (lambda r: r.update(checkers=[{"id": "sorcery"}]), "checkers[0].id"),
         (lambda r: r.update(checkers=[{"id": "decay"}]), "checkers[0].T_blow"),
         (lambda r: r.update(seed="zero"), "seed"),
+        *(
+            pytest.param(lambda r, k=key: r.update({k: {"a": 1}}), key, id=f"{key}-not-a-list")
+            for key in ("p_values", "scenarios", "checkers")
+        ),
+        pytest.param(lambda r: r.update(out_dir=3), "out_dir", id="out-dir-not-a-string"),
         (lambda r: r["manifold"].update(kind="circle", n=2), "manifold.n"),
         (lambda r: r["manifold"].update(n=2), "manifold.n"),
         (lambda r: r["manifold"].update(kind="sphere_zonal", n=1), "manifold.n"),
@@ -774,7 +779,6 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
         ratio=np.array([np.inf, np.nan, -0.0, 0.0, -np.inf]),
         c_fit=0.5,
         c_cap=1.0,
-        passed=True,
     )
     monkeypatch.setattr(experiment, "check_positivity_min_ode", lambda traj, p: made)
     raw = base_raw()
@@ -820,7 +824,7 @@ def test_plot_data_is_the_line_by_line_copy_at_every_job_count(tmp_path):
 
 def test_plot_data_copies_an_entry_csv_with_no_rows(tmp_path, monkeypatch):
     empty = np.array([])
-    made = EstimateReport("positivity_min_ode", empty, empty, empty, empty, c_fit=0.0, c_cap=1.0, passed=True)
+    made = EstimateReport("positivity_min_ode", empty, empty, empty, empty, c_fit=0.0, c_cap=1.0)
     monkeypatch.setattr(experiment, "check_positivity_min_ode", lambda traj, p: made)
     report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path), jobs=1)
     assert report.entries[0]["checks"]["positivity"]["rows"] == 0
@@ -872,7 +876,6 @@ def test_entry_csvs_are_the_repr_of_each_value(tmp_path):
             ratio=np.full(times.size, np.nan) if scale < 0 else times / 3.0,
             c_fit=0.5,
             c_cap=1.0,
-            passed=True,
         )
 
     reports = [

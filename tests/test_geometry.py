@@ -417,6 +417,14 @@ def test_implicit_diffusion_preserves_constants_and_decays_modes():
     assert np.max(np.abs(out - expected)) <= 1e-6
 
 
+def test_implicit_diffusion_converts_a_list_as_laplace_beltrami_does():
+    m = build_manifold("circle", 1, 2 * np.pi, 64)
+    u = np.sin(m.nodes)
+    assert np.array_equal(implicit_diffusion_solve(m, u.tolist(), 0.05), implicit_diffusion_solve(m, u, 0.05))
+    with pytest.raises(ValueError, match="not aligned"):
+        implicit_diffusion_solve(m, u.tolist()[:-1], 0.05)
+
+
 def test_implicit_diffusion_keeps_nonnegative_data_nonnegative():
     for kind, n in [("sphere_zonal", 2), ("circle", 1), ("euclidean_radial", 3)]:
         m = build_manifold(kind, n, 4.0, 128)

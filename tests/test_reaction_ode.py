@@ -287,6 +287,12 @@ def test_integrate_refuses_a_dt_max_that_is_not_positive(dt_max):
     assert proc.stderr.splitlines()[-1] == f"ValueError: dt_max must be positive, got {dt_max!r}"
 
 
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
+def test_integrate_refuses_a_t_span_that_is_not_a_finite_interval(t_span):
+    with pytest.raises(ValueError, match="t_span must be a finite nondegenerate interval"):
+        integrate_scalar_ode(2.0, 0.5, t_span)
+
+
 def test_integrate_reproduces_trivial_ancient():
     for p in (1.5, 2.0, 3.0):
         v0 = trivial_ancient(p, 0.0, -3.0)
