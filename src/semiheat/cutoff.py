@@ -9,7 +9,8 @@ like |2 phi'^2/phi - phi''| / phi^(1/p) stays bounded under grid refinement
 as the fitted constant.  Power counting on eta ~ (1-s)^k shows the ratio
 behaves like (1-s)^(kq - 2 - kq/p) near the right joint, so boundedness is
 equivalent to kq >= 2p/(p-1); the default q is the smallest integer
-satisfying that with k = 3.
+satisfying that with k = 3.  The base grid has 1024 points on [0, 1], and
+certification compares its maxima on that grid and two doublings of it.
 
 All derivatives are closed-form polynomial evaluations, never differences.
 """
@@ -17,16 +18,21 @@ All derivatives are closed-form polynomial evaluations, never differences.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._floats import float_texts
+from .geometry import _integer
 
 _PLATEAU_END = 0.75
 _SUPPORT_END = 1.0
+# points of the base grid on [0, 1]: the profile table's rows and the
+# certification's coarsest level
+_GRID_COUNT = 1024
+# certification levels: the base grid, then each doubling of it
+_REFINEMENT_LEVELS = 3
 
 
 def _eta_polynomial(k: int) -> Polynomial:
@@ -48,9 +54,9 @@ def default_power(p: float) -> int:
 
 @dataclass(frozen=True)
 class SmoothCutoff:
-    """The cutoff phi = eta^q of flatness order k, and the grid of
-    grid_count points on [0, 1] it is sampled on; ``at`` gives phi and its
-    closed-form derivatives at any points, the samples at ``at(grid)``.
+    """The cutoff phi = eta^q of flatness order k, and the grid of 1024
+    points on [0, 1] it is sampled on; ``at`` gives phi and its closed-form
+    derivatives at any points, the samples at ``at(grid)``.
 
     phi lives in [0,1], equals 1 up to 3/4, equals 0 from 1 on, and is
     nonincreasing.
@@ -58,11 +64,10 @@ class SmoothCutoff:
 
     k: int
     q: int
-    grid_count: int
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.grid_count)
+        return np.linspace(0.0, 1.0, _GRID_COUNT)
 
     def at(self, s):
         """Evaluate (phi, phi', phi'') at arbitrary points."""
@@ -98,25 +103,23 @@ def _evaluate(k: int, q: int, s):
     return phi, dphi, d2phi
 
 
-def build_phi(p: float, k: int = 3, q: int | None = None, grid_count: int = 1024) -> SmoothCutoff:
-    """Build phi = eta^q, sampled (with exact derivatives) on grid_count
-    points of [0, 1].
+def build_phi(p: float, k: int = 3, q: int | None = None) -> SmoothCutoff:
+    """Build phi = eta^q, sampled (with exact derivatives) on 1024 points
+    of [0, 1].
 
     q defaults to the smallest integer with k*q >= 2p/(p-1), the sufficient
-    condition for the reaction-power inequality to certify.
+    condition for the reaction-power inequality to certify.  A k or q that
+    is a bool or not integral is refused, as build_manifold refuses n.
     """
-    # written so that NaN fails each comparison
-    if not p > 1:
+    if not p > 1:  # NaN fails it
         raise ValueError(f"p must exceed 1, got {p!r}")
-    if not k >= 2:
+    k = _integer(k, "flatness order k")
+    if k < 2:
         raise ValueError("flatness order k must be at least 2")
-    if not grid_count >= 256:
-        raise ValueError("grid_count must be at least 256")
-    if q is None:
-        q = default_power(p)
-    if not q >= 1:
+    q = default_power(p) if q is None else _integer(q, "power q")
+    if q < 1:
         raise ValueError("power q must be at least 1")
-    return SmoothCutoff(k=int(k), q=int(q), grid_count=operator.index(grid_count))
+    return SmoothCutoff(k=k, q=q)
 
 
 @dataclass
@@ -132,21 +135,19 @@ class CertificationResult:
 _STABILITY_RATIO = 1.05
 
 
-def verify_phi_inequality(c: SmoothCutoff, p: float, refinement_levels: int = 3) -> CertificationResult:
+def verify_phi_inequality(c: SmoothCutoff, p: float) -> CertificationResult:
     """Certify |2 phi'^2 / phi - phi''| <= C phi^(1/p) by refinement.
 
     Returns the fitted C (the finest-level grid maximum of the ratio) when
     the level maxima are stable, or a divergence flag when they grow by more
-    than 5% per doubling, which happens exactly when kq < 2p/(p-1).
+    than 5% per doubling, which happens exactly when kq < 2p/(p-1).  The
+    levels are the 1024-point grid and two doublings of it.
     """
-    # written so that NaN fails each comparison
-    if not p > 1:
+    if not p > 1:  # NaN fails it
         raise ValueError(f"p must exceed 1, got {p!r}")
-    if not refinement_levels >= 2:
-        raise ValueError("need at least two refinement levels")
     maxima = []
-    for level in range(refinement_levels):
-        phi, dphi, d2phi = _evaluate(c.k, c.q, np.linspace(0.0, 1.0, c.grid_count * 2**level))
+    for level in range(_REFINEMENT_LEVELS):
+        phi, dphi, d2phi = _evaluate(c.k, c.q, np.linspace(0.0, 1.0, _GRID_COUNT * 2**level))
         mask = phi > 0.0
         phi, dphi, d2phi = phi[mask], dphi[mask], d2phi[mask]
         maxima.append(float(np.max(np.abs(2.0 * dphi**2 / phi - d2phi) / phi ** (1.0 / p))))

@@ -45,7 +45,7 @@ from .geometry import (
 from .reaction_ode import _pow_or_inf, ode_lower_envelope, validate_exponent
 
 NONNEG_FLOOR = -1e-10  # nonnegative data may dip at most this far below zero
-U_FLOOR_FACTOR = 1e-12  # default u_floor = factor * D inside log(D/u)
+U_FLOOR_FACTOR = 1e-12  # u is floored at factor * D inside log(D/u)
 TOL_COEFF = 10.0
 ROUNDOFF_ULPS = 8.0  # one solve moves a constant by up to about 1.6 eps |v| (32 nodes)
 
@@ -58,7 +58,7 @@ class ExponentRegimeError(ValueError):
 class EstimateParams:
     """Window and inequality parameters; only the fields a given checker
     needs have to be set.  K defaults to the trajectory manifold's curvature
-    bound when left as None; u_floor defaults to 1e-12 * D."""
+    bound when left as None."""
 
     D: float | None = None
     K: float | None = None
@@ -69,7 +69,6 @@ class EstimateParams:
     L: float | None = None
     A: float | None = None
     r0: float | None = None
-    u_floor: float | None = None
 
     def __post_init__(self):
         # written so that NaN fails each comparison
@@ -77,7 +76,7 @@ class EstimateParams:
             raise ValueError("D must be positive")
         if self.K is not None and not self.K >= 0:
             raise ValueError("K must be nonnegative")
-        for name in ("R", "T", "L", "A", "r0", "u_floor"):
+        for name in ("R", "T", "L", "A", "r0"):
             val = getattr(self, name)
             if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive")
@@ -252,6 +251,12 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
 _GRADIENT_VARIANTS = {"local": ("R", "T"), "global": ("T",), "ancient": ()}
 
 
+def _check_grad_tol(grad_tol: float):
+    # the degenerate branch divides by it and caps at it
+    if not grad_tol > 0:  # NaN fails it
+        raise ValueError(f"grad_tol must be positive, got {grad_tol!r}")
+
+
 def check_gradient_estimate(
     traj: Trajectory,
     params: EstimateParams,
@@ -271,11 +276,12 @@ def check_gradient_estimate(
     nodes (global), or every stored snapshot (ancient).  D must bound u on
     the full window.  When the ancient variant degenerates
     (p D^(p-1) <= (n-1) K, so S = 0) the check instead asserts
-    max |grad u| <= grad_tol.
+    max |grad u| <= grad_tol, which must be positive (NaN is refused).
     """
     p = validate_exponent(p)
     if not isinstance(variant, str) or variant not in _GRADIENT_VARIANTS:
         raise ValueError(f"unknown gradient variant {variant!r}")
+    _check_grad_tol(grad_tol)
     m = traj.manifold
     if np.any(traj.snapshots <= 0):
         raise ValueError("gradient check requires strictly positive snapshots")
@@ -284,7 +290,6 @@ def check_gradient_estimate(
     D = params.D
     K = params.K if params.K is not None else curvature_bound(m)
     n = m.n
-    u_floor = params.u_floor if params.u_floor is not None else U_FLOOR_FACTOR * D
 
     full_time, sub_time, full_nodes, sub_nodes = _gradient_windows(traj, params, variant)
     window_max = float(np.max(traj.snapshots[full_time][:, full_nodes]))
@@ -306,7 +311,7 @@ def check_gradient_estimate(
         point_ratio = lhs[:, sub_nodes]
     else:
         lhs /= u
-        rhs = np.maximum(u, u_floor)
+        rhs = np.maximum(u, U_FLOOR_FACTOR * D)
         np.divide(D, rhs, out=rhs)
         np.log(rhs, out=rhs)
         rhs += 1.0
@@ -515,9 +520,8 @@ def check_lower_bound_lemma(
 # triviality mechanism
 
 
-def _check_osc_floor(osc_floor: float):
-    if not osc_floor >= 0:
-        raise ValueError("osc_floor must be nonnegative")
+# an interval whose oscillation starts at or below this passes outright
+_OSC_FLOOR = 1e-10
 
 
 def check_triviality(
@@ -525,7 +529,6 @@ def check_triviality(
     m: DiscreteManifold,
     p: float,
     rate_tol: float = 0.2,
-    osc_floor: float = 1e-10,
 ) -> EstimateReport:
     """Oscillation-decay test behind the triviality threshold
     Theta = ((n-1) K / p)^(1/(p-1)).
@@ -537,16 +540,14 @@ def check_triviality(
     with lambda1 the first nonzero Laplacian eigenvalue and max_u the
     interval maximum (the most conservative linearization on the interval).
     C_cap = 1 + rate_tol; intervals whose oscillation starts at or below
-    osc_floor pass outright.  Verdict "trivial-limit" iff every evaluated
-    interval passed.  A negative osc_floor is a ValueError: it would let
-    flat data divide 0 by 0, and so is an ``m`` whose kind, n, size or node
-    count is not the trajectory's: lambda1 and Theta would be another
-    manifold's.  So is an ``m`` without a positive Ricci lower bound, the
-    circle and the radial kind; a complete manifold with one is compact
-    (Bonnet-Myers).
+    1e-10 pass outright, flat data among them.  Verdict "trivial-limit" iff
+    every evaluated interval passed.  An ``m`` whose kind, n, size or node
+    count is not the trajectory's is a ValueError: lambda1 and Theta would
+    be another manifold's.  So is an ``m`` without a positive Ricci lower
+    bound, the circle and the radial kind; a complete manifold with one is
+    compact (Bonnet-Myers).
     """
     p = validate_exponent(p)
-    _check_osc_floor(osc_floor)
     if any(getattr(m, key) != getattr(traj.manifold, key) for key in ("kind", "n", "radius_or_length", "node_count")):
         raise ValueError("triviality check needs the trajectory's manifold: kind, n, size or node count differ")
     if m.ricci_lower <= 0:
@@ -578,7 +579,7 @@ def check_triviality(
             skipped_above += 1
             continue
         factor_allowed = math.exp(-(lambda1 - p * max(mxbar, 0.0) ** (p - 1.0)) * dt)
-        if osc[i0] <= osc_floor:  # floored: the end oscillation, which passes
+        if osc[i0] <= _OSC_FLOOR:  # floored: the end oscillation, which passes
             lhs, ratio = float(osc[i1]), 0.0
         else:
             lhs = float(osc[i1] / osc[i0])

@@ -53,20 +53,15 @@ class SolverAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class EvolveControls:
-    """Stepping knobs.  blow_threshold below 1e6 would put termination inside
-    the regime where fitted constants are still being measured."""
+    """The step bound dt_max and the snapshot cadence: every snapshot_every-th
+    step is stored.  The blow-up threshold is reaction_ode.BLOW_THRESHOLD."""
 
     dt_max: float = 0.01
-    blow_threshold: float = BLOW_THRESHOLD
-    reaction_on: bool = True
     snapshot_every: int = 1
 
     def __post_init__(self):
-        # written so that NaN fails each comparison
-        if not self.dt_max > 0:
+        if not self.dt_max > 0:  # NaN fails it
             raise ValueError(f"dt_max must be positive, got {self.dt_max!r}")
-        if not self.blow_threshold >= 1e6:
-            raise ValueError(f"blow_threshold must be at least 1e6, got {self.blow_threshold!r}")
         if _integer(self.snapshot_every, "snapshot_every") < 1:
             raise ValueError("snapshot_every must be at least 1")
 
@@ -169,14 +164,14 @@ def evolve(
 ) -> Trajectory:
     """Integrate u_t = Lap(u) + |u|^p from u(t0) = u0 up to t1.
 
-    Terminates early with blow-up info once max u exceeds the threshold.
-    For spatially constant u0 the result matches integrate_scalar_ode to
-    roundoff.  Raises SolverAbort if non-finite values ever appear (they are
-    never clamped) or once a step no longer advances t.  The finiteness
-    check reads the max and min of u that each step logs anyway (NaN and
-    +-inf pass through both), and the next step's max |u| is the larger of
-    their magnitudes.  Every step makes a new array, so each snapshot is
-    stored as is, without a copy.
+    Terminates early with blow-up info once max u exceeds
+    reaction_ode.BLOW_THRESHOLD.  For spatially constant u0 the result
+    matches integrate_scalar_ode to roundoff.  Raises SolverAbort if
+    non-finite values ever appear (they are never clamped) or once a step
+    no longer advances t.  The finiteness check reads the max and min of u
+    that each step logs anyway (NaN and +-inf pass through both), and the
+    next step's max |u| is the larger of their magnitudes.  Every step
+    makes a new array, so each snapshot is stored as is, without a copy.
     """
     p = validate_exponent(p)
     controls = controls or EvolveControls()
@@ -202,15 +197,12 @@ def evolve(
     tiny_horizon = 1e-14 * max(1.0, abs(t1))
     while t1 - t > tiny_horizon:
         mag = max(abs(umax), abs(umin))
-        cap = _dt_cap(p, mag) if controls.reaction_on else math.inf
-        dt = min(controls.dt_max, cap, t1 - t)
+        dt = min(controls.dt_max, _dt_cap(p, mag), t1 - t)
         if t + dt == t:
             raise SolverAbort(f"step dt = {dt:g} no longer advances t = {t!r} (max |u| = {mag:g})")
-        if controls.reaction_on:
-            u = reaction_flow(u, p, 0.5 * dt)
+        u = reaction_flow(u, p, 0.5 * dt)
         u = implicit_diffusion_solve(m, u, dt)
-        if controls.reaction_on:
-            u = reaction_flow(u, p, 0.5 * dt)
+        u = reaction_flow(u, p, 0.5 * dt)
         t += dt
         step_index += 1
         umax = float(u.max())
@@ -221,7 +213,7 @@ def evolve(
         step_dt.append(dt)
         step_max.append(umax)
         step_min.append(umin)
-        crossed = umax > controls.blow_threshold
+        crossed = umax > BLOW_THRESHOLD
         if step_index % controls.snapshot_every == 0 or t1 - t <= tiny_horizon or crossed:
             times.append(t)
             snaps.append(u)

@@ -96,7 +96,7 @@ import numpy as np
 from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
-    _check_osc_floor,
+    _check_grad_tol,
     _talenti_profile,
     check_decay,
     check_gradient_estimate,
@@ -246,12 +246,6 @@ def _nonneg_int(value, path: str) -> int:
     return value
 
 
-def _boolean(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true or false, got {value!r}")
-    return value
-
-
 def _variant(value, path: str) -> str:
     if not isinstance(value, str) or value not in _GRADIENT_VARIANTS:
         raise ConfigError(path, f"expected one of {list(_GRADIENT_VARIANTS)}, got {value!r}")
@@ -307,12 +301,7 @@ _RECIPES = {
 
 
 # scenario controls: field -> type check (EvolveControls checks the values)
-_CONTROLS = {
-    "dt_max": _number,
-    "blow_threshold": _number,
-    "reaction_on": _boolean,
-    "snapshot_every": _positive_int,
-}
+_CONTROLS = {"dt_max": _number, "snapshot_every": _positive_int}
 
 
 def _with_params(*names):
@@ -324,9 +313,10 @@ def _with_params(*names):
     return bind
 
 
-def _triviality_args(values, m):
-    _check_osc_floor(values.get("osc_floor", 0.0))
-    return {"m": m, **values}
+def _gradient_args(values, m):
+    if "grad_tol" in values:
+        _check_grad_tol(values["grad_tol"])
+    return _with_params("D", "K", "R", "T", "T0")(values, m)
 
 
 # One entry per checker id: the config fields the checker reads (name -> type
@@ -338,9 +328,9 @@ _Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
     "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
-        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0", "u_floor", "c_cap", "grad_tol")},
+        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0", "c_cap", "grad_tol")},
         ("variant", "D"),
-        _with_params("D", "K", "R", "T", "T0", "u_floor"),
+        _gradient_args,
         "check_gradient_estimate",
     ),
     "decay": _Checker(_numbers("T_blow", "c_cap"), ("T_blow",), None, "check_decay"),
@@ -351,7 +341,7 @@ _CHECKERS = {
         _with_params("delta", "L", "A", "r0", "K", "T"),
         "check_lower_bound_lemma",
     ),
-    "triviality": _Checker(_numbers("rate_tol", "osc_floor"), (), _triviality_args, "check_triviality"),
+    "triviality": _Checker(_numbers("rate_tol"), (), lambda values, m: {"m": m, **values}, "check_triviality"),
 }
 
 # a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]

@@ -18,8 +18,8 @@ import numpy as np
 # p must exceed 1 by at least this; every 1/(p-1) exponent degenerates at p = 1
 P_FLOOR = 1e-9
 
-# scalar oracle stops once |v| passes this (relative distance to the true
-# blow-up time is then <= threshold^(1-p)/(p-1))
+# the scalar oracle stops once |v| passes this, and evolve once max u does
+# (relative distance to the true blow-up time is then <= threshold^(1-p)/(p-1))
 BLOW_THRESHOLD = 1e8
 
 # adaptive step factor: dt = C_DT * |v|^(1-p) equidistributes the blow-up

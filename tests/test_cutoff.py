@@ -31,10 +31,10 @@ def test_profile_plateau_and_support():
 
 
 def test_cutoff_holds_its_parameters():
-    # the grid and the samples are computed from k, q and grid_count
-    c = build_phi(2.0, grid_count=300)
-    assert c == SmoothCutoff(k=3, q=4, grid_count=300)
-    assert np.array_equal(c.grid, np.linspace(0.0, 1.0, 300))
+    # the grid (1024 points) and the samples are computed, not stored
+    c = build_phi(2.0)
+    assert c == SmoothCutoff(k=3, q=4)
+    assert np.array_equal(c.grid, np.linspace(0.0, 1.0, 1024))
 
 
 def test_profile_monotone_and_bounded():
@@ -69,8 +69,11 @@ def test_build_phi_validation():
         build_phi(2.0, k=1)
     with pytest.raises(ValueError):
         build_phi(2.0, q=0)
-    with pytest.raises(ValueError):
-        build_phi(2.0, grid_count=100)
+    # int() would truncate these: k = 2.9 and q = 3.7 would build kq = 6
+    for name, value in (("k", 2.9), ("k", 3.0), ("k", True), ("q", 3.7), ("q", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            build_phi(2.0, **{name: value})
+    assert build_phi(2.0, k=np.int64(2), q=np.int64(3)) == SmoothCutoff(k=2, q=3)
 
 
 def test_certification_bounded_cases():
@@ -88,11 +91,6 @@ def test_certification_refuses_p_not_above_1(p):
     # at p = 0.5 the ratio divides by phi^2 and the grid maximum reads 2.2e40
     with pytest.raises(ValueError, match="p must exceed 1"):
         verify_phi_inequality(build_phi(2.0), p)
-
-
-def test_certification_needs_two_levels():
-    with pytest.raises(ValueError, match="at least two refinement levels"):
-        verify_phi_inequality(build_phi(2.0), 2.0, refinement_levels=1)
 
 
 def test_certification_deficient_case_diverges():
@@ -124,12 +122,12 @@ def test_certified_inequality_holds_off_grid():
 
 
 def test_export_cutoff_csv(tmp_path):
-    c = build_phi(2.0, grid_count=256)
+    c = build_phi(2.0)
     path = tmp_path / "phi.csv"
     export_cutoff_csv(c, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s,phi,dphi,d2phi"
-    assert len(lines) == 257
+    assert len(lines) == 1025
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
     # the bytes csv.writer writes for the repr of each value

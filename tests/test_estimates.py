@@ -30,7 +30,7 @@ from semiheat import (
     trajectory_from_samples,
     trivial_ancient,
 )
-from semiheat.estimates import _check_osc_floor, _finalize
+from semiheat.estimates import _finalize
 
 
 def constant_trajectory(m, times, values):
@@ -60,8 +60,6 @@ def test_params_validation():
         EstimateParams(delta=0.0)
     with pytest.raises(ValueError):
         EstimateParams(delta=1.0)
-    with pytest.raises(ValueError):
-        EstimateParams(u_floor=-1.0)
 
 
 _NAN = float("nan")
@@ -72,9 +70,19 @@ _NAN = float("nan")
     [
         *(
             pytest.param(lambda name=name: EstimateParams(**{name: _NAN}), f"{name} must", id=f"params-{name}")
-            for name in ("D", "K", "R", "T", "L", "A", "r0", "u_floor", "delta")
+            for name in ("D", "K", "R", "T", "L", "A", "r0", "delta")
         ),
-        pytest.param(lambda: _check_osc_floor(_NAN), "osc_floor must", id="osc_floor"),
+        pytest.param(
+            lambda: check_gradient_estimate(
+                trajectory_from_samples(build_manifold("circle", 1, 6.0, 32), [0.0, 1.0], np.ones((2, 32))),
+                EstimateParams(D=2.0),
+                "ancient",
+                2.0,
+                grad_tol=_NAN,
+            ),
+            "grad_tol must be positive, got nan",
+            id="gradient-grad-tol",
+        ),
         pytest.param(lambda: blowup_time_from_min(2.0, _NAN), "v0 must", id="blowup-time-v0"),
         pytest.param(lambda: ode_lower_envelope(2.0, _NAN, 1.0, 1.0), "delta must", id="envelope-delta"),
         pytest.param(lambda: ode_lower_envelope(2.0, 0.5, _NAN, 1.0), "L must", id="envelope-L"),
@@ -82,7 +90,6 @@ _NAN = float("nan")
         pytest.param(lambda: build_phi(_NAN), "p must", id="phi-p"),
         pytest.param(lambda: build_phi(2.0, k=_NAN), "k must", id="phi-k"),
         pytest.param(lambda: build_phi(2.0, q=_NAN), "q must", id="phi-q"),
-        pytest.param(lambda: build_phi(2.0, grid_count=_NAN), "grid_count must", id="phi-grid-count"),
         pytest.param(lambda: trivial_ancient(2.0, _NAN, -1.0), "T_blow must not be NaN", id="trivial-T-blow"),
         pytest.param(lambda: trivial_ancient(2.0, 0.0, [-2.0, _NAN]), "t must not be NaN", id="trivial-t"),
         pytest.param(
@@ -305,7 +312,6 @@ def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
     m, t = traj.manifold, traj.times
     D = params.D
     K = params.K if params.K is not None else m.ricci_lower / (m.n - 1) if m.n >= 2 else 0.0
-    u_floor = params.u_floor if params.u_floor is not None else 1e-12 * D
     nodes = np.ones(m.node_count, dtype=bool)
     sub_time = np.ones(t.size, dtype=bool)
     if variant != "ancient":
@@ -329,7 +335,7 @@ def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
             numer, denom, point = grad, np.full(u.size, grad_tol), grad
         else:
             numer = grad / u
-            denom = S * (1.0 + np.log(D / np.maximum(u, u_floor)))
+            denom = S * (1.0 + np.log(D / np.maximum(u, 1e-12 * D)))
             point = numer[nodes] / denom[nodes]
             numer, denom = numer[nodes], denom[nodes]
         j = int(np.argmax(point))
@@ -532,14 +538,12 @@ def test_triviality_requires_positive_curvature(sphere):
         check_triviality(traj, circ, 2.0)
 
 
-def test_triviality_refuses_a_negative_osc_floor(sphere):
-    # flat data has oscillation 0: a negative floor would divide 0 by 0,
-    # and the NaN ratios would read as c_fit 0 and a pass
+def test_triviality_passes_flat_data(sphere):
+    # flat data has oscillation 0, below the floor: each interval passes
+    # outright with ratio 0 instead of dividing 0 by 0
     times = np.linspace(0.0, 2.0, 50)
     traj = constant_trajectory(sphere, times, np.zeros(50))
-    with pytest.raises(ValueError, match="osc_floor must be nonnegative"):
-        check_triviality(traj, sphere, 2.0, osc_floor=-1.0)
-    report = check_triviality(traj, sphere, 2.0, osc_floor=0.0)
+    report = check_triviality(traj, sphere, 2.0)
     assert report.passed and report.c_fit == 0.0
     assert np.array_equal(report.ratio, np.zeros(2))
 

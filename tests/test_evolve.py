@@ -27,7 +27,7 @@ from semiheat import (
 )
 from semiheat.evolve import BlowupInfo, Trajectory
 from semiheat.geometry import _aligned_values, implicit_diffusion_solve
-from semiheat.reaction_ode import _dt_cap, reaction_flow
+from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, reaction_flow
 
 # the package re-exports the function ``evolve`` under the submodule's name
 evolve_module = importlib.import_module("semiheat.evolve")
@@ -41,8 +41,6 @@ def test_controls_validation():
     with pytest.raises(ValueError):
         EvolveControls(dt_max=0.0)
     with pytest.raises(ValueError):
-        EvolveControls(blow_threshold=1e5)
-    with pytest.raises(ValueError):
         EvolveControls(snapshot_every=0)
 
 
@@ -50,14 +48,13 @@ def test_controls_validation():
     "field, value, message",
     [
         ("dt_max", math.nan, "dt_max must be positive, got nan"),
-        ("blow_threshold", math.nan, "blow_threshold must be at least 1e6, got nan"),
         ("snapshot_every", 2.5, "snapshot_every must be an integer, got 2.5"),
         ("snapshot_every", True, "snapshot_every must be an integer, got True"),
     ],
 )
 def test_controls_refuse_nan_and_non_integral_values(field, value, message):
     # NaN fails every comparison, so it would pass a check written as the
-    # negation of the bad case and turn off the threshold stop
+    # negation of the bad case
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EvolveControls(**{field: value})
 
@@ -98,12 +95,14 @@ def test_constant_negative_data_is_immortal():
 
 
 def test_pure_diffusion_decays_first_mode():
+    # the diffusion half of the step alone: 1000 implicit Euler solves to t = 1
     m = circle(128)
     u0 = np.sin(m.nodes)
-    controls = EvolveControls(dt_max=1e-3, reaction_on=False)
-    traj = evolve(m, u0, 0.0, 1.0, 2.0, controls)
+    u = u0
+    for _ in range(1000):
+        u = implicit_diffusion_solve(m, u, 1e-3)
     exact = np.exp(-1.0) * u0
-    assert np.max(np.abs(traj.snapshots[-1] - exact)) <= 5e-3
+    assert np.max(np.abs(u - exact)) <= 5e-3
 
 
 def test_nonnegative_data_stays_nonnegative():
@@ -238,8 +237,9 @@ def test_trajectory_from_samples_validation():
 
 def test_snapshot_cadence():
     m = circle(32)
-    controls = EvolveControls(dt_max=0.01, snapshot_every=10, reaction_on=False)
-    traj = evolve(m, np.sin(m.nodes), 0.0, 1.0, 2.0, controls)
+    controls = EvolveControls(dt_max=0.01, snapshot_every=10)
+    # max |u| stays below 1, so the blow-up cap never binds and every dt is 0.01
+    traj = evolve(m, 0.5 * np.sin(m.nodes), 0.0, 1.0, 2.0, controls)
     assert traj.times.size <= 12
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
@@ -641,15 +641,12 @@ def reference_evolve(m, u0, t0, t1, p, controls):
     tiny_horizon = 1e-14 * max(1.0, abs(t1))
     while t1 - t > tiny_horizon:
         mag = float(np.max(np.abs(u)))
-        cap = _dt_cap(p, mag) if controls.reaction_on else np.inf
-        dt = min(controls.dt_max, cap, t1 - t)
+        dt = min(controls.dt_max, _dt_cap(p, mag), t1 - t)
         if t + dt == t:
             raise SolverAbort(f"step dt = {dt:g} no longer advances t = {t!r} (max |u| = {mag:g})")
-        if controls.reaction_on:
-            u = reaction_flow(u, p, 0.5 * dt)
+        u = reaction_flow(u, p, 0.5 * dt)
         u = implicit_diffusion_solve(m, u, dt)
-        if controls.reaction_on:
-            u = reaction_flow(u, p, 0.5 * dt)
+        u = reaction_flow(u, p, 0.5 * dt)
         t += dt
         step_index += 1
         if not np.all(np.isfinite(u)):
@@ -659,7 +656,7 @@ def reference_evolve(m, u0, t0, t1, p, controls):
         step_dt.append(dt)
         step_max.append(umax)
         step_min.append(umin)
-        crossed = umax > controls.blow_threshold
+        crossed = umax > BLOW_THRESHOLD
         if step_index % controls.snapshot_every == 0 or t1 - t <= tiny_horizon or crossed:
             times.append(t)
             snaps.append(u.copy())
@@ -700,11 +697,10 @@ _MANIFOLDS = {
     amplitude=st.floats(0.1, 4.0),
     p=st.sampled_from([1.5, 2.0, 2.7, 3.0, 5.0]),
     t1=st.floats(0.05, 1.5),
-    reaction_on=st.booleans(),
     snapshot_every=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evolve_matches_the_reference_loop(kind, shape, amplitude, p, t1, reaction_on, snapshot_every, seed):
+def test_evolve_matches_the_reference_loop(kind, shape, amplitude, p, t1, snapshot_every, seed):
     m = _MANIFOLDS[kind]
     rng = np.random.default_rng(seed)
     u0 = amplitude * rng.uniform(0.2, 1.0, m.node_count)
@@ -714,7 +710,7 @@ def test_evolve_matches_the_reference_loop(kind, shape, amplitude, p, t1, reacti
         u0 = -u0
     elif shape == "zero":
         u0 = np.zeros(m.node_count)
-    controls = EvolveControls(dt_max=0.02, reaction_on=reaction_on, snapshot_every=snapshot_every)
+    controls = EvolveControls(dt_max=0.02, snapshot_every=snapshot_every)
     before = u0.copy()
     got = _run_or_error(evolve, m, u0, 0.0, t1, p, controls)
     want = _run_or_error(reference_evolve, m, u0, 0.0, t1, p, controls)
@@ -744,11 +740,8 @@ def test_reference_property_reaches_blowup_and_abort():
             assert got.startswith("SolverAbort: step dt") and got == want
 
 
-@pytest.mark.parametrize(
-    "bad, reaction_on",
-    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.nan, True), (np.inf, True), (-np.inf, True)],
-)
-def test_non_finite_solve_output_aborts(monkeypatch, bad, reaction_on):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_solve_output_aborts(monkeypatch, bad):
     m = circle(16)
     solve = evolve_module.implicit_diffusion_solve
     calls = []
@@ -761,7 +754,7 @@ def test_non_finite_solve_output_aborts(monkeypatch, bad, reaction_on):
         return out
 
     monkeypatch.setattr(evolve_module, "implicit_diffusion_solve", poisoned)
-    controls = EvolveControls(dt_max=0.01, reaction_on=reaction_on)
+    controls = EvolveControls(dt_max=0.01)
     # max u stays below 1, so the blow-up cap never binds and every dt is 0.01
     at = re.escape(f"non-finite values at t = {0.01 + 0.01 + 0.01}")
     with pytest.raises(SolverAbort, match=f"^{at}$"):
@@ -784,8 +777,6 @@ def test_evolve_calls_the_step_functions_through_its_module_globals(monkeypatch)
     traj = evolve(m, 0.5 + 0.05 * np.cos(m.nodes), 0.0, 0.5, 2.0, EvolveControls(dt_max=0.01))
     assert traj.step_times.size == 50
     assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 50}
-    traj = evolve(m, np.cos(m.nodes), 0.0, 0.5, 2.0, EvolveControls(dt_max=0.01, reaction_on=False))
-    assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 100}
 
 
 @pytest.mark.parametrize(

@@ -90,11 +90,7 @@ def test_validate_config_accepts_base():
         (lambda r: r["manifold"].update(n=2), "manifold.n"),
         (lambda r: r["manifold"].update(kind="sphere_zonal", n=1), "manifold.n"),
         (lambda r: r["scenarios"][0].update(controls={"dt_max": "x"}), "scenarios[0].controls.dt_max"),
-        (lambda r: r["scenarios"][0].update(controls={"blow_threshold": None}), "scenarios[0].controls.blow_threshold"),
-        (lambda r: r["scenarios"][0].update(controls={"blow_threshold": float("nan")}), "scenarios[0].controls.blow_threshold"),
         (lambda r: r["scenarios"][0].update(controls={"dt_max": 10**400}), "scenarios[0].controls.dt_max"),
-        (lambda r: r["scenarios"][0].update(controls={"reaction_on": "no"}), "scenarios[0].controls.reaction_on"),
-        (lambda r: r["scenarios"][0].update(controls={"reaction_on": 0}), "scenarios[0].controls.reaction_on"),
         (lambda r: r["scenarios"][0].update(controls={"snapshot_every": 0}), "scenarios[0].controls.snapshot_every"),
         (lambda r: r["scenarios"][0].update(controls={"snapshot_every": 2.0}), "scenarios[0].controls.snapshot_every"),
         (lambda r: r.update(checkers=[{"id": "gradient", "variant": "global", "D": "big"}]), "checkers[0].D"),
@@ -191,10 +187,19 @@ def test_validate_config_accepts_base():
         pytest.param(
             lambda r: r["scenarios"][0].update(controls={"dt_max": -1}), "scenarios[0].controls", id="dt-max-negative"
         ),
+        # a setting that is a constant now is an unknown field of its object
         pytest.param(
             lambda r: r["scenarios"][0].update(controls={"blow_threshold": 10}),
             "scenarios[0].controls",
             id="blow-threshold-low",
+        ),
+        *(
+            pytest.param(lambda r, c=controls: r["scenarios"][0].update(controls=c), "scenarios[0].controls", id=name)
+            for name, controls in (
+                ("blow-threshold-null", {"blow_threshold": None}),
+                ("reaction-on-string", {"reaction_on": "no"}),
+                ("reaction-on-zero", {"reaction_on": 0}),
+            )
         ),
         pytest.param(
             lambda r: (r["manifold"].update(kind="euclidean_radial", n=3), r["scenarios"][0].update(initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1})),
@@ -253,11 +258,16 @@ def test_validate_config_accepts_base():
             "checkers[0]",
             id="lower-bound-delta-above-1",
         ),
-        # a negative floor would let flat data divide 0 by 0
         pytest.param(
             lambda r: r.update(checkers=[{"id": "triviality", "osc_floor": -1}]),
             "checkers[0]",
             id="triviality-osc-floor-negative",
+        ),
+        # the degenerate gradient branch divides by grad_tol and caps at it
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": 0}]),
+            "checkers[0]",
+            id="gradient-grad-tol-zero",
         ),
         # an object that is not one, at every level (None: the root itself)
         pytest.param(None, "<root>", id="root-not-an-object"),
@@ -349,6 +359,47 @@ def test_validate_config_field_paths(mutate, path):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.field_path == path
+
+
+def test_config_schema_keys(monkeypatch):
+    # every key a config may set, level by level, so that a new setting is an
+    # edit here; the fixed-shape objects' specs are read as validation passes
+    # them to _check_fields, the recipes' and checkers' from their tables
+    specs = {}
+    check_fields = experiment._check_fields
+
+    def recording(d, spec, path, *args, **kwargs):
+        specs[path] = sorted(spec)
+        return check_fields(d, spec, path, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_check_fields", recording)
+    validate_config(base_raw())
+    assert specs == {
+        "<root>": ["checkers", "manifold", "out_dir", "p_values", "scenarios", "seed"],
+        "manifold": ["kind", "n", "resolution", "size"],
+        "scenarios[0]": ["controls", "initial", "name", "window"],
+        "scenarios[0].initial": ["value"],
+        "scenarios[0].window": ["t0", "t1"],
+        "scenarios[0].controls": ["dt_max", "snapshot_every"],
+        "checkers[0]": [],
+    }
+    # besides the "type" that names the recipe
+    assert {name: sorted(recipe.fields) for name, recipe in experiment._RECIPES.items()} == {
+        "constant": ["value"],
+        "trivial_plus_mode": ["T_blow", "eps", "mode", "t_start"],
+        "talenti": [],
+        "random_uniform": ["high", "low"],
+        "custom": ["path"],
+    }
+    # besides the "id" that names the checker
+    assert {cid: sorted(checker.fields) for cid, checker in _CHECKERS.items()} == {
+        "positivity": [],
+        "gradient": ["D", "K", "R", "T", "T0", "c_cap", "grad_tol", "variant"],
+        "decay": ["T_blow", "c_cap"],
+        "universal": ["T", "T0", "c_cap"],
+        "lower_bound": ["A", "C_delta_cap", "K", "L", "T", "delta", "r0"],
+        "triviality": ["rate_tol"],
+    }
 
 
 def test_validate_config_duplicate_scenario_names():
@@ -1513,10 +1564,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     raw["scenarios"][0]["controls"] = {"dt_max": -1}
     assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
     assert "scenarios[0].controls: dt_max must be positive" in capsys.readouterr().err
+    for key, value in (("blow_threshold", 1e8), ("reaction_on", True)):
+        raw["scenarios"][0]["controls"] = {key: value}
+        assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+        assert f"scenarios[0].controls: unknown control fields ['{key}']" in capsys.readouterr().err
     for checker, message in (
         ({"id": "gradient", "variant": "ancient", "D": -1}, "checkers[0]: D must be positive"),
         ({"id": "gradient", "variant": "global", "D": 1.0}, "checkers[0].T: missing required field"),
-        ({"id": "triviality", "osc_floor": -1}, "checkers[0]: osc_floor must be nonnegative"),
+        ({"id": "triviality", "osc_floor": -1}, "checkers[0]: unknown checker 'triviality' fields ['osc_floor']"),
+        (
+            {"id": "gradient", "variant": "ancient", "D": 1.0, "u_floor": 1e-9},
+            "checkers[0]: unknown checker 'gradient' fields ['u_floor']",
+        ),
+        ({"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": -1}, "checkers[0]: grad_tol must be positive"),
         (
             {"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0},
             "checkers[0]: delta must lie strictly between 0 and 1",
@@ -1625,9 +1685,7 @@ _ANY = st.one_of(_NUMBERS, st.text(max_size=3), st.booleans(), st.none(), st.lis
 # values of the right type (numbers unless listed), some of them out of range
 _TYPED = {
     "variant": st.sampled_from(["local", "global", "ancient", "sideways"]),
-    "reaction_on": st.booleans(),
     "snapshot_every": st.integers(-1, 4),
-    "blow_threshold": st.sampled_from([1e5, 1e6, 1e8]),
 }
 
 
