@@ -60,7 +60,7 @@ def main():
     print(f"all passed: {report.all_passed}")
 
     paths = emit_plot_data(report, "positivity", out_dir=args.out_dir)
-    print(f"report: {report.timing['report_path']}")
+    print(f"report: {report.path}")
     print(f"plot data: {paths[0]}")
     print("regimes: " + json.dumps(report.regimes["by_p"]))
 

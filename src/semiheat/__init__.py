@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "experiment": (
         "ConfigError", "ExperimentConfig", "RunReport", "config_hash", "emit_plot_data",
-        "load_config", "resolve_out_dir", "run_experiment", "validate_config",
+        "load_config", "run_experiment", "validate_config",
     ),
     "geometry": (
         "CLOSED_KINDS", "KINDS", "DiscreteManifold", "build_manifold",

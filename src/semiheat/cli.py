@@ -5,8 +5,8 @@
     semiheat plotdata REPORT CHECKER [--out-dir DIR]
 
 Exit codes: 0 all checks passed, 1 at least one check failed or a scenario
-errored, 2 config or runtime error.  The default output directory comes
-from SEMIHEAT_OUT_DIR; --out-dir overrides both it and the config.
+errored, 2 config or runtime error.  Both commands that write do so into
+--out-dir, the working directory by default.
 """
 
 from __future__ import annotations
@@ -26,16 +26,6 @@ from .experiment import (
 )
 
 
-def _positive_jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return jobs
-
-
 @functools.cache  # one per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,10 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a sweep config")
     run_p.add_argument("config", help="path to a JSON config")
-    run_p.add_argument("--out-dir", default=None, help="output directory override")
+    run_p.add_argument("--out-dir", default=".", help="where to write the report and its entry CSVs")
     run_p.add_argument(
         "--jobs",
-        type=_positive_jobs,
+        type=int,
         default=None,
         help="workers to fork, once each; worker w runs entries w, w + JOBS, ... in order, and 1 "
         "runs every entry in this process (default: one per CPU this process may run on)",
@@ -73,7 +63,7 @@ def _cmd_run(args) -> int:
         for entry in report.entries:
             print(f"  [{entry['status']}] {entry['name']}")
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
-    print(f"report: {report.timing.get('report_path', '?')}")
+    print(f"report: {report.path}")
     print(
         f"entries: {len(report.entries)}, scenario errors: {len(failed)}, "
         f"check failures: {report._check_failures}"

@@ -25,6 +25,7 @@ from numpy.polynomial import Polynomial
 
 from ._floats import float_texts
 from .geometry import _integer
+from .reaction_ode import validate_exponent
 
 _PLATEAU_END = 0.75
 _SUPPORT_END = 1.0
@@ -109,10 +110,10 @@ def build_phi(p: float, k: int = 3, q: int | None = None) -> SmoothCutoff:
 
     q defaults to the smallest integer with k*q >= 2p/(p-1), the sufficient
     condition for the reaction-power inequality to certify.  A k or q that
-    is a bool or not integral is refused, as build_manifold refuses n.
+    is a bool or not integral is refused, as build_manifold refuses n, and
+    a p that validate_exponent refuses, as every run refuses it.
     """
-    if not p > 1:  # NaN fails it
-        raise ValueError(f"p must exceed 1, got {p!r}")
+    p = validate_exponent(p)
     k = _integer(k, "flatness order k")
     if k < 2:
         raise ValueError("flatness order k must be at least 2")
@@ -141,10 +142,10 @@ def verify_phi_inequality(c: SmoothCutoff, p: float) -> CertificationResult:
     Returns the fitted C (the finest-level grid maximum of the ratio) when
     the level maxima are stable, or a divergence flag when they grow by more
     than 5% per doubling, which happens exactly when kq < 2p/(p-1).  The
-    levels are the 1024-point grid and two doublings of it.
+    levels are the 1024-point grid and two doublings of it.  A p that
+    validate_exponent refuses is a ValueError.
     """
-    if not p > 1:  # NaN fails it
-        raise ValueError(f"p must exceed 1, got {p!r}")
+    p = validate_exponent(p)
     maxima = []
     for level in range(_REFINEMENT_LEVELS):
         phi, dphi, d2phi = _evaluate(c.k, c.q, np.linspace(0.0, 1.0, _GRID_COUNT * 2**level))

@@ -84,13 +84,20 @@ class EstimateParams:
             raise ValueError("delta must lie strictly between 0 and 1")
 
 
+def _check_cap(c_cap: float, name: str = "c_cap"):
+    # a fitted constant is at least 0, so no check could pass a cap below 0
+    if not c_cap >= 0:  # NaN fails it
+        raise ValueError(f"{name} must be nonnegative, got {c_cap!r}")
+
+
 @dataclass
 class EstimateReport:
     """Uniform record of one inequality check.
 
     ``times``/``lhs``/``rhs``/``ratio`` are aligned per-snapshot arrays (for
     the positivity check, per snapshot pair; for the triviality check, per
-    evaluated interval).  ``passed`` is computed: c_fit <= c_cap.
+    evaluated interval).  ``passed`` is computed: c_fit <= c_cap.  A c_fit
+    below 0, or a c_cap below 0 or NaN, is a ValueError.
     """
 
     inequality_id: str
@@ -106,6 +113,7 @@ class EstimateReport:
     def __post_init__(self):
         if self.c_fit < 0:
             raise ValueError("fitted constant must be nonnegative")
+        _check_cap(self.c_cap)
         self.passed = bool(self.c_fit <= self.c_cap)
 
     def to_json_dict(self) -> dict:

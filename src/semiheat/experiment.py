@@ -18,7 +18,6 @@ A config is a JSON object:
         {"id": "decay", "T_blow": 0.0, "c_cap": 2.0},
         {"id": "positivity"}
       ],
-      "out_dir": "runs",
       "seed": 0
     }
 
@@ -96,6 +95,7 @@ import numpy as np
 from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
+    _check_cap,
     _check_grad_tol,
     _talenti_profile,
     check_decay,
@@ -120,8 +120,6 @@ from .geometry import (
 )
 from .reaction_ode import _near_trivial_data, validate_exponent
 
-ENV_OUT_DIR = "SEMIHEAT_OUT_DIR"
-
 # first line of every entry CSV; the rows follow, one per snapshot
 _ENTRY_CSV_HEADER = b"t,lhs,structural_rhs,ratio\n"
 
@@ -143,7 +141,6 @@ class ExperimentConfig:
     p_values: tuple
     scenarios: tuple  # _Scenario records
     checkers: tuple  # (checker id, keyword arguments of its check_* function)
-    out_dir: str | None
     seed: int
     built_manifold: DiscreteManifold  # built once, by validate_config
     config_hash: str  # of the config JSON and the bytes of every custom file
@@ -157,6 +154,11 @@ class RunReport:
     timing: dict = field(default_factory=dict)
     # where the report and its entry CSVs live; not serialized
     directory: str = "."
+
+    @property
+    def path(self) -> str:
+        """The report file, ``report_<hash[:12]>.json`` in ``directory``."""
+        return os.path.join(self.directory, f"report_{self.config_hash[:12]}.json")
 
     @property
     def _check_failures(self) -> int:
@@ -262,6 +264,27 @@ def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
 
 
+def _ruled(rule):
+    # a number that ``rule`` accepts: the range check that the run applies,
+    # refused at the field that holds the number
+    def check(value, path: str) -> float:
+        value = _number(value, path)
+        try:
+            rule(value)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+        return value
+
+    return check
+
+
+_exponent = _ruled(validate_exponent)
+_c_cap = _ruled(_check_cap)
+_grad_tol = _ruled(_check_grad_tol)
+# the triviality check's cap is 1 + rate_tol
+_rate_tol = _ruled(lambda rate_tol: _check_cap(1.0 + rate_tol, "1 + rate_tol"))
+
+
 def _read_custom(path: str, node_count: int):
     """The file's bytes (hashed with the config) and its read-only values."""
     with open(path, "rb") as fh:
@@ -313,12 +336,6 @@ def _with_params(*names):
     return bind
 
 
-def _gradient_args(values, m):
-    if "grad_tol" in values:
-        _check_grad_tol(values["grad_tol"])
-    return _with_params("D", "K", "R", "T", "T0")(values, m)
-
-
 # One entry per checker id: the config fields the checker reads (name -> type
 # check), the ones it requires, bind(values, m) -> its keyword arguments (only
 # the fields present, so defaults live in the check_* signatures; None: the
@@ -328,20 +345,20 @@ _Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
     "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
-        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0", "c_cap", "grad_tol")},
+        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0"), "c_cap": _c_cap, "grad_tol": _grad_tol},
         ("variant", "D"),
-        _gradient_args,
+        _with_params("D", "K", "R", "T", "T0"),
         "check_gradient_estimate",
     ),
-    "decay": _Checker(_numbers("T_blow", "c_cap"), ("T_blow",), None, "check_decay"),
-    "universal": _Checker(_numbers("T0", "T", "c_cap"), ("T0", "T"), None, "check_universal"),
+    "decay": _Checker({"T_blow": _number, "c_cap": _c_cap}, ("T_blow",), None, "check_decay"),
+    "universal": _Checker({**_numbers("T0", "T"), "c_cap": _c_cap}, ("T0", "T"), None, "check_universal"),
     "lower_bound": _Checker(
         _numbers("delta", "L", "A", "r0", "C_delta_cap", "K", "T"),
         ("delta", "L", "A", "r0", "C_delta_cap"),
         _with_params("delta", "L", "A", "r0", "K", "T"),
         "check_lower_bound_lemma",
     ),
-    "triviality": _Checker(_numbers("rate_tol"), (), lambda values, m: {"m": m, **values}, "check_triviality"),
+    "triviality": _Checker({"rate_tol": _rate_tol}, (), lambda values, m: {"m": m, **values}, "check_triviality"),
 }
 
 # a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
@@ -387,7 +404,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     Builds the sweep's manifold (a build failure is a ``manifold`` error)
     and each scenario's EvolveControls (a refused value is a ``controls``
     error)."""
-    root_fields = ("manifold", "p_values", "scenarios", "checkers", "out_dir", "seed")
+    root_fields = ("manifold", "p_values", "scenarios", "checkers", "seed")
     _check_fields(raw, dict.fromkeys(root_fields), "<root>", "config", ("manifold",))
 
     man_fields = ("kind", "n", "size", "resolution")
@@ -416,13 +433,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     p_values = raw.get("p_values", [])
     if not isinstance(p_values, list):
         raise ConfigError("p_values", "must be a list")
-    p_values = tuple(_number(p, f"p_values[{i}]") for i, p in enumerate(p_values))
+    p_values = tuple(_exponent(p, f"p_values[{i}]") for i, p in enumerate(p_values))
     first_with_name = {}  # entry names carry p as f"{p:g}"
     for i, p in enumerate(p_values):
-        try:
-            validate_exponent(p)
-        except ValueError as exc:
-            raise ConfigError(f"p_values[{i}]", str(exc)) from None
         earlier = first_with_name.setdefault(f"{p:g}", i)
         if earlier != i:
             raise ConfigError(f"p_values[{i}]", f"p = {p!r} shares its entry name p{p:g} with p_values[{earlier}]")
@@ -502,16 +515,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(path, str(exc)) from None
 
-    out_dir = raw.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir", "must be a string")
     seed = _nonneg_int(raw.get("seed", 0), "seed")
 
     return ExperimentConfig(
         p_values=p_values,
         scenarios=tuple(parsed_scenarios),
         checkers=tuple(bound_checkers),
-        out_dir=out_dir,
         seed=seed,
         built_manifold=built,
         config_hash=config_hash(raw, custom_contents),
@@ -587,19 +596,9 @@ def _write_entry_csvs(out_dir: str, files):
         record["sha256"] = hashlib.sha256(data).hexdigest()
 
 
-def resolve_out_dir(config: ExperimentConfig, override: str | None = None) -> str:
-    """--out-dir beats the config, the config beats the environment default."""
-    if override:
-        return override
-    if config.out_dir:
-        return config.out_dir
-    return os.environ.get(ENV_OUT_DIR, ".")
-
-
-def run_experiment(
-    config: ExperimentConfig, out_dir: str | None = None, *, jobs: int | None = None
-) -> RunReport:
-    """Execute the sweep and write report JSON plus per-checker CSVs.
+def run_experiment(config: ExperimentConfig, out_dir: str = ".", *, jobs: int | None = None) -> RunReport:
+    """Execute the sweep and write report JSON plus per-checker CSVs into
+    ``out_dir``; the report's ``path`` names the report file.
 
     Entries run in ``jobs`` workers, each started once and running every
     ``jobs``-th entry in order (None: one per CPU this process may run on;
@@ -621,14 +620,13 @@ def run_experiment(
         jobs = cpus()
     elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    target = resolve_out_dir(config, out_dir)
-    os.makedirs(target, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     digest = config.config_hash
 
     started = time.perf_counter()
     tasks = [(f"{scenario.name}__p{p:g}", scenario, p) for scenario in config.scenarios for p in config.p_values]
     jobs = max(1, min(jobs, len(tasks)))
-    with Workers(target, f".report_{digest[:12]}.", fork=jobs > 1) as workers:
+    with Workers(out_dir, f".report_{digest[:12]}.", fork=jobs > 1) as workers:
         for w in range(jobs):
             share = range(w, len(tasks), jobs)
             what = "worker of entry " + ", ".join(tasks[i][0] for i in share)
@@ -650,15 +648,14 @@ def run_experiment(
                 "per_entry": {e["name"]: e.pop("wall_seconds", None) for e in entries},
                 "jobs": jobs,
             },
-            directory=target,
+            directory=out_dir,
         )
-        report_name = f"report_{digest[:12]}.json"
+        report_name = os.path.basename(report.path)
         with open(os.path.join(workers.dir, report_name), "w", encoding="utf-8") as fh:
             json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         names = [rec["csv"] for entry in entries for rec in entry["checks"].values() if "csv" in rec]
-        workers.publish((name, os.path.join(target, name)) for name in [*names, report_name])
-    report.timing["report_path"] = os.path.join(target, report_name)
+        workers.publish((name, os.path.join(out_dir, name)) for name in [*names, report_name])
     return report
 
 

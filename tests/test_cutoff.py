@@ -86,11 +86,14 @@ def test_certification_bounded_cases():
         assert len(result.level_maxima) == 3
 
 
-@pytest.mark.parametrize("p", [float("nan"), 0.5, 1.0])
+@pytest.mark.parametrize("p", [float("nan"), 0.5, 1.0, 1.0 + 1e-10])
 def test_certification_refuses_p_not_above_1(p):
-    # at p = 0.5 the ratio divides by phi^2 and the grid maximum reads 2.2e40
+    # at p = 0.5 the ratio divides by phi^2 and the grid maximum reads 2.2e40;
+    # both functions refuse a p within the floor every run applies
     with pytest.raises(ValueError, match="p must exceed 1"):
         verify_phi_inequality(build_phi(2.0), p)
+    with pytest.raises(ValueError, match="p must exceed 1"):
+        build_phi(p)
 
 
 def test_certification_deficient_case_diverges():

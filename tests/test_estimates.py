@@ -548,6 +548,41 @@ def test_triviality_passes_flat_data(sphere):
     assert np.array_equal(report.ratio, np.zeros(2))
 
 
+def test_triviality_skips_an_interval_with_fewer_than_two_snapshots(sphere):
+    # snapshots 2 time units apart between t = 1 and t = 5: the unit
+    # intervals from 1 to 5 each hold at most one, so only [0, 1] and [5, 6]
+    # have a ratio to evaluate
+    times = np.array([0.0, 0.5, 1.0, 3.0, 5.0, 5.5, 6.0])
+    traj = constant_trajectory(sphere, times, np.full(times.size, 0.1))
+    report = check_triviality(traj, sphere, 2.0)
+    assert report.diagnostics["intervals_evaluated"] == 2
+    assert report.diagnostics["intervals_above_threshold"] == 0
+    assert report.times.tolist() == [0.0, 5.0]
+    assert report.passed
+
+
+@pytest.mark.parametrize("cap", [-1.0, -0.5, math.nan])
+def test_checks_refuse_a_cap_no_fit_can_pass(sphere, cap):
+    # every c_fit is at least 0, so a cap below 0 (or NaN) fails on any data
+    times = np.linspace(0.0, 2.0, 21)
+    traj = constant_trajectory(sphere, times, np.full(times.size, 0.1))
+    params = EstimateParams(D=1.0)
+    for check in (
+        lambda: check_decay(traj, 50.0, 2.0, c_cap=cap),
+        lambda: check_universal(traj, -1.0, 60.0, 2.0, c_cap=cap),
+        lambda: check_gradient_estimate(traj, params, "ancient", 2.0, c_cap=cap),
+        lambda: check_triviality(traj, sphere, 2.0, rate_tol=cap - 1.0),
+    ):
+        with pytest.raises(ValueError, match="^c_cap must be nonnegative, got "):
+            check()
+    arr = np.array([0.0])
+    with pytest.raises(ValueError, match="^c_cap must be nonnegative, got "):
+        EstimateReport("x", arr, arr, arr, arr, c_fit=0.0, c_cap=cap)
+    # a cap of 0, rate_tol -1 for the triviality check, is the least allowed
+    assert check_triviality(traj, sphere, 2.0, rate_tol=-1.0).passed
+    assert not check_decay(traj, 50.0, 2.0, c_cap=0.0).passed
+
+
 def test_triviality_refuses_a_manifold_that_is_not_the_trajectorys():
     # a mode that does not decay fails on its own 64-node unit sphere; a
     # larger sphere (smaller lambda1 and threshold) would pass it with

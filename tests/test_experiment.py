@@ -24,7 +24,6 @@ from semiheat import (
     config_hash,
     emit_plot_data,
     load_config,
-    resolve_out_dir,
     run_experiment,
     validate_config,
 )
@@ -85,7 +84,8 @@ def test_validate_config_accepts_base():
             pytest.param(lambda r, k=key: r.update({k: {"a": 1}}), key, id=f"{key}-not-a-list")
             for key in ("p_values", "scenarios", "checkers")
         ),
-        pytest.param(lambda r: r.update(out_dir=3), "out_dir", id="out-dir-not-a-string"),
+        # where a sweep writes is the caller's, not the experiment's
+        pytest.param(lambda r: r.update(out_dir="runs"), "<root>", id="out-dir-unknown-root-key"),
         (lambda r: r["manifold"].update(kind="circle", n=2), "manifold.n"),
         (lambda r: r["manifold"].update(n=2), "manifold.n"),
         (lambda r: r["manifold"].update(kind="sphere_zonal", n=1), "manifold.n"),
@@ -97,6 +97,16 @@ def test_validate_config_accepts_base():
         (lambda r: r.update(checkers=[{"id": "gradient", "variant": "sideways", "D": 1.0}]), "checkers[0].variant"),
         (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "c_cap": [2.0]}]), "checkers[0].c_cap"),
         (lambda r: r.update(checkers=[{"id": "triviality", "rate_tol": True}]), "checkers[0].rate_tol"),
+        # a cap below 0 can never pass, since every c_fit is at least 0
+        *(
+            pytest.param(lambda r, c=checker: r.update(checkers=[c]), f"checkers[0].{key}", id=f"{c_id}-negative-cap")
+            for c_id, key, checker in (
+                ("decay", "c_cap", {"id": "decay", "T_blow": 50.0, "c_cap": -1}),
+                ("universal", "c_cap", {"id": "universal", "T0": -1.0, "T": 60.0, "c_cap": -0.5}),
+                ("gradient", "c_cap", {"id": "gradient", "variant": "ancient", "D": 1.0, "c_cap": -1e-300}),
+                ("triviality", "rate_tol", {"id": "triviality", "rate_tol": -2}),
+            )
+        ),
         (lambda r: r.update(checkers=[{"id": "positivity", "c_cap": 2.0}]), "checkers[0]"),
         (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "D": 1.0}]), "checkers[0]"),
         # explicit ids keep the generated ids of the rows above unchanged
@@ -266,7 +276,7 @@ def test_validate_config_accepts_base():
         # the degenerate gradient branch divides by grad_tol and caps at it
         pytest.param(
             lambda r: r.update(checkers=[{"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": 0}]),
-            "checkers[0]",
+            "checkers[0].grad_tol",
             id="gradient-grad-tol-zero",
         ),
         # an object that is not one, at every level (None: the root itself)
@@ -361,6 +371,16 @@ def test_validate_config_field_paths(mutate, path):
     assert err.value.field_path == path
 
 
+def test_checker_caps_down_to_zero_are_accepted():
+    # the least cap a fit of 0 passes: c_cap 0, or rate_tol -1 for triviality
+    raw = base_raw()
+    raw["checkers"] = [{"id": "decay", "T_blow": 50.0, "c_cap": 0}, {"id": "triviality", "rate_tol": -1}]
+    assert [kwargs for _, kwargs in validate_config(raw).checkers][0] == {"T_blow": 50.0, "c_cap": 0.0}
+    raw["checkers"][1]["rate_tol"] = -1.0000000001
+    with pytest.raises(ConfigError, match=r"^checkers\[1\]\.rate_tol: 1 \+ rate_tol must be nonnegative, got "):
+        validate_config(raw)
+
+
 def test_config_schema_keys(monkeypatch):
     # every key a config may set, level by level, so that a new setting is an
     # edit here; the fixed-shape objects' specs are read as validation passes
@@ -375,7 +395,7 @@ def test_config_schema_keys(monkeypatch):
     monkeypatch.setattr(experiment, "_check_fields", recording)
     validate_config(base_raw())
     assert specs == {
-        "<root>": ["checkers", "manifold", "out_dir", "p_values", "scenarios", "seed"],
+        "<root>": ["checkers", "manifold", "p_values", "scenarios", "seed"],
         "manifold": ["kind", "n", "resolution", "size"],
         "scenarios[0]": ["controls", "initial", "name", "window"],
         "scenarios[0].initial": ["value"],
@@ -463,7 +483,7 @@ def test_custom_recipe_hashes_its_content(tmp_path):
     assert report.config_hash == first.config_hash
     assert report.entries[0]["status"] == "ok"
     assert report.entries[0]["trajectory"]["max_abs_value"] < 1.0
-    assert os.path.basename(report.timing["report_path"]) == f"report_{first.config_hash[:12]}.json"
+    assert os.path.basename(report.path) == f"report_{first.config_hash[:12]}.json"
 
 
 def test_custom_recipe_refuses_missing_and_mis_sized_files(tmp_path, capsys):
@@ -506,19 +526,6 @@ def test_custom_recipe_refuses_a_file_with_no_values(tmp_path, text):
     )
 
 
-def test_resolve_out_dir_precedence(tmp_path, monkeypatch):
-    cfg = validate_config(base_raw())
-    monkeypatch.delenv("SEMIHEAT_OUT_DIR", raising=False)
-    assert resolve_out_dir(cfg) == "."
-    monkeypatch.setenv("SEMIHEAT_OUT_DIR", "/env/dir")
-    assert resolve_out_dir(cfg) == "/env/dir"
-    raw = base_raw()
-    raw["out_dir"] = "/cfg/dir"
-    cfg2 = validate_config(raw)
-    assert resolve_out_dir(cfg2) == "/cfg/dir"
-    assert resolve_out_dir(cfg2, "/cli/dir") == "/cli/dir"
-
-
 def test_run_experiment_cardinality_and_files(tmp_path):
     raw = base_raw()
     raw["p_values"] = [1.5, 2.0, 3.0]
@@ -536,8 +543,7 @@ def test_run_experiment_cardinality_and_files(tmp_path):
     names = [e["name"] for e in report.entries]
     assert names[0] == "warm__p1.5" and names[-1] == "loud__p3"
     assert report.regimes["by_p"]["2"] == "low_dimension_all_subcritical"
-    report_path = report.timing["report_path"]
-    assert os.path.exists(report_path)
+    assert os.path.exists(report.path)
     assert os.path.exists(tmp_path / "warm__p2_positivity.csv")
     header = (tmp_path / "warm__p2_positivity.csv").read_text().splitlines()[0]
     assert header == "t,lhs,structural_rhs,ratio"
@@ -569,7 +575,7 @@ def test_run_experiment_isolates_scenario_errors(tmp_path):
     assert by_name["broken__p3"]["status"] == "error"
     assert "no longer advances t" in by_name["broken__p3"]["error"]
     assert not report.all_passed
-    assert os.path.exists(report.timing["report_path"])
+    assert os.path.exists(report.path)
 
 
 def test_run_experiment_runs_the_talenti_profile(tmp_path):
@@ -799,8 +805,9 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
     out = tmp_path / "out"
     # one job: the checks run in this process, where the wrappers see them
     report = run_experiment(validate_config(raw), out_dir=str(out), jobs=1)
-    on_disk = json.loads(Path(report.timing["report_path"]).read_text())
-    assert on_disk["entries"] == report.entries
+    on_disk = json.loads(Path(report.path).read_text())
+    # the returned report is the file's, its timing block included
+    assert on_disk == report.to_json_dict()
     for entry in on_disk["entries"]:
         for cid, rep in entry["checks"].items():
             assert rep["status"] == "checked"
@@ -863,7 +870,7 @@ def test_plot_data_is_the_line_by_line_copy_at_every_job_count(tmp_path):
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         report = run_experiment(validate_config(sphere_sweep_raw()), out_dir=str(out), jobs=jobs)
-        loaded = RunReport.from_json_dict(json.loads(Path(report.timing["report_path"]).read_text()))
+        loaded = RunReport.from_json_dict(json.loads(Path(report.path).read_text()))
         loaded.directory = str(out)
         for cid in _CHECKERS:
             (path,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / f"plots{jobs}"))
@@ -982,7 +989,7 @@ def sweep_outputs(out_dir, report):
     ``out_dir`` (entry CSVs and the plot data of each checker), by name."""
     for cid in ("positivity", "decay"):
         emit_plot_data(report, cid, out_dir=str(out_dir / "plots"))
-    with open(report.timing["report_path"]) as fh:
+    with open(report.path) as fh:
         on_disk = json.load(fh)
     on_disk.pop("timing")
     return on_disk, {str(path.relative_to(out_dir)): path.read_bytes() for path in out_dir.rglob("*.csv")}
@@ -1060,7 +1067,7 @@ def test_run_experiment_keeps_at_most_jobs_workers_alive(tmp_path, monkeypatch):
             assert record["sha256"] == hashlib.sha256(data).hexdigest()
             assert record["rows"] == data.count(b"\n") - 1
         assert sorted(os.listdir(out)) == sorted(
-            [os.path.basename(report.timing["report_path"]), *(f"{e['name']}_positivity.csv" for e in report.entries)]
+            [os.path.basename(report.path), *(f"{e['name']}_positivity.csv" for e in report.entries)]
         )
 
 
@@ -1362,7 +1369,7 @@ def run_report(tmp_path_factory):
     # a real report and its entry CSVs, shared by the report-shape tests
     out = tmp_path_factory.mktemp("report")
     report = run_experiment(validate_config(base_raw()), out_dir=str(out))
-    return Path(report.timing["report_path"])
+    return Path(report.path)
 
 
 def _drop(record, key):
@@ -1437,7 +1444,7 @@ def test_plotdata_refuses_an_entry_csv_a_later_run_overwrote(tmp_path):
     with pytest.raises(ValueError, match="sha256"):
         emit_plot_data(first, "decay", out_dir=str(tmp_path / "plots"))
     assert not (tmp_path / "plots").exists()
-    assert cli_main(["plotdata", first.timing["report_path"], "decay", "--out-dir", str(tmp_path / "plots")]) == 2
+    assert cli_main(["plotdata", first.path, "decay", "--out-dir", str(tmp_path / "plots")]) == 2
     assert not (tmp_path / "plots").exists()
     emit_plot_data(second, "decay", out_dir=str(tmp_path / "plots"))
     # the csv field names a file beside the report and nothing else
@@ -1451,7 +1458,7 @@ def test_plotdata_refuses_an_entry_csv_a_later_run_overwrote(tmp_path):
 
 def test_report_json_round_trip(tmp_path):
     report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path))
-    loaded = json.loads(Path(report.timing["report_path"]).read_text())
+    loaded = json.loads(Path(report.path).read_text())
     again = RunReport.from_json_dict(loaded)
     assert again.config_hash == report.config_hash
     assert again.all_passed == report.all_passed
@@ -1465,6 +1472,26 @@ def write_cfg(tmp_path, raw):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def test_where_a_sweep_writes_is_the_callers_alone(tmp_path, monkeypatch, capsys):
+    # --out-dir, the working directory by default, is the one setting: a
+    # config key for it is unknown, and no environment variable is read
+    raw = base_raw()
+    raw["out_dir"] = str(tmp_path / "cfg")
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli_main(["check", cfg_path]) == 2
+    assert cli_main(["run", cfg_path]) == 2
+    assert capsys.readouterr().err == "config error: <root>: unknown config fields ['out_dir']\n" * 2
+    monkeypatch.setenv("SEMIHEAT_OUT_DIR", str(tmp_path / "env"))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert cli_main(["run", write_cfg(tmp_path, base_raw())]) == 0
+    report_name = f"report_{validate_config(base_raw()).config_hash[:12]}.json"
+    assert capsys.readouterr().out.startswith(f"report: ./{report_name}\n")
+    assert sorted(os.listdir(cwd)) == [report_name, "warm__p2_positivity.csv"]
+    assert not (tmp_path / "env").exists() and not (tmp_path / "cfg").exists()
 
 
 def test_cli_check_and_run_pass(tmp_path, capsys):
@@ -1527,12 +1554,16 @@ def test_cli_jobs_flag_changes_no_output(tmp_path, capsys):
         outputs.append((report, {name: (out_dir / name).read_bytes() for name in os.listdir(out_dir) if name != path}))
     assert outputs[0] == outputs[1] == outputs[2]
     capsys.readouterr()
-    for bad in ("0", "-1", "two"):
+    # run_experiment refuses a count below 1 before it makes a directory
+    for bad in ("0", "-1"):
+        assert cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "bad"), "--jobs", bad]) == 2
+        assert capsys.readouterr().err == f"error: jobs must be a positive integer, got {bad}\n"
+    for bad in ("two", "1.5"):
         with pytest.raises(SystemExit) as exc:
             cli_main(["run", cfg_path, "--out-dir", str(tmp_path / "bad"), "--jobs", bad])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument --jobs: expected a positive integer, got '{bad}'" in err
+        assert f"argument --jobs: invalid int value: '{bad}'" in err
         assert "Traceback" not in err
     assert not (tmp_path / "bad").exists()
 
@@ -1576,7 +1607,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             {"id": "gradient", "variant": "ancient", "D": 1.0, "u_floor": 1e-9},
             "checkers[0]: unknown checker 'gradient' fields ['u_floor']",
         ),
-        ({"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": -1}, "checkers[0]: grad_tol must be positive"),
+        ({"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": -1}, "checkers[0].grad_tol: grad_tol must be positive"),
         (
             {"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0},
             "checkers[0]: delta must lie strictly between 0 and 1",
@@ -1630,8 +1661,8 @@ def test_cli_gives_fresh_results_from_its_one_parser(tmp_path, monkeypatch, caps
     fresh = session(tmp_path / "fresh", fresh=True)
     assert one_parser == fresh
     codes = [code for code, _, _ in fresh[0]]
-    assert codes == [0, 0, 0, ("exit", 2), 0, 2]
-    assert "expected a positive integer" in fresh[0][3][2]
+    assert codes == [0, 0, 0, 2, 0, 2]
+    assert "jobs must be a positive integer" in fresh[0][3][2]
     assert fresh[0][0][1].startswith("  [ok] warm__p2\n")
     assert list(fresh[1]) == [f"plot_positivity_{validate_config(base_raw()).config_hash[:12]}.csv"]
 
@@ -1772,7 +1803,7 @@ def test_accepted_p_values_run_to_a_report_naming_every_csv(raw):
     assert len(set(names)) == len(names)
     with tempfile.TemporaryDirectory() as tmp:
         report = run_experiment(cfg, out_dir=tmp, jobs=1)
-        with open(report.timing["report_path"], encoding="utf-8") as fh:
+        with open(report.path, encoding="utf-8") as fh:
             on_disk = json.load(fh)
         records = [rec for entry in on_disk["entries"] for rec in entry["checks"].values() if "csv" in rec]
         assert len(on_disk["entries"]) == len(names) * len(raw["scenarios"])
@@ -1780,7 +1811,7 @@ def test_accepted_p_values_run_to_a_report_naming_every_csv(raw):
         for rec in records:
             with open(os.path.join(tmp, rec["csv"]), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == rec["sha256"]
-        published = [os.path.basename(report.timing["report_path"]), *(rec["csv"] for rec in records)]
+        published = [os.path.basename(report.path), *(rec["csv"] for rec in records)]
         assert sorted(os.listdir(tmp)) == sorted(published)
 
 

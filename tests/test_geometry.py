@@ -403,6 +403,15 @@ def test_spectrum_rejects_open_kind():
         laplacian_spectrum(m)
 
 
+@pytest.mark.parametrize("kind, n", [("circle", 1), ("sphere_zonal", 2)])
+def test_spectrum_refuses_a_grid_beyond_its_node_cap(kind, n):
+    # the sphere's eigenvectors fill an N x N array; 4096 nodes is the cap
+    m = build_manifold(kind, n, 1.0, 4097)
+    with pytest.raises(ValueError, match="grid too large for a dense spectrum"):
+        laplacian_spectrum(m)
+    assert "spectrum" not in m._ops
+
+
 def test_implicit_diffusion_preserves_constants_and_decays_modes():
     m = build_manifold("circle", 1, 2 * np.pi, 128)
     const = np.full(m.node_count, 2.5)

@@ -3,7 +3,9 @@
 Each check runs in a fresh interpreter, since this one has long since
 imported every module."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
 
@@ -38,7 +40,7 @@ for name in semiheat.__all__:
     assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__, name
 print(len(semiheat.__all__))
 """
-    assert run_fresh(code) == "54"
+    assert run_fresh(code) == "53"
 
 
 def test_star_import_binds_every_public_name():
@@ -48,7 +50,23 @@ names = set(semiheat.__all__)
 from semiheat import *
 print(len(names), names <= set(globals()), names <= set(dir(semiheat)))
 """
-    assert run_fresh(code) == "54 True True"
+    assert run_fresh(code) == "53 True True"
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from the caller (arguments, options, the config);
+    # with test_config_schema_keys, no removed setting comes back unnoticed
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "semiheat"
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads.extend(f"{path.name}:{node.lineno}" for alias in node.names if alias.name in names)
+    assert len(list(src.glob("*.py"))) >= 10
+    assert reads == []
 
 
 def test_unknown_name_raises_attribute_error():
