@@ -38,7 +38,7 @@ def main():
 
     print(f"{'delta':>6} {'worst margin':>13} {'at t':>6}")
     for delta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        params = EstimateParams(delta=delta, L=1.0, A=8.0, r0=1.0, T=3.0, K=0.0)
+        params = EstimateParams(delta=delta, L=1.0, A=8.0, r0=1.0, T=3.0)
         report = check_lower_bound_lemma(traj, params, 1.0, 2.0)
         worst = report.diagnostics["worst_margin"]
         t_at = report.diagnostics["worst_time"]

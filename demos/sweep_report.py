@@ -59,9 +59,9 @@ def main():
         print(f"  {entry['name']:>18} [{entry['status']}] {verdicts}")
     print(f"all passed: {report.all_passed}")
 
-    paths = emit_plot_data(report, "positivity", out_dir=args.out_dir)
+    plot_path = emit_plot_data(report, "positivity", out_dir=args.out_dir)
     print(f"report: {report.path}")
-    print(f"plot data: {paths[0]}")
+    print(f"plot data: {plot_path}")
     print("regimes: " + json.dumps(report.regimes["by_p"]))
 
 

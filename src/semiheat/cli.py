@@ -87,9 +87,7 @@ def _cmd_plotdata(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = RunReport.from_json_dict(json.load(fh))
     report.directory = os.path.dirname(args.report) or "."  # its entry CSVs sit beside it
-    paths = emit_plot_data(report, args.checker, out_dir=args.out_dir)
-    for path in paths:
-        print(path)
+    print(emit_plot_data(report, args.checker, out_dir=args.out_dir))
     return 0
 
 

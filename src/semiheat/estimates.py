@@ -57,14 +57,12 @@ class ExponentRegimeError(ValueError):
 @dataclass(frozen=True)
 class EstimateParams:
     """Window and inequality parameters; only the fields a given checker
-    needs have to be set.  K defaults to the trajectory manifold's curvature
-    bound when left as None."""
+    needs have to be set.  The curvature bound K is the trajectory
+    manifold's, ``curvature_bound(traj.manifold)``."""
 
     D: float | None = None
-    K: float | None = None
     R: float | None = None
     T: float | None = None
-    T0: float | None = None
     delta: float | None = None
     L: float | None = None
     A: float | None = None
@@ -72,11 +70,7 @@ class EstimateParams:
 
     def __post_init__(self):
         # written so that NaN fails each comparison
-        if self.D is not None and not self.D > 0:
-            raise ValueError("D must be positive")
-        if self.K is not None and not self.K >= 0:
-            raise ValueError("K must be nonnegative")
-        for name in ("R", "T", "L", "A", "r0"):
+        for name in ("D", "R", "T", "L", "A", "r0"):
             val = getattr(self, name)
             if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive")
@@ -84,10 +78,10 @@ class EstimateParams:
             raise ValueError("delta must lie strictly between 0 and 1")
 
 
-def _check_cap(c_cap: float, name: str = "c_cap"):
+def _check_cap(c_cap: float):
     # a fitted constant is at least 0, so no check could pass a cap below 0
     if not c_cap >= 0:  # NaN fails it
-        raise ValueError(f"{name} must be nonnegative, got {c_cap!r}")
+        raise ValueError(f"c_cap must be nonnegative, got {c_cap!r}")
 
 
 @dataclass
@@ -279,10 +273,12 @@ def check_gradient_estimate(
         S = 1/R + 1/sqrt(T) + sqrt((p D^(p-1) - (n-1) K)+)   (local)
         S =       1/sqrt(T) + sqrt((p D^(p-1) - (n-1) K)+)   (global)
         S =                   sqrt((p D^(p-1) - (n-1) K)+)   (ancient)
-    evaluated over the shrunken window: inner half-ball over the last
-    quarter of [T0 - T, T0] (local), last quarter of the window over all
-    nodes (global), or every stored snapshot (ancient).  D must bound u on
-    the full window.  When the ancient variant degenerates
+    with K = curvature_bound(traj.manifold), evaluated over the shrunken
+    window: inner half-ball over the last quarter of [t_end - T, t_end]
+    (local), last quarter of that window over all nodes (global), or every
+    stored snapshot (ancient), where t_end is the last snapshot time (slice
+    the trajectory to end earlier).  D must bound u on the full window.
+    When the ancient variant degenerates
     (p D^(p-1) <= (n-1) K, so S = 0) the check instead asserts
     max |grad u| <= grad_tol, which must be positive (NaN is refused).
     """
@@ -296,7 +292,7 @@ def check_gradient_estimate(
     if params.D is None:
         raise ValueError("gradient check requires the sup bound D")
     D = params.D
-    K = params.K if params.K is not None else curvature_bound(m)
+    K = curvature_bound(m)
     n = m.n
 
     full_time, sub_time, full_nodes, sub_nodes = _gradient_windows(traj, params, variant)
@@ -362,7 +358,8 @@ def check_gradient_estimate(
 
 def _gradient_windows(traj: Trajectory, params: EstimateParams, variant: str):
     """(full_time, sub_time, full_nodes, sub_nodes): time windows as slices
-    (the snapshot times increase), node sets as slices or ball masks."""
+    (the snapshot times increase) ending at the last snapshot, node sets as
+    slices or ball masks."""
     required = _GRADIENT_VARIANTS[variant]
     if any(getattr(params, key) is None for key in required):
         raise ValueError(f"{variant} variant requires {' and '.join(required)}")
@@ -374,12 +371,9 @@ def _gradient_windows(traj: Trajectory, params: EstimateParams, variant: str):
         if variant == "local":
             full_nodes = ball_mask(traj.manifold, params.R)
             sub_nodes = ball_mask(traj.manifold, params.R / 2.0)
-        T0 = params.T0 if params.T0 is not None else float(t[-1])
-        stop = int(np.searchsorted(t, T0 + 1e-12, side="right"))
-        full_time = slice(int(np.searchsorted(t, T0 - params.T - 1e-12)), stop)
-        sub_time = slice(int(np.searchsorted(t, T0 - params.T / 4.0 - 1e-12)), stop)
-    if full_time.start >= full_time.stop or sub_time.start >= sub_time.stop:
-        raise ValueError("window selects no snapshots")
+        end = float(t[-1])
+        full_time = slice(int(np.searchsorted(t, end - params.T - 1e-12)), t.size)
+        sub_time = slice(int(np.searchsorted(t, end - params.T / 4.0 - 1e-12)), t.size)
     return full_time, sub_time, full_nodes, sub_nodes
 
 
@@ -480,7 +474,7 @@ def check_lower_bound_lemma(
         raise ValueError("lower-bound check requires delta, L, A, r0")
     m = traj.manifold
     t = traj.times
-    K = params.K if params.K is not None else curvature_bound(m)
+    K = curvature_bound(m)
     T = params.T if params.T is not None else float(t[-1] - t[0])
     if T <= 0:
         raise ValueError("window length must be positive")
@@ -536,7 +530,7 @@ def check_triviality(
     traj: Trajectory,
     m: DiscreteManifold,
     p: float,
-    rate_tol: float = 0.2,
+    c_cap: float = 1.2,
 ) -> EstimateReport:
     """Oscillation-decay test behind the triviality threshold
     Theta = ((n-1) K / p)^(1/(p-1)).
@@ -547,13 +541,14 @@ def check_triviality(
     osc(t2)/osc(t1) must not exceed exp(-(lambda1 - p max_u^(p-1)) dt),
     with lambda1 the first nonzero Laplacian eigenvalue and max_u the
     interval maximum (the most conservative linearization on the interval).
-    C_cap = 1 + rate_tol; intervals whose oscillation starts at or below
-    1e-10 pass outright, flat data among them.  Verdict "trivial-limit" iff
-    every evaluated interval passed.  An ``m`` whose kind, n, size or node
-    count is not the trajectory's is a ValueError: lambda1 and Theta would
-    be another manifold's.  So is an ``m`` without a positive Ricci lower
-    bound, the circle and the radial kind; a complete manifold with one is
-    compact (Bonnet-Myers).
+    The default c_cap of 1.2 allows a ratio 20 % above that factor;
+    intervals whose oscillation starts at or below 1e-10 pass outright,
+    flat data among them.  Verdict "trivial-limit" iff every evaluated
+    interval passed.  An ``m`` whose kind, n, size or node count is not the
+    trajectory's is a ValueError: lambda1 and Theta would be another
+    manifold's.  So is an ``m`` without a positive Ricci lower bound, the
+    circle and the radial kind; a complete manifold with one is compact
+    (Bonnet-Myers).
     """
     p = validate_exponent(p)
     if any(getattr(m, key) != getattr(traj.manifold, key) for key in ("kind", "n", "radius_or_length", "node_count")):
@@ -605,7 +600,7 @@ def check_triviality(
         rhs=np.asarray(rhs_out),
         ratio=np.asarray(ratio_out),
         c_fit=c_fit,
-        c_cap=1.0 + rate_tol,
+        c_cap=c_cap,
         diagnostics={
             "threshold": theta,
             "lambda1": lambda1,

@@ -264,15 +264,20 @@ def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
 
 
+def _at(path: str, rule, /, *args, **kwargs):
+    """``rule(*args, **kwargs)``: a library rule that the run applies, its
+    ValueError refused as a ConfigError at ``path``."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _ruled(rule):
-    # a number that ``rule`` accepts: the range check that the run applies,
-    # refused at the field that holds the number
+    # a number that ``rule`` accepts, refused at the field that holds it
     def check(value, path: str) -> float:
         value = _number(value, path)
-        try:
-            rule(value)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+        _at(path, rule, value)
         return value
 
     return check
@@ -281,8 +286,14 @@ def _ruled(rule):
 _exponent = _ruled(validate_exponent)
 _c_cap = _ruled(_check_cap)
 _grad_tol = _ruled(_check_grad_tol)
-# the triviality check's cap is 1 + rate_tol
-_rate_tol = _ruled(lambda rate_tol: _check_cap(1.0 + rate_tol, "1 + rate_tol"))
+
+
+def _list(raw: dict, key: str) -> list:
+    # a root field that lists entries; absent, it lists none
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(key, "must be a list")
+    return value
 
 
 def _read_custom(path: str, node_count: int):
@@ -345,20 +356,20 @@ _Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
     "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
-        {"variant": _variant, **_numbers("D", "K", "R", "T", "T0"), "c_cap": _c_cap, "grad_tol": _grad_tol},
+        {"variant": _variant, **_numbers("D", "R", "T"), "c_cap": _c_cap, "grad_tol": _grad_tol},
         ("variant", "D"),
-        _with_params("D", "K", "R", "T", "T0"),
+        _with_params("D", "R", "T"),
         "check_gradient_estimate",
     ),
     "decay": _Checker({"T_blow": _number, "c_cap": _c_cap}, ("T_blow",), None, "check_decay"),
     "universal": _Checker({**_numbers("T0", "T"), "c_cap": _c_cap}, ("T0", "T"), None, "check_universal"),
     "lower_bound": _Checker(
-        _numbers("delta", "L", "A", "r0", "C_delta_cap", "K", "T"),
+        _numbers("delta", "L", "A", "r0", "C_delta_cap", "T"),
         ("delta", "L", "A", "r0", "C_delta_cap"),
-        _with_params("delta", "L", "A", "r0", "K", "T"),
+        _with_params("delta", "L", "A", "r0", "T"),
         "check_lower_bound_lemma",
     ),
-    "triviality": _Checker({"rate_tol": _rate_tol}, (), lambda values, m: {"m": m, **values}, "check_triviality"),
+    "triviality": _Checker({"c_cap": _c_cap}, (), lambda values, m: {"m": m, **values}, "check_triviality"),
 }
 
 # a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
@@ -410,43 +421,28 @@ def validate_config(raw: dict) -> ExperimentConfig:
     man_fields = ("kind", "n", "size", "resolution")
     man = _check_fields(raw["manifold"], dict.fromkeys(man_fields), "manifold", "manifold", man_fields)
     kind = man["kind"]
-    try:
-        canonical = _canonical_kind(kind)
-    except ValueError as exc:
-        raise ConfigError("manifold.kind", str(exc)) from None
+    canonical = _at("manifold.kind", _canonical_kind, kind)
     n = _positive_int(man["n"], "manifold.n")
-    try:
-        _check_dimension(canonical, n)
-    except ValueError as exc:
-        raise ConfigError("manifold.n", str(exc)) from None
+    _at("manifold.n", _check_dimension, canonical, n)
     size = _number(man["size"], "manifold.size")
     if size <= 0:
         raise ConfigError("manifold.size", "must be positive")
     resolution = _positive_int(man["resolution"], "manifold.resolution")
     if not 16 <= resolution <= MAX_RESOLUTION:
         raise ConfigError("manifold.resolution", f"must be in [16, {MAX_RESOLUTION}]")
-    try:  # the sweep's one build
-        built = build_manifold(kind, n, size, resolution)
-    except ValueError as exc:
-        raise ConfigError("manifold", str(exc)) from None
+    built = _at("manifold", build_manifold, kind, n, size, resolution)  # the sweep's one build
 
-    p_values = raw.get("p_values", [])
-    if not isinstance(p_values, list):
-        raise ConfigError("p_values", "must be a list")
-    p_values = tuple(_exponent(p, f"p_values[{i}]") for i, p in enumerate(p_values))
+    p_values = tuple(_exponent(p, f"p_values[{i}]") for i, p in enumerate(_list(raw, "p_values")))
     first_with_name = {}  # entry names carry p as f"{p:g}"
     for i, p in enumerate(p_values):
         earlier = first_with_name.setdefault(f"{p:g}", i)
         if earlier != i:
             raise ConfigError(f"p_values[{i}]", f"p = {p!r} shares its entry name p{p:g} with p_values[{earlier}]")
 
-    scenarios = raw.get("scenarios", [])
-    if not isinstance(scenarios, list):
-        raise ConfigError("scenarios", "must be a list")
     parsed_scenarios = []
     custom_contents = []
     seen_names = set()
-    for i, sc in enumerate(scenarios):
+    for i, sc in enumerate(_list(raw, "scenarios")):
         path = f"scenarios[{i}]"
         required = ("name", "initial", "window")
         _check_fields(sc, dict.fromkeys((*required, "controls")), path, "scenario", required)
@@ -488,18 +484,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if t1 <= t0:
             raise ConfigError(f"{path}.window.t1", "must exceed t0")
         controls = _check_fields(sc.get("controls", {}), _CONTROLS, f"{path}.controls", "control")
-        try:
-            controls = EvolveControls(**controls)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.controls", str(exc)) from None
+        controls = _at(f"{path}.controls", EvolveControls, **controls)
         parsed_scenarios.append(_Scenario(name, _RECIPES[recipe].build, values, t0, t1, controls))
 
-    checkers = raw.get("checkers", [])
-    if not isinstance(checkers, list):
-        raise ConfigError("checkers", "must be a list")
     bound_checkers = []
     first_with_id = {}  # the report keeps one record per checker id
-    for i, ck in enumerate(checkers):
+    for i, ck in enumerate(_list(raw, "checkers")):
         path = f"checkers[{i}]"
         cid, fields = _tag(ck, "id", _CHECKERS, path, "checker", "checker id")
         earlier = first_with_id.setdefault(cid, i)
@@ -510,10 +500,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if cid == "gradient":  # each variant requires its own window fields
             variant = values["variant"]
             _check_fields(values, spec.fields, path, f"the {variant} variant", _GRADIENT_VARIANTS[variant])
-        try:
-            bound_checkers.append((cid, spec.bind(values, built) if spec.bind else values))
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from None
+        if cid == "universal" and values["T"] <= values["T0"]:  # the window (T0, T) would be empty
+            raise ConfigError(f"{path}.T", "must exceed T0")
+        bound_checkers.append((cid, _at(path, spec.bind, values, built) if spec.bind else values))
 
     seed = _nonneg_int(raw.get("seed", 0), "seed")
 
@@ -659,8 +648,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str = ".", *, jobs: int | 
     return report
 
 
-def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[str]:
-    """Write one tidy CSV for checker ``which``: scenario, p, t, lhs,
+def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> str:
+    """Write one tidy CSV for checker ``which`` and return its path: scenario, p, t, lhs,
     structural rhs, ratio per snapshot row.  The rows are the bytes of the
     entry CSVs in ``report.directory`` behind the scenario and p, put in
     front of each row by one replace per entry CSV, so no value is parsed or
@@ -695,4 +684,4 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> list[st
     path = os.path.join(out_dir, f"plot_{which}_{report.config_hash[:12]}.csv")
     with open(path, "wb") as fh:
         fh.write(b"scenario,p,t,lhs,structural_rhs,ratio\n" + b"".join(chunks))
-    return [path]
+    return path

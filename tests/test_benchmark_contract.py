@@ -6,6 +6,7 @@ import and read perfbench/; they change nothing there."""
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -57,6 +58,48 @@ def test_workloads_import_and_reach_existing_attributes(perfbench):
                 assert hasattr(base, node.attr), f"{node.value.id}.{node.attr}"
                 checked += 1
     assert checked
+
+
+def _resolve(node, namespace):
+    # the object a dotted name (``est.check_decay``, ``semiheat.cli.main``)
+    # names in ``namespace``; None for anything else, a local among them
+    if isinstance(node, ast.Name):
+        return namespace.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, namespace), node.attr, None)
+    return None
+
+
+def test_workload_calls_bind_to_their_signatures(perfbench):
+    """Every call the workloads make into semiheat, directly
+    (``est.EstimateParams(D=D, T=...)``) or through ``op(name, fn, *args)``,
+    binds to the called function's signature: placeholder arguments in the
+    call's count and keyword names.  A call with a starred argument has no
+    count to check and is skipped.  Binding catches a removed or renamed
+    parameter and a changed arity; it does not catch a reorder of
+    positional parameters of the same arity."""
+    workloads = perfbench("workloads")
+    namespace = vars(workloads)
+    with open(workloads.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    bound = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, args = _resolve(node.func, namespace), node.args
+        if isinstance(node.func, ast.Name) and node.func.id == "op" and len(args) >= 2:
+            fn, args = _resolve(args[1], namespace), args[2:]
+        if not callable(fn) or not (getattr(fn, "__module__", None) or "").startswith("semiheat"):
+            continue
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+            continue
+        placeholders = {k.arg: object() for k in node.keywords}
+        try:
+            inspect.signature(fn).bind(*(object() for _ in args), **placeholders)
+        except TypeError as exc:
+            pytest.fail(f"perfbench/workloads.py:{node.lineno} {ast.unparse(node)}: {exc}")
+        bound += 1
+    assert bound >= 20
 
 
 def test_output_digests_repeat_for_one_seed():

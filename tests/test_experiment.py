@@ -96,7 +96,9 @@ def test_validate_config_accepts_base():
         (lambda r: r.update(checkers=[{"id": "gradient", "variant": "global", "D": "big"}]), "checkers[0].D"),
         (lambda r: r.update(checkers=[{"id": "gradient", "variant": "sideways", "D": 1.0}]), "checkers[0].variant"),
         (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "c_cap": [2.0]}]), "checkers[0].c_cap"),
-        (lambda r: r.update(checkers=[{"id": "triviality", "rate_tol": True}]), "checkers[0].rate_tol"),
+        pytest.param(
+            lambda r: r.update(checkers=[{"id": "triviality", "c_cap": True}]), "checkers[0].c_cap", id="triviality-c-cap-bool"
+        ),
         # a cap below 0 can never pass, since every c_fit is at least 0
         *(
             pytest.param(lambda r, c=checker: r.update(checkers=[c]), f"checkers[0].{key}", id=f"{c_id}-negative-cap")
@@ -104,11 +106,35 @@ def test_validate_config_accepts_base():
                 ("decay", "c_cap", {"id": "decay", "T_blow": 50.0, "c_cap": -1}),
                 ("universal", "c_cap", {"id": "universal", "T0": -1.0, "T": 60.0, "c_cap": -0.5}),
                 ("gradient", "c_cap", {"id": "gradient", "variant": "ancient", "D": 1.0, "c_cap": -1e-300}),
-                ("triviality", "rate_tol", {"id": "triviality", "rate_tol": -2}),
+                ("triviality", "c_cap", {"id": "triviality", "c_cap": -1}),
             )
         ),
         (lambda r: r.update(checkers=[{"id": "positivity", "c_cap": 2.0}]), "checkers[0]"),
         (lambda r: r.update(checkers=[{"id": "decay", "T_blow": 1.0, "D": 1.0}]), "checkers[0]"),
+        # the curvature bound is the manifold's and the gradient windows end
+        # at the last snapshot; the triviality cap is c_cap like every other
+        *(
+            pytest.param(lambda r, c=checker: r.update(checkers=[c]), "checkers[0]", id=f"{c_id}-unknown-{key}")
+            for c_id, key, checker in (
+                ("gradient", "K", {"id": "gradient", "variant": "ancient", "D": 1.0, "K": 0.0}),
+                ("gradient", "T0", {"id": "gradient", "variant": "global", "D": 1.0, "T": 0.5, "T0": 0.2}),
+                (
+                    "lower_bound",
+                    "K",
+                    {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 8.0, "r0": 1.0, "C_delta_cap": 1.0, "K": 0.0},
+                ),
+                ("triviality", "rate_tol", {"id": "triviality", "rate_tol": 0.2}),
+            )
+        ),
+        # an empty window (T0, T) holds no snapshot, so every entry would error
+        *(
+            pytest.param(
+                lambda r, T=T: r.update(checkers=[{"id": "universal", "T0": 5.0, "T": T}]),
+                "checkers[0].T",
+                id=f"universal-T-{name}-T0",
+            )
+            for name, T in (("below", 1.0), ("at", 5.0))
+        ),
         # explicit ids keep the generated ids of the rows above unchanged
         pytest.param(lambda r: r.update(p_value=[2.0]), "<root>", id="unknown-root-key"),
         pytest.param(lambda r: r["manifold"].update(resolutoin=64), "manifold", id="unknown-manifold-key"),
@@ -372,12 +398,12 @@ def test_validate_config_field_paths(mutate, path):
 
 
 def test_checker_caps_down_to_zero_are_accepted():
-    # the least cap a fit of 0 passes: c_cap 0, or rate_tol -1 for triviality
+    # the least cap a fit of 0 passes is c_cap 0, the triviality check's too
     raw = base_raw()
-    raw["checkers"] = [{"id": "decay", "T_blow": 50.0, "c_cap": 0}, {"id": "triviality", "rate_tol": -1}]
+    raw["checkers"] = [{"id": "decay", "T_blow": 50.0, "c_cap": 0}, {"id": "triviality", "c_cap": 0}]
     assert [kwargs for _, kwargs in validate_config(raw).checkers][0] == {"T_blow": 50.0, "c_cap": 0.0}
-    raw["checkers"][1]["rate_tol"] = -1.0000000001
-    with pytest.raises(ConfigError, match=r"^checkers\[1\]\.rate_tol: 1 \+ rate_tol must be nonnegative, got "):
+    raw["checkers"][1]["c_cap"] = -1e-10
+    with pytest.raises(ConfigError, match=r"^checkers\[1\]\.c_cap: c_cap must be nonnegative, got "):
         validate_config(raw)
 
 
@@ -414,11 +440,11 @@ def test_config_schema_keys(monkeypatch):
     # besides the "id" that names the checker
     assert {cid: sorted(checker.fields) for cid, checker in _CHECKERS.items()} == {
         "positivity": [],
-        "gradient": ["D", "K", "R", "T", "T0", "c_cap", "grad_tol", "variant"],
+        "gradient": ["D", "R", "T", "c_cap", "grad_tol", "variant"],
         "decay": ["T_blow", "c_cap"],
         "universal": ["T", "T0", "c_cap"],
-        "lower_bound": ["A", "C_delta_cap", "K", "L", "T", "delta", "r0"],
-        "triviality": ["rate_tol"],
+        "lower_bound": ["A", "C_delta_cap", "L", "T", "delta", "r0"],
+        "triviality": ["c_cap"],
     }
 
 
@@ -708,16 +734,16 @@ def test_random_recipe_seed_sensitivity(tmp_path):
 def test_emit_plot_data(tmp_path):
     cfg = validate_config(base_raw())
     report = run_experiment(cfg, out_dir=str(tmp_path))
-    paths = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    assert len(paths) == 1
-    lines = Path(paths[0]).read_text().splitlines()
+    path = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    assert os.path.dirname(path) == str(tmp_path)
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "scenario,p,t,lhs,structural_rhs,ratio"
     expected_rows = report.entries[0]["checks"]["positivity"]["rows"]
     assert expected_rows > 0
     assert len(lines) == 1 + expected_rows
-    first_bytes = Path(paths[0]).read_bytes()
-    emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    assert Path(paths[0]).read_bytes() == first_bytes
+    first_bytes = Path(path).read_bytes()
+    assert emit_plot_data(report, "positivity", out_dir=str(tmp_path)) == path
+    assert Path(path).read_bytes() == first_bytes
     with pytest.raises(ValueError, match="unknown checker id"):
         emit_plot_data(report, "sorcery", out_dir=str(tmp_path))
     with pytest.raises(ValueError, match="not present"):
@@ -728,8 +754,8 @@ def test_emit_plot_data_header_only_for_empty_report(tmp_path):
     raw = base_raw()
     raw["scenarios"] = []
     report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
-    paths = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
-    lines = Path(paths[0]).read_text().splitlines()
+    path = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    lines = Path(path).read_text().splitlines()
     assert lines == ["scenario,p,t,lhs,structural_rhs,ratio"]
 
 
@@ -819,12 +845,12 @@ def test_plot_data_matches_the_array_formatting(tmp_path, monkeypatch):
             assert rep["sha256"] == hashlib.sha256((out / rep["csv"]).read_bytes()).hexdigest()
     for cid in _CHECKERS:
         assert sum(rep.times.size for rep in captured[cid]) > 0, cid
-        (path,) = emit_plot_data(report, cid, out_dir=str(tmp_path / "plots"))
+        path = emit_plot_data(report, cid, out_dir=str(tmp_path / "plots"))
         assert Path(path).read_bytes() == reference_plot_bytes(report, cid, captured[cid]), cid
         # a report read back from disk finds its entry CSVs through its directory
         loaded = RunReport.from_json_dict(on_disk)
         loaded.directory = str(out)
-        (again,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / "again"))
+        again = emit_plot_data(loaded, cid, out_dir=str(tmp_path / "again"))
         assert Path(again).read_bytes() == Path(path).read_bytes()
 
 
@@ -843,7 +869,7 @@ def test_plot_data_keeps_non_finite_and_signed_zero_values(tmp_path, monkeypatch
     raw["p_values"] = [2.0, 1.5]
     report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
     assert [e["checks"]["positivity"]["rows"] for e in report.entries] == [5, 5]
-    (path,) = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    path = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
     got = Path(path).read_bytes()
     assert got == reference_plot_bytes(report, "positivity", [made, made])
     assert b"warm,1.5,-0.0,0.0,1.0,inf\n" in got and b",nan,nan\n" in got
@@ -873,7 +899,7 @@ def test_plot_data_is_the_line_by_line_copy_at_every_job_count(tmp_path):
         loaded = RunReport.from_json_dict(json.loads(Path(report.path).read_text()))
         loaded.directory = str(out)
         for cid in _CHECKERS:
-            (path,) = emit_plot_data(loaded, cid, out_dir=str(tmp_path / f"plots{jobs}"))
+            path = emit_plot_data(loaded, cid, out_dir=str(tmp_path / f"plots{jobs}"))
             plots[jobs, cid] = Path(path).read_bytes()
             assert plots[jobs, cid] == line_by_line_plot_bytes(loaded, cid), (jobs, cid)
             assert plots[jobs, cid].count(b"\n") > 1, cid
@@ -886,7 +912,7 @@ def test_plot_data_copies_an_entry_csv_with_no_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "check_positivity_min_ode", lambda traj, p: made)
     report = run_experiment(validate_config(base_raw()), out_dir=str(tmp_path), jobs=1)
     assert report.entries[0]["checks"]["positivity"]["rows"] == 0
-    (path,) = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
+    path = emit_plot_data(report, "positivity", out_dir=str(tmp_path))
     assert Path(path).read_bytes() == line_by_line_plot_bytes(report, "positivity") == b"scenario,p,t,lhs,structural_rhs,ratio\n"
 
 
