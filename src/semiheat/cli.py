@@ -1,6 +1,6 @@
 """Command line front end.
 
-    semiheat run CONFIG [--out-dir DIR] [--jobs N] [--verbose]
+    semiheat run CONFIG [--out-dir DIR] [--jobs N]
     semiheat check CONFIG
     semiheat plotdata REPORT CHECKER [--out-dir DIR]
 
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="workers to fork, once each; worker w runs entries w, w + JOBS, ... in order, and 1 "
         "runs every entry in this process (default: one per CPU this process may run on)",
     )
-    run_p.add_argument("--verbose", action="store_true", help="print each entry's status in order once all workers end")
 
     check_p = sub.add_parser("check", help="validate a config without running it")
     check_p.add_argument("config", help="path to a JSON config")
@@ -59,9 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     report = run_experiment(config, out_dir=args.out_dir, jobs=args.jobs)
-    if args.verbose:
-        for entry in report.entries:
-            print(f"  [{entry['status']}] {entry['name']}")
     failed = [e["name"] for e in report.entries if e["status"] != "ok"]
     print(f"report: {report.path}")
     print(

@@ -48,6 +48,7 @@ NONNEG_FLOOR = -1e-10  # nonnegative data may dip at most this far below zero
 U_FLOOR_FACTOR = 1e-12  # u is floored at factor * D inside log(D/u)
 TOL_COEFF = 10.0
 ROUNDOFF_ULPS = 8.0  # one solve moves a constant by up to about 1.6 eps |v| (32 nodes)
+GRAD_TOL = 1e-6  # the degenerate gradient branch's cap on max |grad u|
 
 
 class ExponentRegimeError(ValueError):
@@ -253,19 +254,12 @@ def check_positivity_min_ode(traj: Trajectory, p: float) -> EstimateReport:
 _GRADIENT_VARIANTS = {"local": ("R", "T"), "global": ("T",), "ancient": ()}
 
 
-def _check_grad_tol(grad_tol: float):
-    # the degenerate branch divides by it and caps at it
-    if not grad_tol > 0:  # NaN fails it
-        raise ValueError(f"grad_tol must be positive, got {grad_tol!r}")
-
-
 def check_gradient_estimate(
     traj: Trajectory,
     params: EstimateParams,
     variant: str,
     p: float,
     c_cap: float = math.inf,
-    grad_tol: float = 1e-6,
 ) -> EstimateReport:
     """Pointwise ratio of |grad u| / u against S * (1 + log(D / u)).
 
@@ -280,12 +274,11 @@ def check_gradient_estimate(
     the trajectory to end earlier).  D must bound u on the full window.
     When the ancient variant degenerates
     (p D^(p-1) <= (n-1) K, so S = 0) the check instead asserts
-    max |grad u| <= grad_tol, which must be positive (NaN is refused).
+    max |grad u| <= GRAD_TOL.
     """
     p = validate_exponent(p)
     if not isinstance(variant, str) or variant not in _GRADIENT_VARIANTS:
         raise ValueError(f"unknown gradient variant {variant!r}")
-    _check_grad_tol(grad_tol)
     m = traj.manifold
     if np.any(traj.snapshots <= 0):
         raise ValueError("gradient check requires strictly positive snapshots")
@@ -326,8 +319,8 @@ def check_gradient_estimate(
     nodes = np.arange(m.node_count)[sub_nodes][j]
     lhs_out = lhs[rows, nodes]
     if degenerate:
-        rhs_out = np.full(rows.size, grad_tol)
-        ratio_out = lhs_out / grad_tol
+        rhs_out = np.full(rows.size, GRAD_TOL)
+        ratio_out = lhs_out / GRAD_TOL
         score = lhs_out
     else:
         rhs_out = rhs[rows, nodes]
@@ -343,7 +336,7 @@ def check_gradient_estimate(
         rhs=rhs_out,
         ratio=ratio_out,
         c_fit=score[k_best],
-        c_cap=grad_tol if degenerate else c_cap,
+        c_cap=GRAD_TOL if degenerate else c_cap,
         diagnostics={
             "variant": variant,
             "degenerate": degenerate,

@@ -42,7 +42,7 @@ from .geometry import (
     implicit_diffusion_solve,
     laplacian_spectrum,
 )
-from .reaction_ode import BLOW_THRESHOLD, _dt_cap, _near_trivial_data, reaction_flow, validate_exponent
+from .reaction_ode import BLOW_THRESHOLD, DT_MAX, _dt_cap, _near_trivial_data, reaction_flow, validate_exponent
 
 
 class SolverAbort(RuntimeError):
@@ -56,7 +56,7 @@ class EvolveControls:
     """The step bound dt_max and the snapshot cadence: every snapshot_every-th
     step is stored.  The blow-up threshold is reaction_ode.BLOW_THRESHOLD."""
 
-    dt_max: float = 0.01
+    dt_max: float = DT_MAX
     snapshot_every: int = 1
 
     def __post_init__(self):

@@ -73,7 +73,9 @@ two p values may not share their ``{p:g}`` text.
 config fields its checker reads, which of them are required, how they bind
 to its check_* function, and which function that is.  Validation, dispatch
 and plot-data emission all read that table, so adding a checker means adding
-one entry there; ``_RECIPES`` does the same for initial-data recipes.
+one entry there, plus one to ``CHECKERS`` in ``perfbench/tracer.py``, the
+check_* functions the benchmark traces (a test holds the two tables equal);
+``_RECIPES`` does the same for initial-data recipes.
 """
 
 from __future__ import annotations
@@ -96,7 +98,6 @@ from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
     _check_cap,
-    _check_grad_tol,
     _talenti_profile,
     check_decay,
     check_gradient_estimate,
@@ -285,7 +286,6 @@ def _ruled(rule):
 
 _exponent = _ruled(validate_exponent)
 _c_cap = _ruled(_check_cap)
-_grad_tol = _ruled(_check_grad_tol)
 
 
 def _list(raw: dict, key: str) -> list:
@@ -356,7 +356,7 @@ _Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
     "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
-        {"variant": _variant, **_numbers("D", "R", "T"), "c_cap": _c_cap, "grad_tol": _grad_tol},
+        {"variant": _variant, **_numbers("D", "R", "T"), "c_cap": _c_cap},
         ("variant", "D"),
         _with_params("D", "R", "T"),
         "check_gradient_estimate",
@@ -497,9 +497,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(path, f"checker {cid!r} is already checkers[{earlier}]")
         spec = _CHECKERS[cid]
         values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
-        if cid == "gradient":  # each variant requires its own window fields
+        if cid == "gradient":  # each variant reads and requires its own window fields
             variant = values["variant"]
-            _check_fields(values, spec.fields, path, f"the {variant} variant", _GRADIENT_VARIANTS[variant])
+            window = _GRADIENT_VARIANTS[variant]
+            own = dict.fromkeys(("variant", "D", "c_cap", *window))
+            _check_fields(values, own, path, f"gradient variant {variant!r}", window)
         if cid == "universal" and values["T"] <= values["T0"]:  # the window (T0, T) would be empty
             raise ConfigError(f"{path}.T", "must exceed T0")
         bound_checkers.append((cid, _at(path, spec.bind, values, built) if spec.bind else values))
@@ -539,7 +541,7 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
         try:
             u0 = scenario.build(scenario.values, m, p, config.seed, entry_index)
             traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
-        except (SolverAbort, ValueError, FloatingPointError) as exc:
+        except (SolverAbort, ValueError, ArithmeticError) as exc:
             entry["status"] = "error"
             entry["error"] = str(exc)
         else:
@@ -555,7 +557,7 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
             for cid, kwargs in config.checkers:
                 try:
                     rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
-                except (ValueError, FloatingPointError) as exc:
+                except (ValueError, ArithmeticError) as exc:
                     entry["checks"][cid] = {"status": "error", "error": str(exc)}
                     continue
                 entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}

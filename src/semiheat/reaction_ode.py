@@ -26,6 +26,9 @@ BLOW_THRESHOLD = 1e8
 # variable |v|^(1-p), which is linear in t along the trivial solution
 C_DT = 0.01
 
+# largest step of the scalar oracle, and evolve's default dt_max
+DT_MAX = 0.01
+
 _TINY = 1e-100
 
 
@@ -220,28 +223,25 @@ def _positive_flow(v, p, a):
     return bracket
 
 
-def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> ScalarTrajectory:
+def integrate_scalar_ode(p: float, v0: float, t_span) -> ScalarTrajectory:
     """Adaptive integration of v' = |v|^p over t_span = (t0, t1).
 
-    Steps with the exact flow under dt = min(dt_max, _dt_cap(p, |v|)), so the
+    Steps with the exact flow under dt = min(DT_MAX, _dt_cap(p, |v|)), so the
     result matches the closed form to roundoff on non-blow-up spans.  Forward
     runs stop early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap
     on dt falls below the resolution of t, and record the (then essentially
     exact) blow-up time.  Backward spans are integrated backward but stored
     with times ascending; a backward singularity stops the run without
-    recording a blow-up time.  A dt_max that is not positive (NaN included:
-    it would step t away from t1 forever) or too small to advance t is a
-    ValueError.
+    recording a blow-up time.  A t_span so far from 0 that DT_MAX does not
+    advance t is a ValueError.
     """
     p = validate_exponent(p)
-    if not dt_max > 0:
-        raise ValueError(f"dt_max must be positive, got {dt_max!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValueError("t_span must be a finite nondegenerate interval")
     span = max(abs(t0), abs(t1))
-    if span + dt_max == span:
-        raise ValueError(f"dt_max = {dt_max:g} is below the resolution of t on {t_span}")
+    if span + DT_MAX == span:
+        raise ValueError(f"the step bound {DT_MAX:g} is below the resolution of t on {t_span}")
     forward = t1 > t0
     sign = 1.0 if forward else -1.0
 
@@ -253,7 +253,7 @@ def integrate_scalar_ode(p: float, v0: float, t_span, dt_max: float = 0.01) -> S
     while (t1 - t) * sign > 1e-14 * max(1.0, abs(t1)):
         mag = abs(v)
         cap = _dt_cap(p, mag)
-        dt = min(dt_max, cap, (t1 - t) * sign)
+        dt = min(DT_MAX, cap, (t1 - t) * sign)
         if t + sign * dt == t:  # the blow-up cap is below the resolution of t
             singular = True
             break

@@ -30,7 +30,7 @@ from semiheat import (
     trajectory_from_samples,
     trivial_ancient,
 )
-from semiheat.estimates import _finalize
+from semiheat.estimates import GRAD_TOL, _finalize
 
 
 def constant_trajectory(m, times, values):
@@ -69,17 +69,6 @@ _NAN = float("nan")
         *(
             pytest.param(lambda name=name: EstimateParams(**{name: _NAN}), f"{name} must", id=f"params-{name}")
             for name in ("D", "R", "T", "L", "A", "r0", "delta")
-        ),
-        pytest.param(
-            lambda: check_gradient_estimate(
-                trajectory_from_samples(build_manifold("circle", 1, 6.0, 32), [0.0, 1.0], np.ones((2, 32))),
-                EstimateParams(D=2.0),
-                "ancient",
-                2.0,
-                grad_tol=_NAN,
-            ),
-            "grad_tol must be positive, got nan",
-            id="gradient-grad-tol",
         ),
         pytest.param(lambda: blowup_time_from_min(2.0, _NAN), "v0 must", id="blowup-time-v0"),
         pytest.param(lambda: ode_lower_envelope(2.0, _NAN, 1.0, 1.0), "delta must", id="envelope-delta"),
@@ -300,7 +289,7 @@ def test_gradient_real_run_reports_fields(sphere):
     assert 0 <= report.diagnostics["max_node"] < sphere.node_count
 
 
-def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
+def _gradient_reference(traj, params, variant, p):
     """Snapshot-by-snapshot evaluation of the gradient check: boolean
     windows, one gradient_norm call per stored time and a running maximum.
     Returns (times, lhs, rhs, ratio, c_fit, max_time, max_node)."""
@@ -326,7 +315,7 @@ def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
         u = traj.snapshots[k]
         grad = gradient_norm(m, u)
         if degenerate:
-            numer, denom, point = grad, np.full(u.size, grad_tol), grad
+            numer, denom, point = grad, np.full(u.size, GRAD_TOL), grad
         else:
             numer = grad / u
             denom = S * (1.0 + np.log(D / np.maximum(u, 1e-12 * D)))
@@ -336,7 +325,7 @@ def _gradient_reference(traj, params, variant, p, grad_tol=1e-6):
         times.append(t[k])
         lhs.append(float(numer[j]))
         rhs.append(float(denom[j]))
-        ratio.append(float(numer[j]) / grad_tol if degenerate else float(point[j]))
+        ratio.append(float(numer[j]) / GRAD_TOL if degenerate else float(point[j]))
         if point[j] > best[0]:
             best = (float(point[j]), k, int(np.flatnonzero(nodes)[j]))
     c_fit = max(lhs) if degenerate else max(ratio)
@@ -361,10 +350,8 @@ def test_gradient_block_matches_snapshot_loop(sphere, torus):
         D = float(np.max(traj.snapshots)) * 1.0000001
         R = 5.0 if traj.manifold is torus else 1.0
         params = EstimateParams(D=D, R=R, T=0.3)
-        report = check_gradient_estimate(traj, params, variant, 2.0, grad_tol=1e-3)
-        times, lhs, rhs, ratio, c_fit, max_time, max_node = _gradient_reference(
-            traj, params, variant, 2.0, grad_tol=1e-3
-        )
+        report = check_gradient_estimate(traj, params, variant, 2.0)
+        times, lhs, rhs, ratio, c_fit, max_time, max_node = _gradient_reference(traj, params, variant, 2.0)
         assert report.diagnostics["degenerate"] == (traj is low), variant
         for got, want in ((report.times, times), (report.lhs, lhs), (report.rhs, rhs), (report.ratio, ratio)):
             assert np.array_equal(got, want), (variant, traj.manifold.kind)

@@ -277,6 +277,15 @@ def test_validate_config_accepts_base():
             "checkers[0].T",
             id="gradient-global-without-T",
         ),
+        # a window field the variant does not read
+        *(
+            pytest.param(lambda r, c=checker: r.update(checkers=[c]), "checkers[0]", id=f"gradient-{variant}-with-{key}")
+            for variant, key, checker in (
+                ("ancient", "R", {"id": "gradient", "variant": "ancient", "D": 1.0, "R": 5.0}),
+                ("ancient", "T", {"id": "gradient", "variant": "ancient", "D": 1.0, "T": 3.0}),
+                ("global", "R", {"id": "gradient", "variant": "global", "D": 1.0, "R": 5.0, "T": 3.0}),
+            )
+        ),
         pytest.param(
             lambda r: r.update(checkers=[{"id": "gradient", "variant": ["local"], "D": 1.0}]),
             "checkers[0].variant",
@@ -299,10 +308,10 @@ def test_validate_config_accepts_base():
             "checkers[0]",
             id="triviality-osc-floor-negative",
         ),
-        # the degenerate gradient branch divides by grad_tol and caps at it
+        # the degenerate gradient branch's cap is the constant GRAD_TOL
         pytest.param(
             lambda r: r.update(checkers=[{"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": 0}]),
-            "checkers[0].grad_tol",
+            "checkers[0]",
             id="gradient-grad-tol-zero",
         ),
         # an object that is not one, at every level (None: the root itself)
@@ -440,7 +449,7 @@ def test_config_schema_keys(monkeypatch):
     # besides the "id" that names the checker
     assert {cid: sorted(checker.fields) for cid, checker in _CHECKERS.items()} == {
         "positivity": [],
-        "gradient": ["D", "R", "T", "c_cap", "grad_tol", "variant"],
+        "gradient": ["D", "R", "T", "c_cap", "variant"],
         "decay": ["T_blow", "c_cap"],
         "universal": ["T", "T0", "c_cap"],
         "lower_bound": ["A", "C_delta_cap", "L", "T", "delta", "r0"],
@@ -630,6 +639,40 @@ def test_run_experiment_isolates_checker_errors(tmp_path):
     assert entry["checks"]["positivity"]["status"] == "checked"
     assert entry["checks"]["decay"]["status"] == "error"
     assert not report.all_passed
+
+
+_P_NEAR_1 = 1.0 + 2e-9  # above the exponent floor 1 + 1e-9; 1/(p-1) is 5e8
+_LOWER_BOUND = {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 10.0, "r0": 0.3, "C_delta_cap": 1.0}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "size, p, checker",
+    [
+        pytest.param(1.0, 40.0, {"id": "gradient", "variant": "ancient", "D": 1e9}, id="gradient-D-power-overflows"),
+        pytest.param(1.0, 3.0, {**_LOWER_BOUND, "r0": 1e-200}, id="lower-bound-r0-squared-is-zero"),
+        pytest.param(1.0, _P_NEAR_1, _LOWER_BOUND, id="lower-bound-p-near-1"),
+        pytest.param(0.01, _P_NEAR_1, {"id": "triviality"}, id="triviality-p-near-1"),
+    ],
+)
+def test_a_checks_float_overflow_is_that_checks_error(tmp_path, capsys, size, p, checker, jobs):
+    # an OverflowError or ZeroDivisionError from Python-float maths in a
+    # checker errors that check alone: the other entries and checks are
+    # checked and the report is written, in a worker as in the runner
+    raw = base_raw()
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": size, "resolution": 16}
+    raw["p_values"] = [2.0, p]
+    raw["scenarios"][0]["initial"]["value"] = 0.5
+    raw["checkers"] = [{"id": "positivity"}, checker]
+    cfg_path = write_cfg(tmp_path, raw)
+    assert cli_main(["check", cfg_path]) == 0
+    out = tmp_path / "out"
+    assert cli_main(["run", cfg_path, "--out-dir", str(out), "--jobs", jobs]) == 1
+    (report_name,) = [f for f in os.listdir(out) if f.startswith("report_")]
+    entries = json.loads((out / report_name).read_text())["entries"]
+    assert [entry["status"] for entry in entries] == ["ok", "ok"]
+    assert [entry["checks"]["positivity"]["status"] for entry in entries] == ["checked", "checked"]
+    assert entries[1]["checks"][checker["id"]]["status"] == "error"
 
 
 def test_run_experiment_records_a_nan_constant_as_an_error(tmp_path, monkeypatch):
@@ -1326,7 +1369,7 @@ def test_cli_run_replaces_nothing_when_a_directory_is_at_the_report_path(tmp_pat
     assert cli_main(["plotdata", str(out / first_report), "decay", "--out-dir", str(plots)]) == 0
 
 
-def test_cli_run_verbose_prints_each_entry_once(tmp_path):
+def test_cli_run_prints_each_line_once(tmp_path, capsys):
     # with stdout a pipe it is block-buffered; a forked child must not
     # write what the parent buffered, nor print anything of its own
     cfg_path = write_cfg(tmp_path, forking_raw())
@@ -1334,7 +1377,7 @@ def test_cli_run_verbose_prints_each_entry_once(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     code = "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; from semiheat.cli import main; sys.exit(main())"
     proc = subprocess.run(
-        [sys.executable, "-c", code, "run", cfg_path, "--verbose", "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-c", code, "run", cfg_path, "--out-dir", str(tmp_path / "out")],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -1343,9 +1386,14 @@ def test_cli_run_verbose_prints_each_entry_once(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr  # the triviality check errors
     lines = proc.stdout.splitlines()
-    assert lines[:3] == ["  [ok] warm__p1.5", "  [ok] warm__p2", "  [ok] warm__p3"]
-    assert lines[3].startswith("report: ")
-    assert lines[4:] == ["entries: 3, scenario errors: 0, check failures: 3"]
+    assert lines[0].startswith("report: ")
+    assert lines[1:] == ["entries: 3, scenario errors: 0, check failures: 3"]
+    assert proc.stderr == "FAILED\n"
+    # each entry's status is in the report; no option prints it
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", cfg_path, "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 def test_cli_plotdata_missing_entry_csv(tmp_path):
@@ -1633,7 +1681,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             {"id": "gradient", "variant": "ancient", "D": 1.0, "u_floor": 1e-9},
             "checkers[0]: unknown checker 'gradient' fields ['u_floor']",
         ),
-        ({"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": -1}, "checkers[0].grad_tol: grad_tol must be positive"),
+        (
+            {"id": "gradient", "variant": "ancient", "D": 0.45, "grad_tol": -1},
+            "checkers[0]: unknown checker 'gradient' fields ['grad_tol']",
+        ),
+        (
+            {"id": "gradient", "variant": "ancient", "D": 1.0, "R": 5.0, "T": 3.0},
+            "checkers[0]: unknown gradient variant 'ancient' fields ['R', 'T']",
+        ),
         (
             {"id": "lower_bound", "delta": 2, "L": 1.0, "A": 5.0, "r0": 0.5, "C_delta_cap": 1.0},
             "checkers[0]: delta must lie strictly between 0 and 1",
@@ -1657,7 +1712,7 @@ def test_cli_gives_fresh_results_from_its_one_parser(tmp_path, monkeypatch, caps
     cfg_path = write_cfg(tmp_path, base_raw())
     out = str(tmp_path / "out")
     calls = [
-        ["run", cfg_path, "--out-dir", out, "--verbose"],
+        ["run", cfg_path, "--out-dir", out],
         ["plotdata", None, "positivity"],
         ["check", cfg_path],
         ["run", cfg_path, "--jobs", "0"],
@@ -1689,7 +1744,7 @@ def test_cli_gives_fresh_results_from_its_one_parser(tmp_path, monkeypatch, caps
     codes = [code for code, _, _ in fresh[0]]
     assert codes == [0, 0, 0, 2, 0, 2]
     assert "jobs must be a positive integer" in fresh[0][3][2]
-    assert fresh[0][0][1].startswith("  [ok] warm__p2\n")
+    assert fresh[0][0][1].startswith(f"report: {os.path.join(out, 'report_')}")
     assert list(fresh[1]) == [f"plot_positivity_{validate_config(base_raw()).config_hash[:12]}.csv"]
 
 
