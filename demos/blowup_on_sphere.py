@@ -48,7 +48,7 @@ def main():
         print(f"{label:>24} {u_min:8.3f} {bound:8.4f} {t_star:9.5f}")
         slug = label.replace(" ", "_").replace("(", "").replace(")", "").replace("+", "p")
         csv_path = os.path.join(args.out_dir, f"run_{slug}.csv")
-        export_trajectory(traj.slice_time(traj.times[0], traj.times[-1]), csv_path)
+        export_trajectory(traj, csv_path)
 
     print(f"trajectories written to {args.out_dir}")
 

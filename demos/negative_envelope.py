@@ -1,4 +1,4 @@
-"""Lower-bound envelope for sign-changing data on the flat torus.
+"""Lower-bound envelope for sign-changing data on the circle.
 
 A spatially constant negative solution relaxes toward zero along
 v(t) = -1/(1/L + t) for p = 2.  The two-branch lower bound (relaxed ODE
@@ -27,7 +27,7 @@ def main():
     ap.add_argument("--length", type=float, default=40.0)
     args = ap.parse_args()
 
-    m = build_manifold("flat_torus_1d", 1, args.length, args.resolution)
+    m = build_manifold("circle", 1, args.length, args.resolution)
     traj = evolve(m, -np.ones(m.node_count), 0.0, 3.0, 2.0)
     print(f"torus length {args.length:g}, constant data -1, window [0, 3]")
     final = float(traj.snapshot_min[-1])

@@ -22,7 +22,7 @@ _EXPORTS = {
         "export_cutoff_csv", "verify_phi_inequality",
     ),
     "estimates": (
-        "EstimateParams", "EstimateReport", "ExponentRegimeError", "ball_mask",
+        "EstimateParams", "EstimateReport", "ball_mask",
         "check_decay", "check_gradient_estimate", "check_lower_bound_lemma",
         "check_positivity_min_ode", "check_triviality", "check_universal",
         "exponent_regime", "lemma_admissibility_min", "scheme_tolerance",

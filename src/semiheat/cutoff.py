@@ -72,36 +72,33 @@ class SmoothCutoff:
 
     def at(self, s):
         """Evaluate (phi, phi', phi'') at arbitrary points."""
-        return _evaluate(self.k, self.q, s)
+        k, q = self.k, self.q
+        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+        eta = _eta_polynomial(k)
+        deta = eta.deriv()
+        d2eta = eta.deriv(2)
+        # map [3/4, 1] to the unit interval; chain-rule factor 4 per derivative
+        z = (s_arr - _PLATEAU_END) / (_SUPPORT_END - _PLATEAU_END)
+        scale = 1.0 / (_SUPPORT_END - _PLATEAU_END)
 
-
-def _evaluate(k: int, q: int, s):
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    eta = _eta_polynomial(k)
-    deta = eta.deriv()
-    d2eta = eta.deriv(2)
-    # map [3/4, 1] to the unit interval; chain-rule factor 4 per derivative
-    z = (s_arr - _PLATEAU_END) / (_SUPPORT_END - _PLATEAU_END)
-    scale = 1.0 / (_SUPPORT_END - _PLATEAU_END)
-
-    phi = np.ones_like(s_arr)
-    dphi = np.zeros_like(s_arr)
-    d2phi = np.zeros_like(s_arr)
-    mid = (z > 0.0) & (z < 1.0)
-    zm = z[mid]
-    e = eta(zm)
-    de = deta(zm)
-    d2e = d2eta(zm)
-    phi[mid] = e**q
-    dphi[mid] = q * e ** (q - 1) * de * scale
-    second = q * e ** (q - 1) * d2e
-    if q >= 2:
-        second = second + q * (q - 1) * e ** (q - 2) * de**2
-    d2phi[mid] = second * scale**2
-    phi[z >= 1.0] = 0.0  # dphi and d2phi are zero there already
-    if np.isscalar(s) or np.asarray(s).ndim == 0:
-        return float(phi[0]), float(dphi[0]), float(d2phi[0])
-    return phi, dphi, d2phi
+        phi = np.ones_like(s_arr)
+        dphi = np.zeros_like(s_arr)
+        d2phi = np.zeros_like(s_arr)
+        mid = (z > 0.0) & (z < 1.0)
+        zm = z[mid]
+        e = eta(zm)
+        de = deta(zm)
+        d2e = d2eta(zm)
+        phi[mid] = e**q
+        dphi[mid] = q * e ** (q - 1) * de * scale
+        second = q * e ** (q - 1) * d2e
+        if q >= 2:
+            second = second + q * (q - 1) * e ** (q - 2) * de**2
+        d2phi[mid] = second * scale**2
+        phi[z >= 1.0] = 0.0  # dphi and d2phi are zero there already
+        if np.isscalar(s) or np.asarray(s).ndim == 0:
+            return float(phi[0]), float(dphi[0]), float(d2phi[0])
+        return phi, dphi, d2phi
 
 
 def build_phi(p: float, k: int = 3, q: int | None = None) -> SmoothCutoff:
@@ -148,7 +145,7 @@ def verify_phi_inequality(c: SmoothCutoff, p: float) -> CertificationResult:
     p = validate_exponent(p)
     maxima = []
     for level in range(_REFINEMENT_LEVELS):
-        phi, dphi, d2phi = _evaluate(c.k, c.q, np.linspace(0.0, 1.0, _GRID_COUNT * 2**level))
+        phi, dphi, d2phi = c.at(np.linspace(0.0, 1.0, _GRID_COUNT * 2**level))
         mask = phi > 0.0
         phi, dphi, d2phi = phi[mask], dphi[mask], d2phi[mask]
         maxima.append(float(np.max(np.abs(2.0 * dphi**2 / phi - d2phi) / phi ** (1.0 / p))))

@@ -51,10 +51,6 @@ ROUNDOFF_ULPS = 8.0  # one solve moves a constant by up to about 1.6 eps |v| (32
 GRAD_TOL = 1e-6  # the degenerate gradient branch's cap on max |grad u|
 
 
-class ExponentRegimeError(ValueError):
-    """The requested check's hypothesis excludes this (n, p)."""
-
-
 @dataclass(frozen=True)
 class EstimateParams:
     """Window and inequality parameters; only the fields a given checker
@@ -185,9 +181,7 @@ def _exponent_gate(n: int, p: float):
     if n >= 2:
         threshold = n * (n + 2) / (n - 1) ** 2
         if p >= threshold:
-            raise ExponentRegimeError(
-                f"p = {p:g} outside the hypothesis window 1 < p < {threshold:g} for n = {n}"
-            )
+            raise ValueError(f"p = {p:g} outside the hypothesis window 1 < p < {threshold:g} for n = {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +443,19 @@ def lemma_admissibility_min(n: int, T: float, r0: float, K: float) -> float:
     return 4.0 + 2.0 * (n - 1) * T / r0**2 + 2.0 * (n - 1) * T * math.sqrt(K) / r0
 
 
+def _lemma_balls(m: DiscreteManifold, params: EstimateParams, T: float | None):
+    """(outer, a_min): the ball_mask of B_{A r0} and the admissibility
+    minimum of A for a window of length T (None where T is None).  The
+    lemma's preconditions that need no trajectory: ValueError where A is
+    below that minimum or m cannot hold the ball."""
+    a_min = None
+    if T is not None:
+        a_min = lemma_admissibility_min(m.n, T, params.r0, curvature_bound(m))
+        if params.A < a_min - 1e-12:
+            raise ValueError(f"A = {params.A:g} is below the admissibility minimum {a_min:g}")
+    return ball_mask(m, params.A * params.r0), a_min
+
+
 def check_lower_bound_lemma(
     traj: Trajectory, params: EstimateParams, C_delta_cap: float, p: float
 ) -> EstimateReport:
@@ -467,16 +474,10 @@ def check_lower_bound_lemma(
         raise ValueError("lower-bound check requires delta, L, A, r0")
     m = traj.manifold
     t = traj.times
-    K = curvature_bound(m)
     T = params.T if params.T is not None else float(t[-1] - t[0])
     if T <= 0:
         raise ValueError("window length must be positive")
-    a_min = lemma_admissibility_min(m.n, T, params.r0, K)
-    if params.A < a_min - 1e-12:
-        raise ValueError(
-            f"A = {params.A:g} is below the admissibility minimum {a_min:g}"
-        )
-    outer = ball_mask(m, params.A * params.r0)
+    outer, a_min = _lemma_balls(m, params, T)
     inner = ball_mask(m, params.A * params.r0 / 4.0)
     start_min = float(np.min(traj.snapshots[0][outer]))
     if start_min < -params.L - 1e-12:

@@ -75,7 +75,13 @@ to its check_* function, and which function that is.  Validation, dispatch
 and plot-data emission all read that table, so adding a checker means adding
 one entry there, plus one to ``CHECKERS`` in ``perfbench/tracer.py``, the
 check_* functions the benchmark traces (a test holds the two tables equal);
-``_RECIPES`` does the same for initial-data recipes.
+``_RECIPES`` does the same for initial-data recipes.  ``_tag`` reads every
+config field that names a table entry: a recipe's ``type``, a checker's
+``id``, the manifold's ``kind`` (one of geometry's ``KINDS``) and a gradient
+checker's ``variant`` (``_GRADIENT_VARIANTS``).  A checker's bind step may
+refuse what no trajectory could pass; ``lower_bound``'s applies the
+lemma's ball and admissibility rules, through the helper its check calls.
+An arithmetic error's text leads with its type's name.
 """
 
 from __future__ import annotations
@@ -98,6 +104,7 @@ from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
     _check_cap,
+    _lemma_balls,
     _talenti_profile,
     check_decay,
     check_gradient_estimate,
@@ -113,8 +120,8 @@ from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
     _SPECTRUM_MAX_NODES,
     CLOSED_KINDS,
+    KINDS,
     DiscreteManifold,
-    _canonical_kind,
     _check_dimension,
     build_manifold,
     laplacian_spectrum,
@@ -249,12 +256,6 @@ def _nonneg_int(value, path: str) -> int:
     return value
 
 
-def _variant(value, path: str) -> str:
-    if not isinstance(value, str) or value not in _GRADIENT_VARIANTS:
-        raise ConfigError(path, f"expected one of {list(_GRADIENT_VARIANTS)}, got {value!r}")
-    return value
-
-
 def _string(value, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(path, f"expected a string, got {value!r}")
@@ -265,13 +266,19 @@ def _numbers(*names) -> dict:
     return dict.fromkeys(names, _number)
 
 
+def _error_text(exc: Exception) -> str:
+    # an arithmetic error's own text may not say what it is ("(34, 'Numerical
+    # result out of range')" for an OverflowError), so its type leads it
+    return f"{type(exc).__name__}: {exc}" if isinstance(exc, ArithmeticError) else str(exc)
+
+
 def _at(path: str, rule, /, *args, **kwargs):
     """``rule(*args, **kwargs)``: a library rule that the run applies, its
-    ValueError refused as a ConfigError at ``path``."""
+    ValueError or ArithmeticError refused as a ConfigError at ``path``."""
     try:
         return rule(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(path, _error_text(exc)) from None
 
 
 def _ruled(rule):
@@ -347,6 +354,13 @@ def _with_params(*names):
     return bind
 
 
+def _bind_lower_bound(values, m):
+    # the lemma's preconditions that need no trajectory are config errors
+    kwargs = _with_params("delta", "L", "A", "r0", "T")(values, m)
+    _lemma_balls(m, kwargs["params"], kwargs["params"].T)
+    return kwargs
+
+
 # One entry per checker id: the config fields the checker reads (name -> type
 # check), the ones it requires, bind(values, m) -> its keyword arguments (only
 # the fields present, so defaults live in the check_* signatures; None: the
@@ -356,7 +370,7 @@ _Checker = namedtuple("_Checker", "fields required bind function")
 _CHECKERS = {
     "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
     "gradient": _Checker(
-        {"variant": _variant, **_numbers("D", "R", "T"), "c_cap": _c_cap},
+        {"variant": None, **_numbers("D", "R", "T"), "c_cap": _c_cap},
         ("variant", "D"),
         _with_params("D", "R", "T"),
         "check_gradient_estimate",
@@ -366,7 +380,7 @@ _CHECKERS = {
     "lower_bound": _Checker(
         _numbers("delta", "L", "A", "r0", "C_delta_cap", "T"),
         ("delta", "L", "A", "r0", "C_delta_cap"),
-        _with_params("delta", "L", "A", "r0", "T"),
+        _bind_lower_bound,
         "check_lower_bound_lemma",
     ),
     "triviality": _Checker({"c_cap": _c_cap}, (), lambda values, m: {"m": m, **values}, "check_triviality"),
@@ -376,11 +390,12 @@ _CHECKERS = {
 _Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
 
 
-def _tag(d, tag: str, table: dict, path: str, what: str, noun: str):
-    """(name, fields): the ``table`` entry (a recipe, a checker id) that
-    field ``tag`` of the object ``d`` names, and d's other fields, which
-    that entry's own spec then checks.  A ``d`` that is not an object, then
-    a missing field, then a name ``table`` lacks, is refused first."""
+def _tag(d, tag: str, table, path: str, what: str, noun: str):
+    """(name, fields): the ``table`` entry that field ``tag`` of the object
+    ``d`` names (a recipe's ``type``, a checker's ``id``, the manifold's
+    ``kind``, the gradient's ``variant``), and d's other fields, which that
+    entry's own spec then checks.  A ``d`` that is not an object, then a
+    missing field, then a name ``table`` lacks, is refused first."""
     if not isinstance(d, dict):
         raise ConfigError(path, "must be an object")
     if tag not in d or not isinstance(d[tag], str) or d[tag] not in table:
@@ -418,12 +433,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     root_fields = ("manifold", "p_values", "scenarios", "checkers", "seed")
     _check_fields(raw, dict.fromkeys(root_fields), "<root>", "config", ("manifold",))
 
-    man_fields = ("kind", "n", "size", "resolution")
-    man = _check_fields(raw["manifold"], dict.fromkeys(man_fields), "manifold", "manifold", man_fields)
-    kind = man["kind"]
-    canonical = _at("manifold.kind", _canonical_kind, kind)
+    kind, man = _tag(raw["manifold"], "kind", KINDS, "manifold", "manifold", "manifold kind")
+    man_fields = ("n", "size", "resolution")
+    man = _check_fields(man, dict.fromkeys(man_fields), "manifold", "manifold", man_fields)
     n = _positive_int(man["n"], "manifold.n")
-    _at("manifold.n", _check_dimension, canonical, n)
+    _at("manifold.n", _check_dimension, kind, n)
     size = _number(man["size"], "manifold.size")
     if size <= 0:
         raise ConfigError("manifold.size", "must be positive")
@@ -455,7 +469,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         recipe, fields = _tag(sc["initial"], "type", _RECIPES, f"{path}.initial", "initial data", "recipe")
         spec = _RECIPES[recipe].fields
         values = _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
-        if recipe == "talenti" and (canonical != "euclidean_radial" or n < 3):
+        if recipe == "talenti" and (kind != "euclidean_radial" or n < 3):
             raise ConfigError(
                 f"{path}.initial.type",
                 "talenti profile needs the euclidean_radial kind with n >= 3",
@@ -465,7 +479,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if recipe == "random_uniform" and not values["high"] - values["low"] < math.inf:
             raise ConfigError(f"{path}.initial.high", "high - low must be finite")
         if recipe == "trivial_plus_mode":  # sizes only: the spectrum is computed per entry
-            if canonical not in CLOSED_KINDS:
+            if kind not in CLOSED_KINDS:
                 raise ConfigError(f"{path}.initial.type", f"eigenmodes need a kind in {list(CLOSED_KINDS)}")
             if resolution > _SPECTRUM_MAX_NODES:
                 raise ConfigError("manifold.resolution", f"eigenmodes need <= {_SPECTRUM_MAX_NODES} nodes")
@@ -498,10 +512,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         spec = _CHECKERS[cid]
         values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
         if cid == "gradient":  # each variant reads and requires its own window fields
-            variant = values["variant"]
+            variant, rest = _tag(values, "variant", _GRADIENT_VARIANTS, path, "checker 'gradient'", "gradient variant")
             window = _GRADIENT_VARIANTS[variant]
-            own = dict.fromkeys(("variant", "D", "c_cap", *window))
-            _check_fields(values, own, path, f"gradient variant {variant!r}", window)
+            _check_fields(rest, dict.fromkeys(("D", "c_cap", *window)), path, f"gradient variant {variant!r}", window)
         if cid == "universal" and values["T"] <= values["T0"]:  # the window (T0, T) would be empty
             raise ConfigError(f"{path}.T", "must exceed T0")
         bound_checkers.append((cid, _at(path, spec.bind, values, built) if spec.bind else values))
@@ -543,7 +556,7 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
             traj = evolve(m, u0, scenario.t0, scenario.t1, p, scenario.controls)
         except (SolverAbort, ValueError, ArithmeticError) as exc:
             entry["status"] = "error"
-            entry["error"] = str(exc)
+            entry["error"] = _error_text(exc)
         else:
             entry["trajectory"] = {
                 "snapshot_count": int(traj.times.size),
@@ -558,7 +571,7 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
                 try:
                     rep = globals()[_CHECKERS[cid].function](traj, p=p, **kwargs)
                 except (ValueError, ArithmeticError) as exc:
-                    entry["checks"][cid] = {"status": "error", "error": str(exc)}
+                    entry["checks"][cid] = {"status": "error", "error": _error_text(exc)}
                     continue
                 entry["checks"][cid] = {**rep.to_json_dict(), "status": "checked", "csv": f"{name}_{cid}.csv"}
                 files.append((entry["checks"][cid], rep))
@@ -685,5 +698,5 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"plot_{which}_{report.config_hash[:12]}.csv")
     with open(path, "wb") as fh:
-        fh.write(b"scenario,p,t,lhs,structural_rhs,ratio\n" + b"".join(chunks))
+        fh.write(b"scenario,p," + _ENTRY_CSV_HEADER + b"".join(chunks))
     return path

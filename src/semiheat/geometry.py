@@ -5,9 +5,7 @@ Everything runs on one-dimensional reductions of three model geometries:
 * ``sphere_zonal``      rotationally symmetric functions on the round n-sphere,
                         coordinate theta in [0, pi], Laplacian
                         (u_tt + (n-1) cot(theta) u_t) / radius^2
-* ``circle``            the flat circle of a given circumference, periodic;
-                        ``flat_torus_1d`` is accepted as another spelling and
-                        builds the same manifold (its ``kind`` is ``circle``)
+* ``circle``            the flat circle of a given circumference, periodic
 * ``euclidean_radial``  radial functions on flat R^n truncated at R_max,
                         Laplacian u_rr + (n-1) u_r / r, homogeneous Neumann
                         at the outer boundary
@@ -47,9 +45,6 @@ import numpy as np
 
 KINDS = ("sphere_zonal", "circle", "euclidean_radial")
 CLOSED_KINDS = ("sphere_zonal", "circle")
-
-# config spellings of a kind other than its own name
-_KIND_ALIASES = {"flat_torus_1d": "circle"}
 
 # the spectrum's modes are an N x N array; guards against a huge one
 _SPECTRUM_MAX_NODES = 4096
@@ -213,14 +208,6 @@ def _build_radial_ops(n, r_max, N):
     return r, weights, {"band": (l, u, ab)}
 
 
-def _canonical_kind(kind) -> str:
-    """The kind a name or alias stands for; ValueError if it names none."""
-    canonical = _KIND_ALIASES.get(kind, kind) if isinstance(kind, str) else None
-    if canonical not in KINDS:
-        raise ValueError(f"unknown manifold kind {kind!r}")
-    return canonical
-
-
 def _integer(value, name: str) -> int:
     """``value`` as an int; a bool or a float, even a whole one, is refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -242,14 +229,15 @@ def build_manifold(kind: str, n: int, radius_or_length: float, node_count: int) 
 
     Parameters
     ----------
-    kind : one of KINDS, or ``flat_torus_1d`` for the circle
+    kind : one of KINDS
     n : integer dimension; must be >= 2 for sphere_zonal / euclidean_radial
         and exactly 1 for the circle
     radius_or_length : geodesic radius (sphere), circumference (circle), or
         outer radius (radial)
     node_count : uniform grid size, at least 16
     """
-    kind = _canonical_kind(kind)
+    if not isinstance(kind, str) or kind not in KINDS:
+        raise ValueError(f"unknown manifold kind {kind!r}")
     n = _integer(n, "n")
     node_count = _integer(node_count, "node_count")
     if node_count < 16:

@@ -83,7 +83,7 @@ def test_criterion_02_pde_equals_ode_for_constant_data(sphere_fine):
 def test_criterion_03_eternal_nonexistence_proxy():
     cases = [
         ("sphere_zonal", 2, 1.0, 128, 2.0, lambda x: 1.0 + 0.3 * np.cos(x), 0.7),
-        ("flat_torus_1d", 1, 6.3, 128, 2.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x / 6.3), 0.5),
+        ("circle", 1, 6.3, 128, 2.0, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x / 6.3), 0.5),
         ("circle", 1, 2 * np.pi, 128, 1.5, lambda x: 1.2 + 0.2 * np.cos(x), 1.0),
         ("euclidean_radial", 3, 10.0, 256, 2.0, lambda r: 1.0 + np.exp(-(r**2)), 1.0),
     ]
@@ -108,8 +108,8 @@ def test_criterion_04_positivity_ten_scenarios():
         ("sphere_zonal", 2, 2.0, 128, 3.0, lambda x: 0.5 * (1.0 + np.cos(x)), 0.3),
         ("circle", 1, ell, 128, 2.0, lambda x: np.clip(np.sin(x), 0, None), 0.5),
         ("circle", 1, ell, 128, 1.5, lambda x: np.full_like(x, 0.8), 1.0),
-        ("flat_torus_1d", 1, 10.0, 128, 2.0, lambda x: np.exp(-((x - 5.0) ** 2)), 0.5),
-        ("flat_torus_1d", 1, 10.0, 128, 2.0, lambda x: np.clip(np.sin(4 * np.pi * x / 10.0), 0, None), 0.4),
+        ("circle", 1, 10.0, 128, 2.0, lambda x: np.exp(-((x - 5.0) ** 2)), 0.5),
+        ("circle", 1, 10.0, 128, 2.0, lambda x: np.clip(np.sin(4 * np.pi * x / 10.0), 0, None), 0.4),
         ("euclidean_radial", 3, 10.0, 256, 2.0, lambda r: np.exp(-(r**2)), 0.5),
         ("euclidean_radial", 4, 40.0, 512, 3.0, lambda r: (8.0 / (8.0 + r**2)), 0.2),
         ("euclidean_radial", 5, 10.0, 256, 2.0, lambda r: 1.0 / (1.0 + r**2), 0.3),
@@ -212,7 +212,7 @@ def test_criterion_09_lower_bound_harness():
     a_min = lemma_admissibility_min(3, 1.0, 1.0, 0.0)
     assert a_min == 8.0
 
-    m = build_manifold("flat_torus_1d", 1, 40.0, 256)
+    m = build_manifold("circle", 1, 40.0, 256)
     traj = evolve(m, -np.ones(256), 0.0, 3.0, 2.0)
     margins = {}
     for delta in (0.1, 0.5, 0.9):

@@ -36,7 +36,7 @@ from semiheat.experiment import _CHECKERS, _CONTROLS
 
 def base_raw():
     return {
-        "manifold": {"kind": "flat_torus_1d", "n": 1, "size": 6.3, "resolution": 64},
+        "manifold": {"kind": "circle", "n": 1, "size": 6.3, "resolution": 64},
         "p_values": [2.0],
         "scenarios": [
             {
@@ -52,14 +52,20 @@ def base_raw():
 
 def test_validate_config_accepts_base():
     cfg = validate_config(base_raw())
-    # the hash is of the config as written, alias and all
     assert cfg.config_hash == config_hash(base_raw())
-    renamed = base_raw()
-    renamed["manifold"]["kind"] = "circle"
-    assert cfg.config_hash != config_hash(renamed)
     assert cfg.built_manifold.kind == "circle"
     assert cfg.p_values == (2.0,)
     assert cfg.seed == 0
+
+
+_LOWER_BOUND = {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 10.0, "r0": 0.3, "C_delta_cap": 1.0}
+# on the unit S^2: A r0 = 4 exceeds pi; at T = 0.5 the least admissible A is 10
+_LOWER_BOUND_PRECONDITIONS = (
+    ("ball-beyond-diameter", {"A": 8.0, "r0": 0.5}, "ball exceeds the manifold diameter"),
+    ("A-below-admissibility-minimum", {"A": 5.0, "r0": 0.5, "T": 0.5}, "A = 5 is below the admissibility minimum 10"),
+    # r0**2 is 0, so the minimum divides by zero
+    ("r0-squared-is-zero", {"A": 10.0, "r0": 1e-200, "T": 1.0}, "ZeroDivisionError: float division by zero"),
+)
 
 
 @pytest.mark.parametrize(
@@ -303,6 +309,19 @@ def test_validate_config_accepts_base():
             "checkers[0]",
             id="lower-bound-delta-above-1",
         ),
+        # the lemma's preconditions that need no trajectory: every entry's
+        # check would error
+        *(
+            pytest.param(
+                lambda r, f=fields: (
+                    r["manifold"].update(kind="sphere_zonal", n=2, size=1.0, resolution=16),
+                    r.update(checkers=[{**_LOWER_BOUND, **f}]),
+                ),
+                "checkers[0]",
+                id=f"lower-bound-{name}",
+            )
+            for name, fields, _ in _LOWER_BOUND_PRECONDITIONS
+        ),
         pytest.param(
             lambda r: r.update(checkers=[{"id": "triviality", "osc_floor": -1}]),
             "checkers[0]",
@@ -406,6 +425,20 @@ def test_validate_config_field_paths(mutate, path):
     assert err.value.field_path == path
 
 
+@pytest.mark.parametrize(
+    "fields, message", [case[1:] for case in _LOWER_BOUND_PRECONDITIONS], ids=[case[0] for case in _LOWER_BOUND_PRECONDITIONS]
+)
+def test_check_refuses_a_lower_bound_that_needs_no_trajectory_to_fail(tmp_path, capsys, fields, message):
+    raw = base_raw()
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 16}
+    raw["checkers"] = [{**_LOWER_BOUND, **fields}]
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config error: checkers[0]: {message}\n"
+    # the benchmark's entry: its ball A r0 = 2.5 fits, and its minimum is 4.12
+    raw["checkers"] = [{**_LOWER_BOUND, "A": 5.0, "r0": 0.5, "T": 0.01}]
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 0
+
+
 def test_checker_caps_down_to_zero_are_accepted():
     # the least cap a fit of 0 passes is c_cap 0, the triviality check's too
     raw = base_raw()
@@ -431,7 +464,7 @@ def test_config_schema_keys(monkeypatch):
     validate_config(base_raw())
     assert specs == {
         "<root>": ["checkers", "manifold", "p_values", "scenarios", "seed"],
-        "manifold": ["kind", "n", "resolution", "size"],
+        "manifold": ["n", "resolution", "size"],
         "scenarios[0]": ["controls", "initial", "name", "window"],
         "scenarios[0].initial": ["value"],
         "scenarios[0].window": ["t0", "t1"],
@@ -503,7 +536,7 @@ def custom_raw(path):
 def test_custom_recipe_hashes_its_content(tmp_path):
     # a config without a custom file hashes its JSON text alone, as it always has
     assert validate_config(base_raw()).config_hash == config_hash(base_raw())
-    assert config_hash(base_raw()) == "0e8f765cfd5c14242c82f71b44632bc9ff6907589ee0991cc6d5fec97d73ac57"
+    assert config_hash(base_raw()) == "4036e14b72aaa8c536b244b3245ecdcb58db6a5d87475933040d36e224c0a3d6"
     path = tmp_path / "u0.txt"
     path.write_text("\n".join(["0.5"] * 64) + "\n")
     first = validate_config(custom_raw(path))
@@ -642,7 +675,6 @@ def test_run_experiment_isolates_checker_errors(tmp_path):
 
 
 _P_NEAR_1 = 1.0 + 2e-9  # above the exponent floor 1 + 1e-9; 1/(p-1) is 5e8
-_LOWER_BOUND = {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 10.0, "r0": 0.3, "C_delta_cap": 1.0}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -673,6 +705,9 @@ def test_a_checks_float_overflow_is_that_checks_error(tmp_path, capsys, size, p,
     assert [entry["status"] for entry in entries] == ["ok", "ok"]
     assert [entry["checks"]["positivity"]["status"] for entry in entries] == ["checked", "checked"]
     assert entries[1]["checks"][checker["id"]]["status"] == "error"
+    # the text names the type: an OverflowError's own reads
+    # "(34, 'Numerical result out of range')"
+    assert entries[1]["checks"][checker["id"]]["error"].startswith(("OverflowError: ", "ZeroDivisionError: "))
 
 
 def test_run_experiment_records_a_nan_constant_as_an_error(tmp_path, monkeypatch):
@@ -734,7 +769,7 @@ def test_run_experiment_builds_one_manifold(tmp_path, monkeypatch):
     report = run_experiment(validate_config(raw), out_dir=str(tmp_path))
     assert len(report.entries) == 6
     assert [e["status"] for e in report.entries] == ["ok"] * 6
-    assert built == [("flat_torus_1d", 1, 6.3, 64)]
+    assert built == [("circle", 1, 6.3, 64)]
 
 
 def test_run_ignores_changes_to_the_raw_config_after_validation(tmp_path):

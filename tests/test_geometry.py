@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from semiheat import (
     laplace_beltrami,
     laplacian_spectrum,
 )
+from semiheat.cli import main as cli_main
 
 
 def test_build_round_sphere_curvature():
@@ -47,8 +49,6 @@ def test_build_manifold_rejects_bad_combinations():
         build_manifold("sphere_zonal", 1, 1.0, 64)
     with pytest.raises(ValueError):
         build_manifold("circle", 2, 1.0, 64)
-    with pytest.raises(ValueError):
-        build_manifold("flat_torus_1d", 2, 1.0, 64)
     with pytest.raises(ValueError):
         build_manifold("euclidean_radial", 4, -3.0, 64)
     with pytest.raises(ValueError):
@@ -92,13 +92,15 @@ def test_build_manifold_refuses_unbuildable_sizes(kind, n, size, count):
         build_manifold(kind, n, size, count)
 
 
-def test_flat_torus_is_a_spelling_of_the_circle():
-    torus = build_manifold("flat_torus_1d", 1, 6.3, 64)
-    circle = build_manifold("circle", 1, 6.3, 64)
-    assert torus.kind == "circle"
-    u = np.sin(circle.nodes) + 0.3 * np.cos(3.0 * circle.nodes)
-    assert np.array_equal(laplace_beltrami(torus, u), laplace_beltrami(circle, u))
-    assert np.array_equal(implicit_diffusion_solve(torus, u, 0.1), implicit_diffusion_solve(circle, u, 0.1))
+def test_flat_torus_is_not_a_spelling_of_the_circle(tmp_path, capsys):
+    # the circle has one name, so one experiment has one config hash and one
+    # report name
+    with pytest.raises(ValueError, match="^unknown manifold kind 'flat_torus_1d'$"):
+        build_manifold("flat_torus_1d", 1, 6.3, 64)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"manifold": {"kind": "flat_torus_1d", "n": 1, "size": 6.3, "resolution": 64}}))
+    assert cli_main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: manifold.kind: unknown manifold kind 'flat_torus_1d'\n"
 
 
 def run_fresh(code, **env):

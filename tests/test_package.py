@@ -40,7 +40,7 @@ for name in semiheat.__all__:
     assert getattr(getattr(home, name), "__module__", home.__name__) == home.__name__, name
 print(len(semiheat.__all__))
 """
-    assert run_fresh(code) == "53"
+    assert run_fresh(code) == "52"
 
 
 def test_star_import_binds_every_public_name():
@@ -50,7 +50,7 @@ names = set(semiheat.__all__)
 from semiheat import *
 print(len(names), names <= set(globals()), names <= set(dir(semiheat)))
 """
-    assert run_fresh(code) == "53 True True"
+    assert run_fresh(code) == "52 True True"
 
 
 def test_no_module_reads_the_environment():
