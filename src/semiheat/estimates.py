@@ -520,6 +520,13 @@ def check_lower_bound_lemma(
 _OSC_FLOOR = 1e-10
 
 
+def _check_positive_ricci(m: DiscreteManifold):
+    """The triviality check's rule on its manifold: a positive Ricci lower
+    bound, which the circle and the radial kind lack."""
+    if m.ricci_lower <= 0:
+        raise ValueError("triviality check requires a positive Ricci lower bound")
+
+
 def check_triviality(
     traj: Trajectory,
     m: DiscreteManifold,
@@ -547,8 +554,7 @@ def check_triviality(
     p = validate_exponent(p)
     if any(getattr(m, key) != getattr(traj.manifold, key) for key in ("kind", "n", "radius_or_length", "node_count")):
         raise ValueError("triviality check needs the trajectory's manifold: kind, n, size or node count differ")
-    if m.ricci_lower <= 0:
-        raise ValueError("triviality check requires a positive Ricci lower bound")
+    _check_positive_ricci(m)
     K = curvature_bound(m)
     theta = ((m.n - 1) * K / p) ** (1.0 / (p - 1.0))
     evals, _ = laplacian_spectrum(m)
@@ -612,7 +618,10 @@ def check_triviality(
 
 
 def _talenti_profile(m: DiscreteManifold) -> np.ndarray:
-    """The static profile (n(n-2) / (n(n-2) + r^2))^((n-2)/2) at m's nodes."""
+    """The static profile (n(n-2) / (n(n-2) + r^2))^((n-2)/2) at m's nodes;
+    ValueError unless m is of the radial kind with n >= 3."""
+    if m.kind != "euclidean_radial" or m.n < 3:
+        raise ValueError("the static profile needs the euclidean_radial kind with n >= 3")
     c = float(m.n * (m.n - 2))
     return (c / (c + m.nodes**2)) ** ((m.n - 2) / 2.0)
 
@@ -621,8 +630,6 @@ def talenti_residual(n: int, grid_count: int, R_max: float) -> float:
     """Max interior residual of the static profile
     u(r) = (n(n-2) / (n(n-2) + r^2))^((n-2)/2)
     under Delta u + u^((n+2)/(n-2)) on the radial model."""
-    if n < 3:
-        raise ValueError("the static profile requires n >= 3")
     m = build_manifold("euclidean_radial", n=n, radius_or_length=R_max, node_count=grid_count)
     u = _talenti_profile(m)
     residual = laplace_beltrami(m, u) + u ** ((n + 2) / (n - 2))

@@ -24,9 +24,10 @@ A config is a JSON object:
 Initial-data recipes: "constant" (value), "trivial_plus_mode" (T_blow,
 t_start, eps, mode; a closed kind of at most 4096 nodes, mode below the
 resolution, t_start before T_blow), "talenti" (radial static profile,
-n >= 3), "random_uniform" (low, high; drawn from the config seed), "custom"
-(path to a file of whitespace-separated values, one per node; validation
-reads it, and the run uses the values read then).
+n >= 3; computed once, at validation), "random_uniform" (low, high; drawn
+from the config seed), "custom" (path to a file of whitespace-separated
+values, one per node; validation reads it, and the run uses the values read
+then).
 
 ``validate_config`` parses the config once and returns what the sweep runs:
 the built manifold, each scenario as a record (recipe build, parsed values,
@@ -69,18 +70,31 @@ directory and publishes it with the entry CSVs (``Workers.publish``); the
 bytes do not depend on the job count.  Entry names must be distinct, so
 two p values may not share their ``{p:g}`` text.
 
-``_CHECKERS`` is the one place checker ids live: each entry names the
-config fields its checker reads, which of them are required, how they bind
-to its check_* function, and which function that is.  Validation, dispatch
-and plot-data emission all read that table, so adding a checker means adding
-one entry there, plus one to ``CHECKERS`` in ``perfbench/tracer.py``, the
-check_* functions the benchmark traces (a test holds the two tables equal);
-``_RECIPES`` does the same for initial-data recipes.  ``_tag`` reads every
-config field that names a table entry: a recipe's ``type``, a checker's
-``id``, the manifold's ``kind`` (one of geometry's ``KINDS``) and a gradient
-checker's ``variant`` (``_GRADIENT_VARIANTS``).  A checker's bind step may
-refuse what no trajectory could pass; ``lower_bound``'s applies the
-lemma's ball and admissibility rules, through the helper its check calls.
+``_RECIPES`` and ``_CHECKERS`` are the one place recipe types and checker
+ids live, and their entries have one shape (``_Entry``): the config fields
+the recipe or checker reads, which of them are required, a bind step, and
+its function (a recipe's build, the name of a checker's check_* function).
+One helper parses an entry of either table (``_entry``): ``_tag`` reads the
+type or id, ``_check_fields`` the other fields, then the bind step makes
+what the run takes of them.  A bind step holds every rule of its one entry
+that needs no trajectory, so ``validate_config`` names no recipe and no
+checker.  Where the library states a rule, the bind step calls the helper
+the run calls: ``trivial_plus_mode``'s applies geometry's spectrum rule
+(closed kind, at most 4096 nodes, mode index below the resolution),
+``talenti``'s computes the profile, which refuses all but the radial kind
+with n >= 3, ``lower_bound``'s applies the lemma's ball and admissibility
+rules, and ``triviality``'s refuses a manifold without a positive Ricci
+lower bound (the circle and the radial kind).  The other bind steps refuse
+a ``random_uniform`` ``high`` that does not exceed ``low`` by a finite
+amount, read a ``custom`` file (its bytes travel in the recipe's values to
+the config hash), check a ``gradient`` variant's window fields and a
+``universal`` window (T0, T) that would be empty.  Validation, dispatch and
+plot-data emission all read the tables, so adding a recipe or a checker
+means adding one entry, plus, for a checker, one to ``CHECKERS`` in
+``perfbench/tracer.py``, the check_* functions the benchmark traces (a test
+holds the two tables equal).  ``_tag`` also reads the manifold's ``kind``
+(one of geometry's ``KINDS``) and a gradient checker's ``variant``
+(``_GRADIENT_VARIANTS``).
 An arithmetic error's text leads with its type's name.
 """
 
@@ -104,6 +118,7 @@ from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
     _check_cap,
+    _check_positive_ricci,
     _lemma_balls,
     _talenti_profile,
     check_decay,
@@ -118,11 +133,10 @@ from ._floats import float_texts
 from ._workers import Workers, cpus
 from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
-    _SPECTRUM_MAX_NODES,
-    CLOSED_KINDS,
     KINDS,
     DiscreteManifold,
     _check_dimension,
+    _check_spectrum,
     build_manifold,
     laplacian_spectrum,
 )
@@ -303,93 +317,6 @@ def _list(raw: dict, key: str) -> list:
     return value
 
 
-def _read_custom(path: str, node_count: int):
-    """The file's bytes (hashed with the config) and its read-only values."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    # a file with nothing but blanks and comments would make loadtxt warn,
-    # with the address of its stream in the text, before any error
-    if not any(line.split(b"#", 1)[0].strip() for line in data.splitlines()):
-        raise ValueError(f"custom initial data has 0 values, manifold has {node_count} nodes")
-    values = np.loadtxt(io.BytesIO(data), dtype=float).ravel()
-    if values.size != node_count:
-        raise ValueError(f"custom initial data has {values.size} values, manifold has {node_count} nodes")
-    if not np.isfinite(values).all():
-        raise ValueError("custom initial data holds NaN or an infinity")
-    values.setflags(write=False)
-    return data, values
-
-
-# initial-data recipes: the fields (name -> type check; every field is
-# required) and build(values, m, p, seed, entry_index) -> u0
-_Recipe = namedtuple("_Recipe", "fields build")
-_RECIPES = {
-    "constant": _Recipe(_numbers("value"), lambda v, m, *_: np.full(m.node_count, v["value"])),
-    "trivial_plus_mode": _Recipe(
-        {**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int},
-        lambda v, m, p, *_: _near_trivial_data(
-            p, v["T_blow"], v["t_start"], v["eps"], laplacian_spectrum(m)[1][:, v["mode"]]
-        ),
-    ),
-    "talenti": _Recipe({}, lambda v, m, *_: _talenti_profile(m)),
-    "random_uniform": _Recipe(
-        _numbers("low", "high"),
-        lambda v, m, p, seed, i: np.random.default_rng([seed, i]).uniform(v["low"], v["high"], m.node_count),
-    ),
-    # validation reads the file into values["data"]
-    "custom": _Recipe({"path": _string}, lambda v, *_: v["data"]),
-}
-
-
-# scenario controls: field -> type check (EvolveControls checks the values)
-_CONTROLS = {"dt_max": _number, "snapshot_every": _positive_int}
-
-
-def _with_params(*names):
-    # bind step: the ``names`` fields present become one EstimateParams
-    def bind(values, m):
-        params = {key: values.pop(key) for key in names if key in values}
-        return {"params": EstimateParams(**params), **values}
-
-    return bind
-
-
-def _bind_lower_bound(values, m):
-    # the lemma's preconditions that need no trajectory are config errors
-    kwargs = _with_params("delta", "L", "A", "r0", "T")(values, m)
-    _lemma_balls(m, kwargs["params"], kwargs["params"].T)
-    return kwargs
-
-
-# One entry per checker id: the config fields the checker reads (name -> type
-# check), the ones it requires, bind(values, m) -> its keyword arguments (only
-# the fields present, so defaults live in the check_* signatures; None: the
-# values as given), and the name of its check_* function, looked up in this
-# module's globals per call so a wrapper on the module attribute sees it.
-_Checker = namedtuple("_Checker", "fields required bind function")
-_CHECKERS = {
-    "positivity": _Checker({}, (), None, "check_positivity_min_ode"),
-    "gradient": _Checker(
-        {"variant": None, **_numbers("D", "R", "T"), "c_cap": _c_cap},
-        ("variant", "D"),
-        _with_params("D", "R", "T"),
-        "check_gradient_estimate",
-    ),
-    "decay": _Checker({"T_blow": _number, "c_cap": _c_cap}, ("T_blow",), None, "check_decay"),
-    "universal": _Checker({**_numbers("T0", "T"), "c_cap": _c_cap}, ("T0", "T"), None, "check_universal"),
-    "lower_bound": _Checker(
-        _numbers("delta", "L", "A", "r0", "C_delta_cap", "T"),
-        ("delta", "L", "A", "r0", "C_delta_cap"),
-        _bind_lower_bound,
-        "check_lower_bound_lemma",
-    ),
-    "triviality": _Checker({"c_cap": _c_cap}, (), lambda values, m: {"m": m, **values}, "check_triviality"),
-}
-
-# a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
-_Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
-
-
 def _tag(d, tag: str, table, path: str, what: str, noun: str):
     """(name, fields): the ``table`` entry that field ``tag`` of the object
     ``d`` names (a recipe's ``type``, a checker's ``id``, the manifold's
@@ -424,6 +351,146 @@ def _check_fields(d, spec: dict, path: str, what: str, required=()) -> dict:
     }
 
 
+def _entry(d, tag: str, table, path: str, what: str, noun: str, m):
+    """(name, bound): the ``table`` entry that field ``tag`` of ``d`` names,
+    and what its bind step makes at ``path`` of d's other fields once its
+    spec has checked them (_tag, then _check_fields)."""
+    name, fields = _tag(d, tag, table, path, what, noun)
+    entry = table[name]
+    values = _check_fields(fields, entry.fields, path, f"{noun} {name!r}", entry.required)
+    return name, entry.bind(values, m, path) if entry.bind else values
+
+
+def _bind_mode(values, m, path):
+    # sizes only: each entry computes the spectrum it reads
+    _at(path, _check_spectrum, m, values["mode"])
+    if values["t_start"] >= values["T_blow"]:
+        raise ConfigError(f"{path}.t_start", "must precede T_blow")
+    return values
+
+
+def _bind_talenti(values, m, path):
+    # the run starts every entry from the one profile computed here
+    return {"u0": _at(f"{path}.type", _talenti_profile, m)}
+
+
+def _bind_uniform(values, m, path):
+    if not 0 < values["high"] - values["low"] < math.inf:
+        raise ConfigError(f"{path}.high", "must exceed low by a finite amount")
+    return values
+
+
+def _bind_custom(values, m, path):
+    """A file of whitespace-separated values, one per node: its bytes, which
+    enter the config hash, and its values, read-only, which the run uses."""
+    try:
+        with open(values["path"], "rb") as fh:
+            data = fh.read()
+        # a file with nothing but blanks and comments would make loadtxt
+        # warn, with the address of its stream in the text, before any error
+        if not any(line.split(b"#", 1)[0].strip() for line in data.splitlines()):
+            raise ValueError(f"custom initial data has 0 values, manifold has {m.node_count} nodes")
+        u0 = np.loadtxt(io.BytesIO(data), dtype=float).ravel()
+        if u0.size != m.node_count:
+            raise ValueError(f"custom initial data has {u0.size} values, manifold has {m.node_count} nodes")
+        if not np.isfinite(u0).all():
+            raise ValueError("custom initial data holds NaN or an infinity")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}.path", str(exc)) from None
+    u0.setflags(write=False)
+    return {**values, "bytes": data, "u0": u0}
+
+
+def _params(values, path, *names):
+    # the ``names`` fields present become one EstimateParams
+    params = {key: values.pop(key) for key in names if key in values}
+    return {"params": _at(path, EstimateParams, **params), **values}
+
+
+def _bind_gradient(values, m, path):
+    # each variant reads and requires its own window fields
+    variant, rest = _tag(values, "variant", _GRADIENT_VARIANTS, path, "checker 'gradient'", "gradient variant")
+    window = _GRADIENT_VARIANTS[variant]
+    _check_fields(rest, dict.fromkeys(("D", "c_cap", *window)), path, f"gradient variant {variant!r}", window)
+    return _params(values, path, "D", "R", "T")
+
+
+def _bind_universal(values, m, path):
+    if values["T"] <= values["T0"]:  # the window (T0, T) would be empty
+        raise ConfigError(f"{path}.T", "must exceed T0")
+    return values
+
+
+def _bind_lower_bound(values, m, path):
+    # the lemma's preconditions that need no trajectory
+    kwargs = _params(values, path, "delta", "L", "A", "r0", "T")
+    _at(path, _lemma_balls, m, kwargs["params"], kwargs["params"].T)
+    return kwargs
+
+
+def _bind_triviality(values, m, path):
+    _at(path, _check_positive_ricci, m)
+    return {"m": m, **values}
+
+
+# One entry per recipe type and per checker id: the config fields it reads
+# (name -> type check; None: its bind step checks it), the ones it requires,
+# bind(values, m, path) -> what the run takes (None: the values as given;
+# a refusal is a ConfigError at ``path`` or one of its fields), and its
+# function.  A recipe's function is its build(values, m, p, seed,
+# entry_index) -> u0.  A checker's is the name of its check_* function,
+# called with the bound keyword arguments (only the fields present, so
+# defaults live in the check_* signatures) and looked up in this module's
+# globals per call so a wrapper on the module attribute sees it.
+_Entry = namedtuple("_Entry", "fields required bind function")
+
+
+_RECIPES = {
+    "constant": _Entry(_numbers("value"), ("value",), None, lambda v, m, *_: np.full(m.node_count, v["value"])),
+    "trivial_plus_mode": _Entry(
+        {**_numbers("T_blow", "t_start", "eps"), "mode": _nonneg_int},
+        ("T_blow", "t_start", "eps", "mode"),
+        _bind_mode,
+        lambda v, m, p, *_: _near_trivial_data(
+            p, v["T_blow"], v["t_start"], v["eps"], laplacian_spectrum(m)[1][:, v["mode"]]
+        ),
+    ),
+    "talenti": _Entry({}, (), _bind_talenti, lambda v, *_: v["u0"]),
+    "random_uniform": _Entry(
+        _numbers("low", "high"),
+        ("low", "high"),
+        _bind_uniform,
+        lambda v, m, p, seed, i: np.random.default_rng([seed, i]).uniform(v["low"], v["high"], m.node_count),
+    ),
+    "custom": _Entry({"path": _string}, ("path",), _bind_custom, lambda v, *_: v["u0"]),
+}
+
+_CHECKERS = {
+    "positivity": _Entry({}, (), None, "check_positivity_min_ode"),
+    "gradient": _Entry(
+        {"variant": None, **_numbers("D", "R", "T"), "c_cap": _c_cap},
+        ("variant", "D"),
+        _bind_gradient,
+        "check_gradient_estimate",
+    ),
+    "decay": _Entry({"T_blow": _number, "c_cap": _c_cap}, ("T_blow",), None, "check_decay"),
+    "universal": _Entry({**_numbers("T0", "T"), "c_cap": _c_cap}, ("T0", "T"), _bind_universal, "check_universal"),
+    "lower_bound": _Entry(
+        _numbers("delta", "L", "A", "r0", "C_delta_cap", "T"),
+        ("delta", "L", "A", "r0", "C_delta_cap"),
+        _bind_lower_bound,
+        "check_lower_bound_lemma",
+    ),
+    "triviality": _Entry({"c_cap": _c_cap}, (), _bind_triviality, "check_triviality"),
+}
+
+# scenario controls: field -> type check (EvolveControls checks the values)
+_CONTROLS = {"dt_max": _number, "snapshot_every": _positive_int}
+
+# a validated scenario: u0 = build(values, m, p, seed, entry_index) over [t0, t1]
+_Scenario = namedtuple("_Scenario", "name build values t0 t1 controls")
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed config dict; errors name the offending field.
 
@@ -454,7 +521,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"p_values[{i}]", f"p = {p!r} shares its entry name p{p:g} with p_values[{earlier}]")
 
     parsed_scenarios = []
-    custom_contents = []
     seen_names = set()
     for i, sc in enumerate(_list(raw, "scenarios")):
         path = f"scenarios[{i}]"
@@ -466,58 +532,24 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if name in seen_names:
             raise ConfigError(f"{path}.name", f"duplicate scenario name {name!r}")
         seen_names.add(name)
-        recipe, fields = _tag(sc["initial"], "type", _RECIPES, f"{path}.initial", "initial data", "recipe")
-        spec = _RECIPES[recipe].fields
-        values = _check_fields(fields, spec, f"{path}.initial", f"recipe {recipe!r}", required=spec)
-        if recipe == "talenti" and (kind != "euclidean_radial" or n < 3):
-            raise ConfigError(
-                f"{path}.initial.type",
-                "talenti profile needs the euclidean_radial kind with n >= 3",
-            )
-        if recipe == "random_uniform" and values["high"] <= values["low"]:
-            raise ConfigError(f"{path}.initial.high", "must exceed low")
-        if recipe == "random_uniform" and not values["high"] - values["low"] < math.inf:
-            raise ConfigError(f"{path}.initial.high", "high - low must be finite")
-        if recipe == "trivial_plus_mode":  # sizes only: the spectrum is computed per entry
-            if kind not in CLOSED_KINDS:
-                raise ConfigError(f"{path}.initial.type", f"eigenmodes need a kind in {list(CLOSED_KINDS)}")
-            if resolution > _SPECTRUM_MAX_NODES:
-                raise ConfigError("manifold.resolution", f"eigenmodes need <= {_SPECTRUM_MAX_NODES} nodes")
-            if values["mode"] >= resolution:
-                raise ConfigError(f"{path}.initial.mode", f"mode index out of range for {resolution} nodes")
-            if values["t_start"] >= values["T_blow"]:
-                raise ConfigError(f"{path}.initial.t_start", "must precede T_blow")
-        if recipe == "custom":
-            try:
-                data, values["data"] = _read_custom(values["path"], built.node_count)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"{path}.initial.path", str(exc)) from None
-            custom_contents.append(data)
+        recipe, values = _entry(sc["initial"], "type", _RECIPES, f"{path}.initial", "initial data", "recipe", built)
         window = _check_fields(sc["window"], _numbers("t0", "t1"), f"{path}.window", "window", ("t0", "t1"))
         t0, t1 = window["t0"], window["t1"]
         if t1 <= t0:
             raise ConfigError(f"{path}.window.t1", "must exceed t0")
         controls = _check_fields(sc.get("controls", {}), _CONTROLS, f"{path}.controls", "control")
         controls = _at(f"{path}.controls", EvolveControls, **controls)
-        parsed_scenarios.append(_Scenario(name, _RECIPES[recipe].build, values, t0, t1, controls))
+        parsed_scenarios.append(_Scenario(name, _RECIPES[recipe].function, values, t0, t1, controls))
 
     bound_checkers = []
     first_with_id = {}  # the report keeps one record per checker id
     for i, ck in enumerate(_list(raw, "checkers")):
         path = f"checkers[{i}]"
-        cid, fields = _tag(ck, "id", _CHECKERS, path, "checker", "checker id")
+        cid, kwargs = _entry(ck, "id", _CHECKERS, path, "checker", "checker", built)
         earlier = first_with_id.setdefault(cid, i)
         if earlier != i:
             raise ConfigError(path, f"checker {cid!r} is already checkers[{earlier}]")
-        spec = _CHECKERS[cid]
-        values = _check_fields(fields, spec.fields, path, f"checker {cid!r}", spec.required)
-        if cid == "gradient":  # each variant reads and requires its own window fields
-            variant, rest = _tag(values, "variant", _GRADIENT_VARIANTS, path, "checker 'gradient'", "gradient variant")
-            window = _GRADIENT_VARIANTS[variant]
-            _check_fields(rest, dict.fromkeys(("D", "c_cap", *window)), path, f"gradient variant {variant!r}", window)
-        if cid == "universal" and values["T"] <= values["T0"]:  # the window (T0, T) would be empty
-            raise ConfigError(f"{path}.T", "must exceed T0")
-        bound_checkers.append((cid, _at(path, spec.bind, values, built) if spec.bind else values))
+        bound_checkers.append((cid, kwargs))
 
     seed = _nonneg_int(raw.get("seed", 0), "seed")
 
@@ -527,7 +559,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         checkers=tuple(bound_checkers),
         seed=seed,
         built_manifold=built,
-        config_hash=config_hash(raw, custom_contents),
+        config_hash=config_hash(raw, [sc.values["bytes"] for sc in parsed_scenarios if "bytes" in sc.values]),
     )
 
 

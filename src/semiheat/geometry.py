@@ -332,6 +332,19 @@ def gradient_norm(m: DiscreteManifold, u) -> np.ndarray:
     return np.abs(g, out=g)
 
 
+def _check_spectrum(m: DiscreteManifold, mode: int = 0):
+    """The spectrum's rules: m is of a closed kind and has at most
+    _SPECTRUM_MAX_NODES nodes, and ``mode`` indexes one of its N modes
+    (0 <= mode < N).  laplacian_spectrum applies them, and so does every
+    caller that picks a mode, before the spectrum is computed."""
+    if m.kind not in CLOSED_KINDS:
+        raise ValueError(f"spectrum is only available for the closed kinds {list(CLOSED_KINDS)}")
+    if m.node_count > _SPECTRUM_MAX_NODES:
+        raise ValueError(f"grid too large for a dense spectrum (more than {_SPECTRUM_MAX_NODES} nodes)")
+    if not 0 <= mode < m.node_count:  # a negative index would wrap
+        raise ValueError(f"mode index out of range for {m.node_count} nodes")
+
+
 def laplacian_spectrum(m: DiscreteManifold):
     """Eigenvalues and eigenmodes of -Laplacian for the closed kinds.
 
@@ -350,12 +363,9 @@ def laplacian_spectrum(m: DiscreteManifold):
     but the first and, for even N, the last is double, and the closed form
     fixes one basis of each such eigenspace, cos before sin.
     """
-    if m.kind not in CLOSED_KINDS:
-        raise ValueError("spectrum is only available for the closed kinds")
+    _check_spectrum(m)
     if "spectrum" not in m._ops:
         N = m.node_count
-        if N > _SPECTRUM_MAX_NODES:
-            raise ValueError("grid too large for a dense spectrum")
         if m.kind == "circle":
             lam, y = _periodic_eigenpairs(m)
         else:

@@ -26,8 +26,8 @@ from semiheat import (
     trivial_ancient,
 )
 from semiheat.evolve import BlowupInfo, Trajectory
-from semiheat.geometry import _aligned_values, implicit_diffusion_solve
-from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, reaction_flow
+from semiheat.geometry import _aligned_values, implicit_diffusion_solve, laplacian_spectrum
+from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, blowup_time_from_min, reaction_flow
 
 # the package re-exports the function ``evolve`` under the submodule's name
 evolve_module = importlib.import_module("semiheat.evolve")
@@ -198,7 +198,7 @@ def test_ancient_approximation_rejects_bad_setup():
     with pytest.raises(ValueError):
         ancient_approximation(m, 2.0, 0.0, -10.0, 0.1, 10_000)
     # a negative index would pick a mode from the end of the spectrum
-    with pytest.raises(ValueError, match="mode_index out of range"):
+    with pytest.raises(ValueError, match="mode index out of range for 64 nodes"):
         ancient_approximation(m, 2.0, 0.0, -10.0, 0.1, -1)
 
 
@@ -592,6 +592,113 @@ def test_radial_step_lets_a_nonnegative_tent_dip():
         dips.append(float(traj.step_min.min()))
     assert -1.2e-5 < dips[0] < -1.0e-5
     assert dips[1] >= 0.0
+
+
+_EPS = np.finfo(float).eps
+# the closed kinds of the order and mass properties: kind, n, size
+_CLOSED = {"circle": ("circle", 1, 2 * np.pi), "S2": ("sphere_zonal", 2, 1.0), "S5": ("sphere_zonal", 5, 1.0)}
+
+
+def one_step(m, u, p, dt):
+    """The state after one step of evolve from u over [0, dt]; dt must not
+    exceed the blow-up cap at u, so the step is exactly dt long."""
+    traj = evolve(m, u, 0.0, dt, p, EvolveControls(dt_max=dt))
+    assert traj.step_dt.tolist() == [dt]
+    return traj.snapshots[-1]
+
+
+def top_eigenvalue(m):
+    # the largest eigenvalue of -L: 1 + dt * it bounds the condition of I - dt L
+    return float(laplacian_spectrum(m)[0][-1])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_CLOSED)),
+    count=st.integers(16, 400),
+    p=st.floats(1.2, 6.0),
+    log_dt=st.floats(-5.0, -1.0),
+    low=st.sampled_from([-1.0, 0.0, 0.5]),
+    log_amplitude=st.floats(-3.0, 2.0),
+    log_gap=st.floats(-16.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_step_keeps_order_on_the_closed_kinds(kind, count, p, log_dt, low, log_amplitude, log_gap, seed):
+    # the exact reaction flow is monotone and (I - dt L)^-1 is nonnegative,
+    # so u <= v gives step(u) <= step(v).  On the circle that holds exactly.
+    # On the sphere the solve rounds to an excess of at most (1 + dt
+    # lambda_max) ulps of max |step(v)| (at most 0.45 of that measured over
+    # 15000 pairs at N = 16 to 700; test_sphere_step_order_excess_is_roundoff
+    # pins one), lambda_max being the top eigenvalue of -L
+    m = build_manifold(*_CLOSED[kind], count)
+    rng = np.random.default_rng(seed)
+    amplitude = 10.0**log_amplitude
+    u = rng.uniform(low * amplitude, amplitude, count)
+    v = u + rng.uniform(0.0, amplitude, count) * (rng.random(count) < 0.5) * 10.0**log_gap
+    dt = min(10.0**log_dt, _dt_cap(p, float(np.abs(v).max())), _dt_cap(p, float(np.abs(u).max())))
+    step_u, step_v = one_step(m, u, p, dt), one_step(m, v, p, dt)
+    allowance = 0.0 if kind == "circle" else (1.0 + dt * top_eigenvalue(m)) * _EPS * float(np.abs(step_v).max())
+    assert np.max(step_u - step_v) <= allowance
+
+
+def test_sphere_step_order_excess_is_roundoff():
+    # one ulp more at the last node of random data on the 16-node sphere
+    # gives a step that lies 0.97 ulps of its max below the step of the data
+    # at the node beside it: an excess within the order property's
+    # allowance, here 12 ulps
+    m = build_manifold("sphere_zonal", 2, 1.0, 16)
+    u = np.random.default_rng(41).uniform(0.0, 0.1, 16)
+    v = u.copy()
+    v[15] = np.nextafter(v[15], 1.0)
+    step_u, step_v = one_step(m, u, 2.0, 0.1), one_step(m, v, 2.0, 0.1)
+    assert int(np.argmax(step_u - step_v)) == 14
+    excess = np.max(step_u - step_v) / (_EPS * np.abs(step_v).max())
+    assert 0.96 < excess < 0.97 < 1.0 + 0.1 * top_eigenvalue(m)
+
+
+def test_radial_step_breaks_order():
+    # the radial I - dt L is not an M-matrix: raising one node of constant
+    # data lowers the step's value four nodes away
+    m = build_manifold("euclidean_radial", 3, 20.0, 256)
+    u = np.ones(256)
+    v = u.copy()
+    v[100] = 2.0
+    gap = one_step(m, u, 2.0, 1e-3) - one_step(m, v, 2.0, 1e-3)
+    assert int(np.argmax(gap)) == 96
+    assert 2.3e-5 < gap.max() < 2.4e-5
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(sorted(_CLOSED)),
+    count=st.integers(16, 400),
+    log_dt=st.floats(-6.0, 0.0),
+    low=st.sampled_from([-1.0, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_diffusion_solve_keeps_the_weighted_mass(kind, count, log_dt, low, seed):
+    # w^T L = 0 on the closed kinds, so the solve x of (I - dt L) x = b keeps
+    # w^T x = w^T b up to its rounding: within 4 (1 + dt lambda_max) ulps of
+    # sum w |b| (at most 2 measured over 36000 solves at N = 16 to 1024 and
+    # dt = 1e-6 to 1; 4.3e-15 relative at N = 256 and dt <= 0.1)
+    m = build_manifold(*_CLOSED[kind], count)
+    w = m.volume_weights
+    b = np.random.default_rng(seed).uniform(low, 1.0, count)
+    dt = 10.0**log_dt
+    x = implicit_diffusion_solve(m, b, dt)
+    assert abs(w @ x - w @ b) <= 4.0 * (1.0 + dt * top_eigenvalue(m)) * _EPS * (w @ np.abs(b))
+
+
+@pytest.mark.parametrize("p", [2.5, 2.6, 2.7])
+def test_detect_blowup_fits_only_snapshots_time_can_resolve(p):
+    # constant 0.5 on the 64-node sphere reaches the threshold; from p = 2.6
+    # its last 20 snapshots lie 1 to 10 ulps of t apart, where a fit over
+    # them warned (polyfit's RankWarning) and found no decreasing tail.  The
+    # snapshots whose remaining life is over 4096 ulps of t give the scalar
+    # ODE's blow-up time to 2e-13
+    traj = evolve(build_manifold("sphere_zonal", 2, 1.0, 64), np.full(64, 0.5), 0.0, 50.0, p)
+    assert traj.blowup is not None
+    assert detect_blowup(traj, p) == pytest.approx(blowup_time_from_min(p, 0.5), abs=2e-13)
 
 
 @pytest.mark.parametrize("p", [101.0, 150.0])

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import copy
 import errno
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -9,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -245,17 +248,17 @@ _LOWER_BOUND_PRECONDITIONS = (
         ),
         pytest.param(
             lambda r: (r["manifold"].update(kind="euclidean_radial", n=3), r["scenarios"][0].update(initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1})),
-            "scenarios[0].initial.type",
+            "scenarios[0].initial",
             id="mode-on-radial",
         ),
         pytest.param(
             lambda r: (r["manifold"].update(resolution=4097), r["scenarios"][0].update(initial={"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1})),
-            "manifold.resolution",
+            "scenarios[0].initial",
             id="mode-beyond-dense-spectrum",
         ),
         pytest.param(
             lambda r: r["scenarios"][0].update(initial={**{"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1}, "mode": 64}),
-            "scenarios[0].initial.mode",
+            "scenarios[0].initial",
             id="mode-index-out-of-range",
         ),
         pytest.param(
@@ -321,6 +324,14 @@ _LOWER_BOUND_PRECONDITIONS = (
                 id=f"lower-bound-{name}",
             )
             for name, fields, _ in _LOWER_BOUND_PRECONDITIONS
+        ),
+        # the circle and the radial kind have no positive Ricci lower bound,
+        # so every entry's triviality check would error
+        pytest.param(lambda r: r.update(checkers=[{"id": "triviality"}]), "checkers[0]", id="triviality-on-a-circle"),
+        pytest.param(
+            lambda r: (r["manifold"].update(kind="euclidean_radial", n=3), r.update(checkers=[{"id": "triviality"}])),
+            "checkers[0]",
+            id="triviality-on-the-radial-kind",
         ),
         pytest.param(
             lambda r: r.update(checkers=[{"id": "triviality", "osc_floor": -1}]),
@@ -442,6 +453,7 @@ def test_check_refuses_a_lower_bound_that_needs_no_trajectory_to_fail(tmp_path, 
 def test_checker_caps_down_to_zero_are_accepted():
     # the least cap a fit of 0 passes is c_cap 0, the triviality check's too
     raw = base_raw()
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 16}
     raw["checkers"] = [{"id": "decay", "T_blow": 50.0, "c_cap": 0}, {"id": "triviality", "c_cap": 0}]
     assert [kwargs for _, kwargs in validate_config(raw).checkers][0] == {"T_blow": 50.0, "c_cap": 0.0}
     raw["checkers"][1]["c_cap"] = -1e-10
@@ -488,6 +500,14 @@ def test_config_schema_keys(monkeypatch):
         "lower_bound": ["A", "C_delta_cap", "L", "T", "delta", "r0"],
         "triviality": ["c_cap"],
     }
+
+
+def test_validate_config_names_no_recipe_or_checker():
+    # what one recipe or one checker needs lives in its table entry, its
+    # bind step among it, so validation's own body names none of them
+    tree = ast.parse(textwrap.dedent(inspect.getsource(experiment.validate_config)))
+    texts = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not texts & {*experiment._RECIPES, *_CHECKERS}
 
 
 def test_validate_config_duplicate_scenario_names():
@@ -673,6 +693,9 @@ def test_run_experiment_isolates_checker_errors(tmp_path):
     assert entry["checks"]["decay"]["status"] == "error"
     assert not report.all_passed
 
+
+# a check that errors on every entry whose window ends before t = 100
+_EMPTY_UNIVERSAL = {"id": "universal", "T0": 100.0, "T": 200.0}
 
 _P_NEAR_1 = 1.0 + 2e-9  # above the exponent floor 1 + 1e-9; 1/(p-1) is 5e8
 
@@ -1063,12 +1086,13 @@ def test_entry_csvs_are_the_repr_of_each_value(tmp_path):
 
 def forking_raw():
     """Three entries whose CSVs hold about 16k values each: positivity and
-    decay write CSVs, triviality errors and writes none."""
+    decay write CSVs, universal errors (its window (T0, T) holds no
+    snapshot) and writes none."""
     raw = base_raw()
     raw["p_values"] = [1.5, 2.0, 3.0]
     raw["scenarios"][0]["initial"] = {"type": "random_uniform", "low": 0.1, "high": 0.5}
     raw["scenarios"][0]["controls"] = {"dt_max": 1e-4}
-    raw["checkers"] = [{"id": "positivity"}, {"id": "triviality"}, {"id": "decay", "T_blow": 5.0}]
+    raw["checkers"] = [{"id": "positivity"}, dict(_EMPTY_UNIVERSAL), {"id": "decay", "T_blow": 5.0}]
     return raw
 
 
@@ -1419,7 +1443,7 @@ def test_cli_run_prints_each_line_once(tmp_path, capsys):
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 1, proc.stderr  # the triviality check errors
+    assert proc.returncode == 1, proc.stderr  # the universal check errors
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("report: ")
     assert lines[1:] == ["entries: 3, scenario errors: 0, check failures: 3"]
@@ -1736,7 +1760,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     raw = base_raw()
     raw["scenarios"][0]["initial"] = {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -1.0, "eps": 0.1, "mode": 64}
     assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
-    assert "scenarios[0].initial.mode: mode index out of range for 64 nodes" in capsys.readouterr().err
+    assert "scenarios[0].initial: mode index out of range for 64 nodes" in capsys.readouterr().err
     assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
 
@@ -1962,7 +1986,7 @@ def job_count_configs(draw):
         "manifold": {"kind": kind, "n": n, "size": 1.0, "resolution": 32},
         "p_values": draw(st.lists(st.sampled_from([1.5, 2.0, 3.0, 4.5]), min_size=1, max_size=4, unique=True)),
         "scenarios": scenarios,
-        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, {"id": "triviality"}],
+        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, _EMPTY_UNIVERSAL],
         "seed": draw(st.integers(0, 2**16)),
     }
 
@@ -1974,7 +1998,7 @@ def job_count_configs(draw):
         "manifold": {"kind": "circle", "n": 1, "size": 1.0, "resolution": 32},
         "p_values": [1.5, 2.0, 3.0],
         "scenarios": [copy.deepcopy(_GOOD_SCENARIOS[2]), copy.deepcopy(_FAILING_SCENARIO)],
-        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, {"id": "triviality"}],
+        "checkers": [{"id": "positivity"}, {"id": "decay", "T_blow": 5.0}, _EMPTY_UNIVERSAL],
         "seed": 0,
     }
 )
