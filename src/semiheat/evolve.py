@@ -38,7 +38,7 @@ from ._workers import Workers, cpus
 from .geometry import (
     DiscreteManifold,
     _aligned_values,
-    _check_spectrum,
+    _check_near_trivial,
     _integer,
     implicit_diffusion_solve,
     laplacian_spectrum,
@@ -286,17 +286,16 @@ def ancient_approximation(
     Starts at t_start (far in the past; T_blow - t_start >= 10 enforced) from
     the trivial profile times (1 + eps * mode), where mode is the selected
     discrete eigenmode normalized to sup-norm 1, then evolves forward until
-    the blow-up threshold terminates the run.  A NaN eps fails its range
-    check, and trivial_ancient refuses a NaN T_blow or t_start (as t).
+    the blow-up threshold terminates the run.  The datum's own rules (0 <=
+    eps < 1, a closed kind of at most 4096 nodes, mode below the node
+    count) are geometry._check_near_trivial's, which the trivial_plus_mode
+    recipe applies at validation too; the t_start rule is this function's
+    own.  trivial_ancient refuses a NaN T_blow or t_start (as t).
     """
     p = validate_exponent(p)
     if T_blow - t_start < 10.0:
         raise ValueError("t_start must precede T_blow by at least 10")
-    if not eps >= 0:  # NaN fails it
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
-    if eps >= 1:
-        raise ValueError("eps >= 1 would make the initial data change sign")
-    _check_spectrum(m, mode_index)
+    _check_near_trivial(m, eps, mode_index)
     u0 = _near_trivial_data(p, T_blow, t_start, eps, laplacian_spectrum(m)[1][:, mode_index])
     return evolve(m, u0, t_start, T_blow + 1.0, p, controls)
 

@@ -22,12 +22,12 @@ A config is a JSON object:
     }
 
 Initial-data recipes: "constant" (value), "trivial_plus_mode" (T_blow,
-t_start, eps, mode; a closed kind of at most 4096 nodes, mode below the
-resolution, t_start before T_blow), "talenti" (radial static profile,
-n >= 3; computed once, at validation), "random_uniform" (low, high; drawn
-from the config seed), "custom" (path to a file of whitespace-separated
-values, one per node; validation reads it, and the run uses the values read
-then).
+t_start, eps, mode; 0 <= eps < 1, a closed kind of at most 4096 nodes, mode
+below the resolution, t_start before T_blow), "talenti" (radial static
+profile, n >= 3; computed once, at validation), "random_uniform" (low,
+high; drawn from the config seed), "custom" (path to a file of
+whitespace-separated values, one per node; validation reads it, and the run
+uses the values read then).
 
 ``validate_config`` parses the config once and returns what the sweep runs:
 the built manifold, each scenario as a record (recipe build, parsed values,
@@ -79,20 +79,22 @@ type or id, ``_check_fields`` the other fields, then the bind step makes
 what the run takes of them.  A bind step holds every rule of its one entry
 that needs no trajectory, so ``validate_config`` names no recipe and no
 checker.  Where the library states a rule, the bind step calls the helper
-the run calls: ``trivial_plus_mode``'s applies geometry's spectrum rule
-(closed kind, at most 4096 nodes, mode index below the resolution),
-``talenti``'s computes the profile, which refuses all but the radial kind
-with n >= 3, ``lower_bound``'s applies the lemma's ball and admissibility
-rules, and ``triviality``'s refuses a manifold without a positive Ricci
-lower bound (the circle and the radial kind).  The other bind steps refuse
-a ``random_uniform`` ``high`` that does not exceed ``low`` by a finite
-amount, read a ``custom`` file (its bytes travel in the recipe's values to
-the config hash), check a ``gradient`` variant's window fields and a
-``universal`` window (T0, T) that would be empty.  Validation, dispatch and
-plot-data emission all read the tables, so adding a recipe or a checker
-means adding one entry, plus, for a checker, one to ``CHECKERS`` in
-``perfbench/tracer.py``, the check_* functions the benchmark traces (a test
-holds the two tables equal).  ``_tag`` also reads the manifold's ``kind``
+the run calls: ``trivial_plus_mode``'s applies the near-trivial datum's
+rule, which ancient_approximation applies too (0 <= eps < 1, then
+geometry's spectrum rule: closed kind, at most 4096 nodes, mode index below
+the resolution), ``talenti``'s computes the profile, which refuses all but
+the radial kind with n >= 3, ``gradient``'s applies ``ball_mask`` to a
+``local`` variant's R, the ball its check takes, ``lower_bound``'s applies
+the lemma's ball and admissibility rules, and ``triviality``'s refuses a
+manifold without a positive Ricci lower bound (the circle and the radial
+kind).  The other bind steps refuse a ``random_uniform`` ``high`` that does
+not exceed ``low`` by a finite amount, read a ``custom`` file (its bytes
+travel in the recipe's values to the config hash), check a ``gradient``
+variant's window fields and a ``universal`` window (T0, T) that would be
+empty.  Validation, dispatch and plot-data emission all read the tables,
+so adding a recipe or a checker means adding one entry, plus, for a
+checker, one to ``CHECKERS`` in ``perfbench/tracer.py``, the check_*
+functions the benchmark traces (a test holds the two tables equal).  ``_tag`` also reads the manifold's ``kind``
 (one of geometry's ``KINDS``) and a gradient checker's ``variant``
 (``_GRADIENT_VARIANTS``).
 An arithmetic error's text leads with its type's name.
@@ -121,6 +123,7 @@ from .estimates import (
     _check_positive_ricci,
     _lemma_balls,
     _talenti_profile,
+    ball_mask,
     check_decay,
     check_gradient_estimate,
     check_lower_bound_lemma,
@@ -136,7 +139,7 @@ from .geometry import (
     KINDS,
     DiscreteManifold,
     _check_dimension,
-    _check_spectrum,
+    _check_near_trivial,
     build_manifold,
     laplacian_spectrum,
 )
@@ -363,7 +366,7 @@ def _entry(d, tag: str, table, path: str, what: str, noun: str, m):
 
 def _bind_mode(values, m, path):
     # sizes only: each entry computes the spectrum it reads
-    _at(path, _check_spectrum, m, values["mode"])
+    _at(path, _check_near_trivial, m, values["eps"], values["mode"])
     if values["t_start"] >= values["T_blow"]:
         raise ConfigError(f"{path}.t_start", "must precede T_blow")
     return values
@@ -412,6 +415,8 @@ def _bind_gradient(values, m, path):
     variant, rest = _tag(values, "variant", _GRADIENT_VARIANTS, path, "checker 'gradient'", "gradient variant")
     window = _GRADIENT_VARIANTS[variant]
     _check_fields(rest, dict.fromkeys(("D", "c_cap", *window)), path, f"gradient variant {variant!r}", window)
+    if variant == "local":  # the ball _gradient_windows takes
+        _at(f"{path}.R", ball_mask, m, values["R"])
     return _params(values, path, "D", "R", "T")
 
 

@@ -345,6 +345,18 @@ def _check_spectrum(m: DiscreteManifold, mode: int = 0):
         raise ValueError(f"mode index out of range for {m.node_count} nodes")
 
 
+def _check_near_trivial(m: DiscreteManifold, eps: float, mode: int):
+    """The rules of the near-trivial datum, the blow-up profile times
+    (1 + eps * mode-th eigenmode), that need no exponent: 0 <= eps < 1
+    (eps >= 1 would make the data change sign; NaN fails it), then the
+    spectrum's rules for ``mode``.  evolve.ancient_approximation applies
+    them, and so does the sweep's ``trivial_plus_mode`` recipe at
+    validation."""
+    if not 0 <= eps < 1:  # NaN fails it
+        raise ValueError(f"eps must be in [0, 1), got {eps!r}")
+    _check_spectrum(m, mode)
+
+
 def laplacian_spectrum(m: DiscreteManifold):
     """Eigenvalues and eigenmodes of -Laplacian for the closed kinds.
 

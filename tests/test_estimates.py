@@ -80,7 +80,7 @@ _NAN = float("nan")
         pytest.param(lambda: trivial_ancient(2.0, 0.0, [-2.0, _NAN]), "t must not be NaN", id="trivial-t"),
         pytest.param(
             lambda: ancient_approximation(build_manifold("circle", 1, 6.0, 32), 2.0, 0.0, -12.0, _NAN, 1),
-            "eps must be nonnegative, got nan",
+            r"eps must be in \[0, 1\), got nan",
             id="ancient-eps",
         ),
         pytest.param(

@@ -26,7 +26,7 @@ from semiheat import (
     trivial_ancient,
 )
 from semiheat.evolve import BlowupInfo, Trajectory
-from semiheat.geometry import _aligned_values, implicit_diffusion_solve, laplacian_spectrum
+from semiheat.geometry import _aligned_values, _step_matrix, implicit_diffusion_solve, laplacian_spectrum
 from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, blowup_time_from_min, reaction_flow
 
 # the package re-exports the function ``evolve`` under the submodule's name
@@ -654,6 +654,77 @@ def test_sphere_step_order_excess_is_roundoff():
     assert int(np.argmax(step_u - step_v)) == 14
     excess = np.max(step_u - step_v) / (_EPS * np.abs(step_v).max())
     assert 0.96 < excess < 0.97 < 1.0 + 0.1 * top_eigenvalue(m)
+
+
+def _zonal_bands(m, dt):
+    # (dl, d, du): the sub-, main and super-diagonal of I - dt L, as the
+    # step's dgtsv call takes them
+    ab, _ = _step_matrix(m, dt)
+    return ab[2, :-1], ab[1], ab[0, 1:]
+
+
+def _first_interchange(dl, d, du):
+    """The first column k where dgtsv interchanges rows k and k + 1, |dl_k| >
+    |d_k| once the columns before it are eliminated; None if none does."""
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    for k, sub in enumerate(dl):
+        if abs(sub) > abs(d[k]):
+            return k
+        d[k + 1] -= sub / d[k] * du[k]
+    return None
+
+
+def _no_interchange_solve(dl, d, du, b):
+    # tridiagonal elimination without row interchanges, in dgtsv's order of
+    # operations: where dgtsv interchanges none, the two agree bit for bit
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+    for k, sub in enumerate(dl):
+        fact = sub / d[k]
+        d[k + 1] -= fact * du[k]
+        b[k + 1] -= fact * b[k]
+    b[-1] /= d[-1]
+    for k in range(len(b) - 2, -1, -1):
+        b[k] = (b[k] - du[k] * b[k + 1]) / d[k]
+    return np.array(b)
+
+
+def test_the_zonal_solve_interchanges_rows_at_the_far_pole():
+    # the zonal I - dt L is not symmetric, and at the theta = pi end its
+    # subdiagonal outgrows the eliminated diagonal, so dgtsv interchanges
+    # rows there: first at column 14 of 16 (dt 0.1), 254 of 256 (dt 1e-4)
+    for count, dt, column in ((16, 0.1, 14), (256, 1e-4, 254)):
+        assert _first_interchange(*_zonal_bands(build_manifold("sphere_zonal", 2, 1.0, count), dt)) == column
+    # where it interchanges none, its solve is the elimination without
+    # interchanges, bit for bit
+    rng = np.random.default_rng(5)
+    for count, dt in ((16, 1e-2), (16, 1e-3), (64, 1e-3), (64, 1e-4)):
+        m = build_manifold("sphere_zonal", 2, 1.0, count)
+        bands = _zonal_bands(m, dt)
+        assert _first_interchange(*bands) is None
+        for b in rng.uniform(-1.0, 1.0, (5, count)):
+            assert implicit_diffusion_solve(m, b, dt).tobytes() == _no_interchange_solve(*bands, b).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_the_zonal_solve_breaks_order_only_through_its_interchanges(n):
+    # the cause of the sphere step's order excess: over near-equal pairs
+    # u <= v (v one ulp above u at about half the nodes), dgtsv's solve of
+    # u lies above its solve of v somewhere on some pairs (67 of these 600
+    # on S2 and on S5), and the elimination without interchanges keeps the
+    # order on every pair
+    rng = np.random.default_rng(7)
+    broken = {"dgtsv": 0, "no interchange": 0}
+    for count in (16, 32, 64, 128):
+        m = build_manifold("sphere_zonal", n, 1.0, count)
+        for dt in (0.01, 0.1, 1.0):
+            bands = _zonal_bands(m, dt)
+            for _ in range(50):
+                u = rng.uniform(0.0, 1.0, count)
+                v = np.where(rng.random(count) < 0.5, np.nextafter(u, 2.0), u)
+                broken["dgtsv"] += bool(np.any(implicit_diffusion_solve(m, u, dt) > implicit_diffusion_solve(m, v, dt)))
+                broken["no interchange"] += bool(np.any(_no_interchange_solve(*bands, u) > _no_interchange_solve(*bands, v)))
+    assert broken["dgtsv"] > 0
+    assert broken["no interchange"] == 0
 
 
 def test_radial_step_breaks_order():

@@ -23,6 +23,7 @@ from semiheat import (
     ConfigError,
     EstimateReport,
     RunReport,
+    ancient_approximation,
     build_manifold,
     config_hash,
     emit_plot_data,
@@ -61,6 +62,7 @@ def test_validate_config_accepts_base():
     assert cfg.seed == 0
 
 
+_NEAR_TRIVIAL = {"type": "trivial_plus_mode", "T_blow": 0.0, "t_start": -12.0, "eps": 0.05, "mode": 1}
 _LOWER_BOUND = {"id": "lower_bound", "delta": 0.5, "L": 1.0, "A": 10.0, "r0": 0.3, "C_delta_cap": 1.0}
 # on the unit S^2: A r0 = 4 exceeds pi; at T = 0.5 the least admissible A is 10
 _LOWER_BOUND_PRECONDITIONS = (
@@ -266,6 +268,13 @@ _LOWER_BOUND_PRECONDITIONS = (
             "scenarios[0].initial.t_start",
             id="mode-start-at-blowup",
         ),
+        # eps >= 1 would make the datum change sign; ancient_approximation's
+        # rule, applied at the recipe as its mode rules are
+        pytest.param(
+            lambda r: r["scenarios"][0].update(initial={**_NEAR_TRIVIAL, "eps": 1.5}),
+            "scenarios[0].initial",
+            id="mode-eps-above-1",
+        ),
         pytest.param(
             lambda r: r["scenarios"][0].update(initial={"type": "random_uniform", "low": -1e308, "high": 1e308}),
             "scenarios[0].initial.high",
@@ -285,6 +294,16 @@ _LOWER_BOUND_PRECONDITIONS = (
             lambda r: r.update(checkers=[{"id": "gradient", "variant": "global", "D": 1.0}]),
             "checkers[0].T",
             id="gradient-global-without-T",
+        ),
+        # the unit sphere holds no ball of radius 10, so every entry's local
+        # check would error
+        pytest.param(
+            lambda r: (
+                r["manifold"].update(kind="sphere_zonal", n=2, size=1.0, resolution=16),
+                r.update(checkers=[{"id": "gradient", "variant": "local", "D": 1.0, "R": 10.0, "T": 1.0}]),
+            ),
+            "checkers[0].R",
+            id="gradient-local-ball-beyond-diameter",
         ),
         # a window field the variant does not read
         *(
@@ -448,6 +467,47 @@ def test_check_refuses_a_lower_bound_that_needs_no_trajectory_to_fail(tmp_path, 
     # the benchmark's entry: its ball A r0 = 2.5 fits, and its minimum is 4.12
     raw["checkers"] = [{**_LOWER_BOUND, "A": 5.0, "r0": 0.5, "T": 0.01}]
     assert cli_main(["check", write_cfg(tmp_path, raw)]) == 0
+
+
+def test_check_refuses_a_near_trivial_datum_or_a_local_ball_that_cannot_run(tmp_path, capsys):
+    # both used to pass check, then fail every entry: eps 1.5 gave data that
+    # change sign, and the local gradient ball errored in each check
+    raw = base_raw()
+    raw["scenarios"][0].update(initial={**_NEAR_TRIVIAL, "eps": 1.5}, window={"t0": -12.0, "t1": -11.9})
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == "config error: scenarios[0].initial: eps must be in [0, 1), got 1.5\n"
+    raw["scenarios"][0]["initial"]["eps"] = 0.05
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 16}
+    raw["checkers"] = [{"id": "gradient", "variant": "local", "D": 1.0, "R": 10.0, "T": 1.0}]
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == "config error: checkers[0].R: ball exceeds the manifold diameter\n"
+    # the ball of radius pi is the whole unit sphere
+    raw["checkers"][0]["R"] = 3.14159
+    assert cli_main(["check", write_cfg(tmp_path, raw)]) == 0
+
+
+@pytest.mark.parametrize(
+    "kind, n, fields",
+    [
+        pytest.param("circle", 1, {"eps": -0.1}, id="eps-negative"),
+        pytest.param("circle", 1, {"eps": 1.0}, id="eps-1"),
+        pytest.param("circle", 1, {"eps": 1.5}, id="eps-above-1"),
+        pytest.param("circle", 1, {"mode": 64}, id="mode-64-on-64-nodes"),
+        pytest.param("euclidean_radial", 3, {}, id="mode-on-the-radial-kind"),
+    ],
+)
+def test_the_recipe_refuses_a_near_trivial_datum_as_ancient_approximation_does(kind, n, fields):
+    # one rule, two callers: the run's refusal and the config's read alike
+    datum = {**_NEAR_TRIVIAL, **fields}
+    m = build_manifold(kind, n, 6.3, 64)
+    with pytest.raises(ValueError) as run_err:
+        ancient_approximation(m, 2.0, datum["T_blow"], datum["t_start"], datum["eps"], datum["mode"])
+    raw = base_raw()
+    raw["manifold"] = {"kind": kind, "n": n, "size": 6.3, "resolution": 64}
+    raw["scenarios"][0]["initial"] = datum
+    with pytest.raises(ConfigError) as config_err:
+        validate_config(raw)
+    assert str(config_err.value) == f"scenarios[0].initial: {run_err.value}"
 
 
 def test_checker_caps_down_to_zero_are_accepted():
