@@ -91,6 +91,10 @@ class EstimateReport:
     below 0, or a c_cap below 0 or NaN, is a ValueError.
     """
 
+    # first line of every entry CSV, without its newline; one row per
+    # snapshot follows
+    _CSV_HEADER = b"t,lhs,structural_rhs,ratio"
+
     inequality_id: str
     times: np.ndarray
     lhs: np.ndarray
@@ -131,13 +135,18 @@ class EstimateReport:
             "diagnostics": clean(self.diagnostics),
         }
 
+    def _csv_bytes(self) -> bytes:
+        """The entry CSV: the header, then ``t,lhs,rhs,ratio`` per snapshot,
+        each the ``repr`` of the float.  Each column is formatted by one
+        _floats.float_texts call: orjson's text where 1e-4 <= |v| < 1e16
+        and at zero, ``repr`` elsewhere."""
+        columns = (float_texts(x) for x in (self.times, self.lhs, self.rhs, self.ratio))
+        return b"\n".join((self._CSV_HEADER, *map(b",".join, zip(*columns)), b""))
+
     def csv_rows(self):
-        """Yield ``[t, lhs, rhs, ratio]`` per snapshot, each the ``repr`` of
-        the float: each column is formatted by one _floats.float_texts call,
-        orjson's text where 1e-4 <= |v| < 1e16 and at zero, ``repr``
-        elsewhere."""
-        columns = [list(map(bytes.decode, float_texts(x))) for x in (self.times, self.lhs, self.rhs, self.ratio)]
-        yield from map(list, zip(*columns))
+        """``[t, lhs, rhs, ratio]`` per snapshot as texts, one list per row
+        of the entry CSV (_csv_bytes)."""
+        return (line.split(",") for line in self._csv_bytes().decode().split("\n")[1:-1])
 
 
 def _finalize(**kw) -> EstimateReport:
@@ -382,6 +391,8 @@ def check_decay(traj: Trajectory, T_blow: float, p: float, c_cap: float = math.i
         raise ValueError("all snapshots must lie strictly before T_blow")
     mx = traj.snapshot_max
     rhs = (T_blow - t) ** (-1.0 / (p - 1.0))
+    if rhs.min() == 0:
+        raise ValueError(f"the decay bound (T_blow - t)^(-1/(p-1)) underflows to 0 at p = {p!r}")
     ratio = mx / rhs
     c_fit = float(np.max(ratio))
     first, last = float(mx[0]), float(mx[-1])
@@ -420,6 +431,8 @@ def check_universal(
     # Python floats: libm pow, which numpy's array power may differ from
     power = -1.0 / (p - 1.0)
     rhs = np.array([_pow_or_inf(abs(tk - T0), power) + _pow_or_inf(abs(T - tk), power) for tk in t.tolist()])
+    if rhs.min() == 0:
+        raise ValueError(f"the universal bound |t - T0|^(-1/(p-1)) + |T - t|^(-1/(p-1)) underflows to 0 at p = {p!r}")
     ratio = lhs / rhs
     return _finalize(
         inequality_id="universal_spacetime_bound",

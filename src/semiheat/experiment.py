@@ -119,6 +119,7 @@ import numpy as np
 from .estimates import (
     _GRADIENT_VARIANTS,
     EstimateParams,
+    EstimateReport,
     _check_cap,
     _check_positive_ricci,
     _lemma_balls,
@@ -132,7 +133,6 @@ from .estimates import (
     check_universal,
     exponent_regime,
 )
-from ._floats import float_texts
 from ._workers import Workers, cpus
 from .evolve import EvolveControls, SolverAbort, evolve
 from .geometry import (
@@ -144,9 +144,6 @@ from .geometry import (
     laplacian_spectrum,
 )
 from .reaction_ode import _near_trivial_data, validate_exponent
-
-# first line of every entry CSV; the rows follow, one per snapshot
-_ENTRY_CSV_HEADER = b"t,lhs,structural_rhs,ratio\n"
 
 # largest manifold.resolution a config may ask for (the largest grid used by
 # the tests, demos and benchmark is 2000 nodes)
@@ -620,21 +617,16 @@ def _run_entry(workdir: str, config: ExperimentConfig, tasks, share):
 
 def _write_entry_csvs(out_dir: str, files):
     """Write the entry CSV of each (record, EstimateReport) in ``files`` into
-    ``out_dir``: the header, then the rows of ``rep.csv_rows()`` joined by
-    commas, built as one text and written with one call, and set the
-    record's ``rows`` and ``sha256`` (the digest of the bytes written).
-    Each column is formatted by one _floats.float_texts call: orjson's text
-    where 1e-4 <= |v| < 1e16 and at zero, ``repr`` elsewhere, which is the
-    ``repr`` of every value."""
+    ``out_dir`` with one call (EstimateReport._csv_bytes: the header, then
+    one row per snapshot), and set the record's ``rows`` and ``sha256``
+    (the digest of the bytes written)."""
     for record, rep in files:
-        t, lhs, rhs, ratio = (float_texts(x) for x in (rep.times, rep.lhs, rep.rhs, rep.ratio))
-        data = _ENTRY_CSV_HEADER + b"".join(map(b"%s,%s,%s,%s\n".__mod__, zip(t, lhs, rhs, ratio)))
+        data = rep._csv_bytes()
         with open(os.path.join(out_dir, record["csv"]), "wb") as out:
             out.write(data)
         # the digest ties the entry CSV to the report, since a later run into
         # the same directory may overwrite a CSV of the same name
-        record["rows"] = len(t)
-        record["sha256"] = hashlib.sha256(data).hexdigest()
+        record.update(rows=rep.times.size, sha256=hashlib.sha256(data).hexdigest())
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str = ".", *, jobs: int | None = None) -> RunReport:
@@ -715,6 +707,7 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> str:
     if report.entries and present and which not in present:
         raise ValueError(f"checker {which!r} not present in the report")
     chunks = []  # every entry CSV is read before the output is opened
+    header = EstimateReport._CSV_HEADER + b"\n"
     for entry in report.entries:
         rep = entry.get("checks", {}).get(which)
         if rep is None or rep.get("status") != "checked":
@@ -727,13 +720,13 @@ def emit_plot_data(report: RunReport, which: str, out_dir: str = ".") -> str:
             data = fh.read()
         if hashlib.sha256(data).hexdigest() != rep.get("sha256"):
             raise ValueError(f"{csv_path}: not the entry CSV this report wrote (its sha256 differs)")
-        if not data.startswith(_ENTRY_CSV_HEADER) or data.count(b"\n") != rep["rows"] + 1 or not data.endswith(b"\n"):
+        if not data.startswith(header) or data.count(b"\n") != rep["rows"] + 1 or not data.endswith(b"\n"):
             raise ValueError(f"{csv_path}: expected the header and {rep['rows']} rows")
         if rep["rows"]:
             prefix = f"{entry['scenario']},{float(entry['p'])!r},".encode()
-            chunks.append(prefix + data[len(_ENTRY_CSV_HEADER) : -1].replace(b"\n", b"\n" + prefix) + b"\n")
+            chunks.append(prefix + data[len(header) : -1].replace(b"\n", b"\n" + prefix) + b"\n")
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"plot_{which}_{report.config_hash[:12]}.csv")
     with open(path, "wb") as fh:
-        fh.write(b"scenario,p," + _ENTRY_CSV_HEADER + b"".join(chunks))
+        fh.write(b"scenario,p," + header + b"".join(chunks))
     return path

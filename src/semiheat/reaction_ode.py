@@ -3,9 +3,10 @@
 Closed forms for the one-parameter family of blow-up solutions, the lower
 comparison envelope used by the ball estimate, and a small adaptive
 integrator that serves as the comparison oracle for the PDE runs.  The
-integrator advances each step with the exact flow of the ODE (closed form by
-sign), so its error is pure roundoff; the stepping and the blow-up threshold
-logic are what is actually under test.
+integrator runs forward only, as evolve does, and advances each step with
+the exact flow of the ODE (closed form by sign), so its error is pure
+roundoff; the stepping and the blow-up threshold logic are what is actually
+under test.  The exact flow itself, reaction_flow, takes either sign of dt.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ def validate_exponent(p: float) -> float:
 
 @dataclass
 class ScalarTrajectory:
-    """Time series of a scalar quantity, e.g. min_x u along a PDE run.
+    """Time series of a scalar quantity, e.g. min_x u along a PDE run, or
+    integrate_scalar_ode's forward run.
 
-    ``blowup_time`` is only set for forward blow-up; it always exceeds the
-    last stored time (a backward singularity is never recorded here).
+    ``blowup_time``, when set, is the time at which the series blows up; it
+    always exceeds the last stored time.
     """
 
     times: np.ndarray
@@ -91,11 +93,12 @@ def _near_trivial_data(p: float, T_blow: float, t: float, eps: float, mode: np.n
 
 def blowup_time_from_min(p: float, v0: float) -> float:
     """Blow-up time of v' = v^p from v(0) = v0 > 0: v0^(1-p)/(p-1).
-    By comparison this also bounds the PDE blow-up time from min u0."""
+    By comparison this also bounds the PDE blow-up time from min u0.  Where
+    v0^(1-p) overflows the time is inf."""
     p = validate_exponent(p)
     if not v0 > 0:
         raise ValueError(f"v0 must be positive, got {v0!r}")
-    return v0 ** (1.0 - p) / (p - 1.0)
+    return _pow_or_inf(v0, 1.0 - p) / (p - 1.0)
 
 
 def ode_lower_envelope(p: float, delta: float, L: float, t) -> float | np.ndarray:
@@ -224,56 +227,42 @@ def _positive_flow(v, p, a):
 
 
 def integrate_scalar_ode(p: float, v0: float, t_span) -> ScalarTrajectory:
-    """Adaptive integration of v' = |v|^p over t_span = (t0, t1).
+    """Adaptive forward integration of v' = |v|^p over t_span = (t0, t1).
 
     Steps with the exact flow under dt = min(DT_MAX, _dt_cap(p, |v|)), so the
-    result matches the closed form to roundoff on non-blow-up spans.  Forward
-    runs stop early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap
-    on dt falls below the resolution of t, and record the (then essentially
-    exact) blow-up time.  Backward spans are integrated backward but stored
-    with times ascending; a backward singularity stops the run without
-    recording a blow-up time.  A t_span so far from 0 that DT_MAX does not
-    advance t is a ValueError.
+    result matches the closed form to roundoff on non-blow-up spans.  A run
+    stops early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap on
+    dt falls below the resolution of t, and records the (then essentially
+    exact) blow-up time of positive data.  Like evolve, the oracle runs
+    forward only: t1 <= t0 is a ValueError (the exact value at an earlier
+    time t is reaction_flow(v0, p, t - t0)), and so is a t_span so far from
+    0 that DT_MAX does not advance t.
     """
     p = validate_exponent(p)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
-        raise ValueError("t_span must be a finite nondegenerate interval")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+        raise ValueError(f"t_span must be a finite interval with t0 < t1, got {t_span}")
     span = max(abs(t0), abs(t1))
     if span + DT_MAX == span:
         raise ValueError(f"the step bound {DT_MAX:g} is below the resolution of t on {t_span}")
-    forward = t1 > t0
-    sign = 1.0 if forward else -1.0
 
-    times = [t0]
-    values = [float(v0)]
     t, v = t0, float(v0)
+    times, values = [t], [v]
     blowup_time = None
     singular = False
-    while (t1 - t) * sign > 1e-14 * max(1.0, abs(t1)):
-        mag = abs(v)
-        cap = _dt_cap(p, mag)
-        dt = min(DT_MAX, cap, (t1 - t) * sign)
-        if t + sign * dt == t:  # the blow-up cap is below the resolution of t
+    while t1 - t > 1e-14 * max(1.0, abs(t1)):
+        dt = min(DT_MAX, _dt_cap(p, abs(v)), t1 - t)
+        if t + dt == t:  # the blow-up cap is below the resolution of t
             singular = True
             break
-        try:
-            v = reaction_flow(v, p, sign * dt)
-        except FloatingPointError:
-            break
-        t = t + sign * dt
+        v = reaction_flow(v, p, dt)
+        t = t + dt
         times.append(t)
         values.append(v)
         if abs(v) > BLOW_THRESHOLD:
             singular = True
             break
-    if singular and forward and v > 0:
+    if singular and v > 0:
         # remaining life of the exact solution from here (at least one ulp)
         blowup_time = max(t + v ** (1.0 - p) / (p - 1.0), math.nextafter(t, math.inf))
-
-    times = np.asarray(times)
-    values = np.asarray(values)
-    if not forward:
-        times = times[::-1]
-        values = values[::-1]
-    return ScalarTrajectory(times=times, values=values, blowup_time=blowup_time)
+    return ScalarTrajectory(times=np.asarray(times), values=np.asarray(values), blowup_time=blowup_time)

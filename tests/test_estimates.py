@@ -421,6 +421,21 @@ def test_universal_window_and_gate_errors(sphere):
         check_universal(traj, -2.0, 0.0, 8.0)
 
 
+def test_decay_and_universal_refuse_a_bound_that_underflows(sphere):
+    # just above p = 1 the exponent -1/(p-1) is -5e8: the decay bound and
+    # both universal terms underflow to 0, and every ratio would be inf
+    times = np.linspace(0.0, 0.5, 11)
+    traj = constant_trajectory(sphere, times, np.full(times.size, 0.5))
+    p = 1.000000002
+    with pytest.raises(ValueError, match=r"^the decay bound \(T_blow - t\)\^\(-1/\(p-1\)\) underflows to 0 at p = 1\.000000002$"):
+        check_decay(traj, 50.0, p)
+    with pytest.raises(ValueError, match=r"^the universal bound \|t - T0\|\^\(-1/\(p-1\)\) \+ \|T - t\|\^\(-1/\(p-1\)\) "):
+        check_universal(traj, -1.0, 60.0, p)
+    # one term that stays positive is enough: at t = T0 + 1 the first is 1
+    traj = constant_trajectory(sphere, np.array([0.0]), np.array([0.5]))
+    assert check_universal(traj, -1.0, 60.0, p).c_fit == 0.5
+
+
 def test_universal_block_matches_snapshot_loop(sphere, torus):
     for m in (sphere, torus):
         u0 = 0.5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * m.nodes / m.nodes[-1]))

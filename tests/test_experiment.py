@@ -1731,6 +1731,25 @@ def test_cli_runs_tiny_data_at_large_p(tmp_path, capsys):
     assert entry["checks"]["positivity"]["passed"]
 
 
+def test_cli_records_an_underflowed_bound_as_an_error(tmp_path, capsys):
+    # just above p = 1 the decay and universal bounds underflow to 0; each
+    # check is an error, not a pass with c_fit inf
+    raw = base_raw()
+    raw["manifold"] = {"kind": "sphere_zonal", "n": 2, "size": 1.0, "resolution": 32}
+    raw["p_values"] = [1.000000002]
+    raw["scenarios"][0]["initial"] = {"type": "constant", "value": 0.5}
+    raw["scenarios"][0]["window"] = {"t0": 0.0, "t1": 0.5}
+    raw["checkers"] = [{"id": "decay", "T_blow": 50.0}, {"id": "universal", "T0": -1.0, "T": 60.0}]
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, raw), "--out-dir", str(out), "--jobs", "1"]) == 1
+    (report_name,) = [f for f in os.listdir(out) if f.startswith("report_")]
+    (entry,) = json.loads((out / report_name).read_text())["entries"]
+    for name in ("decay", "universal"):
+        assert entry["checks"][name]["status"] == "error"
+        assert entry["checks"][name]["error"].startswith(f"the {name} bound ")
+        assert entry["checks"][name]["error"].endswith(" underflows to 0 at p = 1.000000002")
+
+
 def test_cli_jobs_flag_changes_no_output(tmp_path, capsys):
     raw = base_raw()
     raw["p_values"] = [1.5, 2.0, 3.0]

@@ -60,6 +60,9 @@ def test_blowup_time_from_min():
     assert blowup_time_from_min(3.0, 1.0) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         blowup_time_from_min(2.0, 0.0)
+    # 1.82e-9^(1 - 74.77) is about 1e644, beyond a double
+    assert blowup_time_from_min(74.77, 1.82e-9) == math.inf
+    assert blowup_time_from_min(74.77, 1e-4) == 1e-4 ** (1.0 - 74.77) / (74.77 - 1.0)
 
 
 def test_ode_lower_envelope_values():
@@ -249,9 +252,10 @@ def test_integrate_forward_negative():
 
 
 def test_integrate_backward_negative_blowdown():
-    traj = integrate_scalar_ode(2.0, -1.0, (0.0, -0.9))
-    assert np.all(np.diff(traj.times) > 0)
-    assert traj.values[0] == pytest.approx(-10.0, abs=1e-4)
+    # the oracle runs forward only; the exact flow gives the backward value
+    assert reaction_flow(-1.0, 2.0, -0.9) == pytest.approx(-10.0, rel=1e-14)
+    with pytest.raises(ValueError, match=r"^t_span must be a finite interval with t0 < t1, got \(0.0, -0.9\)$"):
+        integrate_scalar_ode(2.0, -1.0, (0.0, -0.9))
 
 
 def test_integrate_records_blowup_time():
@@ -279,10 +283,30 @@ def test_integrate_refuses_a_span_its_step_cannot_advance():
         integrate_scalar_ode(2.0, 0.5, (1e20, 2e20))
 
 
-@pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.0, float("inf")), (float("nan"), 1.0)])
+@pytest.mark.parametrize("t_span", [(0.0, 0.0), (0.0, float("inf")), (float("nan"), 1.0), (1.0, 0.0)])
 def test_integrate_refuses_a_t_span_that_is_not_a_finite_interval(t_span):
-    with pytest.raises(ValueError, match="t_span must be a finite nondegenerate interval"):
+    with pytest.raises(ValueError, match=r"^t_span must be a finite interval with t0 < t1, got \("):
         integrate_scalar_ode(2.0, 0.5, t_span)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    log_p=st.floats(math.log(1.02), math.log(1000.0)),
+    log_mag=st.floats(-60.0, 6.0),
+    positive=st.booleans(),
+    t0=st.sampled_from([-5.0, 0.0, 3.0]),
+    length=st.floats(1e-3, 10.0),
+)
+def test_integrate_forward_runs_record_the_closed_form_blowup(log_p, log_mag, positive, t0, length):
+    # p log-uniform in [1.02, 1000], |v0| log-uniform in [1e-60, 1e6]
+    p, v0 = math.exp(log_p), math.copysign(10.0**log_mag, 1.0 if positive else -1.0)
+    traj = integrate_scalar_ode(p, v0, (t0, t0 + length))
+    if v0 <= 0:
+        assert traj.blowup_time is None
+        return
+    blowup = t0 + blowup_time_from_min(p, v0)
+    if blowup < t0 + length:
+        assert traj.blowup_time == pytest.approx(blowup, abs=1e-3)
 
 
 def test_integrate_reproduces_trivial_ancient():
@@ -322,10 +346,11 @@ def test_tiny_data_at_large_p_stays_put():
         assert np.array_equal(got[[0, 1, 4, 5]], mixed[[0, 1, 4, 5]])
         assert np.array_equal(got[[2, 3]], masked_reaction_flow(mixed[[2, 3]], 10.0, 1e-3))
         assert _dt_cap(10.0, 1e-50) == math.inf
-        for v0, span in ((1e-50, (0.0, 1.0)), (-1e-50, (0.0, 1.0)), (1e-50, (0.0, -1.0))):
-            traj = integrate_scalar_ode(10.0, v0, span)
+        assert reaction_flow(1e-50, 10.0, -1.0) == 1e-50
+        for v0 in (1e-50, -1e-50):
+            traj = integrate_scalar_ode(10.0, v0, (0.0, 1.0))
             assert np.all(traj.values == v0)
-            assert traj.times[0] == min(span) and traj.times[-1] == max(span)
+            assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
             assert traj.blowup_time is None
 
 
