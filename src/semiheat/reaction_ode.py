@@ -11,10 +11,13 @@ under test.  The exact flow itself, reaction_flow, takes either sign of dt.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import _greatest, _least
 
 # p must exceed 1 by at least this; every 1/(p-1) exponent degenerates at p = 1
 P_FLOOR = 1e-9
@@ -159,11 +162,14 @@ def _dt_cap(p: float, mag: float) -> float:
 _LOG_POW_SAFE = 709.0
 
 
+@functools.lru_cache(maxsize=8)
 def _flat_floor(p: float) -> float:
     """The magnitude at or below which the flow leaves an entry unchanged:
     1e-100, or exp(709/(1-p)) where that is larger (p > 4.08).  Below the
     latter the exact flow moves v by a relative amount under
-    (p-1) dt e^-709, and |v|^(1-p) might overflow."""
+    (p-1) dt e^-709, and |v|^(1-p) might overflow.  Kept per p: a run asks
+    for it three times a step, and the bounded cache cannot grow on the
+    NaN p that no two lookups share."""
     return max(_TINY, math.exp(_LOG_POW_SAFE / (1.0 - p)))
 
 
@@ -184,16 +190,16 @@ def reaction_flow(values, p: float, dt: float):
     if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1):
         v, scalar = np.atleast_1d(np.asarray(values, dtype=float)), np.ndim(values) == 0
     a = (p - 1.0) * dt
-    tiny = _flat_floor(p)
+    tiny = _flat_floor(float(p))  # a hashable key for the cache
     out = None
-    if v.size and v.min() > tiny:
+    if v.size and _least(v) > tiny:
         # all positive: the whole array at once, no masks and no copy (NaN
         # and sign-mixed fields take the masked path)
         try:
             out = _positive_flow(v, p, a)
         except FloatingPointError:
             # +inf makes its bracket -a; the masked path leaves it unchanged
-            if np.isfinite(v).all():
+            if _greatest(v) < math.inf:
                 raise
     if out is None:
         out = v.copy()
@@ -216,11 +222,11 @@ def _positive_flow(v, p, a):
     # scalar-power fast paths, which np.power(..., out=) would not.  The
     # callers pass p > 1 and v above _flat_floor(p), never NaN (+inf may
     # occur), so v^(1-p) is finite: the bracket holds a NaN only where a is
-    # NaN, and then every entry is NaN.  So min() <= 0 raises exactly where
-    # a test of each entry would, and is the cheaper reduction.
+    # NaN, and then every entry is NaN.  So its least entry <= 0 raises
+    # exactly where a test of each entry would, and is the cheaper test.
     bracket = v ** (1.0 - p)
     bracket -= a
-    if bracket.min() <= 0:
+    if _least(bracket) <= 0:
         raise FloatingPointError("reaction step crossed a blow-up time")
     bracket **= -1.0 / (p - 1.0)
     return bracket
@@ -231,12 +237,16 @@ def integrate_scalar_ode(p: float, v0: float, t_span) -> ScalarTrajectory:
 
     Steps with the exact flow under dt = min(DT_MAX, _dt_cap(p, |v|)), so the
     result matches the closed form to roundoff on non-blow-up spans.  A run
-    stops early once |v| exceeds BLOW_THRESHOLD, or once the blow-up cap on
-    dt falls below the resolution of t, and records the (then essentially
-    exact) blow-up time of positive data.  Like evolve, the oracle runs
-    forward only: t1 <= t0 is a ValueError (the exact value at an earlier
-    time t is reaction_flow(v0, p, t - t0)), and so is a t_span so far from
-    0 that DT_MAX does not advance t.
+    stops early once v exceeds BLOW_THRESHOLD, as evolve stops once max u
+    does, or once the blow-up cap on dt falls below the resolution of t
+    with v > 0, and records the (then essentially exact) blow-up time.
+    Where that cap falls below the resolution of t with v <= 0 (it caps by
+    |v| whatever the sign, as evolve's does, and (p, v0) = (1000, -1e6)
+    meets it at once), the run is a ValueError that names the stop, as
+    evolve's is a SolverAbort.  Like evolve, the oracle runs forward only:
+    t1 <= t0 is a ValueError (the exact value at an earlier time t is
+    reaction_flow(v0, p, t - t0)), and so is a t_span so far from 0 that
+    DT_MAX does not advance t.
     """
     p = validate_exponent(p)
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -253,16 +263,18 @@ def integrate_scalar_ode(p: float, v0: float, t_span) -> ScalarTrajectory:
     while t1 - t > 1e-14 * max(1.0, abs(t1)):
         dt = min(DT_MAX, _dt_cap(p, abs(v)), t1 - t)
         if t + dt == t:  # the blow-up cap is below the resolution of t
+            if not v > 0:
+                raise ValueError(f"step dt = {dt:g} no longer advances t = {t!r} (v = {v:g})")
             singular = True
             break
         v = reaction_flow(v, p, dt)
         t = t + dt
         times.append(t)
         values.append(v)
-        if abs(v) > BLOW_THRESHOLD:
+        if v > BLOW_THRESHOLD:
             singular = True
             break
-    if singular and v > 0:
+    if singular:
         # remaining life of the exact solution from here (at least one ulp)
         blowup_time = max(t + v ** (1.0 - p) / (p - 1.0), math.nextafter(t, math.inf))
     return ScalarTrajectory(times=np.asarray(times), values=np.asarray(values), blowup_time=blowup_time)

@@ -1,11 +1,14 @@
+import ast
 import csv
 import errno
 import importlib
+import inspect
 import io
 import json
 import math
 import os
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +30,7 @@ from semiheat import (
 )
 from semiheat.evolve import BlowupInfo, Trajectory
 from semiheat.geometry import _aligned_values, _step_matrix, implicit_diffusion_solve, laplacian_spectrum
-from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, blowup_time_from_min, reaction_flow
+from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, _positive_flow, blowup_time_from_min, reaction_flow
 
 # the package re-exports the function ``evolve`` under the submodule's name
 evolve_module = importlib.import_module("semiheat.evolve")
@@ -953,6 +956,21 @@ def test_evolve_calls_the_step_functions_through_its_module_globals(monkeypatch)
     traj = evolve(m, 0.5 + 0.05 * np.cos(m.nodes), 0.0, 0.5, 2.0, EvolveControls(dt_max=0.01))
     assert traj.step_times.size == 50
     assert counts == {"reaction_flow": 100, "implicit_diffusion_solve": 50}
+
+
+@pytest.mark.parametrize(
+    "function",
+    [evolve, reaction_flow, _positive_flow, implicit_diffusion_solve, _step_matrix],
+)
+def test_step_path_calls_no_ufunc_reduction(function):
+    # each min, max and finiteness test of a step reads geometry._least and
+    # _greatest (argmin and argmax, a third of the cost), so that no
+    # reduction creeps back into the loop; builtin min and max of floats
+    # are not array calls
+    calls = [node.func for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function))))
+             if isinstance(node, ast.Call)]
+    assert not [f.attr for f in calls if isinstance(f, ast.Attribute) and f.attr in ("min", "max", "isfinite")]
+    assert not [f.id for f in calls if isinstance(f, ast.Name) and f.id == "isfinite"]
 
 
 @pytest.mark.parametrize(

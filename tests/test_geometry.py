@@ -1,6 +1,7 @@
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiheat
@@ -24,6 +25,7 @@ from semiheat import (
     laplacian_spectrum,
 )
 from semiheat.cli import main as cli_main
+from semiheat.geometry import _GAUSS_NODES, _GAUSS_WEIGHTS, _greatest, _least
 
 
 def test_build_round_sphere_curvature():
@@ -154,6 +156,56 @@ for kind, n, size in (("sphere_zonal", 2, 1.0), ("euclidean_radial", 3, 10.0)):
 print("ok")
 """
     assert run_fresh(code) == "ok"
+
+
+def test_gauss_literals_are_leggauss_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert _GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert _GAUSS_WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_sphere_build_leaves_numpy_polynomial_unloaded():
+    # the eight Gauss nodes are literals; numpy.polynomial, nine modules,
+    # stays out of set-up
+    code = """
+import semiheat
+semiheat.laplacian_spectrum(semiheat.build_manifold("sphere_zonal", 2, 1.0, 256))
+print("numpy.polynomial" in sys.modules)
+"""
+    assert run_fresh(code) == "False"
+
+
+def _bits(x):
+    # the float64 bits of x, or "nan" for any NaN
+    return "nan" if math.isnan(x) else int(np.float64(x).view(np.uint64))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(),
+            st.floats(-1e-300, 1e-300),  # subnormals and zeros of either sign
+            st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.0, -1.0]),
+        ),
+        min_size=1,
+        max_size=300,
+    ),
+    rows=st.sampled_from([1, 2, 3]),
+)
+@example(values=[-0.0, 0.0], rows=1)  # argmax picks -0.0, where max() gives 0.0
+@example(values=[0.0, -0.0], rows=1)
+def test_least_and_greatest_are_min_and_max_bit_for_bit(values, rows):
+    # the step loop reads every min, max and finiteness test through these:
+    # equal nonzero floats share their bits, a zero's sign comes from min()
+    # and max() themselves, and NaN is NaN; the step matrix is 2-D
+    a = np.array(values)
+    if a.size % rows == 0:
+        a = a.reshape(rows, -1)
+    least, greatest = _least(a), _greatest(a)
+    assert type(least) is float and type(greatest) is float
+    assert _bits(least) == _bits(a.min())
+    assert _bits(greatest) == _bits(a.max())
 
 
 def test_laplacian_of_constant_is_zero():

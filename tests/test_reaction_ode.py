@@ -14,7 +14,7 @@ from semiheat import (
     trivial_ancient,
     validate_exponent,
 )
-from semiheat.reaction_ode import BLOW_THRESHOLD, _dt_cap, _flat_floor, _positive_flow
+from semiheat.reaction_ode import BLOW_THRESHOLD, DT_MAX, _dt_cap, _flat_floor, _positive_flow
 
 
 def closed_form(p, v0, t):
@@ -234,6 +234,83 @@ def test_reaction_flow_matches_masked_reference(count, p, log_dt, shape, seed):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def reduction_reaction_flow(values, p, dt):
+    """reaction_flow as it read its fields through ufunc reductions (min()
+    and isfinite().all()), kept as the reference for the argmin/argmax
+    reads."""
+    v, scalar = values, False
+    if not (type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1):
+        v, scalar = np.atleast_1d(np.asarray(values, dtype=float)), np.ndim(values) == 0
+    a = (p - 1.0) * dt
+    tiny = max(1e-100, math.exp(709.0 / (1.0 - p)))
+    out = None
+    if v.size and v.min() > tiny:
+        try:
+            out = reduction_positive_flow(v, p, a)
+        except FloatingPointError:
+            if np.isfinite(v).all():
+                raise
+    if out is None:
+        out = v.copy()
+        pos = (v > tiny) & (v < math.inf)
+        neg = (v < -tiny) & (v > -math.inf)
+        if pos.any():
+            out[pos] = reduction_positive_flow(v[pos], p, a)
+        if neg.any():
+            bracket = (-v[neg]) ** (1.0 - p) + a
+            if (bracket <= 0).any():
+                raise FloatingPointError("reaction step crossed a blow-down time")
+            out[neg] = -(bracket ** (-1.0 / (p - 1.0)))
+    if scalar:
+        return float(out[0])
+    return out
+
+
+def reduction_positive_flow(v, p, a):
+    bracket = v ** (1.0 - p)
+    bracket -= a
+    if bracket.min() <= 0:
+        raise FloatingPointError("reaction step crossed a blow-up time")
+    bracket **= -1.0 / (p - 1.0)
+    return bracket
+
+
+_FLOW_ENTRIES = {
+    "positive": st.floats(1e-3, 1e3),
+    "mixed": st.floats(-1e3, 1e3),
+    "zero": st.sampled_from([0.0, -0.0, 0.25, 1.5]),
+    "inf": st.sampled_from([math.inf, -math.inf, 0.25, 1.5, -0.25]),
+    "nan": st.sampled_from([math.nan, 0.25, 1.5, -0.25]),
+    "flat": st.sampled_from([1e-100, 1e-101, 1e-60, 1e-30, 1e-12, -1e-60, 0.5]),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(sorted(_FLOW_ENTRIES)),
+    scalar=st.booleans(),
+    p=st.one_of(st.floats(1.01, 4.0), st.floats(4.2, 80.0)),
+    log_dt=st.floats(-10.0, 1.0),
+    backward=st.booleans(),
+)
+def test_reaction_flow_is_its_reduction_form_bit_for_bit(data, kind, scalar, p, log_dt, backward):
+    # bit for bit and raise for raise; p on both sides of 4.08, where the
+    # flat floor exp(709/(1-p)) passes 1e-100; dt of either sign, up to
+    # steps that cross a blow-up or blow-down time
+    entries = _FLOW_ENTRIES[kind]
+    values = data.draw(entries if scalar else st.lists(entries, min_size=1, max_size=300).map(np.array))
+    dt = -(10.0**log_dt) if backward else 10.0**log_dt
+    with np.errstate(all="ignore"):
+        got = _flow_or_error(reaction_flow, values, p, dt)
+        want = _flow_or_error(reduction_reaction_flow, values, p, dt)
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_reaction_flow_keeps_scalars_scalar():
     assert reaction_flow(0.5, 2.0, 0.1) == masked_reaction_flow(0.5, 2.0, 0.1)[0]
     assert isinstance(reaction_flow(0.5, 2.0, 0.1), float)
@@ -249,6 +326,23 @@ def test_integrate_forward_positive():
 def test_integrate_forward_negative():
     traj = integrate_scalar_ode(2.0, -1.0, (0.0, 1.0))
     assert traj.values[-1] == pytest.approx(-0.5, abs=1e-6)
+
+
+def test_integrate_runs_large_negative_data_to_t1():
+    # |v| = 1e9 passes BLOW_THRESHOLD, but only v > BLOW_THRESHOLD is a
+    # blow-up, as only max u is in evolve; the run used to stop at 1e-11
+    traj = integrate_scalar_ode(2.0, -1e9, (0.0, 1.0))
+    assert traj.blowup_time is None
+    assert traj.times.size == 2084 and traj.times[-1] == 1.0
+    exact = -1.0 / (1e-9 + traj.times)
+    assert np.max(np.abs(traj.values - exact) / np.abs(exact)) <= 2e-15
+
+
+def test_integrate_names_a_negative_run_its_cap_cannot_advance():
+    # the cap 0.5/999 * 1e6^-999 underflows to 0; the run used to return
+    # the single time 0.0 without a word
+    with pytest.raises(ValueError, match=r"^step dt = 0 no longer advances t = 0.0 \(v = -1e\+06\)$"):
+        integrate_scalar_ode(1000.0, -1e6, (0.0, 1.0))
 
 
 def test_integrate_backward_negative_blowdown():
@@ -300,10 +394,18 @@ def test_integrate_refuses_a_t_span_that_is_not_a_finite_interval(t_span):
 def test_integrate_forward_runs_record_the_closed_form_blowup(log_p, log_mag, positive, t0, length):
     # p log-uniform in [1.02, 1000], |v0| log-uniform in [1e-60, 1e6]
     p, v0 = math.exp(log_p), math.copysign(10.0**log_mag, 1.0 if positive else -1.0)
-    traj = integrate_scalar_ode(p, v0, (t0, t0 + length))
     if v0 <= 0:
+        # |v| only shrinks, so the cap only grows, faster than ulp(t): the
+        # first step decides whether the run reaches t1 or stops by name
+        if t0 + min(DT_MAX, _dt_cap(p, -v0)) == t0:
+            with pytest.raises(ValueError, match=r"^step dt = .* no longer advances t = "):
+                integrate_scalar_ode(p, v0, (t0, t0 + length))
+            return
+        traj = integrate_scalar_ode(p, v0, (t0, t0 + length))
         assert traj.blowup_time is None
+        assert traj.times[-1] == pytest.approx(t0 + length, rel=1e-13)
         return
+    traj = integrate_scalar_ode(p, v0, (t0, t0 + length))
     blowup = t0 + blowup_time_from_min(p, v0)
     if blowup < t0 + length:
         assert traj.blowup_time == pytest.approx(blowup, abs=1e-3)
